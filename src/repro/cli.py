@@ -361,7 +361,7 @@ def cmd_analyze_trace(args: argparse.Namespace) -> int:
     from repro.core.pruner import Pruner
     from repro.core.streaming import StreamingDetector, resolve_engine
     from repro.runtime.serialize import load_trace
-    from repro.runtime.tracefile import TraceFileReader, is_tracefile
+    from repro.runtime.tracefile import is_tracefile
 
     if getattr(args, "json", False):
         # Canonical report bytes — identical to the file the ingestion
@@ -447,16 +447,9 @@ def cmd_analyze_trace(args: argparse.Namespace) -> int:
     gen = Generator(detection.relation).run(prune.survivors)
     predictions = None
     if getattr(args, "predict", "off") != "off":
-        from repro.core.parallel import predict_decisions
-        from repro.core.prediction import ClosureIndex
+        from repro.core.parallel import closure_index_for, predict_decisions
 
-        if len(detection.trace.events) > 0:
-            index = ClosureIndex.from_events(detection.trace)
-        elif is_tracefile(args.trace_file):
-            with TraceFileReader(args.trace_file, mmap=True) as reader:
-                index = ClosureIndex.from_events(reader)
-        else:
-            index = ClosureIndex()
+        index = closure_index_for(detection, gen.decisions, args.trace_file)
         predictions = predict_decisions(index, gen.decisions)
     print(f"trace: {program!r}, {n_events} events, seed {seed}")
     if backend_used is not None:

@@ -157,9 +157,6 @@ def find_cycles(
     def extend(path: List[LockDepEntry], threads: Set[ThreadId]) -> bool:
         """Returns False when the cycle budget is exhausted."""
         nonlocal truncated
-        if len(cycles) >= max_cycles:
-            truncated = True
-            return False
         first, last = path[0], path[-1]
         budget = max_length - len(path) - 1  # entries allowed after nxt
         for nxt in candidates_after(last.lock, first.step):
@@ -203,6 +200,16 @@ def find_cycles(
             # except as the waiter: the anchor both waits (via its lock)
             # and is waited on (via its lockset).  Empty lockset => no one
             # can wait on the anchor => no cycle through it as anchor.
+            continue
+        if len(cycles) >= max_cycles:
+            truncated = True
+            break
+        # Anchor cut (after the budget check, so ``truncated`` is what the
+        # uncut search reports): the wanted locks of a cycle
+        # ``start, e_2 .. e_n`` walk the lock graph from ``lock(start)``
+        # to ``lock(e_n) ∈ lockset(start)`` in ``n - 1`` edges.  No such
+        # walk within ``max_length - 1`` edges, no cycle through ``start``.
+        if not can_reach_anchor(start.lock, start.lockset, max_length - 1):
             continue
         if not extend([start], {start.thread}):
             break

@@ -65,7 +65,12 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 from repro.core.detector import DetectionResult, ExtendedDetector, find_cycles
 from repro.core.lockdep import LockDependencyRelation, entry_from_acquire
 from repro.core.streaming import StreamingDetector, resolve_engine
-from repro.core.generator import Generator, GeneratorDecision, GeneratorResult
+from repro.core.generator import (
+    Generator,
+    GeneratorDecision,
+    GeneratorResult,
+    GeneratorVerdict,
+)
 from repro.core.prediction import (
     ClosureIndex,
     CyclePrediction,
@@ -222,17 +227,26 @@ def _detect_from_task(task: DetectTask) -> DetectionResult:
     ).analyze(run.trace)
 
 
-def _closure_index_for(task: DetectTask, detection: DetectionResult) -> ClosureIndex:
-    """The prediction index for one detect task's trace.
+def closure_index_for(
+    detection: DetectionResult,
+    decisions: Sequence[GeneratorDecision],
+    trace_path: Optional[str] = None,
+) -> ClosureIndex:
+    """The prediction index :func:`predict_decisions` needs for ``decisions``.
 
-    The in-memory trace is used when the detection materialized one; the
-    streaming trace-path engine never does, so that path re-reads the
-    backing ``.wtrc`` (one extra sequential pass, no materialization).
+    Prediction examines only the Generator's survivors, so with none left
+    the index is empty and the trace is never walked.  Otherwise the
+    in-memory trace is used when the detection materialized one; the
+    streaming trace-path engines never do, so ``trace_path`` names the
+    backing ``.wtrc`` to re-read (one sequential pass, no
+    materialization).
     """
+    if not any(d.verdict is GeneratorVerdict.UNKNOWN for d in decisions):
+        return ClosureIndex()
     if len(detection.trace.events) > 0:
         return ClosureIndex.from_events(detection.trace)
-    if task.trace_path is not None:
-        with TraceFileReader(task.trace_path, mmap=True) as reader:
+    if trace_path is not None:
+        with TraceFileReader(trace_path, mmap=True) as reader:
             return ClosureIndex.from_events(reader)
     return ClosureIndex()
 
@@ -246,7 +260,6 @@ def predict_decisions(
     whose ``defect_key`` certified via a sibling inherits the sibling's
     witness); the pipeline merge promotes once more across seeds.
     """
-    from repro.core.generator import GeneratorVerdict
     from repro.core.prediction import promote_by_defect
 
     predictor = Predictor(index)
@@ -275,7 +288,7 @@ def run_detect_task(task: DetectTask) -> DetectStageResult:
     predictions: Optional[Tuple[Optional[CyclePrediction], ...]] = None
     if task.predict != "off":
         t0 = time.perf_counter()
-        index = _closure_index_for(task, detection)
+        index = closure_index_for(detection, gen.decisions, task.trace_path)
         predictions = predict_decisions(index, gen.decisions)
         timings["predict"] = time.perf_counter() - t0
 

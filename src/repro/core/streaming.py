@@ -219,9 +219,13 @@ class StreamingDetector:
             return
         if self._dist_dirty:
             self._refresh_dist()
-        holding = self._rel.holding
         z_lockset = z.lockset_set
         max_length = self.max_length
+        # Anchor cut, as in the batch find_cycles: a cycle through ``z``
+        # walks the lock graph from ``lock(z)`` back into ``lockset(z)``.
+        if not self._can_reach(z.lock, z_lockset, max_length - 1):
+            return
+        holding = self._rel.holding
         path: List[LockDepEntry] = [z]
         threads: Set[ThreadId] = {z.thread}
 

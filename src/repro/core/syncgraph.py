@@ -40,7 +40,7 @@ from typing import Dict, List, Set, Tuple
 from repro.core.detector import PotentialDeadlock
 from repro.core.lockdep import LockDepEntry, LockDependencyRelation
 from repro.util.digraph import DiGraph
-from repro.util.ids import ExecIndex, LockId, ThreadId
+from repro.util.ids import ExecIndex, LockId, ThreadId, hash_once
 
 
 class EdgeKind(enum.Enum):
@@ -49,6 +49,7 @@ class EdgeKind(enum.Enum):
     P = "type-P"
 
 
+@hash_once
 @dataclass(frozen=True)
 class GsVertex:
     """One acquisition vertex: (thread, execution index, lock).

@@ -18,11 +18,9 @@ from typing import Optional, Sequence
 
 from repro.core.detector import DetectionResult
 from repro.core.generator import Generator, GeneratorVerdict
-from repro.core.parallel import predict_decisions
-from repro.core.prediction import ClosureIndex
+from repro.core.parallel import closure_index_for, predict_decisions
 from repro.core.pruner import Pruner
 from repro.corpus.manifest import DETECTOR_PARAMS, canonical_keys
-from repro.runtime.tracefile import TraceFileReader
 
 REPORT_SCHEMA = "wolf-defect-report/2"
 
@@ -50,13 +48,7 @@ def defect_report_doc(
     """
     prune = Pruner(detection.vclocks).prune(detection.cycles)
     gen = Generator(detection.relation).run(prune.survivors)
-    if len(detection.trace.events) > 0:
-        index = ClosureIndex.from_events(detection.trace)
-    elif trace_path is not None:
-        with TraceFileReader(trace_path, mmap=True) as reader:
-            index = ClosureIndex.from_events(reader)
-    else:
-        index = ClosureIndex()
+    index = closure_index_for(detection, gen.decisions, trace_path)
     predictions = predict_decisions(index, gen.decisions)
     decisions = []
     counts = {"certified": 0, "refuted": 0, "undecided": 0}

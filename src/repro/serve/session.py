@@ -12,7 +12,10 @@ reproduces the detector state exactly*.
 
 Sessions move through ``ACTIVE`` (connection attached), ``PARKED``
 (producer went away before FIN; resumable), and the terminal states
-``COMPLETE`` and ``QUARANTINED``.  Quarantine moves the spool into
+``COMPLETE`` and ``QUARANTINED``.  A terminal session drops its decoder
+and detector (and with them any native kernel context): the daemon keeps
+every session for duplicate arbitration and the manifest, which need
+only its state, row and byte/event counts.  Quarantine moves the spool into
 ``quarantine/`` alongside a ``<id>.reason.json`` record carrying the
 taxonomy code — the same codes the corpus validator uses for on-disk
 corpora (:mod:`repro.corpus.validate`), extended with the daemon's
@@ -228,6 +231,7 @@ class StreamSession:
             trace_path=self.spool_path,
         )
         self.state = SessionState.COMPLETE
+        self._release_analysis()
         return doc
 
     def seal_complete(self, report_name: str, report_sha: str, doc: dict) -> dict:
@@ -276,6 +280,7 @@ class StreamSession:
             "evidence": evidence,
         }
         self.state = SessionState.QUARANTINED
+        self._release_analysis()
         self.journal.quarantine(self.stream_id, self.row)
         return self.row
 
@@ -283,6 +288,11 @@ class StreamSession:
         """Producer went away before FIN: resumable, not yet condemned."""
         self._close_spool()
         self.state = SessionState.PARKED
+
+    def _release_analysis(self) -> None:
+        """Drop the decoder and detector of a terminal session."""
+        self.decoder = None
+        self.detector = None
 
     def _close_spool(self) -> None:
         if self._spool is not None:

@@ -28,8 +28,8 @@ paper's Figure 9, which we reproduce in :mod:`repro.baselines`.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from dataclasses import dataclass, field, fields
+from typing import Optional, Tuple, TypeVar
 
 #: A source location.  Plain strings keep hashing cheap; helpers below
 #: construct them from frames or explicit labels.
@@ -49,6 +49,43 @@ def auto_site(depth: int = 1) -> Site:
     return f"{filename}:{frame.f_lineno}"
 
 
+_C = TypeVar("_C", bound=type)
+
+
+def hash_once(cls: _C) -> _C:
+    """Cache a frozen dataclass's hash on each object after its first use.
+
+    The generated dataclass ``__hash__`` rebuilds the field tuple and
+    re-hashes every nested identity on each dict or set lookup; a
+    :class:`ExecIndex` key re-walks its thread's whole parent chain.  The
+    cached value is exactly the field-tuple hash the dataclass would
+    compute, so every set and dict iterates in the same order.  It stays
+    out of pickled and copied state: string hashes differ between
+    processes, and a worker must rehash what it unpickles.
+    """
+    names = tuple(
+        f.name for f in fields(cls) if (f.compare if f.hash is None else f.hash)
+    )
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(tuple(getattr(self, n) for n in names))
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
+    cls.__hash__ = __hash__
+    cls.__getstate__ = __getstate__
+    return cls
+
+
+@hash_once
 @dataclass(frozen=True)
 class ThreadId:
     """Deterministic cross-run thread identity.
@@ -105,6 +142,7 @@ class ThreadId:
         return f"T<{self.pretty()}>"
 
 
+@hash_once
 @dataclass(frozen=True)
 class LockId:
     """Deterministic cross-run lock identity (creation-order based)."""
@@ -127,6 +165,7 @@ class LockId:
         return f"L<{self.pretty()}>"
 
 
+@hash_once
 @dataclass(frozen=True)
 class ExecIndex:
     """Execution index of one dynamic lock operation: paper §3.1 fn. 2.

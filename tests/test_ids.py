@@ -2,7 +2,17 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import os
+import pickle
+import subprocess
+import sys
 
+import pytest
+
+import repro
+from repro.core.syncgraph import GsVertex
 from repro.util.ids import (
     ExecIndex,
     LockId,
@@ -137,3 +147,102 @@ def test_auto_site_depth_two_names_grandcaller():
     # The line number must be this function's call line, not inner()'s.
     line = int(site.split(":")[1])
     assert abs(line - test_auto_site_depth_two_names_grandcaller.__code__.co_firstlineno) < 10
+
+
+# ---------------------------------------------------------------------------
+# hash computed once per object
+# ---------------------------------------------------------------------------
+
+
+def _identities():
+    """One of each hash-once identity type, with its field tuple."""
+    root = ThreadId.root()
+    worker = ThreadId(ThreadId(root, "spawn.py:3", 0), "spawn.py:7", 2, name="w")
+    lock = LockId(worker, "lock.py:11", 1, name="L")
+    index = ExecIndex(worker, "acq.py:21", 4)
+    vertex = GsVertex(index=index, lock=lock)
+    return [
+        (worker, (worker.parent, "spawn.py:7", 2)),
+        (lock, (worker, "lock.py:11", 1)),
+        (index, (worker, "acq.py:21", 4)),
+        (vertex, (index, lock)),
+    ]
+
+
+def _fields_of(x) -> dict:
+    return {f.name: getattr(x, f.name) for f in dataclasses.fields(x)}
+
+
+class _CountingSite(str):
+    """A site string that counts how often it is hashed."""
+
+    hashed = 0
+
+    def __hash__(self) -> int:
+        type(self).hashed += 1
+        return str.__hash__(self)
+
+
+class TestHashOnce:
+    @pytest.mark.parametrize("i", range(4))
+    def test_hash_is_the_field_tuple_hash(self, i):
+        x, field_tuple = _identities()[i]
+        assert hash(x) == hash(field_tuple)
+        assert hash(x) == hash(field_tuple)  # cached value, same answer
+
+    def test_nested_fields_hashed_once(self):
+        _CountingSite.hashed = 0
+        thread = ThreadId(ThreadId.root(), _CountingSite("spawn.py:1"), 0)
+        index = ExecIndex(thread, "acq.py:2", 1)
+        for _ in range(3):
+            hash(thread)
+            hash(index)
+            hash(GsVertex(index=index, lock=LockId(thread, "l.py:3", 0)))
+        assert _CountingSite.hashed == 1
+
+    @pytest.mark.parametrize("i", range(4))
+    def test_copies_carry_no_cached_hash(self, i):
+        x, _ = _identities()[i]
+        hash(x)
+        for dup in (
+            pickle.loads(pickle.dumps(x)),
+            copy.copy(x),
+            copy.deepcopy(x),
+            dataclasses.replace(x),
+        ):
+            assert vars(dup) == _fields_of(x)
+            assert dup == x and hash(dup) == hash(x)
+
+    def test_unpickled_in_another_hash_seed(self):
+        """A child interpreter with a different ``PYTHONHASHSEED`` rehashes
+        what it unpickles: equal to, hashed like, and keyed like its own
+        freshly built identities."""
+        objs = [x for x, _ in _identities()]
+        for x in objs:
+            hash(x)  # cache the parent's hashes before pickling
+        payload = pickle.dumps((objs, {x: i for i, x in enumerate(objs)}))
+        seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src, os.path.dirname(os.path.abspath(__file__))]
+        )
+        child = (
+            "import pickle, sys\n"
+            "from test_ids import _identities\n"
+            "objs, table = pickle.loads(sys.stdin.buffer.read())\n"
+            "fresh = [x for x, _ in _identities()]\n"
+            "for i, (got, new) in enumerate(zip(objs, fresh, strict=True)):\n"
+            "    assert got == new and hash(got) == hash(new), i\n"
+            "    assert table[new] == i and table[got] == i, i\n"
+            "print(hash('probe'))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", child],
+            input=payload,
+            env=env,
+            capture_output=True,
+            check=True,
+            timeout=120,
+        )
+        assert int(out.stdout) != hash("probe"), "child shared the hash seed"

@@ -14,20 +14,27 @@ These are the deep invariants:
 
 from __future__ import annotations
 
+import os
+import tempfile
 from itertools import combinations, permutations
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.detector import ExtendedDetector
+from repro.core.detector import ExtendedDetector, find_cycles
 from repro.core.generator import Generator, GeneratorVerdict
+from repro.core.nativekernel import analyze_trace_file, kernel_available
 from repro.core.pipeline import run_detection
 from repro.core.pruner import Pruner
 from repro.core.replayer import Replayer
+from repro.core.sharding import find_cycles_sharded
+from repro.core.streaming import StreamingDetector
 from repro.runtime.sim.result import RunStatus
 from repro.runtime.sim.runtime import run_program
 from repro.runtime.sim.strategy import RandomStrategy
-from tests.randprog import build_program, program_specs
+from repro.runtime.tracefile import write_trace
+from repro.util.digraph import DiGraph
+from tests.randprog import ProgramSpec, Region, build_program, program_specs
 
 SLOW = settings(
     max_examples=25,
@@ -60,8 +67,100 @@ def brute_force_cycles(rel, max_length=3):
                     for a, b in combinations(perm, 2)
                 )
                 if disjoint:
-                    found.add(tuple(id(e) for e in perm))
+                    found.add(steps_of(perm))
     return found
+
+
+def steps_of(entries):
+    """A cycle's identity across engines: its tuples' trace steps."""
+    return tuple(e.step for e in entries)
+
+
+def oracle(rel, max_length, max_cycles):
+    """The brute-force cycles plus the budget rule every engine shares:
+    ``truncated`` once the ``max_cycles``-th cycle is found, and at
+    ``max_cycles=0`` as soon as some anchor could start a search (an
+    entry holding a lock) — whether or not a cycle goes through it."""
+    cycles = brute_force_cycles(rel, max_length)
+    if max_cycles == 0:
+        return cycles, any(e.lockset for e in rel.entries)
+    return cycles, len(cycles) >= max_cycles
+
+
+def _ordered(region):
+    """Drop nested scopes that would not take a higher-numbered lock, so
+    every thread acquires in ascending lock order."""
+    return Region(
+        region.lock,
+        tuple(_ordered(c) for c in region.children if c.lock > region.lock),
+    )
+
+
+def ordered_specs():
+    """Programs whose lock graph is acyclic: no cycle exists, so the
+    anchor cut skips every anchor."""
+    return program_specs().map(
+        lambda spec: ProgramSpec(
+            n_locks=spec.n_locks,
+            threads=tuple(tuple(_ordered(r) for r in t) for t in spec.threads),
+            chain=spec.chain,
+        )
+    )
+
+
+def assert_engines_match_oracle(spec, *, acyclic=False):
+    """Batch, sharded, per-event streaming and native enumeration against
+    :func:`oracle` at ``max_cycles`` 0, 1 and unbounded."""
+    run = run_detection(build_program(spec), 0, tries=5)
+    rel = ExtendedDetector(max_length=3).analyze(run.trace).relation
+    if acyclic:
+        locks = DiGraph()
+        for e in rel.entries:
+            for held in e.lockset:
+                locks.add_edge(held, e.lock)
+        assert not locks.has_cycle()
+
+    def streaming(mc):
+        det = StreamingDetector(max_length=3, max_cycles=mc).analyze(run.trace)
+        return det.cycles, det.truncated
+
+    def sharded(mc):
+        cycles, truncated, _ = find_cycles_sharded(
+            rel, max_length=3, max_cycles=mc
+        )
+        return cycles, truncated
+
+    engines = {
+        "batch": lambda mc: find_cycles(rel, max_length=3, max_cycles=mc),
+        "sharded": sharded,
+        "streaming": streaming,
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        if kernel_available():
+            path = os.path.join(tmp, "t.wtrc")
+            write_trace(run.trace, path)
+
+            def native(mc):
+                det = analyze_trace_file(
+                    path, max_length=3, max_cycles=mc, backend="native"
+                ).detection
+                return det.cycles, det.truncated
+
+            engines["native"] = native
+        for mc in (0, 1, 10_000):
+            expected, truncated = oracle(rel, 3, mc)
+            if acyclic:
+                assert not expected
+            for name, engine in engines.items():
+                if mc == 0 and name != "batch":
+                    continue  # the others reject a zero budget
+                cycles, got_truncated = engine(mc)
+                got = [steps_of(c.entries) for c in cycles]
+                # Under a binding cap engines may keep different cycles
+                # (the documented carve-out), never other ones.
+                assert set(got) <= expected, (name, mc)
+                assert len(got) == len(set(got)) == min(len(expected), mc)
+                assert got_truncated == truncated, (name, mc)
 
 
 @given(program_specs())
@@ -113,9 +212,32 @@ def test_detector_matches_brute_force(spec):
     program = build_program(spec)
     run = run_detection(program, 0, tries=5)
     detection = ExtendedDetector(max_length=3).analyze(run.trace)
-    got = {tuple(id(e) for e in c.entries) for c in detection.cycles}
+    got = {steps_of(c.entries) for c in detection.cycles}
     expected = brute_force_cycles(detection.relation, max_length=3)
     assert got == expected
+
+
+#: Three threads taking three locks in a ring: one cycle of the maximum
+#: length, whose anchor reaches its lockset in exactly ``max_length - 1``
+#: lock-graph edges.
+RING3 = ProgramSpec(
+    n_locks=3,
+    threads=tuple((Region(i, (Region((i + 1) % 3),)),) for i in range(3)),
+    chain=(False, False, False),
+)
+
+
+@given(program_specs())
+@example(RING3)
+@SLOW
+def test_every_engine_matches_brute_force_and_budget(spec):
+    assert_engines_match_oracle(spec)
+
+
+@given(ordered_specs())
+@SLOW
+def test_every_engine_matches_brute_force_on_acyclic_lock_graphs(spec):
+    assert_engines_match_oracle(spec, acyclic=True)
 
 
 @given(program_specs())

@@ -216,6 +216,73 @@ class TestHealthyStreams:
         assert stats["internal_errors"] == 0
         st.drain()
 
+    def test_finished_sessions_drop_analysis_state(self, harness):
+        """Completed and quarantined sessions let go of their decoder and
+        detector, yet keep what arbitration, stats and the manifest
+        read: state, row, journaled bytes and events fed."""
+        make, sock, out, traces = harness
+        st = make()
+        shipped, sizes = {}, {}
+        for i, (name, path) in enumerate(list(traces.items()) * 2):
+            sid = f"{name}-{i}"
+            result = send_trace(path, sid, socket_path=sock)
+            assert result.ok, (result.error_code, result.response)
+            shipped[sid] = result.response["events"]
+            sizes[sid] = os.path.getsize(path)
+        path = next(iter(traces.values()))
+        garbage = chaos_client("garbage", path, "chaos-garbage", socket_path=sock)
+        assert garbage.err["code"] == "unreadable"
+        assert chaos_client("kill", path, "gone", socket_path=sock).bytes_sent > 0
+        deadline = time.monotonic() + 5
+        while st.server.stats.streams_parked == 0:
+            assert time.monotonic() < deadline, "stream never parked"
+            time.sleep(0.02)
+
+        sessions = st.server.sessions
+        for sid, events in shipped.items():
+            sess = sessions[sid]
+            assert sess.state.name == "COMPLETE"
+            assert sess.decoder is None and sess.detector is None
+            assert sess.events_fed == events == sess.row["events"]
+            assert sess.journaled_bytes == sizes[sid]
+        quarantined = sessions["chaos-garbage"]
+        assert quarantined.state.name == "QUARANTINED"
+        assert quarantined.decoder is None and quarantined.detector is None
+        # A parked stream may still resume: it keeps its state until drain.
+        assert sessions["gone"].detector is not None
+
+        # Arbitration still sees the settled ids.
+        first = next(iter(shipped))
+        dup = chaos_client("dup", path, first, socket_path=sock)
+        assert dup.err["code"] == "duplicate-stream"
+        stats = query_server(socket_path=sock, query="stats")
+        assert stats["streams"]["analyzed"] == len(shipped)
+        assert stats["streams"]["active"] == 0
+        assert stats["streams"]["rejected"] == 1
+        assert stats["quarantine_reasons"] == {"unreadable": 1}
+        assert stats["detector"]["events_fed"] >= sum(shipped.values())
+        assert stats["detector"]["per_stream"] == {}
+        assert stats["internal_errors"] == 0
+        st.drain()
+
+        assert all(
+            s.decoder is None and s.detector is None for s in sessions.values()
+        )
+        doc = manifest(out)
+        rows = rows_by_stream(doc)
+        assert {sid: rows[sid]["events"] for sid in shipped} == shipped
+        assert rows["chaos-garbage"]["code"] == "unreadable"
+        assert rows["gone"]["code"] == "aborted"
+        assert doc["totals"] == {
+            "streams": len(shipped) + 2,
+            "analyzed": len(shipped),
+            "quarantined": 2,
+            "rejected": 1,
+            "events": sum(shipped.values()),
+            "defect_keys": sum(rows[sid]["defect_keys"] for sid in shipped),
+        }
+        assert [r["stream"] for r in doc["rejected"]] == [first]
+
 
 # ---------------------------------------------------------------------------
 # chaos suite
