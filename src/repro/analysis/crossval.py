@@ -197,6 +197,8 @@ def _predict_benchmark(bench, run, run_seed: int, detection, replay: bool):
 
     prune = Pruner(detection.vclocks).prune(detection.cycles)
     gen = Generator(detection.relation).run(prune.survivors)
+    # Always the full index, never closure_index_for's empty one: the
+    # caller reuses it for check_cycle_closure over every cycle.
     index = ClosureIndex.from_events(run.trace)
     preds = predict_decisions(index, gen.decisions)
 

@@ -414,6 +414,9 @@ def check_cycle_closure(
 
     for cycle in cycles:
         for entry in cycle.entries:
+            # Index lookups yield (thread id, position); the entry's own
+            # thread id is None when the trace never saw that thread.
+            thread = index.thread_ids.get(entry.thread)
             home = index.acq_by_index.get(entry.index)
             if home is None:
                 bad(
@@ -422,11 +425,12 @@ def check_cycle_closure(
                     "recorded non-reentrant acquisition",
                 )
                 continue
-            if home[0] != entry.thread:
+            if home[0] != thread:
                 bad(
                     entry,
                     f"deadlocking acquire {entry.index.pretty()} belongs to "
-                    f"{home[0].pretty()}, not the cycle entry's thread",
+                    f"{index.threads[home[0]].pretty()}, not the cycle "
+                    "entry's thread",
                 )
                 continue
             acq_pos = home[1]
@@ -440,11 +444,12 @@ def check_cycle_closure(
                         "acquisition",
                     )
                     continue
-                if held[0] != entry.thread:
+                if held[0] != thread:
                     bad(
                         entry,
                         f"context acquisition {ctx.pretty()} belongs to "
-                        f"{held[0].pretty()}, not the cycle entry's thread",
+                        f"{index.threads[held[0]].pretty()}, not the cycle "
+                        "entry's thread",
                     )
                     continue
                 if held[1] >= acq_pos:
@@ -454,7 +459,7 @@ def check_cycle_closure(
                         "precede the deadlocking acquire in its thread",
                     )
                     continue
-                rel = index.release_pos(entry.thread, held[1])
+                rel = index.release_pos(*held)
                 if rel != -1 and rel <= acq_pos:
                     bad(
                         entry,

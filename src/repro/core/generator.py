@@ -50,7 +50,9 @@ class Generator:
 
     def examine(self, cycle: PotentialDeadlock) -> GeneratorDecision:
         gs = build_sync_graph(cycle, self.relation)
-        ordering_cycle = gs.graph.find_cycle()
+        # Decided on the int edge table; the object graph is built only
+        # for a cyclic Gs, to name the ordering cycle.
+        ordering_cycle = gs.find_cycle()
         verdict = (
             GeneratorVerdict.FALSE
             if ordering_cycle is not None

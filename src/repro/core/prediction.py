@@ -87,7 +87,7 @@ from repro.runtime.events import (
     TraceEvent,
     WaitEvent,
 )
-from repro.util.ids import ExecIndex, ThreadId
+from repro.util.ids import ExecIndex, LockId, ThreadId
 
 __all__ = [
     "PredictionVerdict",
@@ -114,7 +114,7 @@ class PredictionVerdict(enum.Enum):
 #: Schema tag for serialized witness schedules (bump on format change).
 WITNESS_SCHEMA = "wolf-witness/1"
 
-# Compact per-event codes (kept small: ClosureIndex stores one tuple per
+# Compact per-event codes (kept small: ClosureIndex stores a few ints per
 # event, so daemon streams can build the index without holding events).
 _OTHER = 0
 _ACQ = 1
@@ -225,27 +225,38 @@ class ClosureIndex:
     """Per-thread compact event index the closures run over.
 
     One trace pass (``feed`` per event, or :meth:`from_events`) builds
-    everything both closures need: per-thread ``(step, kind, aux)``
-    tuples, matching-release positions for non-reentrant acquisitions,
-    spawn positions, and acquisition lookups by trace step and execution
-    index.  Event objects are not retained, so the index can be built
-    from a ``.wtrc`` re-read (daemon / corpus paths) without
-    materializing the trace.
+    everything both closures need.  Threads and locks are interned to
+    dense ints the first time ``feed`` sees them; ``threads`` and
+    ``locks`` map an id back to its identity, which the closures need only
+    for reason strings and witness names.  Every per-thread table is a
+    list indexed by thread id, holding one entry per event position:
+    ``steps``, ``kinds``, ``aux`` (the lock id of an acquire or release,
+    the thread id of a join target, else -1), ``tokens``, and ``rel_pos``
+    (for a non-reentrant acquisition, its matching release's position;
+    -1 while open and for every other event).  ``acq_by_step`` and
+    ``acq_by_index`` locate each non-reentrant acquisition as
+    ``(thread id, position)``.  Event objects are not retained, so the
+    index can be built from a ``.wtrc`` re-read (daemon / corpus paths)
+    without materializing the trace.
     """
 
     def __init__(self) -> None:
-        self.steps: Dict[ThreadId, List[int]] = {}
-        self.kinds: Dict[ThreadId, List[int]] = {}
-        self.aux: Dict[ThreadId, List[object]] = {}
-        self.tokens: Dict[ThreadId, List[str]] = {}
-        #: (thread, position) of each non-reentrant acquisition.
-        self.acq_by_step: Dict[int, Tuple[ThreadId, int]] = {}
-        self.acq_by_index: Dict[ExecIndex, Tuple[ThreadId, int]] = {}
-        #: position of the matching non-reentrant release, -1 while open.
-        self._rel_pos: Dict[Tuple[ThreadId, int], int] = {}
-        self._open: Dict[Tuple[ThreadId, object], int] = {}
-        self.spawn_of: Dict[ThreadId, Tuple[ThreadId, int]] = {}
-        self.has_end: Dict[ThreadId, bool] = {}
+        self.threads: List[ThreadId] = []
+        self.locks: List[LockId] = []
+        self.thread_ids: Dict[ThreadId, int] = {}
+        self.lock_ids: Dict[LockId, int] = {}
+        self.steps: List[List[int]] = []
+        self.kinds: List[List[int]] = []
+        self.aux: List[List[int]] = []
+        self.tokens: List[List[str]] = []
+        self.rel_pos: List[List[int]] = []
+        #: per thread: lock id -> position of its open acquisition.
+        self._open: List[Dict[int, int]] = []
+        #: per thread: (parent id, position) of the spawn that started it.
+        self.spawn_of: List[Optional[Tuple[int, int]]] = []
+        self.has_end: List[bool] = []
+        self.acq_by_step: Dict[int, Tuple[int, int]] = {}
+        self.acq_by_index: Dict[ExecIndex, Tuple[int, int]] = {}
         self.events_seen = 0
 
     @classmethod
@@ -255,44 +266,65 @@ class ClosureIndex:
             index.feed(ev)
         return index
 
+    def thread_id(self, thread: ThreadId) -> int:
+        """``thread``'s id, interning it (with empty tables) when new."""
+        tid = self.thread_ids.get(thread)
+        if tid is None:
+            tid = self.thread_ids[thread] = len(self.threads)
+            self.threads.append(thread)
+            for table in (self.steps, self.kinds, self.aux, self.tokens, self.rel_pos):
+                table.append([])
+            self._open.append({})
+            self.spawn_of.append(None)
+            self.has_end.append(False)
+        return tid
+
+    def lock_id(self, lock: LockId) -> int:
+        """``lock``'s id, interning it when new."""
+        lid = self.lock_ids.get(lock)
+        if lid is None:
+            lid = self.lock_ids[lock] = len(self.locks)
+            self.locks.append(lock)
+        return lid
+
     def feed(self, ev: TraceEvent) -> None:
         self.events_seen += 1
-        t = ev.thread
-        lst = self.steps.setdefault(t, [])
-        pos = len(lst)
-        lst.append(ev.step)
-        kind, aux = _OTHER, None
+        t = self.thread_id(ev.thread)
+        steps = self.steps[t]
+        pos = len(steps)
+        steps.append(ev.step)
+        kind, aux = _OTHER, -1
         if isinstance(ev, AcquireEvent):
-            if ev.reentrant:
-                kind = _OTHER
-            else:
-                kind, aux = _ACQ, ev.lock
+            if not ev.reentrant:
+                kind, aux = _ACQ, self.lock_id(ev.lock)
                 self.acq_by_step[ev.step] = (t, pos)
                 self.acq_by_index[ev.index] = (t, pos)
-                self._rel_pos[(t, pos)] = -1
-                self._open[(t, ev.lock)] = pos
+                self._open[t][aux] = pos
         elif isinstance(ev, ReleaseEvent):
             if not ev.reentrant:
-                kind, aux = _REL, ev.lock
-                acq = self._open.pop((t, ev.lock), None)
+                kind, aux = _REL, self.lock_id(ev.lock)
+                acq = self._open[t].pop(aux, None)
                 if acq is not None:
-                    self._rel_pos[(t, acq)] = pos
+                    self.rel_pos[t][acq] = pos
         elif isinstance(ev, JoinEvent):
-            kind, aux = _JOIN, ev.target
+            kind, aux = _JOIN, self.thread_id(ev.target)
         elif isinstance(ev, SpawnEvent):
-            self.spawn_of.setdefault(ev.child, (t, pos))
+            child = self.thread_id(ev.child)
+            if self.spawn_of[child] is None:
+                self.spawn_of[child] = (t, pos)
         elif isinstance(ev, (WaitEvent, NotifyEvent)):
             kind = _CONDVAR
         elif isinstance(ev, BlockEvent):
             kind = _BLOCK
         elif isinstance(ev, EndEvent):
             self.has_end[t] = True
-        self.kinds.setdefault(t, []).append(kind)
-        self.aux.setdefault(t, []).append(aux)
-        self.tokens.setdefault(t, []).append(event_token(ev))
+        self.kinds[t].append(kind)
+        self.aux[t].append(aux)
+        self.rel_pos[t].append(-1)
+        self.tokens[t].append(event_token(ev))
 
-    def release_pos(self, thread: ThreadId, acq_pos: int) -> int:
-        return self._rel_pos.get((thread, acq_pos), -1)
+    def release_pos(self, thread: int, acq_pos: int) -> int:
+        return self.rel_pos[thread][acq_pos]
 
 
 class _Stuck(Exception):
@@ -309,13 +341,15 @@ class _Incomplete(Exception):
 
 
 class _Closure:
-    """One least-fixpoint computation over per-thread cuts."""
+    """One least-fixpoint computation over per-thread cuts.
+
+    Threads and locks are :class:`ClosureIndex` ids throughout."""
 
     def __init__(
         self,
         index: ClosureIndex,
-        caps: Dict[ThreadId, int],
-        designated: Dict[object, Tuple[ThreadId, int]],
+        caps: Dict[int, int],
+        designated: Dict[int, Tuple[int, int]],
         *,
         sync_preserving: bool,
     ) -> None:
@@ -324,52 +358,55 @@ class _Closure:
         #: lock -> the acquisition that must be held at the deadlock.
         self.designated = designated
         self.sync_preserving = sync_preserving
-        self.need: Dict[ThreadId, int] = {}
-        self._done: Dict[ThreadId, int] = {}
-        self._dirty: List[ThreadId] = []
+        self.need: Dict[int, int] = {}
+        self._done: Dict[int, int] = {}
+        self._dirty: List[int] = []
         #: lock -> (step, thread, pos) of the max-step included acquire.
-        self._max_acq: Dict[object, Tuple[int, ThreadId, int]] = {}
+        self._max_acq: Dict[int, Tuple[int, int, int]] = {}
 
-    def require(self, thread: ThreadId, n: int) -> None:
+    def require(self, thread: int, n: int) -> None:
         have = self.need.get(thread, 0)
         if n <= have:
             return
+        index = self.index
         cap = self.caps.get(thread)
         if cap is not None and n > cap:
             raise _Inconsistent(
-                f"{thread.pretty()} is forced past its deadlocking "
+                f"{index.threads[thread].pretty()} is forced past its deadlocking "
                 f"acquisition (needs {n} events, capped at {cap})"
             )
-        total = len(self.index.steps.get(thread, ()))
+        total = len(index.steps[thread])
         if n > total:
             raise _Incomplete(
-                f"{thread.pretty()} is required to run {n} events but the "
-                f"trace records only {total}"
+                f"{index.threads[thread].pretty()} is required to run {n} events "
+                f"but the trace records only {total}"
             )
         self.need[thread] = n
         if thread not in self._done:
             self._done[thread] = 0
-            parent = self.index.spawn_of.get(thread)
+            parent = index.spawn_of[thread]
             if parent is not None:
                 self.require(parent[0], parent[1] + 1)
         self._dirty.append(thread)
 
-    def _require_release(self, thread: ThreadId, acq_pos: int, lock) -> None:
-        rel = self.index.release_pos(thread, acq_pos)
+    def _require_release(self, thread: int, acq_pos: int, lock: int) -> None:
+        index = self.index
+        rel = index.rel_pos[thread][acq_pos]
         if rel < 0:
-            if self.index.has_end.get(thread):
+            name, lock_name = index.threads[thread].pretty(), index.locks[lock].pretty()
+            if index.has_end[thread]:
                 # The thread died holding the lock: no reordering frees it.
                 raise _Inconsistent(
-                    f"{thread.pretty()} must release {lock.pretty()} for the "
-                    f"deadlock state but never does"
+                    f"{name} must release {lock_name} for the deadlock state "
+                    f"but never does"
                 )
             raise _Incomplete(
-                f"{thread.pretty()}'s release of {lock.pretty()} is missing "
-                f"from the (truncated) trace"
+                f"{name}'s release of {lock_name} is missing from the "
+                f"(truncated) trace"
             )
         self.require(thread, rel + 1)
 
-    def _visit_acquire(self, thread: ThreadId, pos: int, lock) -> None:
+    def _visit_acquire(self, thread: int, pos: int, lock: int) -> None:
         step = self.index.steps[thread][pos]
         des = self.designated.get(lock)
         if des is not None and des != (thread, pos):
@@ -405,17 +442,18 @@ class _Closure:
                     self._visit_acquire(thread, pos, aux[pos])
                 elif kind == _JOIN:
                     target = aux[pos]
-                    total = len(index.steps.get(target, ()))
-                    if total == 0 or not index.has_end.get(target):
+                    total = len(index.steps[target])
+                    if total == 0 or not index.has_end[target]:
                         raise _Incomplete(
-                            f"{thread.pretty()} joins {target.pretty()} whose "
+                            f"{index.threads[thread].pretty()} joins "
+                            f"{index.threads[target].pretty()} whose "
                             f"termination the trace does not record"
                         )
                     self.require(target, total)
                 elif kind == _CONDVAR:
                     raise _Incomplete(
-                        f"{thread.pretty()}'s required prefix crosses a "
-                        f"condition-variable operation"
+                        f"{index.threads[thread].pretty()}'s required prefix "
+                        f"crosses a condition-variable operation"
                     )
             # Rule applications may have grown our own cut again.
             if self.need.get(thread, 0) > goal:
@@ -447,31 +485,35 @@ class _ScheduleSearch:
 
     A completed schedule *is* a certificate: it was constructed under
     lock semantics event by event, so it is a correct reordering of the
-    trace ending in the deadlock state.
+    trace ending in the deadlock state.  Threads and locks are
+    :class:`ClosureIndex` ids.
     """
 
     def __init__(
         self,
         index: ClosureIndex,
-        caps: Dict[ThreadId, int],
-        designated: Dict[object, Tuple[ThreadId, int]],
-        need: Dict[ThreadId, int],
+        caps: Dict[int, int],
+        designated: Dict[int, Tuple[int, int]],
+        need: Dict[int, int],
     ) -> None:
         self.index = index
         self.caps = caps
         self.designated = designated
         self._des_set = set(designated.values())
-        self.need: Dict[ThreadId, int] = {}
-        self.consumed: Dict[ThreadId, int] = {}
+        self.need: Dict[int, int] = {}
+        #: events scheduled so far, per thread id (0 outside ``need``).
+        self.consumed: List[int] = [0] * len(index.threads)
         #: lock -> (holder, holder's acquire position) while held.
-        self._held: Dict[object, Tuple[ThreadId, int]] = {}
+        self._held: Dict[int, Tuple[int, int]] = {}
         #: not-yet-scheduled required non-designated acquisitions per lock.
-        self._pending_acqs: Dict[object, int] = {}
+        self._pending_acqs: Dict[int, int] = {}
         for thread, n in need.items():
             if not self._extend(thread, n):
-                raise _Stuck(f"cannot admit {thread.pretty()}'s required prefix")
+                raise _Stuck(
+                    f"cannot admit {index.threads[thread].pretty()}'s required prefix"
+                )
 
-    def _extend(self, thread: ThreadId, n: int) -> bool:
+    def _extend(self, thread: int, n: int) -> bool:
         """Grow ``thread``'s cut to ``n`` events if the extension is legal."""
         cur = self.need.get(thread, 0)
         if n <= cur:
@@ -479,45 +521,41 @@ class _ScheduleSearch:
         cap = self.caps.get(thread)
         if cap is not None and n > cap:
             return False
-        if n > len(self.index.steps.get(thread, ())):
-            return False
         kinds = self.index.kinds[thread]
-        aux = self.index.aux[thread]
-        if any(kinds[pos] == _CONDVAR for pos in range(cur, n)):
+        if n > len(kinds):
             return False
+        if _CONDVAR in kinds[cur:n]:
+            return False
+        aux = self.index.aux[thread]
+        pending = self._pending_acqs
         for pos in range(cur, n):
             if kinds[pos] == _ACQ and (thread, pos) not in self._des_set:
                 lock = aux[pos]
-                self._pending_acqs[lock] = self._pending_acqs.get(lock, 0) + 1
-        if thread not in self.need:
-            self.consumed[thread] = 0
+                pending[lock] = pending.get(lock, 0) + 1
         self.need[thread] = n
         return True
 
-    def _enabled(self, thread: ThreadId) -> bool:
-        pos = self.consumed[thread]
-        if pos >= self.need[thread]:
-            return False
+    def _enabled(self, thread: int, pos: int) -> bool:
+        """Whether ``thread``'s event at ``pos`` (below its cut) can run."""
+        index = self.index
         if pos == 0:
-            spawned = self.index.spawn_of.get(thread)
-            if spawned is not None and self.consumed.get(spawned[0], 0) <= spawned[1]:
+            spawned = index.spawn_of[thread]
+            if spawned is not None and self.consumed[spawned[0]] <= spawned[1]:
                 return False
-        kind = self.index.kinds[thread][pos]
+        kind = index.kinds[thread][pos]
         if kind == _ACQ:
-            lock = self.index.aux[thread][pos]
+            lock = index.aux[thread][pos]
             if lock in self._held:
                 return False
             if (thread, pos) in self._des_set and self._pending_acqs.get(lock, 0):
                 return False
             return True
         if kind == _JOIN:
-            target = self.index.aux[thread][pos]
-            return self.consumed.get(target, 0) >= len(
-                self.index.steps.get(target, ())
-            )
+            target = index.aux[thread][pos]
+            return self.consumed[target] >= len(index.steps[target])
         return True
 
-    def _consume(self, thread: ThreadId, pos: int) -> None:
+    def _consume(self, thread: int, pos: int) -> None:
         kind = self.index.kinds[thread][pos]
         if kind == _ACQ:
             lock = self.index.aux[thread][pos]
@@ -530,62 +568,63 @@ class _ScheduleSearch:
 
     def _unblock(self) -> None:
         """Apply one demand-driven cut extension, or give up."""
+        index, consumed = self.index, self.consumed
         blocked = sorted(
-            (self.index.steps[t][self.consumed[t]], t)
-            for t in self.need
-            if self.consumed[t] < self.need[t]
+            (index.steps[t][consumed[t]], t)
+            for t, n in self.need.items()
+            if consumed[t] < n
         )
         for _, thread in blocked:
-            pos = self.consumed[thread]
+            pos = consumed[thread]
             if pos == 0:
-                spawned = self.index.spawn_of.get(thread)
-                if spawned is not None and self.consumed.get(spawned[0], 0) <= spawned[1]:
+                spawned = index.spawn_of[thread]
+                if spawned is not None and consumed[spawned[0]] <= spawned[1]:
                     if self._extend(spawned[0], spawned[1] + 1):
                         return
                     continue
-            kind = self.index.kinds[thread][pos]
+            kind = index.kinds[thread][pos]
             if kind == _ACQ:
-                holder = self._held.get(self.index.aux[thread][pos])
+                holder = self._held.get(index.aux[thread][pos])
                 if holder is not None:
-                    rel = self.index.release_pos(holder[0], holder[1])
+                    rel = index.rel_pos[holder[0]][holder[1]]
                     if rel >= 0 and self._extend(holder[0], rel + 1):
                         return
             elif kind == _JOIN:
-                target = self.index.aux[thread][pos]
-                total = len(self.index.steps.get(target, ()))
-                if (
-                    total
-                    and self.index.has_end.get(target)
-                    and self._extend(target, total)
-                ):
+                target = index.aux[thread][pos]
+                total = len(index.steps[target])
+                if total and index.has_end[target] and self._extend(target, total):
                     return
         raise _Stuck("no required event is schedulable and no cut can grow")
 
-    def run(self) -> List[Tuple[ThreadId, int]]:
-        order: List[Tuple[ThreadId, int]] = []
+    def run(self) -> List[Tuple[int, int]]:
+        steps, consumed, need = self.index.steps, self.consumed, self.need
+        order: List[Tuple[int, int]] = []
         while True:
-            best: Optional[Tuple[int, ThreadId]] = None
+            best_step, best = -1, -1
             remaining = False
-            for thread in self.need:
-                if self.consumed[thread] >= self.need[thread]:
+            for thread, n in need.items():
+                pos = consumed[thread]
+                if pos >= n:
                     continue
                 remaining = True
-                if self._enabled(thread):
-                    step = self.index.steps[thread][self.consumed[thread]]
-                    if best is None or step < best[0]:
-                        best = (step, thread)
+                if self._enabled(thread, pos):
+                    step = steps[thread][pos]
+                    if best < 0 or step < best_step:
+                        best_step, best = step, thread
             if not remaining:
                 break
-            if best is None:
+            if best < 0:
                 self._unblock()
                 continue
-            thread = best[1]
-            pos = self.consumed[thread]
-            self._consume(thread, pos)
-            order.append((thread, pos))
+            pos = consumed[best]
+            self._consume(best, pos)
+            order.append((best, pos))
         for lock, owner in self.designated.items():
             if self._held.get(lock) != owner:
-                raise _Stuck(f"{lock.pretty()} not held by its designated owner")
+                raise _Stuck(
+                    f"{self.index.locks[lock].pretty()} not held by its "
+                    f"designated owner"
+                )
         return order
 
 
@@ -597,24 +636,26 @@ class Predictor:
 
     def _base(
         self, cycle: PotentialDeadlock
-    ) -> Tuple[Dict[ThreadId, int], Dict[object, Tuple[ThreadId, int]]]:
-        """Caps (deadlocking-acquisition positions) and designated owners."""
-        caps: Dict[ThreadId, int] = {}
-        designated: Dict[object, Tuple[ThreadId, int]] = {}
+    ) -> Tuple[Dict[int, int], Dict[int, Tuple[int, int]]]:
+        """Caps (deadlocking-acquisition positions) and designated owners,
+        keyed by thread and lock id."""
+        index = self.index
+        caps: Dict[int, int] = {}
+        designated: Dict[int, Tuple[int, int]] = {}
         for entry in cycle.entries:
-            found = self.index.acq_by_step.get(entry.step)
-            if found is None or found[0] != entry.thread:
+            found = index.acq_by_step.get(entry.step)
+            if found is None or found[0] != index.thread_ids.get(entry.thread):
                 raise _Incomplete(
                     f"cycle acquisition at step {entry.step} is not in the trace"
                 )
-            caps[entry.thread] = found[1]
+            caps[found[0]] = found[1]
             for lock in entry.lockset:
-                des = self.index.acq_by_index.get(entry.mu(lock))
+                des = index.acq_by_index.get(entry.mu(lock))
                 if des is None:
                     raise _Incomplete(
                         f"held acquisition of {lock.pretty()} is not in the trace"
                     )
-                designated[lock] = des
+                designated[index.lock_id(lock)] = des
         return caps, designated
 
     def _close(
@@ -632,14 +673,15 @@ class Predictor:
     def _witness(
         self, cycle: PotentialDeadlock, closure: _Closure
     ) -> WitnessSchedule:
+        index = self.index
         included: List[Tuple[int, str, str]] = []
         prefix_lens: List[Tuple[str, int]] = []
         for thread, n in closure.need.items():
-            name = thread.pretty()
+            name = index.threads[thread].pretty()
             prefix_lens.append((name, n))
-            steps = self.index.steps[thread]
-            kinds = self.index.kinds[thread]
-            tokens = self.index.tokens[thread]
+            steps = index.steps[thread]
+            kinds = index.kinds[thread]
+            tokens = index.tokens[thread]
             included.extend(
                 (steps[pos], name, tokens[pos])
                 for pos in range(n)
@@ -659,22 +701,22 @@ class Predictor:
         self,
         cycle: PotentialDeadlock,
         search: _ScheduleSearch,
-        order: List[Tuple[ThreadId, int]],
+        order: List[Tuple[int, int]],
     ) -> WitnessSchedule:
         """A witness from a discovered schedule: already in execution
         order, so no linearization — just tokens, minus blocked attempts."""
-        kinds, tokens = self.index.kinds, self.index.tokens
+        index = self.index
+        kinds, tokens = index.kinds, index.tokens
+        names = {t: index.threads[t].pretty() for t in search.need}
         return WitnessSchedule(
             sites=tuple(sorted(cycle.sites)),
             threads=tuple(t.pretty() for t in cycle.threads),
             order=tuple(
-                (thread.pretty(), tokens[thread][pos])
+                (names[thread], tokens[thread][pos])
                 for thread, pos in order
                 if kinds[thread][pos] != _BLOCK
             ),
-            prefix_lens=tuple(
-                sorted((t.pretty(), n) for t, n in search.need.items())
-            ),
+            prefix_lens=tuple(sorted((names[t], n) for t, n in search.need.items())),
         )
 
     def _witness_valid(self, cycle: PotentialDeadlock, closure: _Closure) -> bool:
@@ -686,26 +728,27 @@ class Predictor:
         check keeps a bug here from ever producing an unsound
         certificate."""
         index = self.index
-        included: List[Tuple[int, ThreadId, int]] = []
+        included: List[Tuple[int, int, int]] = []
         for thread, n in closure.need.items():
             steps = index.steps[thread]
             included.extend((steps[pos], thread, pos) for pos in range(n))
         included.sort()
-        held: Dict[object, ThreadId] = {}
+        held: Dict[int, int] = {}
         for _, thread, pos in included:
             kind = index.kinds[thread][pos]
-            lock = index.aux[thread][pos]
             if kind == _ACQ:
+                lock = index.aux[thread][pos]
                 if held.get(lock) is not None:
                     return False
                 held[lock] = thread
             elif kind == _REL:
-                held.pop(lock, None)
+                held.pop(index.aux[thread][pos], None)
         for entry in cycle.entries:
+            thread = index.thread_ids[entry.thread]
             for lock in entry.lockset:
-                if held.get(lock) != entry.thread:
+                if held.get(index.lock_id(lock)) != thread:
                     return False
-            if held.get(entry.lock) is None:
+            if held.get(index.lock_id(entry.lock)) is None:
                 return False
         return True
 

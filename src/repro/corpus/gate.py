@@ -34,11 +34,10 @@ import os
 from typing import Dict, List, Optional
 
 from repro.core.generator import Generator
-from repro.core.parallel import predict_decisions
-from repro.core.prediction import ClosureIndex, PredictionVerdict
+from repro.core.parallel import closure_index_for, predict_decisions
+from repro.core.prediction import PredictionVerdict
 from repro.core.pruner import Pruner
 from repro.corpus.build import analyze_trace_file
-from repro.runtime.tracefile import TraceFileReader
 from repro.corpus.manifest import (
     HEALTH_SCHEMA,
     CorpusManifest,
@@ -70,9 +69,9 @@ def compute_health(corpus_dir: str, manifest: CorpusManifest) -> Dict[str, objec
         gen = Generator(detection.relation).run(prune.survivors)
         candidates = len(gen.survivors)
         # The streaming detector never materializes the trace; the
-        # closure index re-reads the committed bytes.
-        with TraceFileReader(path) as reader:
-            index = ClosureIndex.from_events(reader)
+        # closure index re-reads the committed bytes, and only when the
+        # Generator left a survivor to predict.
+        index = closure_index_for(detection, gen.decisions, path)
         preds = predict_decisions(index, gen.decisions)
         verdicts = {"certified": 0, "refuted": 0, "undecided": 0}
         certified_keys: set = set()

@@ -1,0 +1,84 @@
+"""Object-level reference builder for ``Gs`` (test oracle only).
+
+This is the Algorithm 3 construction as it stood before ``SyncGraph``
+moved to interned vertex ids: every vertex a :class:`GsVertex` object,
+every edge inserted into a :class:`DiGraph` keyed by those objects.  The
+differential suite (``tests/test_syncgraph_differential.py``) checks that
+the compact graph's views reproduce it exactly.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from typing import Dict, Tuple
+
+from repro.core.detector import PotentialDeadlock
+from repro.core.lockdep import LockDepEntry, LockDependencyRelation
+from repro.core.syncgraph import EdgeKind, GsVertex
+from repro.util.digraph import DiGraph
+from repro.util.ids import ExecIndex, LockId, ThreadId
+
+
+@dataclass
+class ReferenceGs:
+    cycle: PotentialDeadlock
+    graph: DiGraph = field(default_factory=DiGraph)
+    edge_kinds: Dict[Tuple[GsVertex, GsVertex], EdgeKind] = field(default_factory=dict)
+    by_index: Dict[ExecIndex, GsVertex] = field(default_factory=dict)
+
+    def add_vertex(self, v: GsVertex) -> None:
+        self.graph.add_node(v)
+        self.by_index[v.index] = v
+
+    def add_edge(self, u: GsVertex, v: GsVertex, kind: EdgeKind) -> None:
+        if u == v:
+            return
+        self.add_vertex(u)
+        self.add_vertex(v)
+        if not self.graph.has_edge(u, v):
+            self.graph.add_edge(u, v)
+            self.edge_kinds[(u, v)] = kind
+
+
+def _vertex(entry: LockDepEntry, lock: LockId) -> GsVertex:
+    return GsVertex(index=entry.mu(lock), lock=lock)
+
+
+def reference_sync_graph(
+    cycle: PotentialDeadlock, relation: LockDependencyRelation
+) -> ReferenceGs:
+    gs = ReferenceGs(cycle=cycle)
+    theta = cycle.entries
+    cutoff: Dict[ThreadId, int] = {e.thread: e.step for e in theta}
+
+    for ei in theta:
+        for ej in theta:
+            if ei is ej:
+                continue
+            li = ei.lock
+            if li in ej.lockset:
+                gs.add_edge(_vertex(ej, li), _vertex(ei, li), EdgeKind.D)
+
+    max_cutoff = max(cutoff.values())
+    for ei in theta:
+        for lk in tuple(ei.lockset) + (ei.lock,):
+            v = _vertex(ei, lk)
+            gs.add_vertex(v)
+            for ex in relation.acquiring.get(lk, ()):
+                if ex.step >= max_cutoff:
+                    break
+                tx = ex.thread
+                if tx == ei.thread or tx not in cutoff:
+                    continue
+                if ex.step >= cutoff[tx]:
+                    continue
+                gs.add_edge(GsVertex(index=ex.index, lock=lk), v, EdgeKind.C)
+
+    for e in theta:
+        chain = relation.before(e) + [e]
+        for prev, nxt in zip(chain, chain[1:], strict=False):
+            u = GsVertex(index=prev.index, lock=prev.lock)
+            v = GsVertex(index=nxt.index, lock=nxt.lock)
+            gs.add_edge(u, v, EdgeKind.P)
+
+    return gs
