@@ -95,7 +95,7 @@ class AvoidanceStrategy(SchedulingStrategy):
             for record in self.sched.records.values():
                 if record.state != ThreadState.PAUSED:
                     continue
-                op = record.cell.op
+                op = record.op
                 if isinstance(op, AcquireOp) and not self._dangerous(
                     record.tid, op
                 ):

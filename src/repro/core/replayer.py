@@ -95,7 +95,7 @@ class WolfReplayStrategy(SchedulingStrategy):
         for record in self.sched.records.values():
             if record.state != ThreadState.PAUSED:
                 continue
-            op = record.cell.op
+            op = record.op
             if not isinstance(op, AcquireOp):
                 continue
             v = self.by_index.get(op.index)
@@ -243,10 +243,13 @@ class ReplayOutcome:
     #: through state the trace does not record, so the certificate is
     #: void for this program and the pipeline demotes it.
     witness_diverged: bool = False
-    #: CPU seconds of the process that ran the attempts.  Replays spend
-    #: much of their wall time parked on scheduler events; the gap between
-    #: this and ``wall_time_s`` shows how much, which matters when replays
-    #: fan out across worker processes (``WolfConfig.workers``).
+    #: CPU seconds of the process that ran the attempts.  The simulated
+    #: runtime runs one thread at a time and a parked thread waits on its
+    #: baton without using CPU, so this is close to ``wall_time_s`` on an
+    #: idle host.  A gap is time the process waited: for a CPU (a loaded
+    #: host, or a handoff to a thread the OS placed on a busy CPU) or for
+    #: workload code that sleeps.  It matters when replays fan out across
+    #: worker processes (``WolfConfig.workers``).
     cpu_time_s: float = 0.0
 
     @property

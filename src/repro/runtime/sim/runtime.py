@@ -86,19 +86,21 @@ class SimLock:
     def acquire(self, site: Optional[Site] = None) -> None:
         if site is None:
             site = auto_site(2)
-        record = self._rt._sched.current_record
+        sched = self._rt._sched
+        record = sched.current_record
         index = ExecIndex(record.tid, site, record.occ.next(site))
-        record.cell.park(
+        sched.park(
+            record,
             AcquireOp(
                 lock=self, site=site, index=index, stack_depth=_workload_depth()
-            )
+            ),
         )
 
     def release(self, site: Optional[Site] = None) -> None:
         if site is None:
             site = auto_site(2)
-        record = self._rt._sched.current_record
-        record.cell.park(ReleaseOp(lock=self, site=site))
+        sched = self._rt._sched
+        sched.park(sched.current_record, ReleaseOp(lock=self, site=site))
 
     def at(self, site: Site) -> "_LockRegion":
         """Context manager acquiring at an explicit source site, so
@@ -146,30 +148,33 @@ class SimCondition:
     def wait(self, site: Optional[Site] = None) -> None:
         if site is None:
             site = auto_site(2)
-        record = self.lock._rt._sched.current_record
+        sched = self.lock._rt._sched
+        record = sched.current_record
         index = ExecIndex(record.tid, site, record.occ.next(site))
-        record.cell.park(
+        sched.park(
+            record,
             WaitOp(
                 cond=self,
                 lock=self.lock,
                 site=site,
                 index=index,
                 stack_depth=_workload_depth(),
-            )
+            ),
         )
 
     def notify(self, site: Optional[Site] = None) -> None:
         if site is None:
             site = auto_site(2)
-        record = self.lock._rt._sched.current_record
-        record.cell.park(NotifyOp(cond=self, lock=self.lock, site=site))
+        sched = self.lock._rt._sched
+        sched.park(sched.current_record, NotifyOp(cond=self, lock=self.lock, site=site))
 
     def notify_all(self, site: Optional[Site] = None) -> None:
         if site is None:
             site = auto_site(2)
-        record = self.lock._rt._sched.current_record
-        record.cell.park(
-            NotifyOp(cond=self, lock=self.lock, site=site, notify_all=True)
+        sched = self.lock._rt._sched
+        sched.park(
+            sched.current_record,
+            NotifyOp(cond=self, lock=self.lock, site=site, notify_all=True),
         )
 
     def waiting(self) -> int:
@@ -205,8 +210,8 @@ class SimThreadHandle:
         self._target = target
 
     def join(self, site: Optional[Site] = None) -> None:
-        record = self._rt._sched.current_record
-        record.cell.park(JoinOp(handle=self))
+        sched = self._rt._sched
+        sched.park(sched.current_record, JoinOp(handle=self))
 
     def is_alive(self) -> bool:
         from repro.runtime.sim.scheduler import ThreadState
@@ -257,14 +262,13 @@ class SimRuntime:
         record = self._sched.current_record
         tid = ThreadId(record.tid, site, record.spawn_occ.next(site), name=name)
         handle = SimThreadHandle(self, tid, target)
-        record.cell.park(SpawnOp(handle=handle))
+        self._sched.park(record, SpawnOp(handle=handle))
         return handle
 
     def checkpoint(self) -> None:
         """Voluntary scheduling point (no trace event); lets strategies
         interleave lock-free code regions."""
-        record = self._sched.current_record
-        record.cell.park(CheckpointOp())
+        self._sched.park(self._sched.current_record, CheckpointOp())
 
     @property
     def current(self) -> ThreadId:

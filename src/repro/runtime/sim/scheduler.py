@@ -1,21 +1,40 @@
 """The cooperative scheduler: one thread runs at a time, by decree.
 
 Workload threads are real OS threads, but each parks at every
-synchronization operation and waits for a grant.  The scheduler (running in
-the caller's thread) repeatedly asks the strategy which parked thread to
-step, commits that thread's pending operation (or blocks/pauses it) and
-lets it run to its next park.  Because scheduling decisions happen *only*
-at these parks, an execution is a deterministic function of the strategy's
-choices — the property the paper's Replayer relies on to drive a program
-into a specific deadlock.
+synchronization operation.  At a park the scheduler asks the strategy which
+parked thread to step, commits that thread's pending operation (or
+blocks/pauses it) and lets it run to its next park.  Because scheduling
+decisions happen *only* at these parks, an execution is a deterministic
+function of the strategy's choices — the property the paper's Replayer
+relies on to drive a program into a specific deadlock.
 
-Protocol per thread (see :class:`_Cell`):
+Protocol per thread (baton passing; see :meth:`Scheduler.park`):
 
-1. the workload thread posts an :class:`Op` and waits;
-2. the scheduler inspects the op, updates lock/thread state, records a
-   :class:`~repro.runtime.events.TraceEvent`, and either *grants* (thread
-   resumes until its next op) or leaves the thread parked (blocked/paused);
-3. on grant the scheduler waits for the thread to park again or finish.
+1. a thread that parks posts its :class:`Op` and runs the step loop
+   itself: it closes its own burst (its state, plus the ``EndEvent`` when
+   its workload returned), then picks and dispatches parked threads,
+   committing trace events and blocking or pausing threads, until one is
+   granted a burst or the run ends;
+2. a grant to itself returns straight into the workload code.  A grant to
+   another thread releases that thread's baton (a ``_thread`` lock each
+   thread owns and waits on), and the parking thread then waits on its
+   own.  So a step costs at most one OS thread switch, and none when the
+   strategy re-picks the running thread;
+3. a spawned thread gets its OS thread at its first grant (the dispatch
+   of its :class:`BeginOp`): the granting thread starts it, and it runs
+   the workload at once;
+4. the caller's thread runs the first step, then only waits for the run to
+   end.  It raises :class:`SchedulerStalled` when one burst (from the
+   moment the granted thread runs until it parks again) outlives
+   ``step_timeout``; the step loop itself is not timed.  Once the run
+   ends, fails or stalls, every parked thread is woken and unwinds with
+   :class:`ThreadKilled`, a running one does so at its next park, and the
+   caller joins every OS thread before :meth:`Scheduler.run` returns.
+
+Scheduler code (strategy hooks, trace sinks, thread start) runs in
+whichever thread runs the step loop.  An exception it raises ends the run
+and :meth:`Scheduler.run` raises it in the caller; workload code only ever
+sees :class:`ThreadKilled`.
 
 Deadlock detection is structural: when nothing is runnable and nobody can
 be unpaused, the wait-for graph over blocked threads is examined; a cycle
@@ -78,7 +97,8 @@ class Op:
 
 @dataclass
 class BeginOp(Op):
-    """First park of every thread, before any workload code runs."""
+    """Where every thread starts, before any workload code runs: granting
+    it starts the thread's OS thread."""
 
 
 @dataclass
@@ -140,85 +160,15 @@ class NotifyOp(Op):
 
 
 # --------------------------------------------------------------------------
-# Thread cells and records
+# Thread records
 # --------------------------------------------------------------------------
 
 
-class _Cell:
-    """Handshake channel between one workload thread and the scheduler."""
-
-    __slots__ = (
-        "cond",
-        "op",
-        "op_posted",
-        "granted",
-        "abort",
-        "finished",
-        "exc",
-        "exc_to_raise",
-    )
-
-    def __init__(self) -> None:
-        self.cond = threading.Condition()
-        self.op: Optional[Op] = None
-        self.op_posted = False
-        self.granted = False
-        self.abort = False
-        self.finished = False
-        self.exc: Optional[BaseException] = None
-        self.exc_to_raise: Optional[BaseException] = None
-
-    # -- workload-thread side ------------------------------------------------
-
-    def park(self, op: Op) -> None:
-        """Post ``op`` and wait until the scheduler grants continuation."""
-        with self.cond:
-            if self.abort:
-                raise ThreadKilled()
-            self.op = op
-            self.op_posted = True
-            self.cond.notify_all()
-            while not self.granted and not self.abort:
-                self.cond.wait()
-            if self.abort:
-                raise ThreadKilled()
-            self.granted = False
-            self.op = None
-            if self.exc_to_raise is not None:
-                exc = self.exc_to_raise
-                self.exc_to_raise = None
-                raise exc
-
-    def finish(self) -> None:
-        with self.cond:
-            self.finished = True
-            self.cond.notify_all()
-
-    # -- scheduler side --------------------------------------------------------
-
-    def grant(self) -> None:
-        with self.cond:
-            self.op_posted = False
-            self.granted = True
-            self.cond.notify_all()
-
-    def wait_parked(self, timeout: float) -> None:
-        """Block until the thread posts its next op or finishes."""
-        deadline = time.monotonic() + timeout
-        with self.cond:
-            while not self.op_posted and not self.finished:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise SchedulerStalled(
-                        "workload thread did not reach a scheduling point "
-                        f"within {timeout:.1f}s"
-                    )
-                self.cond.wait(remaining)
-
-    def kill(self) -> None:
-        with self.cond:
-            self.abort = True
-            self.cond.notify_all()
+def _new_baton() -> threading.Lock:
+    """A held lock: its owner thread waits on it, the granter releases it."""
+    baton = threading.Lock()
+    baton.acquire()
+    return baton
 
 
 class ThreadState:
@@ -232,10 +182,19 @@ class ThreadState:
 @dataclass
 class _ThreadRecord:
     tid: ThreadId
-    cell: _Cell
     target: object
+    #: The operation this thread is parked at (``None`` while it runs).
+    op: Optional[Op] = field(default_factory=BeginOp)
+    #: Released to grant this thread a burst (see :meth:`Scheduler.park`).
+    baton: threading.Lock = field(default_factory=_new_baton)
     os_thread: Optional[threading.Thread] = None
     state: str = ThreadState.NEW
+    #: The workload returned or raised; its last park closes the thread.
+    finished: bool = False
+    #: What the thread raised (reported in ``RunResult.errors``).
+    exc: Optional[BaseException] = None
+    #: Raised in the thread when its current park is granted.
+    exc_to_raise: Optional[BaseException] = None
     #: Acquisition-ordered held locks with the index each was acquired at.
     held: List[Tuple[object, ExecIndex]] = field(default_factory=list)
     #: Per-site occurrence counter for execution indices (thread-side use).
@@ -277,7 +236,22 @@ class Scheduler:
         self.records: Dict[ThreadId, _ThreadRecord] = {}
         self._tls = threading.local()
         self._steps = 0
+        self._iterations = 0
         self._runtime = None  # set by SimRuntime
+        #: Held by whoever runs the step loop, and by the watchdog while it
+        #: checks for a stall, so a stalled run is never stepped again.
+        self._mutex = threading.Lock()
+        #: Released once the step loop ends the run.
+        self._done = _new_baton()
+        #: The run is decided: nothing steps again, and a park raises
+        #: :class:`ThreadKilled`.
+        self._over = False
+        #: When the running burst began (``None`` while none runs).
+        self._burst_t0: Optional[float] = None
+        self._status = RunStatus.COMPLETED
+        self._deadlock: Optional[DeadlockInfo] = None
+        #: An exception from scheduler code, re-raised by :meth:`run`.
+        self._failure: Optional[BaseException] = None
         strategy.attach(self)
 
     # -- thread-side accessors -------------------------------------------------
@@ -302,90 +276,189 @@ class Scheduler:
     def _register(self, tid: ThreadId, target) -> _ThreadRecord:
         if tid in self.records:
             raise RuntimeError(f"duplicate thread id {tid!r}")
-        record = _ThreadRecord(tid=tid, cell=_Cell(), target=target)
+        record = _ThreadRecord(tid=tid, target=target)
         self.records[tid] = record
         return record
 
-    def _start_os_thread(self, record: _ThreadRecord) -> None:
-        t = threading.Thread(
-            target=self._runner, args=(record,), daemon=True, name=record.tid.pretty()
-        )
-        record.os_thread = t
-        t.start()
-        record.cell.wait_parked(self.step_timeout)  # parks at BeginOp
-        record.state = ThreadState.READY
-
     def _runner(self, record: _ThreadRecord) -> None:
         self._tls.record = record
+        self._burst_t0 = time.monotonic()
         try:
-            record.cell.park(BeginOp())
             record.target()
         except ThreadKilled:
-            pass
+            return
         except BaseException as exc:  # noqa: BLE001 - reported via RunResult
-            record.cell.exc = exc
-        finally:
-            record.cell.finish()
+            record.exc = exc
+        record.finished = True
+        granted = self._schedule(record)
+        if granted is not None and granted.os_thread is None:
+            self._start(granted)
 
     # -- main loop -----------------------------------------------------------------
 
     def run(self, root: _ThreadRecord) -> RunResult:
         t0 = time.perf_counter()
-        status = RunStatus.COMPLETED
-        deadlock: Optional[DeadlockInfo] = None
-        iterations = 0
+        root.state = ThreadState.READY
         try:
-            self._start_os_thread(root)
-            while True:
-                iterations += 1
-                if self._steps >= self.max_steps or iterations > 10 * self.max_steps:
-                    status = RunStatus.STEP_LIMIT
-                    break
-                ready = [
-                    r.tid for r in self.records.values() if r.state == ThreadState.READY
-                ]
-                if not ready:
-                    paused = [
-                        r.tid
-                        for r in self.records.values()
-                        if r.state == ThreadState.PAUSED
-                    ]
-                    if paused:
-                        victim = self.strategy.choose_unpause(paused)
-                        if victim is not None:
-                            self.records[victim].skip_gate = True
-                            self.unpause(victim)
-                            continue
-                    blocked = [
-                        r
-                        for r in self.records.values()
-                        if r.state in (ThreadState.BLOCKED, ThreadState.PAUSED)
-                    ]
-                    if not blocked:
-                        status = RunStatus.COMPLETED
-                        break
-                    deadlock = self._classify_stuck()
-                    status = (
-                        RunStatus.DEADLOCK if deadlock is not None else RunStatus.STUCK
-                    )
-                    break
-                tid = self.strategy.pick(ready)
-                self._dispatch(self.records[tid])
+            granted = self._schedule(None)
+            if granted is not None:
+                self._start(granted)
+            self._await_end()
         finally:
             self._teardown()
-        errors = {
-            r.tid: r.cell.exc for r in self.records.values() if r.cell.exc is not None
-        }
+        if self._failure is not None:
+            raise self._failure
+        status = self._status
+        errors = {r.tid: r.exc for r in self.records.values() if r.exc is not None}
         if errors and status is RunStatus.COMPLETED:
             status = RunStatus.ERROR
         return RunResult(
             status=status,
             trace=self.trace,
             steps=self._steps,
-            deadlock=deadlock,
+            deadlock=self._deadlock,
             errors=errors,
             wall_time_s=time.perf_counter() - t0,
         )
+
+    def park(self, record: _ThreadRecord, op: Op) -> None:
+        """Park the calling simulated thread at ``op`` and return when it
+        is granted its next burst.
+
+        The parking thread runs the step loop itself and hands the baton
+        to the thread the strategy picks; it then waits for its own baton.
+        Raises :class:`ThreadKilled` once the run is over, and the
+        dispatch's ``exc_to_raise`` (a misused lock) on grant.
+        """
+        record.op = op
+        granted = self._schedule(record)
+        if granted is not record:
+            if granted is None or (
+                granted.os_thread is None and not self._start(granted)
+            ):
+                raise ThreadKilled()
+            record.baton.acquire()
+            if self._over:
+                raise ThreadKilled()
+        self._burst_t0 = time.monotonic()
+        exc = record.exc_to_raise
+        if exc is not None:
+            record.exc_to_raise = None
+            raise exc
+
+    def _schedule(self, record: Optional[_ThreadRecord]) -> Optional[_ThreadRecord]:
+        """Close ``record``'s burst and step until a thread is granted one.
+
+        Returns the granted thread, its baton already released when it has
+        an OS thread (one without is for the caller to :meth:`_start`), or
+        ``None`` when the run is over.  An exception from scheduler code
+        ends the run and is kept for :meth:`run` to raise; it never reaches
+        workload code.
+        """
+        with self._mutex:
+            if self._over:
+                return None
+            self._burst_t0 = None
+            try:
+                if record is not None:
+                    self._end_burst(record)
+                granted = self._step_loop()
+            except BaseException as exc:  # noqa: BLE001 - re-raised by run()
+                self._failure = exc
+                return self._end(self._status)
+            if (
+                granted is not None
+                and granted is not record
+                and granted.os_thread is not None
+            ):
+                granted.baton.release()
+            return granted
+
+    def _step_loop(self) -> Optional[_ThreadRecord]:
+        while True:
+            self._iterations += 1
+            if (
+                self._steps >= self.max_steps
+                or self._iterations > 10 * self.max_steps
+            ):
+                return self._end(RunStatus.STEP_LIMIT)
+            ready = [
+                r.tid for r in self.records.values() if r.state == ThreadState.READY
+            ]
+            if not ready:
+                paused = [
+                    r.tid
+                    for r in self.records.values()
+                    if r.state == ThreadState.PAUSED
+                ]
+                if paused:
+                    victim = self.strategy.choose_unpause(paused)
+                    if victim is not None:
+                        self.records[victim].skip_gate = True
+                        self.unpause(victim)
+                        continue
+                blocked = [
+                    r
+                    for r in self.records.values()
+                    if r.state in (ThreadState.BLOCKED, ThreadState.PAUSED)
+                ]
+                if not blocked:
+                    return self._end(RunStatus.COMPLETED)
+                self._deadlock = self._classify_stuck()
+                return self._end(
+                    RunStatus.DEADLOCK
+                    if self._deadlock is not None
+                    else RunStatus.STUCK
+                )
+            record = self.records[self.strategy.pick(ready)]
+            self._dispatch(record)
+            if record.op is None:
+                return record
+
+    def _end(self, status: RunStatus) -> None:
+        """Decide the run (caller holds ``_mutex``) and wake :meth:`run`."""
+        self._status = status
+        self._over = True
+        self._done.release()
+        return None
+
+    def _start(self, record: _ThreadRecord) -> bool:
+        """Start ``record``'s OS thread at its first grant; it runs the
+        workload right away.  A thread that cannot start ends the run;
+        returns whether it started."""
+        record.os_thread = threading.Thread(
+            target=self._runner, args=(record,), daemon=True, name=record.tid.pretty()
+        )
+        try:
+            record.os_thread.start()
+        except BaseException as exc:  # noqa: BLE001 - re-raised by run()
+            record.os_thread = None
+            with self._mutex:
+                if not self._over:
+                    self._failure = exc
+                    self._end(self._status)
+            return False
+        return True
+
+    def _await_end(self) -> None:
+        """Wait in the caller's thread until the run ends; raise
+        :class:`SchedulerStalled` when one burst outlives ``step_timeout``."""
+        timeout = self.step_timeout
+        while not self._done.acquire(timeout=timeout):
+            with self._mutex:
+                if self._over:
+                    return
+                t0 = self._burst_t0
+                if t0 is None:  # a hand-over is under way
+                    timeout = self.step_timeout
+                    continue
+                timeout = t0 + self.step_timeout - time.monotonic()
+                if timeout <= 0:
+                    self._over = True
+                    raise SchedulerStalled(
+                        "workload thread did not reach a scheduling point "
+                        f"within {self.step_timeout:.1f}s"
+                    )
 
     # -- pause control (used by replay strategies) -----------------------------------
 
@@ -402,7 +475,7 @@ class Scheduler:
     # -- dispatch -------------------------------------------------------------------
 
     def _dispatch(self, record: _ThreadRecord) -> None:
-        op = record.cell.op
+        op = record.op
         if isinstance(op, BeginOp):
             self._commit(BeginEvent(self._next_step(), record.tid))
             self._resume(record)
@@ -482,7 +555,7 @@ class Scheduler:
     def _dispatch_release(self, record: _ThreadRecord, op: ReleaseOp) -> None:
         lock = op.lock
         if lock.owner != record.tid:
-            record.cell.exc_to_raise = LockUsageError(
+            record.exc_to_raise = LockUsageError(
                 f"{record.tid.pretty()} released {lock.lid.pretty()} "
                 "which it does not hold"
             )
@@ -514,13 +587,13 @@ class Scheduler:
         handle = op.handle
         child = self._register(handle.tid, handle._target)
         self._commit(SpawnEvent(self._next_step(), record.tid, child=handle.tid))
-        self._start_os_thread(child)
+        child.state = ThreadState.READY
         self._resume(record)
 
     def _dispatch_join(self, record: _ThreadRecord, op: JoinOp) -> None:
         target = self.records.get(op.handle.tid)
         if target is None:
-            record.cell.exc_to_raise = RuntimeError(
+            record.exc_to_raise = RuntimeError(
                 f"join on never-started thread {op.handle.tid!r}"
             )
             self._resume(record)
@@ -537,7 +610,7 @@ class Scheduler:
         lock = op.lock
         if op.phase == "start":
             if lock.owner != record.tid:
-                record.cell.exc_to_raise = LockUsageError(
+                record.exc_to_raise = LockUsageError(
                     f"{record.tid.pretty()} waited on {op.cond.name!r} "
                     f"without holding {lock.lid.pretty()}"
                 )
@@ -621,7 +694,7 @@ class Scheduler:
     def _dispatch_notify(self, record: _ThreadRecord, op: NotifyOp) -> None:
         lock = op.lock
         if lock.owner != record.tid:
-            record.cell.exc_to_raise = LockUsageError(
+            record.exc_to_raise = LockUsageError(
                 f"{record.tid.pretty()} notified {op.cond.name!r} "
                 f"without holding {lock.lid.pretty()}"
             )
@@ -631,7 +704,7 @@ class Scheduler:
         n = len(waiters) if op.notify_all else min(1, len(waiters))
         for _ in range(n):
             waiter = waiters.pop(0)
-            waiter.cell.op.phase = "reacquire"
+            waiter.op.phase = "reacquire"
             waiter.blocked_cond = None
             waiter.state = ThreadState.READY
         self._commit(
@@ -648,17 +721,22 @@ class Scheduler:
         self._resume(record)
 
     def _resume(self, record: _ThreadRecord) -> None:
-        """Grant the thread one burst: it runs until its next park."""
-        record.cell.grant()
-        record.cell.wait_parked(self.step_timeout)
-        if record.cell.finished:
+        """Grant the thread one burst: it runs until its next park.  Its
+        cleared op tells the step loop a burst was granted."""
+        record.op = None
+
+    def _end_burst(self, record: _ThreadRecord) -> None:
+        """Account for the burst ``record`` just ran up to its park."""
+        if record.finished:
             record.state = ThreadState.DONE
             self._commit(EndEvent(self._next_step(), record.tid))
             if record.held:
                 names = ", ".join(l.lid.pretty() for l, _ in record.held)
-                record.cell.exc = LockUsageError(
+                error = LockUsageError(
                     f"{record.tid.pretty()} terminated while holding: {names}"
                 )
+                error.__cause__ = record.exc
+                record.exc = error
                 # Free the leaked locks so other threads are not wedged by a
                 # workload bug unrelated to the deadlock under study.
                 for lock, _ in record.held:
@@ -717,9 +795,13 @@ class Scheduler:
         )
 
     def _teardown(self) -> None:
+        """End the run, wake every parked thread so it unwinds with
+        :class:`ThreadKilled`, and join every OS thread."""
+        with self._mutex:
+            self._over = True
+            for record in self.records.values():
+                if record.os_thread is not None and record.baton.locked():
+                    record.baton.release()
         for record in self.records.values():
-            if record.state != ThreadState.DONE:
-                record.cell.kill()
-        for record in self.records.values():
-            if record.os_thread is not None:
+            if record.os_thread is not None and record.os_thread.is_alive():
                 record.os_thread.join(timeout=5.0)

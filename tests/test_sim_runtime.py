@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import sys
 import threading
+import time
 
 import pytest
 
@@ -17,7 +19,7 @@ from repro.runtime.events import (
 )
 from repro.runtime.sim.result import RunStatus
 from repro.runtime.sim.runtime import run_program
-from repro.runtime.sim.scheduler import LockUsageError
+from repro.runtime.sim.scheduler import LockUsageError, SchedulerStalled
 from repro.runtime.sim.strategy import (
     FixedOrderStrategy,
     RandomStrategy,
@@ -268,6 +270,24 @@ class TestErrors:
         (exc,) = result.errors.values()
         assert isinstance(exc, ValueError)
 
+    def test_exception_while_holding_keeps_its_cause(self):
+        def program(rt):
+            a = rt.new_lock(name="A")
+
+            def t():
+                a.acquire(site="a:1")
+                raise ValueError("root cause")
+
+            rt.spawn(t, name="t", site="sp:1").join()
+
+        result = run_program(program)
+        assert result.status is RunStatus.ERROR
+        (exc,) = result.errors.values()
+        assert isinstance(exc, LockUsageError)
+        assert str(exc) == "t terminated while holding: A"
+        assert isinstance(exc.__cause__, ValueError)
+        assert str(exc.__cause__) == "root cause"
+
     def test_step_limit(self):
         def program(rt):
             while True:
@@ -283,6 +303,180 @@ class TestErrors:
         rt = SimRuntime(Scheduler(RandomStrategy(0)))
         with pytest.raises(RuntimeError):
             rt.new_lock()
+
+
+class Boom(Exception):
+    """Raised by test strategies and sinks, never by workload code."""
+
+
+class RaisingStrategy(RandomStrategy):
+    """Random scheduling whose ``hook`` raises :class:`Boom` on its
+    ``nth`` call."""
+
+    def __init__(self, hook: str, nth: int) -> None:
+        super().__init__(3)
+        self.hook = hook
+        self.nth = nth
+        self.calls = 0
+
+    def _tick(self, hook: str) -> None:
+        if hook == self.hook:
+            self.calls += 1
+            if self.calls == self.nth:
+                raise Boom(hook)
+
+    def pick(self, ready):
+        self._tick("pick")
+        return super().pick(ready)
+
+    def before_acquire(self, thread, op):
+        self._tick("before_acquire")
+        return super().before_acquire(thread, op)
+
+    def on_event(self, event):
+        self._tick("on_event")
+        super().on_event(event)
+
+
+def sleepy_checkpoints(rt):
+    for _ in range(8):
+        time.sleep(0.1)
+        rt.checkpoint()
+
+
+class TestFailurePaths:
+    """Scheduler failures surface from ``run_program`` and leave no
+    thread behind."""
+
+    @staticmethod
+    def _new_threads(before):
+        return [t for t in threading.enumerate() if t not in before]
+
+    def test_stalled_burst_raises(self):
+        def program(rt):
+            lock = rt.new_lock(name="L")
+            with lock.at("slow:1"):
+                time.sleep(0.6)
+
+        before = set(threading.enumerate())
+        with pytest.raises(SchedulerStalled):
+            run_program(program, step_timeout=0.2)
+        assert self._new_threads(before) == []
+
+    def test_step_timeout_bounds_one_burst_alone(self):
+        result = run_program(
+            sleepy_checkpoints, RandomStrategy(0, stickiness=0.9), step_timeout=0.3
+        )
+        result.raise_errors()
+        assert result.status is RunStatus.COMPLETED
+
+    def test_step_timeout_bounds_one_burst_two_threads(self):
+        def program(rt):
+            h = rt.spawn(lambda: sleepy_checkpoints(rt), name="sleeper", site="sp:1")
+            rt.checkpoint()
+            h.join()
+
+        result = run_program(
+            program, RandomStrategy(0, stickiness=0.9), step_timeout=0.3
+        )
+        result.raise_errors()
+        assert result.status is RunStatus.COMPLETED
+
+    @pytest.mark.parametrize("nth", [1, 5])
+    @pytest.mark.parametrize("hook", ["pick", "before_acquire", "on_event"])
+    def test_strategy_exception_propagates(self, hook, nth):
+        caught = []
+
+        def program(rt):
+            a, b = rt.new_lock(name="A"), rt.new_lock(name="B")
+
+            def worker(first, second):
+                try:
+                    with first.at("w:1"):
+                        with second.at("w:2"):
+                            pass
+                except Exception as exc:  # must never see scheduler errors
+                    caught.append(exc)
+
+            hs = [
+                rt.spawn(lambda: worker(a, b), name="t1", site="sp:1"),
+                rt.spawn(lambda: worker(a, b), name="t2", site="sp:2"),
+            ]
+            for h in hs:
+                h.join()
+
+        before = set(threading.enumerate())
+        strategy = RaisingStrategy(hook, nth)
+        with pytest.raises(Boom, match=hook):
+            run_program(program, strategy)
+        assert strategy.calls == nth
+        assert caught == []
+        assert self._new_threads(before) == []
+
+    def test_trace_sink_exception_propagates(self):
+        events = []
+
+        def sink(event):
+            events.append(event)
+            if len(events) == 4:
+                raise Boom("sink")
+
+        before = set(threading.enumerate())
+        with pytest.raises(Boom, match="sink"):
+            run_program(two_lock_program, RandomStrategy(0), trace_sink=sink)
+        assert len(events) == 4
+        assert self._new_threads(before) == []
+
+
+def one_at_a_time_program(rt):
+    """Eight workers (more than the cores) whose bursts each run a
+    non-atomic read-modify-write: two threads running at once shows as a
+    lost update or as ``running`` above one."""
+    lock = rt.new_lock(name="L")
+    shared = {"running": 0, "count": 0}
+
+    def worker():
+        for i in range(25):
+            shared["running"] += 1
+            running = shared["running"]
+            count = shared["count"]
+            for _ in range(50):
+                pass
+            shared["count"] = count + 1
+            shared["running"] -= 1
+            assert running == 1, "two simulated threads ran at once"
+            if i % 2:
+                with lock.at("w:1"):
+                    pass
+            else:
+                rt.checkpoint()
+
+    hs = [rt.spawn(worker, site="sp:w") for _ in range(8)]
+    for h in hs:
+        h.join()
+    assert shared["count"] == 8 * 25
+
+
+class TestBatonStress:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_one_thread_at_a_time_under_fast_switching(self, seed):
+        def run():
+            return run_program(
+                one_at_a_time_program,
+                RandomStrategy(seed, stickiness=0.5),
+                step_timeout=10.0,
+            )
+
+        reference = run()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            result = run()
+        finally:
+            sys.setswitchinterval(interval)
+        result.raise_errors()
+        assert result.status is RunStatus.COMPLETED
+        assert [repr(e) for e in result.trace] == [repr(e) for e in reference.trace]
 
 
 class TestHygiene:
