@@ -11,7 +11,7 @@ Commands:
   or compact binary (``.wtrc``), convert between the two, and summarize a
   binary trace by streaming it;
 * ``wolf analyze-trace <file>`` — offline analysis of a saved trace
-  (binary auto-detected; the streaming engine analyzes without
+  (binary auto-detected and analyzed one event at a time, without
   materializing the event list, and ``--workers N`` fans the cycle
   shards out to processes that re-read only their own chunks);
 * ``wolf corpus build|minimize|validate|gate`` — run the fuzzing campaign
@@ -91,22 +91,14 @@ def _add_workers(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_engine(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--engine",
-        choices=("auto", "batch", "streaming"),
-        default="auto",
-        help="analysis engine: 'batch' walks the trace three times, "
-        "'streaming' fuses clocks/D_sigma/cycles into one pass, "
-        "'auto' picks by event count (identical results; default: auto)",
-    )
+def _add_analysis_knobs(p: argparse.ArgumentParser, *, shard: bool) -> None:
     p.add_argument(
         "--shard-cycles",
         action=argparse.BooleanOptionalAction,
-        default=None,
+        default=shard,
         help="deduplicate the lock-dependency relation and enumerate "
-        "cycles per SCC shard (identical results; default: on for the "
-        "streaming engine, off for batch)",
+        "cycles per SCC shard (identical results; default: "
+        f"{'on' if shard else 'off'})",
     )
     p.add_argument(
         "--reduce",
@@ -158,7 +150,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         help="subset of benchmarks (default: all)",
     )
     _add_workers(p)
-    _add_engine(p)
+    _add_analysis_knobs(p, shard=False)
 
 
 def _settings(args: argparse.Namespace) -> ExperimentSettings:
@@ -169,8 +161,7 @@ def _settings(args: argparse.Namespace) -> ExperimentSettings:
         workers=getattr(args, "workers", 1) or 1,
         task_timeout=getattr(args, "task_timeout", None),
         task_retries=retries if retries is not None else 2,
-        engine=getattr(args, "engine", "auto"),
-        shard_cycles=getattr(args, "shard_cycles", None),
+        shard_cycles=getattr(args, "shard_cycles", False),
         reduce=getattr(args, "reduce", False),
     )
 
@@ -206,8 +197,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
         max_cycle_length=b.max_cycle_length,
         workers=getattr(args, "workers", 1) or 1,
         sanitize=getattr(args, "sanitize", False),
-        engine=getattr(args, "engine", "auto"),
-        shard_cycles=getattr(args, "shard_cycles", None),
+        shard_cycles=getattr(args, "shard_cycles", False),
         reduce=getattr(args, "reduce", False),
         predict=getattr(args, "predict", "off"),
         backend=getattr(args, "backend", "auto"),
@@ -349,18 +339,15 @@ def cmd_analyze_trace(args: argparse.Namespace) -> int:
     (replay needs the live program and is not available offline).
 
     Binary traces (``wolf trace record --format binary`` / ``trace pack``)
-    are auto-detected; with the streaming engine (the ``auto`` resolution
-    for on-disk traces) they are decoded and analyzed one event at a time,
-    never materializing the event list.  With ``--workers N`` and sharded
-    enumeration (the streaming default) the cycle-enumeration shards fan
-    out to worker processes that re-read only their own ``.wtrc`` chunks —
-    the parent ships chunk offsets, never pickled events.
+    are auto-detected and decoded and analyzed one event at a time, never
+    materializing the event list.  With ``--workers N`` and sharded
+    enumeration (the default here) the cycle-enumeration shards fan out to
+    worker processes that re-read only their own ``.wtrc`` chunks — the
+    parent ships chunk offsets, never pickled events.  JSON traces are
+    loaded whole, then analyzed by the same detector.
     """
-    from repro.core.detector import ExtendedDetector
     from repro.core.generator import Generator, GeneratorVerdict
     from repro.core.pruner import Pruner
-    from repro.core.streaming import StreamingDetector, resolve_engine
-    from repro.runtime.serialize import load_trace
     from repro.runtime.tracefile import is_tracefile
 
     if getattr(args, "json", False):
@@ -384,65 +371,47 @@ def cmd_analyze_trace(args: argparse.Namespace) -> int:
         )
         return 0
 
-    engine = getattr(args, "engine", "auto")
-    shard = getattr(args, "shard_cycles", None)
+    shard = getattr(args, "shard_cycles", True)
     reduce = getattr(args, "reduce", False)
     workers = getattr(args, "workers", 1) or 1
-    backend_used = None  # set on the streaming-binary path only
+    backend_used = None  # set on the binary path only
     if is_tracefile(args.trace_file):
-        engine = resolve_engine(engine, None)  # on-disk size unknown: streaming
-        if engine == "streaming":
-            from repro.core.nativekernel import analyze_trace_file
+        from repro.core.nativekernel import analyze_trace_file
 
-            shard = shard if shard is not None else True
-            shard_engine = policy = None
-            if shard and workers > 1:
-                from repro.core.parallel import ProcessEngine, SupervisionPolicy
+        shard_engine = policy = None
+        if shard and workers > 1:
+            from repro.core.parallel import ProcessEngine, SupervisionPolicy
 
-                retries = getattr(args, "retries", None)
-                policy = SupervisionPolicy(
-                    task_timeout=getattr(args, "task_timeout", None),
-                    retries=retries if retries is not None else 2,
-                )
-                shard_engine = ProcessEngine(workers)
-            try:
-                analysis = analyze_trace_file(
-                    args.trace_file,
-                    shard_cycles=shard,
-                    reduce=reduce,
-                    backend=getattr(args, "backend", "auto"),
-                    shard_engine=shard_engine,
-                    policy=policy,
-                )
-            finally:
-                if shard_engine is not None:
-                    shard_engine.close()
-            detection = analysis.detection
-            program, seed = analysis.program, analysis.seed
-            n_events = analysis.events
-            backend_used = analysis.backend
-        else:
-            from repro.runtime.tracefile import read_trace
-
-            trace = read_trace(args.trace_file)
-            program, seed, n_events = trace.program, trace.seed, len(trace)
-            detection = ExtendedDetector(
-                magic_reduce=reduce, shard_cycles=bool(shard)
-            ).analyze(trace)
+            retries = getattr(args, "retries", None)
+            policy = SupervisionPolicy(
+                task_timeout=getattr(args, "task_timeout", None),
+                retries=retries if retries is not None else 2,
+            )
+            shard_engine = ProcessEngine(workers)
+        try:
+            analysis = analyze_trace_file(
+                args.trace_file,
+                shard_cycles=shard,
+                reduce=reduce,
+                backend=getattr(args, "backend", "auto"),
+                shard_engine=shard_engine,
+                policy=policy,
+            )
+        finally:
+            if shard_engine is not None:
+                shard_engine.close()
+        detection = analysis.detection
+        program, seed = analysis.program, analysis.seed
+        n_events = analysis.events
+        backend_used = analysis.backend
     else:
+        from repro.core.streaming import StreamingDetector
+        from repro.runtime.serialize import load_trace
+
         with open(args.trace_file) as fh:
             trace = load_trace(fh.read())
         program, seed, n_events = trace.program, trace.seed, len(trace)
-        engine = resolve_engine(engine, n_events)
-        if engine == "streaming":
-            shard = shard if shard is not None else True
-            detection = StreamingDetector(
-                shard_cycles=shard, reduce=reduce
-            ).analyze(trace)
-        else:
-            detection = ExtendedDetector(
-                magic_reduce=reduce, shard_cycles=bool(shard)
-            ).analyze(trace)
+        detection = StreamingDetector(shard_cycles=shard, reduce=reduce).analyze(trace)
     prune = Pruner(detection.vclocks).prune(detection.cycles)
     gen = Generator(detection.relation).run(prune.survivors)
     predictions = None
@@ -1033,7 +1002,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--attempts", type=int, default=None)
     _add_workers(p)
-    _add_engine(p)
+    _add_analysis_knobs(p, shard=False)
     _add_predict(p)
     p.add_argument(
         "--replay-witness",
@@ -1133,7 +1102,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("trace_file")
     _add_workers(p)
-    _add_engine(p)
+    _add_analysis_knobs(p, shard=True)
     p.add_argument(
         "--predict",
         choices=("off", "filter", "certify"),

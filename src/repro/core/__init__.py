@@ -3,13 +3,22 @@ the :class:`Wolf` pipeline tying them together.
 
 Data flow (paper Figure 3)::
 
-    Trace ──> ExtendedDetector ──> potential deadlocks (cycles in D_sigma)
+    Trace ──> StreamingDetector ──> potential deadlocks (cycles in D_sigma)
                     │                        │
                     └── vector clocks ──> Pruner ──> false positives
                                              │
                                      Generator (Gs) ──> false positives
                                              │
                                          Replayer ──> confirmed / unknown
+
+One detector does the analysis: :class:`StreamingDetector` keeps
+``D_sigma`` and the ``(S, J)`` clocks per event and enumerates cycles
+once, at the end.  ``.wtrc`` files go through
+:func:`repro.core.nativekernel.analyze_trace_file`, the same analysis
+with an optional compiled per-event loop.  :class:`ExtendedDetector` and
+:class:`BaseDetector` transcribe Algorithm 1 and iGoodLock literally; they
+are the test oracle, and the experiments, cross-validation and the
+DeadlockFuzzer baseline call them directly.
 """
 
 from repro.core.lockdep import LockDepEntry, LockDependencyRelation
@@ -50,15 +59,9 @@ from repro.core.sharding import (
     find_cycles_sharded,
     partition_shards,
 )
-from repro.core.streaming import (
-    AUTO_ENGINE_THRESHOLD,
-    StreamingDetector,
-    analyze_stream,
-    resolve_engine,
-)
+from repro.core.streaming import StreamingDetector
 
 __all__ = [
-    "AUTO_ENGINE_THRESHOLD",
     "AvoidancePattern",
     "AvoidanceStrategy",
     "BaseDetector",
@@ -95,7 +98,6 @@ __all__ = [
     "Wolf",
     "WolfConfig",
     "WolfReport",
-    "analyze_stream",
     "build_sync_graph",
     "compute_vector_clocks",
     "dedupe_relation",
@@ -104,5 +106,4 @@ __all__ = [
     "partition_shards",
     "predict_cycles",
     "promote_by_defect",
-    "resolve_engine",
 ]

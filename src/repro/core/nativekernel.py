@@ -589,12 +589,11 @@ class NativeStreamingDetector:
     :class:`NativeTraceFileReader` / :class:`NativeChunkDecoder`;
     :meth:`feed`/:meth:`feed_many` therefore reject actual event objects
     (in-memory traces always use the pure-Python engine).  Enumeration
-    always runs at :meth:`finish`: in non-sharded mode ``find_cycles``
-    over the eager nonempty-lockset subset of ``D_sigma``, which is
-    provably identical to the per-event probe (every cycle member needs
-    a nonempty lockset, and relative order is preserved) except for
-    *which* cycles survive a ``max_cycles`` truncation — the same
-    carve-out the two pure engines already have.
+    runs at :meth:`finish`, as in the pure detector; without sharding or
+    reduction ``find_cycles`` runs over the eager nonempty-lockset subset
+    of ``D_sigma``, which yields exactly the full relation's cycles and
+    ``truncated`` flag (every cycle member and anchor needs a nonempty
+    lockset, and relative order is preserved).
     """
 
     def __init__(
@@ -638,15 +637,10 @@ class NativeStreamingDetector:
             self.feed(_)
 
     def stats(self) -> Dict[str, int]:
-        """Deferred-mode counters (the kernel always enumerates at
-        :meth:`finish`, so live ``cycles_found``/``lock_edges`` are 0 by
-        construction — exactly like the pure detector's deferred mode)."""
+        """The pure detector's live counters, read from the kernel."""
         return {
             "events_seen": self.events_seen,
             "tuples": self._nk.n_entries,
-            "lock_edges": 0,
-            "cycles_found": 0,
-            "deferred": 1,
             "truncated": int(self.truncated),
         }
 
@@ -715,16 +709,16 @@ class NativeStreamingDetector:
                     max_cycles=self.max_cycles,
                 )
         else:
-            # Probe-equivalent path without materializing the full
-            # relation: only nonempty-lockset entries can participate in
-            # cycles (they alone populate the holding index and anchor
-            # set), so the DFS over this subset enumerates exactly the
-            # batch cycle sequence.
-            probe_rel = LockDependencyRelation(
+            # Without materializing the full relation: only
+            # nonempty-lockset entries can participate in cycles (they
+            # alone populate the holding index and anchor set), so the
+            # DFS over this subset enumerates exactly the batch cycle
+            # sequence.
+            cycle_rel = LockDependencyRelation(
                 snap.materialize_entries(snap.nonempty)
             )
             cycles, self.truncated = find_cycles(
-                probe_rel,
+                cycle_rel,
                 max_length=self.max_length,
                 max_cycles=self.max_cycles,
             )
@@ -812,9 +806,9 @@ def analyze_trace_file(
 ) -> TraceAnalysis:
     """Analyze a ``.wtrc`` file with the resolved backend.
 
-    The single front door used by ``wolf analyze-trace``, the parallel
-    pipeline's :class:`DetectTask` and ``report_doc_for_file`` — one
-    place guarantees every consumer resolves/falls back identically.
+    The single front door used by ``wolf analyze-trace``,
+    ``report_doc_for_file`` and the corpus tools — one place guarantees
+    every consumer resolves/falls back identically.
     """
     resolved = resolve_backend(backend)
     if resolved == "native":

@@ -62,9 +62,9 @@ from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar, Union
 
-from repro.core.detector import DetectionResult, ExtendedDetector, find_cycles
+from repro.core.detector import DetectionResult, find_cycles
 from repro.core.lockdep import LockDependencyRelation, entry_from_acquire
-from repro.core.streaming import StreamingDetector, resolve_engine
+from repro.core.streaming import StreamingDetector
 from repro.core.generator import (
     Generator,
     GeneratorDecision,
@@ -101,9 +101,7 @@ class DetectTask:
     (value-object) results cross the process boundary.
     """
 
-    #: ``None`` only for trace-driven tasks (``trace_path`` set): the
-    #: worker then analyzes the on-disk trace instead of executing.
-    program: Optional[Program]
+    program: Program
     seed: int
     name: str
     stickiness: float
@@ -112,18 +110,9 @@ class DetectTask:
     max_cycles: int
     max_steps: int
     step_timeout: float
-    #: ``"batch"`` (ExtendedDetector, three passes), ``"streaming"``
-    #: (StreamingDetector, one fused pass) — same cycles either way —
-    #: or ``"auto"``, resolved per task from the event count
-    #: (:func:`repro.core.streaming.resolve_engine`).
-    engine: str = "batch"
-    #: Zero-copy hand-off: analyze this ``.wtrc`` file instead of running
-    #: ``program``.  The payload crossing the process boundary is a path
-    #: string — never a pickled :class:`~repro.runtime.events.Trace`.
-    trace_path: Optional[str] = None
-    #: ``None`` = the engine's default (sharded enumeration on for
-    #: streaming, off for batch — both produce identical output).
-    shard_cycles: Optional[bool] = None
+    #: Sharded, deduplicated cycle enumeration (output-identical to the
+    #: monolithic DFS; see :mod:`repro.core.sharding`).
+    shard_cycles: bool = False
     #: Apply the MagicFuzzer relation reduction before enumeration.
     reduce: bool = False
     #: Prediction mode (``"off"``, ``"filter"`` or ``"certify"``): any
@@ -131,14 +120,6 @@ class DetectTask:
     #: Generator's survivors inside the worker, so fleet batches predict
     #: shard-parallel for free.
     predict: str = "off"
-    #: Analysis backend for trace-driven streaming tasks: ``"python"``,
-    #: ``"native"`` (compiled kernel, :mod:`repro.core.nativekernel`) or
-    #: ``"auto"`` (native when the kernel loads, else python — identical
-    #: output either way).  Resolved inside the worker, so each spawned
-    #: process compiles/loads the kernel from the shared cache at most
-    #: once.  Program tasks and the batch engine ignore it (the kernel
-    #: only accelerates the on-disk streaming pass).
-    backend: str = "auto"
 
 
 @dataclass
@@ -159,44 +140,10 @@ class DetectStageResult:
 
 
 def _detect_from_task(task: DetectTask) -> DetectionResult:
-    """Run the task's detection stage: execute-or-read, then analyze.
-
-    Trace-driven tasks (``trace_path``) stream the on-disk ``.wtrc``;
-    program tasks execute the seed first.  ``engine="auto"`` resolves to
-    streaming for on-disk traces (no event count without a full scan,
-    and streaming never materializes) and by event count otherwise.
-    """
-    if task.trace_path is not None:
-        engine = "streaming" if task.engine == "auto" else task.engine
-        shard = (
-            task.shard_cycles
-            if task.shard_cycles is not None
-            else engine == "streaming"
-        )
-        if engine == "streaming":
-            from repro.core.nativekernel import analyze_trace_file
-
-            return analyze_trace_file(
-                task.trace_path,
-                max_length=task.max_cycle_length,
-                max_cycles=task.max_cycles,
-                shard_cycles=shard,
-                reduce=task.reduce,
-                backend=task.backend,
-            ).detection
-        from repro.runtime.tracefile import read_trace
-
-        return ExtendedDetector(
-            max_length=task.max_cycle_length,
-            max_cycles=task.max_cycles,
-            magic_reduce=task.reduce,
-            shard_cycles=shard,
-        ).analyze(read_trace(task.trace_path))
-
+    """Run the task's detection stage: execute the seed, then analyze."""
     # Imported here: pipeline.py imports this module at the top level.
     from repro.core.pipeline import run_detection
 
-    assert task.program is not None, "DetectTask needs a program or a trace_path"
     run = run_detection(
         task.program,
         task.seed,
@@ -206,24 +153,11 @@ def _detect_from_task(task: DetectTask) -> DetectionResult:
         max_steps=task.max_steps,
         step_timeout=task.step_timeout,
     )
-    engine = resolve_engine(task.engine, len(run.trace))
-    shard = (
-        task.shard_cycles
-        if task.shard_cycles is not None
-        else engine == "streaming"
-    )
-    if engine == "streaming":
-        return StreamingDetector(
-            max_length=task.max_cycle_length,
-            max_cycles=task.max_cycles,
-            shard_cycles=shard,
-            reduce=task.reduce,
-        ).analyze(run.trace)
-    return ExtendedDetector(
+    return StreamingDetector(
         max_length=task.max_cycle_length,
         max_cycles=task.max_cycles,
-        magic_reduce=task.reduce,
-        shard_cycles=shard,
+        shard_cycles=task.shard_cycles,
+        reduce=task.reduce,
     ).analyze(run.trace)
 
 
@@ -236,10 +170,9 @@ def closure_index_for(
 
     Prediction examines only the Generator's survivors, so with none left
     the index is empty and the trace is never walked.  Otherwise the
-    in-memory trace is used when the detection materialized one; the
-    streaming trace-path engines never do, so ``trace_path`` names the
-    backing ``.wtrc`` to re-read (one sequential pass, no
-    materialization).
+    in-memory trace is used when the detection materialized one; file
+    analysis never does, so ``trace_path`` names the backing ``.wtrc`` to
+    re-read (one sequential pass, no materialization).
     """
     if not any(d.verdict is GeneratorVerdict.UNKNOWN for d in decisions):
         return ClosureIndex()
@@ -288,7 +221,7 @@ def run_detect_task(task: DetectTask) -> DetectStageResult:
     predictions: Optional[Tuple[Optional[CyclePrediction], ...]] = None
     if task.predict != "off":
         t0 = time.perf_counter()
-        index = closure_index_for(detection, gen.decisions, task.trace_path)
+        index = closure_index_for(detection, gen.decisions)
         predictions = predict_decisions(index, gen.decisions)
         timings["predict"] = time.perf_counter() - t0
 

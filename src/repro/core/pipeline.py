@@ -138,28 +138,20 @@ class WolfConfig:
     #: typing check over every generated graph; violations land in
     #: ``WolfReport.sanitizer`` (see :mod:`repro.analysis.sanitizer`).
     sanitize: bool = False
-    #: Analysis engine per detection run: ``"batch"`` walks the recorded
-    #: trace three times (``ExtendedDetector``); ``"streaming"`` fuses
-    #: clocks, ``D_sigma`` and cycle enumeration into one pass
-    #: (:class:`~repro.core.streaming.StreamingDetector`); ``"auto"``
-    #: picks per run from the event count
-    #: (:func:`repro.core.streaming.resolve_engine`).  All produce
-    #: identical cycles, prune decisions and defect keys.
-    engine: str = "batch"
-    #: Analysis backend for trace-driven streaming runs: ``"python"``,
-    #: ``"native"`` (compiled kernel, :mod:`repro.core.nativekernel` —
-    #: raises at resolution when the kernel cannot build/load) or
-    #: ``"auto"`` (native when available, pure-Python fallback otherwise;
-    #: identical output either way).  Program execution and the batch
-    #: engine always run in Python — the kernel accelerates the on-disk
-    #: ``.wtrc`` hot path.
+    #: Accepted for compatibility and validated, but selects nothing:
+    #: every detection run goes through
+    #: :class:`~repro.core.streaming.StreamingDetector`.
+    engine: str = "auto"
+    #: Analysis backend attributed in the report: ``"python"``,
+    #: ``"native"`` (compiled kernel, :mod:`repro.core.nativekernel`) or
+    #: ``"auto"`` (native when available, pure-Python fallback
+    #: otherwise).  Program runs are analyzed in memory, always in Python;
+    #: the kernel accelerates the on-disk ``.wtrc`` path.
     backend: str = "auto"
     #: Sharded, deduplicated cycle enumeration
     #: (:mod:`repro.core.sharding`) — output-identical to the monolithic
-    #: DFS.  ``None`` keeps each engine's default: on for streaming
-    #: (whose loop-heavy per-event probing it replaces outright), off for
-    #: batch.
-    shard_cycles: Optional[bool] = None
+    #: DFS, and much faster on loop-heavy traces.
+    shard_cycles: bool = False
     #: Apply the MagicFuzzer relation reduction
     #: (:func:`repro.core.reduction.reduce_relation`) before enumeration;
     #: removed-tuple counts surface as ``WolfReport.reduced_tuples``.
@@ -240,7 +232,6 @@ class Wolf:
         report = WolfReport(
             program=name or getattr(program, "__name__", "program"),
             seeds=cfg.seeds(),
-            engine=cfg.engine,
             predict=cfg.predict,
             backend=binfo["backend"],
             kernel=binfo["kernel"],
@@ -265,11 +256,9 @@ class Wolf:
                     max_cycles=cfg.max_cycles,
                     max_steps=cfg.max_steps,
                     step_timeout=cfg.step_timeout,
-                    engine=cfg.engine,
                     shard_cycles=cfg.shard_cycles,
                     reduce=cfg.reduce,
                     predict=cfg.predict,
-                    backend=cfg.backend,
                 )
                 for seed in cfg.seeds()
             ]

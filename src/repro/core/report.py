@@ -200,11 +200,8 @@ class WolfReport:
     #: Trace/graph well-formedness violations found by the sanitizer
     #: (populated only with ``WolfConfig.sanitize``; [] = clean).
     sanitizer: List["SanitizerDiagnostic"] = field(default_factory=list)
-    #: Analysis engine the detections ran with (``"batch"``/``"streaming"``/
-    #: ``"auto"``; classifications are engine-independent).
-    engine: str = "batch"
-    #: Resolved analysis backend (``"python"``/``"native"``) trace-driven
-    #: streaming work would run with under this pipeline's config —
+    #: Resolved analysis backend (``"python"``/``"native"``) on-disk
+    #: ``.wtrc`` analysis would run with under this pipeline's config —
     #: attribution for benchmark artifacts; classifications are
     #: backend-independent (the differential suite proves it).
     backend: str = "python"
@@ -399,7 +396,6 @@ class WolfReport:
                 "sanitizer": [d.to_dict() for d in self.sanitizer],
                 "timings": self.timings,
                 "workers": self.workers,
-                "engine": self.engine,
                 "backend": self.backend,
                 "kernel": self.kernel,
                 "reduced_tuples": self.reduced_tuples,

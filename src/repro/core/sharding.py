@@ -29,10 +29,10 @@ staying **output-identical** to the monolithic DFS:
    DFS emits, so downstream consumers (defect keys, Pruner, Generator,
    report JSON) cannot tell the difference.
 
-The single carve-out is ``max_cycles`` truncation: like the streaming
-engine's documented carve-out, both paths stop at the cap and report
-``truncated=True``, but *which* cycles survive may differ when a single
-shard's shape count itself exceeds the cap.
+The single carve-out is ``max_cycles`` truncation: both paths stop at
+the cap and report ``truncated=True``, but *which* cycles survive may
+differ when a single shard's shape count itself exceeds the cap — the
+sharded search then keeps a different subset of the same size.
 """
 
 from __future__ import annotations

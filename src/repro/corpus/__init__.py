@@ -22,7 +22,6 @@ from repro.corpus.build import (
     BuildReport,
     CampaignConfig,
     CampaignSource,
-    analyze_trace_file,
     build_corpus,
     build_from_quarantine,
     iter_campaign_sources,
@@ -76,7 +75,6 @@ __all__ = [
     "ManifestError",
     "MinimizeResult",
     "TraceRecord",
-    "analyze_trace_file",
     "build_corpus",
     "build_from_quarantine",
     "canonical_keys",

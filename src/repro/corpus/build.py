@@ -12,11 +12,12 @@ that gets analyzed, exactly as a production recorder would hand traces
 to the fleet.
 
 Admission is coverage-greedy: the recorded file is re-detected offline
-(streaming engine over the file), and the trace joins the corpus only if
-it witnesses at least one coverage key — ``program :: defect sites`` —
-no already-admitted trace witnesses.  Admitted traces are minimized
-(:mod:`repro.corpus.minimize`) before they are sealed into the manifest,
-so a governed corpus stays tens of KBs at hundreds of covered defects.
+(:func:`repro.core.nativekernel.analyze_trace_file`), and the trace joins
+the corpus only if it witnesses at least one coverage key — ``program ::
+defect sites`` — no already-admitted trace witnesses.  Admitted traces
+are minimized (:mod:`repro.corpus.minimize`) before they are sealed into
+the manifest, so a governed corpus stays tens of KBs at hundreds of
+covered defects.
 """
 
 from __future__ import annotations
@@ -26,8 +27,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, List, Optional, Sequence
 
-from repro.core.detector import DetectionResult
-from repro.core.streaming import StreamingDetector
+from repro.core.nativekernel import analyze_trace_file
 from repro.corpus.manifest import (
     DETECTOR_PARAMS,
     MANIFEST_NAME,
@@ -153,20 +153,6 @@ def record_source(source: CampaignSource, dest: str, cfg: CampaignConfig) -> boo
     return bool(result.errors)
 
 
-def analyze_trace_file(
-    path: str,
-    *,
-    max_length: int = DETECTOR_PARAMS["max_length"],
-    max_cycles: int = DETECTOR_PARAMS["max_cycles"],
-) -> tuple[DetectionResult, int]:
-    """Offline detection over a ``.wtrc`` file, one event at a time;
-    returns ``(detection, events_in_file)``."""
-    det = StreamingDetector(max_length=max_length, max_cycles=max_cycles)
-    with TraceFileReader(path) as reader:
-        det.feed_many(reader)
-    return det.finish(), det.events_seen
-
-
 def _safe_name(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9_.-]", "_", name)
 
@@ -214,9 +200,9 @@ def build_corpus(
             errored = record_source(source, scratch, cfg)
             if errored:
                 report.run_errors += 1
-            detection, n_events = analyze_trace_file(scratch)
-            report.events_recorded += n_events
-            keys = canonical_keys(detection.defect_keys())
+            analysis = analyze_trace_file(scratch, **DETECTOR_PARAMS)
+            report.events_recorded += analysis.events
+            keys = canonical_keys(analysis.detection.defect_keys())
             if not keys:
                 report.rejected_clean += 1
                 continue
@@ -230,7 +216,7 @@ def build_corpus(
             minimized = minimize_trace_file(scratch, final)
             # Keys are re-derived from the *minimized* file: the manifest
             # must describe the committed artifact, not its ancestor.
-            final_detection, _ = analyze_trace_file(final)
+            final_detection = analyze_trace_file(final, **DETECTOR_PARAMS).detection
             final_keys = canonical_keys(final_detection.defect_keys())
             record = TraceRecord(
                 file=filename,
@@ -344,15 +330,13 @@ def build_from_quarantine(
                     report.run_errors += 1
                     say(f"skipped {entry}: {corruption.render()}, no salvageable prefix")
                     continue
-            detection, n_events = analyze_trace_file(scratch)
-            report.events_recorded += n_events
-            keys = canonical_keys(detection.defect_keys())
+            analysis = analyze_trace_file(scratch, **DETECTOR_PARAMS)
+            report.events_recorded += analysis.events
+            keys = canonical_keys(analysis.detection.defect_keys())
             if not keys:
                 report.rejected_clean += 1
                 continue
-            with TraceFileReader(scratch) as reader:
-                program, seed = reader.program, reader.seed
-            program = program or stem
+            program, seed = analysis.program or stem, analysis.seed
             coverage = {coverage_key(program, k) for k in keys}
             if coverage <= manifest.coverage():
                 report.rejected_covered += 1
@@ -361,7 +345,7 @@ def build_from_quarantine(
             filename = f"quar-{stem}.wtrc"
             final = os.path.join(corpus_dir, filename)
             minimized = minimize_trace_file(scratch, final)
-            final_detection, _ = analyze_trace_file(final)
+            final_detection = analyze_trace_file(final, **DETECTOR_PARAMS).detection
             final_keys = canonical_keys(final_detection.defect_keys())
             record = TraceRecord(
                 file=filename,

@@ -34,10 +34,10 @@ import os
 from typing import Dict, List, Optional
 
 from repro.core.generator import Generator
+from repro.core.nativekernel import analyze_trace_file
 from repro.core.parallel import closure_index_for, predict_decisions
 from repro.core.prediction import PredictionVerdict
 from repro.core.pruner import Pruner
-from repro.corpus.build import analyze_trace_file
 from repro.corpus.manifest import (
     HEALTH_SCHEMA,
     CorpusManifest,
@@ -59,18 +59,18 @@ def compute_health(corpus_dir: str, manifest: CorpusManifest) -> Dict[str, objec
     total_verdicts = {"certified": 0, "refuted": 0, "undecided": 0}
     for rec in manifest.traces:
         path = os.path.join(corpus_dir, rec.file)
-        detection, _ = analyze_trace_file(
+        detection = analyze_trace_file(
             path,
             max_length=manifest.detector["max_length"],
             max_cycles=manifest.detector["max_cycles"],
-        )
+        ).detection
         keys = canonical_keys(detection.defect_keys())
         prune = Pruner(detection.vclocks).prune(detection.cycles)
         gen = Generator(detection.relation).run(prune.survivors)
         candidates = len(gen.survivors)
-        # The streaming detector never materializes the trace; the
-        # closure index re-reads the committed bytes, and only when the
-        # Generator left a survivor to predict.
+        # File analysis never materializes the trace; the closure index
+        # re-reads the committed bytes, and only when the Generator left
+        # a survivor to predict.
         index = closure_index_for(detection, gen.decisions, path)
         preds = predict_decisions(index, gen.decisions)
         verdicts = {"certified": 0, "refuted": 0, "undecided": 0}

@@ -186,16 +186,16 @@ def validate_corpus(
 
 def _deep_validate(corpus_dir: str, manifest: CorpusManifest) -> List[str]:
     """Re-detect every trace; keys must match the manifest exactly."""
-    from repro.corpus.build import analyze_trace_file
+    from repro.core.nativekernel import analyze_trace_file
 
     problems: List[str] = []
     for rec in manifest.traces:
         path = os.path.join(corpus_dir, rec.file)
-        detection, _ = analyze_trace_file(
+        detection = analyze_trace_file(
             path,
             max_length=manifest.detector["max_length"],
             max_cycles=manifest.detector["max_cycles"],
-        )
+        ).detection
         fresh = canonical_keys(detection.defect_keys())
         if fresh != rec.defect_keys:
             problems.append(

@@ -30,13 +30,9 @@ class ExperimentSettings:
     task_timeout: Optional[float] = None
     #: Retries before a failing detection/replay task is quarantined.
     task_retries: int = 2
-    #: Analysis engine for WOLF detections: ``"batch"``, ``"streaming"``,
-    #: or ``"auto"`` (pick by event count; identical results either way —
-    #: see :mod:`repro.core.streaming`).
-    engine: str = "batch"
-    #: Sharded, deduplicated cycle enumeration (``None`` = engine default:
-    #: on for streaming, off for batch; see :mod:`repro.core.sharding`).
-    shard_cycles: Optional[bool] = None
+    #: Sharded, deduplicated cycle enumeration (output-identical; see
+    #: :mod:`repro.core.sharding`).
+    shard_cycles: bool = False
     #: Drop provably cycle-free tuples before enumeration
     #: (:func:`repro.core.reduction.reduce_relation`).
     reduce: bool = False
@@ -67,7 +63,6 @@ def run_wolf(b: Benchmark, settings: ExperimentSettings) -> WolfReport:
         workers=settings.workers,
         task_timeout=settings.task_timeout,
         task_retries=settings.task_retries,
-        engine=settings.engine,
         shard_cycles=settings.shard_cycles,
         reduce=settings.reduce,
         predict=settings.predict,

@@ -78,9 +78,9 @@ class StreamSession:
         self.shard = shard
         self.backend = backend
         self.state = SessionState.ACTIVE
-        # shard=True defers cycle enumeration to finalize(), where it fans
-        # out through the supervised pool (output-identical per the
-        # sharding gates, so the byte-identity property still holds).
+        # Cycle enumeration runs at finalize(); shard=True fans it out
+        # through the supervised pool (output-identical per the sharding
+        # gates, so the byte-identity property still holds).
         if backend == "native":
             # Resolved by the server at startup: one decoder/detector pair
             # sharing a per-stream kernel context; reports stay

@@ -463,14 +463,14 @@ class TestRollup:
 
 def _deadlocking_trace(tmp_path):
     """(program name, .wtrc path) of a trace that witnesses a defect."""
-    from repro.corpus.build import analyze_trace_file
+    from repro.core.nativekernel import analyze_trace_file
     from repro.corpus.manifest import canonical_keys
 
     for b in all_benchmarks():
         run = run_detection(b.program, b.detect_seed, name=b.name)
         path = str(tmp_path / f"{b.name}-cand.wtrc")
         write_trace(run.trace, path, events_per_chunk=16)
-        detection, _ = analyze_trace_file(path)
+        detection = analyze_trace_file(path).detection
         if canonical_keys(detection.defect_keys()):
             return b.name, path
     raise RuntimeError("no registry benchmark witnesses a deadlock")

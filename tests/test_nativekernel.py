@@ -332,8 +332,26 @@ class TestDifferentialRegistry:
             )
             assert nat == py, f"report bytes diverge on {name}"
 
+    def test_capped_reports_byte_identical(self, registry_traces):
+        """A binding ``max_cycles`` cap keeps the same cycles on both
+        backends, so the capped report bytes agree too."""
+        for name, path, max_length in registry_traces:
+            for cap in (1, 2, 3):
+                kw = dict(max_length=max_length, max_cycles=cap)
+                py = render_report(report_doc_for_file(path, backend="python", **kw))
+                nat = render_report(report_doc_for_file(path, backend="native", **kw))
+                assert nat == py, f"capped report bytes diverge on {name} at {cap}"
+
     def test_internal_state_identical(self, registry_traces):
-        """Beyond the report: cycles, clocks and the full relation."""
+        """Beyond the report: capped and uncapped cycle lists, clocks and
+        the full relation."""
+        for name, path, max_length in registry_traces:
+            for cap in (1, 2, 3):
+                kw = dict(max_length=max_length, max_cycles=cap)
+                dp = analyze_trace_file(path, backend="python", **kw).detection
+                dn = analyze_trace_file(path, backend="native", **kw).detection
+                assert _steps(dn) == _steps(dp), f"{name} at cap {cap}"
+                assert dn.truncated == dp.truncated, f"{name} at cap {cap}"
         for name, path, max_length in registry_traces[:4]:
             py = analyze_trace_file(path, max_length=max_length, backend="python")
             nat = analyze_trace_file(path, max_length=max_length, backend="native")

@@ -18,11 +18,11 @@ import os
 
 from repro.core.detector import ExtendedDetector
 from repro.core.generator import Generator, GeneratorVerdict
+from repro.core.nativekernel import analyze_trace_file
 from repro.core.parallel import predict_decisions
 from repro.core.pipeline import run_detection
 from repro.core.prediction import ClosureIndex
 from repro.core.pruner import Pruner
-from repro.corpus.build import analyze_trace_file
 from repro.corpus.manifest import MANIFEST_NAME, CorpusManifest
 from repro.runtime.tracefile import TraceFileReader
 from repro.workloads.randomgen import build_program, random_spec
@@ -76,11 +76,11 @@ def prediction_rows():
     manifest = CorpusManifest.load(os.path.join(CORPUS, MANIFEST_NAME))
     for rec in manifest.traces:
         path = os.path.join(CORPUS, rec.file)
-        detection, _ = analyze_trace_file(
+        detection = analyze_trace_file(
             path,
             max_length=manifest.detector["max_length"],
             max_cycles=manifest.detector["max_cycles"],
-        )
+        ).detection
         with TraceFileReader(path) as reader:
             index = ClosureIndex.from_events(reader)
         yield from _rows(rec.file, detection, index)

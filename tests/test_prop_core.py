@@ -109,8 +109,9 @@ def ordered_specs():
 
 
 def assert_engines_match_oracle(spec, *, acyclic=False):
-    """Batch, sharded, per-event streaming and native enumeration against
-    :func:`oracle` at ``max_cycles`` 0, 1 and unbounded."""
+    """Batch, sharded, streaming and native enumeration against
+    :func:`oracle` at ``max_cycles`` 0, 1 and unbounded.  Streaming and
+    native must return exactly batch's list at every cap."""
     run = run_detection(build_program(spec), 0, tries=5)
     rel = ExtendedDetector(max_length=3).analyze(run.trace).relation
     if acyclic:
@@ -151,13 +152,19 @@ def assert_engines_match_oracle(spec, *, acyclic=False):
             expected, truncated = oracle(rel, 3, mc)
             if acyclic:
                 assert not expected
+            batch = None
             for name, engine in engines.items():
                 if mc == 0 and name != "batch":
                     continue  # the others reject a zero budget
                 cycles, got_truncated = engine(mc)
                 got = [steps_of(c.entries) for c in cycles]
-                # Under a binding cap engines may keep different cycles
-                # (the documented carve-out), never other ones.
+                if name == "batch":
+                    batch = got
+                elif name != "sharded":
+                    assert got == batch, (name, mc)
+                # Under a binding cap the sharded search may keep a
+                # different subset (its documented carve-out), never
+                # other cycles.
                 assert set(got) <= expected, (name, mc)
                 assert len(got) == len(set(got)) == min(len(expected), mc)
                 assert got_truncated == truncated, (name, mc)

@@ -1,7 +1,8 @@
-"""Streaming engine equivalence: the fused single-pass detector must
-reproduce the batch ``ExtendedDetector`` exactly — cycles (in order),
-clocks, relation, prune decisions and defect keys — on every registry
-benchmark and on random programs."""
+"""Streaming detector equivalence: the single-pass detector must
+reproduce the batch ``ExtendedDetector`` oracle exactly — cycles (in
+order, under a binding ``max_cycles`` cap too), clocks, relation, prune
+decisions and defect keys — on every registry benchmark and on random
+programs."""
 
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from repro.core.detector import ExtendedDetector
 from repro.core.pipeline import Wolf, WolfConfig, run_detection
 from repro.core.pruner import Pruner
-from repro.core.streaming import StreamingDetector, analyze_stream
+from repro.core.streaming import StreamingDetector
 from repro.workloads.registry import all_benchmarks, get_benchmark
 from tests.conftest import two_lock_program
 from tests.randprog import build_program, program_specs
@@ -65,26 +66,27 @@ def test_registry_equivalence(b):
 
 @pytest.mark.parametrize("b", all_benchmarks(), ids=lambda b: b.name)
 def test_registry_report_identical(b):
-    """Pipeline-level gate: WolfReport JSON byte-identical across engines
-    (modulo wall-clock timings and the engine tag itself)."""
+    """Pipeline-level gate: WolfReport JSON byte-identical (modulo
+    wall-clock timings) whether the detector enumerates cycles with the
+    monolithic DFS or the sharded search."""
     reports = {}
-    for eng in ("batch", "streaming"):
+    for shard in (False, True):
         cfg = WolfConfig(
             seed=b.detect_seed,
             replay_attempts=b.replay_attempts,
             max_cycle_length=b.max_cycle_length,
-            engine=eng,
+            shard_cycles=shard,
         )
-        reports[eng] = Wolf(config=cfg).analyze(b.program, name=b.name)
+        reports[shard] = Wolf(config=cfg).analyze(b.program, name=b.name)
 
     def canonical(rep) -> str:
         doc = json.loads(rep.to_json())
         doc.pop("timings")
-        doc.pop("engine")
         return json.dumps(doc, sort_keys=True)
 
-    assert canonical(reports["batch"]) == canonical(reports["streaming"])
-    assert reports["streaming"].engine == "streaming"
+    assert canonical(reports[False]) == canonical(reports[True])
+    assert all(d.sharding is None for d in reports[False].detections)
+    assert all(d.sharding is not None for d in reports[True].detections)
 
 
 class TestFeedProtocol:
@@ -107,11 +109,12 @@ class TestFeedProtocol:
         assert len(res.trace) == 0
         assert len(res.cycles) == 1
 
-    def test_analyze_stream_helper(self):
+    def test_feed_many_consumes_one_pass_iterator(self):
         run = run_detection(two_lock_program, 0)
-        res = analyze_stream(iter(run.trace))
+        det = StreamingDetector()
+        det.feed_many(iter(run.trace))
         batch = ExtendedDetector().analyze(run.trace)
-        assert cycle_key(res) == cycle_key(batch)
+        assert cycle_key(det.finish()) == cycle_key(batch)
 
     def test_as_trace_sink(self):
         """feed works as a SinkTrace sink: analysis without storage."""
@@ -139,8 +142,7 @@ class TestFeedProtocol:
 
 class TestTruncation:
     def test_truncated_flag_matches(self):
-        """Both engines report truncation at the same cap (the surviving
-        cycle *sets* may differ — documented carve-out)."""
+        """Both detectors stop at the same cap and keep the same cycles."""
         b = get_benchmark("HashMap")
         run = run_detection(b.program, b.detect_seed, name=b.name)
         full = ExtendedDetector(max_length=b.max_cycle_length).analyze(run.trace)
@@ -153,6 +155,22 @@ class TestTruncation:
         ).analyze(run.trace)
         assert batch.truncated and stream.truncated
         assert len(batch.cycles) == len(stream.cycles) == 2
+        assert cycle_key(batch) == cycle_key(stream)
+
+    @pytest.mark.parametrize("b", all_benchmarks(), ids=lambda b: b.name)
+    def test_registry_capped_equivalence(self, b):
+        """Under a binding cap the detector returns exactly the oracle's
+        capped cycle list, on every benchmark."""
+        run = run_detection(b.program, b.detect_seed, name=b.name)
+        for cap in (1, 2, 3):
+            batch = ExtendedDetector(
+                max_length=b.max_cycle_length, max_cycles=cap
+            ).analyze(run.trace)
+            stream = StreamingDetector(
+                max_length=b.max_cycle_length, max_cycles=cap
+            ).analyze(run.trace)
+            assert cycle_key(batch) == cycle_key(stream), cap
+            assert batch.truncated == stream.truncated, cap
 
 
 @given(program_specs())
