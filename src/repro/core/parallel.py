@@ -692,7 +692,11 @@ class ProcessEngine:
                     break
                 envelope = guarded_call(fn, task, policy.task_timeout)
             else:
-                attributable = future is None  # solo (re)submission?
+                # Only a solo submission, made once the engine is already
+                # cautious, can be blamed for a breakage: a retry made
+                # while the first concurrent batch still runs shares the
+                # pool with every other task in flight.
+                attributable = future is None and self._cautious
                 if future is None:
                     try:
                         future = self._ensure_pool().submit(
@@ -712,7 +716,7 @@ class ProcessEngine:
                 except BrokenExecutor as exc:
                     future = None
                     self._note_breakage(policy, f"worker process died: {exc}")
-                    if not (attributable and self._cautious):
+                    if not attributable:
                         # Collateral damage from another task's crash (or
                         # from the pre-breakage concurrent batch, where the
                         # culprit is unknowable): re-run, no attempt spent.

@@ -20,18 +20,30 @@ Protocol per thread (baton passing; see :meth:`Scheduler.park`):
    thread owns and waits on), and the parking thread then waits on its
    own.  So a step costs at most one OS thread switch, and none when the
    strategy re-picks the running thread;
-3. a spawned thread gets its OS thread at its first grant (the dispatch
-   of its :class:`BeginOp`): the granting thread starts it, and it runs
-   the workload at once;
+3. a simulated thread gets its OS thread at its first grant (the dispatch
+   of its :class:`BeginOp`): the granting thread leases an idle worker
+   from a process-wide pool (starting a new one only when none is idle)
+   and releases the worker's baton, and the worker runs the workload at
+   once;
 4. the caller's thread runs the first step, then only waits for the run to
    end.  It raises :class:`SchedulerStalled` when one burst (from the
    moment the granted thread runs until it parks again) outlives
    ``step_timeout``; the step loop itself is not timed.  Once the run
    ends, fails or stalls, every parked thread is woken and unwinds with
    :class:`ThreadKilled`, a running one does so at its next park, and the
-   caller joins every OS thread before :meth:`Scheduler.run` returns.
+   caller waits (up to 5 s each) for every worker to finish its job for
+   the run before :meth:`Scheduler.run` returns.
 
-Scheduler code (strategy hooks, trace sinks, thread start) runs in
+The pool has no size knob: it grows only when no worker is idle, so it
+holds as many workers as were ever busy at once.  A worker rejoins it
+only when the simulated thread's body has returned, so one still inside
+a stalled burst is never leased again.  It starts no thread at import,
+and a forked child starts with an empty pool.
+Simulated threads therefore share OS-level thread identity
+(``threading.local`` values, ``threading.current_thread()``) across runs;
+a workload must not rely on either.
+
+Scheduler code (strategy hooks, trace sinks, worker leases) runs in
 whichever thread runs the step loop.  An exception it raises ends the run
 and :meth:`Scheduler.run` raises it in the caller; workload code only ever
 sees :class:`ThreadKilled`.
@@ -44,6 +56,7 @@ threads can make progress").
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 from dataclasses import dataclass, field
@@ -98,7 +111,7 @@ class Op:
 @dataclass
 class BeginOp(Op):
     """Where every thread starts, before any workload code runs: granting
-    it starts the thread's OS thread."""
+    it leases the thread a pooled worker."""
 
 
 @dataclass
@@ -187,7 +200,9 @@ class _ThreadRecord:
     op: Optional[Op] = field(default_factory=BeginOp)
     #: Released to grant this thread a burst (see :meth:`Scheduler.park`).
     baton: threading.Lock = field(default_factory=_new_baton)
-    os_thread: Optional[threading.Thread] = None
+    #: Held while a pooled worker runs this thread's body; ``None`` until
+    #: its first grant leases one (see :meth:`Scheduler._start`).
+    running: Optional[threading.Lock] = None
     state: str = ThreadState.NEW
     #: The workload returned or raised; its last park closes the thread.
     finished: bool = False
@@ -215,6 +230,60 @@ class _ThreadRecord:
 
     def held_locks(self) -> Tuple[object, ...]:
         return tuple(l for l, _ in self.held)
+
+
+# --------------------------------------------------------------------------
+# Worker pool
+# --------------------------------------------------------------------------
+
+#: Name of a pooled worker that holds no lease.
+_IDLE_NAME = "sim-worker"
+
+#: Pooled workers parked on their batons with no job, last parked last.
+_idle: List["_Worker"] = []
+
+if hasattr(os, "register_at_fork"):
+    # A forked child has none of its parent's threads.
+    os.register_at_fork(after_in_child=_idle.clear)
+
+
+class _Worker:
+    """A pooled daemon OS thread that runs one simulated thread's body per
+    lease (see :meth:`Scheduler._start`).
+
+    Idle, it waits on its baton in :data:`_idle`.  It rejoins
+    :data:`_idle` once :meth:`Scheduler._runner` returns, and only then
+    releases the record's ``running`` lock, so a worker still inside a
+    stalled burst is never leased, and every worker a finished run used is
+    idle again when :meth:`Scheduler.run` returns.
+    """
+
+    __slots__ = ("thread", "baton", "job")
+
+    def __init__(self) -> None:
+        self.baton = _new_baton()
+        self.job: Optional[Tuple[Scheduler, _ThreadRecord]] = None
+        self.thread = threading.Thread(
+            target=self._serve, daemon=True, name=_IDLE_NAME
+        )
+        self.thread.start()
+
+    def lease(self, sched: "Scheduler", record: _ThreadRecord) -> None:
+        self.thread.name = record.tid.pretty()
+        self.job = (sched, record)
+        self.baton.release()
+
+    def _serve(self) -> None:
+        while True:
+            self.baton.acquire()
+            sched, record = self.job
+            self.job = None
+            try:
+                sched._runner(record)
+                self.thread.name = _IDLE_NAME
+                _idle.append(self)
+            finally:
+                record.running.release()
 
 
 class Scheduler:
@@ -291,7 +360,7 @@ class Scheduler:
             record.exc = exc
         record.finished = True
         granted = self._schedule(record)
-        if granted is not None and granted.os_thread is None:
+        if granted is not None and granted.running is None:
             self._start(granted)
 
     # -- main loop -----------------------------------------------------------------
@@ -334,7 +403,7 @@ class Scheduler:
         granted = self._schedule(record)
         if granted is not record:
             if granted is None or (
-                granted.os_thread is None and not self._start(granted)
+                granted.running is None and not self._start(granted)
             ):
                 raise ThreadKilled()
             record.baton.acquire()
@@ -350,7 +419,7 @@ class Scheduler:
         """Close ``record``'s burst and step until a thread is granted one.
 
         Returns the granted thread, its baton already released when it has
-        an OS thread (one without is for the caller to :meth:`_start`), or
+        a worker (one without is for the caller to :meth:`_start`), or
         ``None`` when the run is over.  An exception from scheduler code
         ends the run and is kept for :meth:`run` to raise; it never reaches
         workload code.
@@ -369,7 +438,7 @@ class Scheduler:
             if (
                 granted is not None
                 and granted is not record
-                and granted.os_thread is not None
+                and granted.running is not None
             ):
                 granted.baton.release()
             return granted
@@ -423,21 +492,23 @@ class Scheduler:
         return None
 
     def _start(self, record: _ThreadRecord) -> bool:
-        """Start ``record``'s OS thread at its first grant; it runs the
-        workload right away.  A thread that cannot start ends the run;
-        returns whether it started."""
-        record.os_thread = threading.Thread(
-            target=self._runner, args=(record,), daemon=True, name=record.tid.pretty()
-        )
+        """Lease ``record`` a pooled worker at its first grant, starting a
+        new one only when none is idle; it runs the workload right away.
+        A worker that cannot start ends the run; returns whether it
+        started."""
         try:
-            record.os_thread.start()
-        except BaseException as exc:  # noqa: BLE001 - re-raised by run()
-            record.os_thread = None
-            with self._mutex:
-                if not self._over:
-                    self._failure = exc
-                    self._end(self._status)
-            return False
+            worker = _idle.pop()
+        except IndexError:
+            try:
+                worker = _Worker()
+            except BaseException as exc:  # noqa: BLE001 - re-raised by run()
+                with self._mutex:
+                    if not self._over:
+                        self._failure = exc
+                        self._end(self._status)
+                return False
+        record.running = _new_baton()
+        worker.lease(self, record)
         return True
 
     def _await_end(self) -> None:
@@ -796,12 +867,13 @@ class Scheduler:
 
     def _teardown(self) -> None:
         """End the run, wake every parked thread so it unwinds with
-        :class:`ThreadKilled`, and join every OS thread."""
+        :class:`ThreadKilled`, and wait for every worker to finish its job
+        for the run."""
         with self._mutex:
             self._over = True
             for record in self.records.values():
-                if record.os_thread is not None and record.baton.locked():
+                if record.running is not None and record.baton.locked():
                     record.baton.release()
         for record in self.records.values():
-            if record.os_thread is not None and record.os_thread.is_alive():
-                record.os_thread.join(timeout=5.0)
+            if record.running is not None:
+                record.running.acquire(timeout=5.0)

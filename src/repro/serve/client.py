@@ -320,8 +320,13 @@ def chaos_client(
             target = min(len(broken) - 1, 24)
             broken[target] ^= 0xFF
             sock.sendall(encode_frame(FrameKind.DATA, bytes(broken[:credit])))
-            sock.sendall(encode_frame(FrameKind.FIN))
             outcome.bytes_sent = min(len(broken), credit)
+            try:
+                sock.sendall(encode_frame(FrameKind.FIN))
+            except ConnectionError:
+                # The daemon classified the DATA frame and hung up first;
+                # its ERR frame still waits in our receive buffer.
+                pass
         elif mode == "oversized":
             # Real stream header, then an EVENTS chunk declaring 256 MiB.
             from repro.runtime.tracefile import _EVENTS, FORMAT_VERSION, MAGIC

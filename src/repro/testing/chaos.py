@@ -18,8 +18,9 @@ stay clean):
   to test fault tolerance — so reports classify identically either way.
 
 The module-level task functions at the bottom (:func:`echo_task`,
-:func:`failing_task`, :func:`sleeping_task`, :func:`exiting_task`) drive
-the engines directly, below the pipeline, for harness-level tests.
+:func:`failing_task`, :func:`sleeping_task`, :func:`exiting_task`,
+:func:`racing_task`) drive the engines directly, below the pipeline, for
+harness-level tests.
 """
 
 from __future__ import annotations
@@ -189,3 +190,45 @@ def exiting_task(code: int):
     if in_worker_process():
         os._exit(code)
     raise SimulatedWorkerCrash(f"exiting_task({code}) simulated in-process")
+
+
+def _post_marker(path: str) -> None:
+    with open(path, "w"):
+        pass
+
+
+def _await_marker(path: str, timeout: float) -> None:
+    deadline = time.monotonic() + timeout
+    while not os.path.exists(path):
+        if time.monotonic() > deadline:
+            raise ChaosError(f"marker {path} never appeared")
+        time.sleep(0.01)
+
+
+def racing_task(job):
+    """One side of a retry racing another task's worker crash, ordered
+    through marker files in the directory ``job[1]``.
+
+    ``"raiser"`` raises on its first attempt.  Its retry posts ``retry``,
+    waits for ``crash`` and then sleeps until the supervisor abandons the
+    broken pool under it; any later attempt returns ``"raiser"``.
+    ``"crasher"`` waits for ``retry``, posts ``crash`` and exits its
+    worker, at once on any later attempt.
+    """
+    role, where = job
+    retry = os.path.join(where, "retry")
+    crash = os.path.join(where, "crash")
+    if role == "crasher":
+        if not os.path.exists(crash):
+            _await_marker(retry, 30.0)
+            _post_marker(crash)
+        return exiting_task(3)
+    raised = os.path.join(where, "raised")
+    if not os.path.exists(raised):
+        _post_marker(raised)
+        raise ChaosError("racing_task: first attempt")
+    if not os.path.exists(crash):
+        _post_marker(retry)
+        _await_marker(crash, 30.0)
+        time.sleep(30.0)
+    return role

@@ -12,6 +12,7 @@ from __future__ import annotations
 import asyncio
 import json
 import os
+import select
 import signal
 import subprocess
 import sys
@@ -322,6 +323,46 @@ class TestChaosSuite:
             reason = json.load(fh)
         assert reason["code"] == code
         assert st.server.stats.internal_errors == 0
+
+    @pytest.mark.skipif(
+        not hasattr(select, "POLLRDHUP"), reason="needs poll(POLLRDHUP)"
+    )
+    def test_corrupt_verdict_read_after_daemon_hangs_up(
+        self, harness, monkeypatch
+    ):
+        """The daemon may classify the corrupt DATA frame and hang up
+        before the client writes FIN; the client still reads its ERR."""
+        from repro.serve import client
+        from repro.serve.protocol import FrameKind, encode_frame
+
+        fin = encode_frame(FrameKind.FIN)
+        connect = client._connect
+
+        class FinAfterHangUp:
+            def __init__(self, sock):
+                self._sock = sock
+
+            def __getattr__(self, name):
+                return getattr(self._sock, name)
+
+            def sendall(self, data):
+                if data == fin:
+                    poller = select.poll()
+                    poller.register(self._sock, select.POLLRDHUP)
+                    assert poller.poll(10_000), "the daemon never hung up"
+                self._sock.sendall(data)
+
+        monkeypatch.setattr(
+            client, "_connect", lambda *a, **kw: FinAfterHangUp(connect(*a, **kw))
+        )
+        make, sock, out, traces = harness
+        st = make()
+        outcome = chaos_client(
+            "corrupt", next(iter(traces.values())), "chaos-corrupt", socket_path=sock
+        )
+        st.drain()
+        assert outcome.err is not None
+        assert outcome.err["code"] == "corrupt-payload"
 
     def test_stall_evicted_as_idle_timeout(self, harness):
         make, sock, out, traces = harness

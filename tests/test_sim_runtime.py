@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+import os
+import signal
+import subprocess
 import sys
 import threading
 import time
+import warnings
 
 import pytest
 
@@ -19,7 +25,7 @@ from repro.runtime.events import (
 )
 from repro.runtime.sim.result import RunStatus
 from repro.runtime.sim.runtime import run_program
-from repro.runtime.sim.scheduler import LockUsageError, SchedulerStalled
+from repro.runtime.sim.scheduler import LockUsageError, SchedulerStalled, _idle
 from repro.runtime.sim.strategy import (
     FixedOrderStrategy,
     RandomStrategy,
@@ -344,13 +350,31 @@ def sleepy_checkpoints(rt):
         rt.checkpoint()
 
 
+def idle_threads():
+    """Threads of the pool's idle workers: parked on their baton, no job."""
+    return {w.thread for w in list(_idle) if w.job is None and w.baton.locked()}
+
+
+def busy_threads():
+    """Live threads other than idle pool workers."""
+    return set(threading.enumerate()) - idle_threads()
+
+
+def assert_hygienic(run):
+    """``run()`` leaves no thread behind but idle pool workers, even when
+    it reuses them, and running it again does not grow the pool."""
+    before = busy_threads()
+    run()
+    assert busy_threads() - before == set()
+    pool = idle_threads()
+    run()
+    assert busy_threads() - before == set()
+    assert idle_threads() == pool
+
+
 class TestFailurePaths:
     """Scheduler failures surface from ``run_program`` and leave no
-    thread behind."""
-
-    @staticmethod
-    def _new_threads(before):
-        return [t for t in threading.enumerate() if t not in before]
+    thread behind but idle pool workers."""
 
     def test_stalled_burst_raises(self):
         def program(rt):
@@ -358,10 +382,11 @@ class TestFailurePaths:
             with lock.at("slow:1"):
                 time.sleep(0.6)
 
-        before = set(threading.enumerate())
-        with pytest.raises(SchedulerStalled):
-            run_program(program, step_timeout=0.2)
-        assert self._new_threads(before) == []
+        def run():
+            with pytest.raises(SchedulerStalled):
+                run_program(program, step_timeout=0.2)
+
+        assert_hygienic(run)
 
     def test_step_timeout_bounds_one_burst_alone(self):
         result = run_program(
@@ -405,27 +430,29 @@ class TestFailurePaths:
             for h in hs:
                 h.join()
 
-        before = set(threading.enumerate())
-        strategy = RaisingStrategy(hook, nth)
-        with pytest.raises(Boom, match=hook):
-            run_program(program, strategy)
-        assert strategy.calls == nth
-        assert caught == []
-        assert self._new_threads(before) == []
+        def run():
+            strategy = RaisingStrategy(hook, nth)
+            with pytest.raises(Boom, match=hook):
+                run_program(program, strategy)
+            assert strategy.calls == nth
+            assert caught == []
+
+        assert_hygienic(run)
 
     def test_trace_sink_exception_propagates(self):
-        events = []
+        def run():
+            events = []
 
-        def sink(event):
-            events.append(event)
-            if len(events) == 4:
-                raise Boom("sink")
+            def sink(event):
+                events.append(event)
+                if len(events) == 4:
+                    raise Boom("sink")
 
-        before = set(threading.enumerate())
-        with pytest.raises(Boom, match="sink"):
-            run_program(two_lock_program, RandomStrategy(0), trace_sink=sink)
-        assert len(events) == 4
-        assert self._new_threads(before) == []
+            with pytest.raises(Boom, match="sink"):
+                run_program(two_lock_program, RandomStrategy(0), trace_sink=sink)
+            assert len(events) == 4
+
+        assert_hygienic(run)
 
 
 def one_at_a_time_program(rt):
@@ -481,20 +508,157 @@ class TestBatonStress:
 
 class TestHygiene:
     def test_no_leaked_os_threads(self):
-        before = threading.active_count()
-        for seed in range(5):
-            run_program(two_lock_program, RandomStrategy(seed))
-        after = threading.active_count()
-        assert after <= before + 1  # allow unrelated daemon jitter
+        def run():
+            for seed in range(5):
+                run_program(two_lock_program, RandomStrategy(seed))
+
+        assert_hygienic(run)
 
     def test_teardown_after_deadlock(self):
-        before = threading.active_count()
-        deadlocked = 0
-        for seed in range(20):
-            r = run_program(two_lock_program, RandomStrategy(seed))
-            deadlocked += r.status is RunStatus.DEADLOCK
-        assert deadlocked > 0
-        assert threading.active_count() <= before + 1
+        def run():
+            deadlocked = 0
+            for seed in range(20):
+                r = run_program(two_lock_program, RandomStrategy(seed))
+                deadlocked += r.status is RunStatus.DEADLOCK
+            assert deadlocked > 0
+
+        assert_hygienic(run)
+
+
+#: sha256 of :func:`reused_worker_runs` as the runtime produced it when
+#: every simulated thread had an OS thread of its own.
+FRESH_THREAD_RUNS = "91b1768b1dca22f498a0267c132db65f3ca732e8c3f172e5c8409f6ab9289da9"
+
+
+def reused_worker_runs():
+    """A deadlocked run, then clean runs on the workers it killed: their
+    statuses and event reprs (which carry the SL stack depth)."""
+    runs = [(two_lock_program, 2)]
+    runs += [(two_lock_program, seed) for seed in (0, 1, 3)]
+    runs += [(ordered_program, seed) for seed in (0, 1)]
+    rows = []
+    for program, seed in runs:
+        result = run_program(program, RandomStrategy(seed))
+        rows.append([result.status.value, [repr(e) for e in result.trace]])
+    return rows
+
+
+def wait_until(predicate, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "timed out"
+        time.sleep(0.01)
+
+
+class TestWorkerPool:
+    """Simulated threads run on pooled OS threads that outlive runs."""
+
+    def test_deadlocked_run_then_clean_runs_on_the_same_workers(self):
+        rows = reused_worker_runs()
+        assert [status for status, _ in rows] == ["deadlock"] + ["completed"] * 5
+        digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+        assert digest == FRESH_THREAD_RUNS
+        pool = idle_threads()
+        assert reused_worker_runs() == rows
+        assert idle_threads() == pool
+
+    def test_stalled_worker_is_not_leased(self):
+        """While a stalled burst holds its worker past the stall, other
+        runs lease other workers and complete."""
+        release = threading.Event()
+        stuck = []
+
+        def stalling(rt):
+            with rt.new_lock(name="L").at("slow:1"):
+                stuck.append(threading.current_thread())
+                release.wait(30)
+
+        strategy = RandomStrategy(0)
+        raised = []
+
+        def stall():
+            try:
+                run_program(stalling, strategy, step_timeout=0.2)
+            except SchedulerStalled as exc:
+                raised.append(exc)
+
+        ran_on = set()
+
+        def probe(rt):
+            ran_on.add(threading.current_thread())
+            child = rt.spawn(
+                lambda: ran_on.add(threading.current_thread()), site="sp:1"
+            )
+            child.join()
+
+        staller = threading.Thread(target=stall)
+        staller.start()
+        try:
+            wait_until(lambda: stuck and strategy.sched._over)
+            (worker,) = stuck
+            assert worker not in idle_threads()
+            for seed in range(3):
+                result = run_program(probe, RandomStrategy(seed))
+                assert result.status is RunStatus.COMPLETED
+            assert len(ran_on) >= 2 and worker not in ran_on
+        finally:
+            release.set()
+            staller.join(10)
+        assert len(raised) == 1
+        assert worker in idle_threads()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_runs_with_its_own_workers(self):
+        reference = run_program(two_lock_program, RandomStrategy(0))
+        assert idle_threads()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                result = run_program(
+                    two_lock_program, RandomStrategy(0), step_timeout=2
+                )
+                same = [repr(e) for e in result.trace] == [
+                    repr(e) for e in reference.trace
+                ]
+                code = 0 if same else 2
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 30
+        while True:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child's run never finished")
+            time.sleep(0.05)
+        assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
+
+    def test_analyze_leaves_only_idle_workers(self):
+        from repro.core.pipeline import Wolf
+
+        before = busy_threads()
+        report = Wolf(seed=0).analyze(two_lock_program, name="ab-ba")
+        assert report.cycle_reports
+        assert busy_threads() - before == set()
+
+    def test_import_starts_no_thread(self):
+        code = (
+            "import threading, repro, repro.core.pipeline, "
+            "repro.runtime.sim.scheduler; print(threading.active_count())"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert out.stdout.strip() == "1"
 
 
 class TestIdentities:

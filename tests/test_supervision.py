@@ -32,6 +32,7 @@ from repro.testing.chaos import (
     exiting_task,
     failing_task,
     in_worker_process,
+    racing_task,
     sleeping_task,
 )
 
@@ -198,6 +199,17 @@ class TestProcessSupervision:
             # Degraded, not dead: later tasks still run (in-process).
             (after,) = engine.map_supervised(echo_task, [9], FAST)
             assert after.ok and after.value == 9
+
+    def test_retry_beside_the_batch_not_blamed_for_a_crash(self, tmp_path):
+        """A retry submitted while the first concurrent batch still runs
+        shares its pool: when another task then kills its worker, the
+        retry is collateral, not the crasher."""
+        policy = SupervisionPolicy(task_timeout=60.0, retries=1, backoff_base_s=0.01)
+        jobs = [("raiser", str(tmp_path)), ("crasher", str(tmp_path))]
+        with ProcessEngine(2) as engine:
+            raiser, crasher = engine.map_supervised(racing_task, jobs, policy)
+        assert raiser.ok and raiser.value == "raiser" and raiser.retries == 1
+        assert crasher.status is TaskStatus.CRASHED
 
     def test_serial_and_process_agree_on_failure_signatures(self):
         serial = SerialEngine().map_supervised(failing_task, ["a"], FAST)
