@@ -17,8 +17,10 @@ same box, in the same process.  This gate therefore compares ratios:
   means the predictor lost precision);
 * ``macro.analyze_speedup.native`` — compiled analysis kernel vs the
   pure-Python streaming analyze on the same ``.wtrc`` macro (bench-core/4);
-* ``macro.analyze_speedup.mmap`` — zero-copy mmap reader vs the plain
-  pure-Python streaming analyze (bench-core/4).
+* ``macro.decode_ratio.ratio`` — in-memory streaming analyze of the
+  macro trace over a decode-only pass of its ``.wtrc``, in alternating
+  pairs on one CPU; it drops when the event decoder slows
+  (bench-core/5).
 
 A fresh ratio more than ``--tolerance`` (default 25%) below the committed
 baseline fails the gate.  When a regression is intentional (an accepted
@@ -49,7 +51,7 @@ GATED_RATIOS = [
     ("trace file size ratio", ("macro", "file_bytes", "ratio")),
     ("prediction decided ratio", ("prediction", "decided_ratio")),
     ("native analyze speedup", ("macro", "analyze_speedup", "native")),
-    ("mmap analyze speedup", ("macro", "analyze_speedup", "mmap")),
+    ("decode ratio", ("macro", "decode_ratio", "ratio")),
     # bench-serve/1 (BENCH_serve.json baselines, `--baseline BENCH_serve.json`).
     # Ratios absent from a bench-core baseline simply SKIP, so the two
     # documents share one gate script.

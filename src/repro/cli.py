@@ -10,10 +10,11 @@ Commands:
 * ``wolf trace record|pack|unpack|info`` — record detection traces to JSON
   or compact binary (``.wtrc``), convert between the two, and summarize a
   binary trace by streaming it;
-* ``wolf analyze-trace <file>`` — offline analysis of a saved trace
-  (binary auto-detected and analyzed one event at a time, without
-  materializing the event list, and ``--workers N`` fans the cycle
-  shards out to processes that re-read only their own chunks);
+* ``wolf analyze-trace <file.wtrc>`` — offline analysis of a saved
+  binary trace, one event at a time without materializing the event
+  list; ``--workers N`` fans the cycle shards out to processes that
+  re-read only their own chunks, and ``--backend`` picks the compiled
+  kernel or pure Python (JSON traces go through ``trace pack`` first);
 * ``wolf corpus build|minimize|validate|gate`` — run the fuzzing campaign
   into the governed trace corpus, minimize traces, check the strict
   manifest, and gate on lost defect keys vs ``CORPUS_health.json``
@@ -106,15 +107,6 @@ def _add_analysis_knobs(p: argparse.ArgumentParser, *, shard: bool) -> None:
         help="drop provably cycle-free tuples (MagicFuzzer-style "
         "reduction) before cycle enumeration",
     )
-    p.add_argument(
-        "--backend",
-        choices=("auto", "python", "native"),
-        default="auto",
-        help="analysis backend for on-disk .wtrc streaming: 'native' uses "
-        "the compiled kernel (errors if it cannot build/load), 'python' "
-        "forces the pure-Python path, 'auto' uses native when available "
-        "(identical results; default: auto)",
-    )
 
 
 def _add_predict(p: argparse.ArgumentParser) -> None:
@@ -200,7 +192,6 @@ def cmd_detect(args: argparse.Namespace) -> int:
         shard_cycles=getattr(args, "shard_cycles", False),
         reduce=getattr(args, "reduce", False),
         predict=getattr(args, "predict", "off"),
-        backend=getattr(args, "backend", "auto"),
         witness_dir=getattr(args, "witness_dir", None),
         replay_witness=replay_witness,
         **_supervision_kw(args),
@@ -335,83 +326,65 @@ def cmd_trace_info(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze_trace(args: argparse.Namespace) -> int:
-    """Offline analysis of a saved trace: detection + Pruner + Generator
-    (replay needs the live program and is not available offline).
+    """Offline analysis of a saved binary trace: detection + Pruner +
+    Generator (replay needs the live program and is not available
+    offline).
 
-    Binary traces (``wolf trace record --format binary`` / ``trace pack``)
-    are auto-detected and decoded and analyzed one event at a time, never
+    The ``.wtrc`` file is decoded and analyzed one event at a time, never
     materializing the event list.  With ``--workers N`` and sharded
     enumeration (the default here) the cycle-enumeration shards fan out to
-    worker processes that re-read only their own ``.wtrc`` chunks — the
-    parent ships chunk offsets, never pickled events.  JSON traces are
-    loaded whole, then analyzed by the same detector.
+    worker processes that re-read only their own chunks — the parent
+    ships chunk offsets, never pickled events.  A JSON trace is refused:
+    ``wolf trace pack`` converts it first.
     """
     from repro.core.generator import Generator, GeneratorVerdict
+    from repro.core.nativekernel import analyze_trace_file, kernel_version
     from repro.core.pruner import Pruner
     from repro.runtime.tracefile import is_tracefile
 
+    if not is_tracefile(args.trace_file):
+        print(
+            f"{args.trace_file}: not a binary .wtrc trace "
+            "(convert a JSON trace with `wolf trace pack`)",
+            file=sys.stderr,
+        )
+        return 1
+    backend = getattr(args, "backend", "auto")
     if getattr(args, "json", False):
         # Canonical report bytes — identical to the file the ingestion
         # daemon writes for the same trace (tests assert equality).
         from repro.serve.report import render_report, report_doc_for_file
 
-        if not is_tracefile(args.trace_file):
-            print(
-                f"{args.trace_file}: --json needs a binary .wtrc trace",
-                file=sys.stderr,
-            )
-            return 1
         sys.stdout.buffer.write(
-            render_report(
-                report_doc_for_file(
-                    args.trace_file,
-                    backend=getattr(args, "backend", "auto"),
-                )
-            )
+            render_report(report_doc_for_file(args.trace_file, backend=backend))
         )
         return 0
 
     shard = getattr(args, "shard_cycles", True)
-    reduce = getattr(args, "reduce", False)
     workers = getattr(args, "workers", 1) or 1
-    backend_used = None  # set on the binary path only
-    if is_tracefile(args.trace_file):
-        from repro.core.nativekernel import analyze_trace_file
+    shard_engine = policy = None
+    if shard and workers > 1:
+        from repro.core.parallel import ProcessEngine, SupervisionPolicy
 
-        shard_engine = policy = None
-        if shard and workers > 1:
-            from repro.core.parallel import ProcessEngine, SupervisionPolicy
-
-            retries = getattr(args, "retries", None)
-            policy = SupervisionPolicy(
-                task_timeout=getattr(args, "task_timeout", None),
-                retries=retries if retries is not None else 2,
-            )
-            shard_engine = ProcessEngine(workers)
-        try:
-            analysis = analyze_trace_file(
-                args.trace_file,
-                shard_cycles=shard,
-                reduce=reduce,
-                backend=getattr(args, "backend", "auto"),
-                shard_engine=shard_engine,
-                policy=policy,
-            )
-        finally:
-            if shard_engine is not None:
-                shard_engine.close()
-        detection = analysis.detection
-        program, seed = analysis.program, analysis.seed
-        n_events = analysis.events
-        backend_used = analysis.backend
-    else:
-        from repro.core.streaming import StreamingDetector
-        from repro.runtime.serialize import load_trace
-
-        with open(args.trace_file) as fh:
-            trace = load_trace(fh.read())
-        program, seed, n_events = trace.program, trace.seed, len(trace)
-        detection = StreamingDetector(shard_cycles=shard, reduce=reduce).analyze(trace)
+        retries = getattr(args, "retries", None)
+        policy = SupervisionPolicy(
+            task_timeout=getattr(args, "task_timeout", None),
+            retries=retries if retries is not None else 2,
+        )
+        shard_engine = ProcessEngine(workers)
+    try:
+        analysis = analyze_trace_file(
+            args.trace_file,
+            shard_cycles=shard,
+            reduce=getattr(args, "reduce", False),
+            backend=backend,
+            shard_engine=shard_engine,
+            policy=policy,
+        )
+    finally:
+        if shard_engine is not None:
+            shard_engine.close()
+    detection = analysis.detection
     prune = Pruner(detection.vclocks).prune(detection.cycles)
     gen = Generator(detection.relation).run(prune.survivors)
     predictions = None
@@ -420,12 +393,12 @@ def cmd_analyze_trace(args: argparse.Namespace) -> int:
 
         index = closure_index_for(detection, gen.decisions, args.trace_file)
         predictions = predict_decisions(index, gen.decisions)
-    print(f"trace: {program!r}, {n_events} events, seed {seed}")
-    if backend_used is not None:
-        from repro.core.nativekernel import kernel_version
-
-        kv = f" (kernel {kernel_version()})" if backend_used == "native" else ""
-        print(f"backend              : {backend_used}{kv}")
+    print(
+        f"trace: {analysis.program!r}, {analysis.events} events, "
+        f"seed {analysis.seed}"
+    )
+    kv = f" (kernel {kernel_version()})" if analysis.backend == "native" else ""
+    print(f"backend              : {analysis.backend}{kv}")
     print(f"cycles detected      : {len(detection.cycles)}")
     if detection.reduced_away:
         print(f"tuples reduced away  : {detection.reduced_away}")
@@ -1098,11 +1071,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "analyze-trace",
-        help="offline analysis of a saved trace file (JSON or binary)",
+        help="offline analysis of a saved binary .wtrc trace",
     )
     p.add_argument("trace_file")
     _add_workers(p)
     _add_analysis_knobs(p, shard=True)
+    p.add_argument(
+        "--backend",
+        choices=("auto", "python", "native"),
+        default="auto",
+        help="analysis backend: 'native' uses the compiled kernel (errors "
+        "if it cannot build/load), 'python' forces the pure-Python path, "
+        "'auto' uses native when available (identical results; default: "
+        "auto)",
+    )
     p.add_argument(
         "--predict",
         choices=("off", "filter", "certify"),

@@ -333,20 +333,20 @@ class _Kernel:
 def _feed_payload(kernel: _Kernel, core: _DecodeCore, payload) -> None:
     """Feed one EVENTS payload into the kernel with error parity.
 
-    On any kernel rejection the payload is re-decoded by the *reference*
-    pure-Python decoder from the identical pre-chunk state (the kernel
-    validates before mutating, so its state is untouched): if Python
-    fails too, its authentic exception propagates — same type, same
-    message as the pure backend; if Python succeeds, the kernel hit the
-    admitted >64-bit-varint divergence and :class:`KernelDivergenceError`
-    is raised for the caller's fallback policy.
+    On any kernel rejection the payload is re-decoded by the pure-Python
+    decoder from the identical pre-chunk state (the kernel validates
+    before mutating, so its state is untouched): if Python fails too, its
+    authentic exception propagates — same type, same message as the pure
+    backend; if Python succeeds, the kernel hit the admitted
+    >64-bit-varint divergence and :class:`KernelDivergenceError` is raised
+    for the caller's fallback policy.
     """
     rc = kernel.feed_events(payload)
     if rc != 0:
-        # Re-decode from bytes, not the mmap view: the reference decoder
-        # must raise the exact exception (type AND message) the pure
-        # backend raises, and bytes vs memoryview indexing word their
-        # IndexErrors differently.
+        # Re-decode from bytes, not the mmap view: the decoder must raise
+        # the exact exception (type AND message) the pure backend raises,
+        # and bytes vs memoryview indexing word their IndexErrors
+        # differently.
         data = payload.tobytes() if isinstance(payload, memoryview) else payload
         for _ in _DecodeCore._decode_events(core, data):
             pass
@@ -363,58 +363,14 @@ def _feed_payload(kernel: _Kernel, core: _DecodeCore, payload) -> None:
 # ---------------------------------------------------------------------------
 
 
-class NativeTraceFileReader(TraceFileReader):
-    """mmap'd :class:`TraceFileReader` that routes EVENTS payloads into a
-    kernel instead of decoding per-event Python objects.
+class _KernelFeed:
+    """Mixin for a chunk source that routes EVENTS payloads into a kernel
+    instead of decoding per-event Python objects.
 
-    Everything else — chunk framing, table decoding, span bookkeeping,
-    END completeness — is the inherited pure-Python logic, so framing and
-    table corruption raise the exact same errors as the pure backend.
-    Iterating yields no events (they never exist as objects); iteration
-    is for its side effect of streaming the file through the kernel.
+    Table chunks are decoded by the inherited pure-Python logic and then
+    sized into the kernel, so framing and table corruption raise the
+    exact errors of the pure backend.
     """
-
-    def __init__(self, src, kernel: _Kernel) -> None:
-        self._nk = kernel
-        super().__init__(src, mmap=True)
-        self._events_view = True  # zero-copy payload views for the kernel
-        self._decode = self._feed_kernel
-
-    def _sync_tables(self) -> None:
-        self._nk.set_tables(
-            len(self._strings), len(self._threads), len(self._locks)
-        )
-
-    def _load_strings(self, payload) -> None:
-        super()._load_strings(payload)
-        self._sync_tables()
-
-    def _load_threads(self, payload) -> None:
-        super()._load_threads(payload)
-        self._sync_tables()
-
-    def _load_locks(self, payload) -> None:
-        super()._load_locks(payload)
-        self._sync_tables()
-
-    def _feed_kernel(self, payload) -> tuple:
-        _feed_payload(self._nk, self, payload)
-        return ()
-
-
-class NativeChunkDecoder(ChunkDecoder):
-    """Push-mode :class:`ChunkDecoder` feeding a kernel.
-
-    :meth:`push` returns no events (``[]``): the daemon counts ingestion
-    progress from ``events_read`` (which this class syncs from the
-    kernel) rather than from materialized event objects.
-    """
-
-    def __init__(
-        self, kernel: _Kernel, *, max_chunk_bytes: Optional[int] = None
-    ) -> None:
-        super().__init__(max_chunk_bytes=max_chunk_bytes)
-        self._nk = kernel
 
     def _sync_tables(self) -> None:
         self._nk.set_tables(
@@ -436,6 +392,35 @@ class NativeChunkDecoder(ChunkDecoder):
     def _decode_events(self, payload) -> tuple:
         _feed_payload(self._nk, self, payload)
         return ()
+
+
+class NativeTraceFileReader(_KernelFeed, TraceFileReader):
+    """:class:`TraceFileReader` feeding a kernel.
+
+    Iterating yields no events (they never exist as objects); iteration
+    is for its side effect of streaming the file through the kernel.
+    """
+
+    _events_view = True  # zero-copy payload views into the map
+
+    def __init__(self, src, kernel: _Kernel) -> None:
+        self._nk = kernel
+        super().__init__(src)
+
+
+class NativeChunkDecoder(_KernelFeed, ChunkDecoder):
+    """Push-mode :class:`ChunkDecoder` feeding a kernel.
+
+    :meth:`push` returns no events (``[]``): the daemon counts ingestion
+    progress from ``events_read`` (which this class syncs from the
+    kernel) rather than from materialized event objects.
+    """
+
+    def __init__(
+        self, kernel: _Kernel, *, max_chunk_bytes: Optional[int] = None
+    ) -> None:
+        super().__init__(max_chunk_bytes=max_chunk_bytes)
+        self._nk = kernel
 
 
 # ---------------------------------------------------------------------------
@@ -832,7 +817,7 @@ def analyze_trace_file(
         shard_cycles=shard_cycles,
         reduce=reduce,
     )
-    with TraceFileReader(path, mmap=True) as reader:
+    with TraceFileReader(path) as reader:
         det.feed_many(reader)
         spans = tuple(reader.event_spans)
         program, seed = reader.program, reader.seed

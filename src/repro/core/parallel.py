@@ -179,7 +179,7 @@ def closure_index_for(
     if len(detection.trace.events) > 0:
         return ClosureIndex.from_events(detection.trace)
     if trace_path is not None:
-        with TraceFileReader(trace_path, mmap=True) as reader:
+        with TraceFileReader(trace_path) as reader:
             return ClosureIndex.from_events(reader)
     return ClosureIndex()
 
@@ -311,7 +311,7 @@ def run_shard_enum_task(task: ShardEnumTask) -> ShardEnumResult:
     """
     wanted = set(task.entry_steps)
     entries = []
-    with TraceFileReader(task.trace_path, mmap=True) as reader:
+    with TraceFileReader(task.trace_path) as reader:
         for ev in reader.iter_events_in(task.spans):
             if (
                 isinstance(ev, AcquireEvent)

@@ -142,12 +142,6 @@ class WolfConfig:
     #: every detection run goes through
     #: :class:`~repro.core.streaming.StreamingDetector`.
     engine: str = "auto"
-    #: Analysis backend attributed in the report: ``"python"``,
-    #: ``"native"`` (compiled kernel, :mod:`repro.core.nativekernel`) or
-    #: ``"auto"`` (native when available, pure-Python fallback
-    #: otherwise).  Program runs are analyzed in memory, always in Python;
-    #: the kernel accelerates the on-disk ``.wtrc`` path.
-    backend: str = "auto"
     #: Sharded, deduplicated cycle enumeration
     #: (:mod:`repro.core.sharding`) — output-identical to the monolithic
     #: DFS, and much faster on loop-heavy traces.
@@ -180,10 +174,6 @@ class WolfConfig:
         if self.engine not in ("batch", "streaming", "auto"):
             raise ValueError(
                 f"engine must be 'batch', 'streaming' or 'auto', got {self.engine!r}"
-            )
-        if self.backend not in ("python", "native", "auto"):
-            raise ValueError(
-                f"backend must be 'python', 'native' or 'auto', got {self.backend!r}"
             )
         if self.predict not in ("off", "filter", "certify"):
             raise ValueError(
@@ -228,7 +218,7 @@ class Wolf:
         wall0 = time.perf_counter()
         from repro.core.nativekernel import backend_info
 
-        binfo = backend_info(cfg.backend)
+        binfo = backend_info()
         report = WolfReport(
             program=name or getattr(program, "__name__", "program"),
             seeds=cfg.seeds(),

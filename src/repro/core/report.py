@@ -200,10 +200,10 @@ class WolfReport:
     #: Trace/graph well-formedness violations found by the sanitizer
     #: (populated only with ``WolfConfig.sanitize``; [] = clean).
     sanitizer: List["SanitizerDiagnostic"] = field(default_factory=list)
-    #: Resolved analysis backend (``"python"``/``"native"``) on-disk
-    #: ``.wtrc`` analysis would run with under this pipeline's config —
-    #: attribution for benchmark artifacts; classifications are
-    #: backend-independent (the differential suite proves it).
+    #: Analysis backend (``"python"``/``"native"``) that on-disk
+    #: ``.wtrc`` analysis resolves to on this host — attribution for
+    #: benchmark artifacts; classifications are backend-independent (the
+    #: differential suite proves it).
     backend: str = "python"
     #: Native kernel version (``None`` on the pure-Python backend).
     kernel: Optional[str] = None

@@ -33,11 +33,18 @@ An event::
 with per-kind fields mirroring :mod:`repro.runtime.serialize` exactly —
 the round trip is lossless, including ``held_indices``, ``stack_depth``
 and ``BlockEvent.holder = None``.
+
+Every consumer runs one event decoder, ``_DecodeCore._decode_events``:
+the pull reader (:class:`TraceFileReader`), the push decoder behind
+``wolf serve`` (:class:`ChunkDecoder`) and the native kernel's
+error-parity re-decode.  A chunk-length varint longer than ten bytes is
+rejected as unreadable.
 """
 
 from __future__ import annotations
 
 import io
+import mmap
 import os
 from dataclasses import dataclass
 from typing import BinaryIO, Dict, Iterator, List, Optional, Sequence, Tuple, Union
@@ -140,21 +147,49 @@ def _get_svarint(data: bytes, pos: int) -> Tuple[int, int]:
     return (zz >> 1) ^ -(zz & 1), pos
 
 
-def _read_uvarint_io(fh: BinaryIO) -> Optional[int]:
-    """Read one uvarint straight off a file; ``None`` at clean EOF."""
+#: Ten 7-bit groups hold any 64-bit chunk length; a longer one is hostile.
+_MAX_LENGTH_VARINT = 10
+
+
+def _try_uvarint(buf, pos: int) -> Optional[Tuple[int, int]]:
+    """Decode one chunk-length uvarint from ``buf[pos:]``; ``None`` while
+    it is incomplete.
+
+    Raises ``ValueError`` once ten bytes all carry the continuation bit,
+    so a hostile header is rejected after ten bytes instead of being
+    rescanned on every push.
+    """
     result = 0
     shift = 0
+    end = min(len(buf), pos + _MAX_LENGTH_VARINT)
+    while pos < end:
+        b = buf[pos]
+        pos += 1
+        result |= (b & 0x7F) << shift
+        if not b & 0x80:
+            return result, pos
+        shift += 7
+    if shift == 7 * _MAX_LENGTH_VARINT:
+        raise ValueError(
+            f"chunk length varint longer than {_MAX_LENGTH_VARINT} bytes"
+        )
+    return None
+
+
+def _read_uvarint_io(fh: BinaryIO) -> Optional[int]:
+    """Read one chunk-length uvarint straight off a file; ``None`` at clean
+    EOF."""
+    buf = bytearray()
     while True:
         byte = fh.read(1)
         if not byte:
-            if shift:
+            if buf:
                 raise ValueError("truncated varint in trace file")
             return None
-        b = byte[0]
-        result |= (b & 0x7F) << shift
-        if not b & 0x80:
-            return result
-        shift += 7
+        buf += byte
+        got = _try_uvarint(buf, 0)
+        if got is not None:
+            return got[0]
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +477,11 @@ class TraceFileWriter:
 
 class _DecodeCore:
     """Identity tables plus chunk-payload decoding, shared by the file
-    reader (pull) and the incremental :class:`ChunkDecoder` (push)."""
+    reader (pull) and the incremental :class:`ChunkDecoder` (push).
+
+    The native reader and push decoder override :meth:`_decode_events` to
+    feed the compiled kernel instead.
+    """
 
     def _init_decode_state(self) -> None:
         self._strings: List[str] = []
@@ -511,122 +550,14 @@ class _DecodeCore:
     # -- event decoding ------------------------------------------------------
 
     def _decode_events(self, payload: bytes) -> Iterator[TraceEvent]:
-        uvarint, svarint = _get_uvarint, _get_svarint
-        strings, threads, locks = self._strings, self._threads, self._locks
-        n, pos = uvarint(payload, 0)
-        step = self._last_step
-        for _ in range(n):
-            tag = payload[pos]
-            delta, pos = svarint(payload, pos + 1)
-            step += delta
-            t, pos = uvarint(payload, pos)
-            thread = threads[t]
-            if tag == 4:  # AcquireEvent (hottest first)
-                lk, pos = uvarint(payload, pos)
-                it, pos = uvarint(payload, pos)
-                isite, pos = uvarint(payload, pos)
-                occ, pos = uvarint(payload, pos)
-                nheld, pos = uvarint(payload, pos)
-                held = []
-                for _h in range(nheld):
-                    h, pos = uvarint(payload, pos)
-                    held.append(locks[h])
-                held_indices = []
-                for _h in range(nheld):
-                    ht, pos = uvarint(payload, pos)
-                    hs, pos = uvarint(payload, pos)
-                    ho, pos = uvarint(payload, pos)
-                    held_indices.append(
-                        ExecIndex(threads[ht], strings[hs], ho)
-                    )
-                reentrant = payload[pos] == 1
-                depth, pos = uvarint(payload, pos + 1)
-                ev: TraceEvent = AcquireEvent(
-                    step,
-                    thread,
-                    lock=locks[lk],
-                    index=ExecIndex(threads[it], strings[isite], occ),
-                    held=tuple(held),
-                    held_indices=tuple(held_indices),
-                    reentrant=reentrant,
-                    stack_depth=depth,
-                )
-            elif tag == 5:  # ReleaseEvent
-                lk, pos = uvarint(payload, pos)
-                site, pos = uvarint(payload, pos)
-                reentrant = payload[pos] == 1
-                pos += 1
-                ev = ReleaseEvent(
-                    step,
-                    thread,
-                    lock=locks[lk],
-                    site=strings[site],
-                    reentrant=reentrant,
-                )
-            elif tag == 0:
-                ev = BeginEvent(step, thread)
-            elif tag == 1:
-                ev = EndEvent(step, thread)
-            elif tag == 2:
-                c, pos = uvarint(payload, pos)
-                ev = SpawnEvent(step, thread, child=threads[c])
-            elif tag == 3:
-                tgt, pos = uvarint(payload, pos)
-                ev = JoinEvent(step, thread, target=threads[tgt])
-            elif tag == 6:
-                cond, pos = uvarint(payload, pos)
-                lk, pos = uvarint(payload, pos)
-                site, pos = uvarint(payload, pos)
-                ev = WaitEvent(
-                    step,
-                    thread,
-                    condition=strings[cond],
-                    lock=locks[lk],
-                    site=strings[site],
-                )
-            elif tag == 7:
-                cond, pos = uvarint(payload, pos)
-                lk, pos = uvarint(payload, pos)
-                site, pos = uvarint(payload, pos)
-                woken, pos = uvarint(payload, pos)
-                notify_all = payload[pos] == 1
-                pos += 1
-                ev = NotifyEvent(
-                    step,
-                    thread,
-                    condition=strings[cond],
-                    lock=locks[lk],
-                    site=strings[site],
-                    woken=woken,
-                    notify_all=notify_all,
-                )
-            elif tag == 8:
-                lk, pos = uvarint(payload, pos)
-                it, pos = uvarint(payload, pos)
-                isite, pos = uvarint(payload, pos)
-                occ, pos = uvarint(payload, pos)
-                holder, pos = uvarint(payload, pos)
-                ev = BlockEvent(
-                    step,
-                    thread,
-                    lock=locks[lk],
-                    index=ExecIndex(threads[it], strings[isite], occ),
-                    holder=threads[holder - 1] if holder else None,
-                )
-            else:
-                raise ValueError(f"unknown event tag {tag}")
-            self.events_read += 1
-            yield ev
-        self._last_step = step
+        """Decode one EVENTS payload, advancing ``events_read`` and the
+        step accumulator.
 
-    def _decode_events_fast(self, payload: bytes) -> Iterator[TraceEvent]:
-        """The mmap fast path: :meth:`_decode_events` with the one-byte
-        varint case inlined (multi-byte values fall back to the shared
-        helpers, so decoded values and error behavior are identical —
-        the vast majority of fields are single-byte table indices and
-        small step deltas, and skipping a function call plus a tuple
-        allocation for each of them is where the analyze speedup of the
-        ``mmap=True`` reader mode comes from)."""
+        One-byte varints are decoded inline; multi-byte values go through
+        :func:`_get_uvarint` / :func:`_get_svarint`.  Most fields are
+        single-byte table indices and small step deltas, so inlining them
+        skips a call and a tuple allocation per field.
+        """
         uvarint, svarint = _get_uvarint, _get_svarint
         strings, threads, locks = self._strings, self._threads, self._locks
         new = object.__new__
@@ -725,9 +656,7 @@ class _DecodeCore:
                 # Frozen-dataclass construction funnels every field
                 # through object.__setattr__; building the instance dict
                 # directly produces an equal object (same fields, eq,
-                # hash, repr) without that per-field ceremony.  Field
-                # values are evaluated in constructor-argument order so
-                # table-index errors surface exactly as in the slow path.
+                # hash, repr) without that per-field ceremony.
                 index = new(ExecIndex)
                 index.__dict__.update(
                     thread=threads[it], site=strings[isite], occ=occ
@@ -835,53 +764,33 @@ class TraceFileReader(_DecodeCore):
     """Sequential event iterator over a binary trace file.
 
     Decodes one chunk at a time: peak memory is the identity tables plus a
-    single chunk, independent of the trace length.  Accepts a path (opened
-    and owned) or a readable binary file object.
-
-    ``mmap=True`` maps the file and serves chunk payloads as slices of the
-    page cache instead of buffered ``read()`` calls — no syscalls or seeks
-    on the hot path — and switches event decoding to the inlined-varint
-    fast loop (:meth:`_decode_events_fast`).  Decoded output and every
-    error (type and message) are identical to the default mode; sources
-    that cannot be mapped (pipes, ``BytesIO``, empty files) silently fall
-    back to plain reads.
+    single chunk, independent of the trace length.  The source picks the
+    read mode.  A path is opened, owned and mapped, so chunk payloads are
+    slices of the page cache with no ``read()`` or ``seek()`` on the hot
+    path; a file that cannot be mapped (an empty file, a pipe) falls back
+    to plain reads.  A file object stays the caller's and is read,
+    buffered, from its current position.  Both modes run the same event
+    decoder and raise the same errors.
     """
 
-    def __init__(self, src: PathOrIO, *, mmap: bool = False) -> None:
+    #: Serve EVENTS payloads as memoryviews into the map instead of bytes
+    #: (set by the native reader: zero-copy from page cache to the kernel).
+    #: Table chunks stay bytes; they are decoded in Python either way.
+    _events_view = False
+
+    def __init__(self, src: PathOrIO) -> None:
+        self._mm: Optional[mmap.mmap] = None
+        self._pos = 0
         if isinstance(src, (str, os.PathLike)):
             self._fh: BinaryIO = open(src, "rb")
             self._owns = True
+            try:
+                self._mm = mmap.mmap(self._fh.fileno(), 0, access=mmap.ACCESS_READ)
+            except (OSError, ValueError):
+                pass  # unmappable file: plain reads
         else:
             self._fh = src
             self._owns = False
-        self._mm = None
-        self._pos = 0
-        if mmap:
-            import mmap as _mmap
-
-            try:
-                self._mm = _mmap.mmap(
-                    self._fh.fileno(), 0, access=_mmap.ACCESS_READ
-                )
-            except (OSError, ValueError, io.UnsupportedOperation, AttributeError):
-                self._mm = None  # unmappable source: plain reads
-        #: Per-chunk event decoder; the mmap fast path swaps in the
-        #: inlined-varint loop, the native backend swaps in its kernel
-        #: feed.  Both produce identical results/errors by contract.
-        self._decode = (
-            self._decode_events_fast if self._mm is not None else self._decode_events
-        )
-        #: When set (native backend) EVENTS payloads are served as
-        #: memoryviews straight into the map — zero-copy from page cache
-        #: to the kernel; table chunks stay bytes (they are decoded in
-        #: Python either way).
-        self._events_view = False
-        header = self._read_bytes(len(MAGIC) + 1)
-        if header[: len(MAGIC)] != MAGIC:
-            raise ValueError("not a WOLF binary trace file (bad magic)")
-        version = header[len(MAGIC)]
-        if version != FORMAT_VERSION:
-            raise ValueError(f"unsupported trace file version {version}")
         self._init_decode_state()
         #: Spans of the EVENTS chunks decoded so far (empty for
         #: non-tellable sources) — lets a full sequential pass double as
@@ -889,6 +798,19 @@ class TraceFileReader(_DecodeCore):
         #: zero-copy worker hand-off needs.
         self.event_spans: List[ChunkSpan] = []
         self._chunk_offset: Optional[int] = None
+        try:
+            self._read_header()
+        except BaseException:
+            self.close()  # a failed open must not leak the file or its map
+            raise
+
+    def _read_header(self) -> None:
+        header = self._read_bytes(len(MAGIC) + 1)
+        if header[: len(MAGIC)] != MAGIC:
+            raise ValueError("not a WOLF binary trace file (bad magic)")
+        version = header[len(MAGIC)]
+        if version != FORMAT_VERSION:
+            raise ValueError(f"unsupported trace file version {version}")
         kind, payload = self._next_chunk(required=True)
         if kind != _META:
             raise ValueError("trace file must start with a META chunk")
@@ -919,25 +841,17 @@ class TraceFileReader(_DecodeCore):
             self._fh.seek(n, os.SEEK_CUR)
 
     def _read_uvarint_stream(self) -> Optional[int]:
-        """Uvarint at the cursor; ``None`` at clean EOF (same contract and
-        errors as :func:`_read_uvarint_io`)."""
+        """Chunk-length uvarint at the cursor; ``None`` at clean EOF (same
+        contract and errors as :func:`_read_uvarint_io`)."""
         if self._mm is None:
             return _read_uvarint_io(self._fh)
-        mm, pos, size = self._mm, self._pos, len(self._mm)
-        result = 0
-        shift = 0
-        while pos < size:
-            b = mm[pos]
-            pos += 1
-            result |= (b & 0x7F) << shift
-            if not b & 0x80:
-                self._pos = pos
-                return result
-            shift += 7
-        self._pos = pos
-        if shift:
-            raise ValueError("truncated varint in trace file")
-        return None
+        got = _try_uvarint(self._mm, self._pos)
+        if got is None:
+            if self._pos < len(self._mm):
+                raise ValueError("truncated varint in trace file")
+            return None
+        value, self._pos = got
+        return value
 
     def _next_chunk(self, required: bool = False) -> Tuple[int, bytes]:
         self._chunk_offset = self._tell()
@@ -980,7 +894,7 @@ class TraceFileReader(_DecodeCore):
                 offset = self._chunk_offset
                 base_step = self._last_step
                 events_before = self.events_read
-                yield from self._decode(payload)
+                yield from self._decode_events(payload)
                 if offset is not None:
                     self.event_spans.append(
                         ChunkSpan(
@@ -1028,7 +942,7 @@ class TraceFileReader(_DecodeCore):
                 raise ValueError("truncated trace file (chunk payload)")
             if kind == _EVENTS:
                 self._last_step = wanted[offset].base_step
-                yield from self._decode(payload)
+                yield from self._decode_events(payload)
             elif kind == _STRINGS:
                 self._load_strings(payload)
             elif kind == _THREADS:
@@ -1082,20 +996,6 @@ class OversizedChunkError(ValueError):
     buffered — the defense that keeps a hostile producer from making the
     decoder allocate its declared (arbitrarily large) chunk.
     """
-
-
-def _try_uvarint(buf: bytearray, pos: int) -> Optional[Tuple[int, int]]:
-    """Decode one uvarint from ``buf[pos:]`` or ``None`` if incomplete."""
-    result = 0
-    shift = 0
-    while pos < len(buf):
-        b = buf[pos]
-        pos += 1
-        result |= (b & 0x7F) << shift
-        if not b & 0x80:
-            return result, pos
-        shift += 7
-    return None
 
 
 class ChunkDecoder(_DecodeCore):
@@ -1172,7 +1072,7 @@ class ChunkDecoder(_DecodeCore):
                     raise ValueError(f"unsupported trace file version {version}")
                 self._advance(len(MAGIC) + 1)
                 self._header_done = True
-            got = _try_uvarint(self._buf, 1) if len(self._buf) >= 1 else None
+            got = _try_uvarint(self._buf, 1)
             if got is None:
                 break
             length, payload_at = got

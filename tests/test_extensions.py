@@ -184,12 +184,24 @@ class TestCliExtensions:
     def test_trace_and_analyze_roundtrip(self, tmp_path, capsys):
         from repro.cli import main
 
-        out = tmp_path / "trace.json"
+        out = tmp_path / "trace.wtrc"
         assert main(["trace", "record", "HashMap", "--out", str(out)]) == 0
         assert main(["analyze-trace", str(out)]) == 0
         text = capsys.readouterr().out
         assert "cycles detected      : 4" in text
         assert "REPLAYABLE" in text and "FALSE" in text
+
+    def test_analyze_trace_refuses_json(self, tmp_path, capsys):
+        from repro.cli import main
+
+        out = tmp_path / "t.json"
+        assert main(["trace", "record", "HashMap", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["analyze-trace", str(out)]) == 1
+        assert main(["analyze-trace", str(out), "--json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "wolf trace pack" in captured.err
 
     def test_detect_rank_flag(self, capsys):
         from repro.cli import main

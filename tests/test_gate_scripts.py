@@ -40,11 +40,12 @@ def health():
     return load_script("check_corpus_health.py")
 
 
-def bench_doc(end_to_end=4.0, sharding=3.5, file_ratio=2.0) -> dict:
+def bench_doc(end_to_end=4.0, sharding=3.5, file_ratio=2.0, decode=1.7) -> dict:
     return {
         "macro": {
             "end_to_end_s": {"speedup": end_to_end},
             "file_bytes": {"ratio": file_ratio},
+            "decode_ratio": {"ratio": decode},
         },
         "sharding": {"speedup": sharding},
     }
@@ -70,6 +71,7 @@ class TestPerfCheck:
             {"end_to_end": 0.1},
             {"sharding": 0.1},
             {"file_ratio": 0.1},
+            {"decode": 0.1},
         ):
             assert perf.check(bench_doc(**kwargs), baseline, tolerance=0.25) == 1
 

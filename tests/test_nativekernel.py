@@ -25,11 +25,12 @@ in :class:`TestOversizedVarintDivergence`.
 
 Everything that needs the compiled kernel is skipped when it cannot load
 (no C compiler, no cffi, or ``WOLF_PURE_PYTHON=1`` — the CI pure leg),
-so this file degrades to the pure-Python mmap/fallback tests there.
+so this file degrades to the pure-Python read-mode tests there.
 """
 
 from __future__ import annotations
 
+import io
 import os
 import subprocess
 import sys
@@ -58,6 +59,7 @@ from repro.runtime.tracefile import (
     _get_uvarint,
     _put_uvarint,
     _put_svarint,
+    read_trace,
     write_trace,
 )
 from repro.serve.report import render_report, report_doc_for_file
@@ -180,13 +182,6 @@ class TestBackendSelection:
         with pytest.raises(ValueError, match="backend"):
             resolve_backend("turbo")
 
-    def test_wolfconfig_validates_backend(self):
-        from repro.core.pipeline import WolfConfig
-
-        with pytest.raises(ValueError, match="backend"):
-            WolfConfig(backend="turbo")
-        assert WolfConfig(backend="native").backend == "native"
-
     def test_backend_info_shape(self):
         info = backend_info("auto")
         assert set(info) == {"backend", "kernel"}
@@ -245,60 +240,96 @@ class TestBackendSelection:
 
 
 # ---------------------------------------------------------------------------
-# satellite: the pure-Python mmap reader (must hold on the pure CI leg too)
+# read modes: a path is mapped, a file object is read buffered (must hold
+# on the pure CI leg too)
 # ---------------------------------------------------------------------------
 
 
+def _reader_outcome(src):
+    """Stream ``src`` fully: events, spans and the END count, or the
+    exception as ``("err", type_name, message)``."""
+    try:
+        with TraceFileReader(src) as r:
+            return ("ok", list(r), list(r.event_spans), r.declared_events)
+    except Exception as exc:  # noqa: BLE001 - the outcome IS the assertion
+        return ("err", type(exc).__name__, str(exc))
+
+
 class TestMmapReader:
+    """The same bytes give the same outcome whichever way they are read."""
+
     def test_events_identical_to_plain_reader(self, fig9_wtrc):
         with TraceFileReader(fig9_wtrc) as r:
-            plain = list(r)
-        with TraceFileReader(fig9_wtrc, mmap=True) as r:
+            assert r._mm is not None  # a path is mapped
             mapped = list(r)
-        assert mapped == plain
+        with TraceFileReader(io.BytesIO(Path(fig9_wtrc).read_bytes())) as r:
+            assert r._mm is None  # a file object is read buffered
+            plain = list(r)
+        assert mapped == plain and mapped
 
     def test_spans_identical(self, fig9_wtrc):
-        with TraceFileReader(fig9_wtrc) as r:
-            for _ in r:
-                pass
-            plain_spans = list(r.event_spans)
-        with TraceFileReader(fig9_wtrc, mmap=True) as r:
-            for _ in r:
-                pass
-            assert list(r.event_spans) == plain_spans
+        mapped = _reader_outcome(fig9_wtrc)
+        plain = _reader_outcome(io.BytesIO(Path(fig9_wtrc).read_bytes()))
+        assert mapped[0] == "ok" and mapped[2]
+        assert mapped == plain
 
-    def test_iter_events_in_span_rereads(self, fig9_wtrc):
-        with TraceFileReader(fig9_wtrc) as r:
+    def test_iter_events_in_span_rereads(self, fig9_wtrc, tmp_path):
+        path = str(tmp_path / "chunky.wtrc")
+        write_trace(read_trace(fig9_wtrc), path, events_per_chunk=4)
+        data = Path(path).read_bytes()
+        with TraceFileReader(path) as r:
             events = list(r)
             spans = list(r.event_spans)
-        span = spans[0]
-        with TraceFileReader(fig9_wtrc, mmap=True) as r:
-            subset = list(r.iter_events_in([span]))
-        assert subset == events[: len(subset)] and subset
+        assert len(spans) > 2
+        chunks, start = [], 0
+        for s in spans:
+            chunks.append(events[start : start + s.events])
+            start += s.events
+        # The first chunk alone, and every other chunk.
+        for picked in (slice(0, 1), slice(None, None, 2)):
+            with TraceFileReader(path) as r:
+                mapped = list(r.iter_events_in(spans[picked]))
+            with TraceFileReader(io.BytesIO(data)) as r:
+                plain = list(r.iter_events_in(spans[picked]))
+            expected = [ev for chunk in chunks[picked] for ev in chunk]
+            assert mapped == plain == expected and mapped
 
-    def test_non_file_source_falls_back(self, fig9_wtrc):
-        """mmap=True on an unmappable source silently degrades to reads."""
-        import io
-
-        data = Path(fig9_wtrc).read_bytes()
-        with TraceFileReader(io.BytesIO(data), mmap=True) as r:
-            assert list(r)
+    def test_non_file_source_falls_back(self, tmp_path):
+        """A file that cannot be mapped reads plainly: an empty file
+        fails exactly as the same empty bytes do from a stream."""
+        empty = tmp_path / "empty.wtrc"
+        empty.write_bytes(b"")
+        assert _reader_outcome(str(empty)) == _reader_outcome(io.BytesIO(b""))
+        assert _reader_outcome(str(empty))[:2] == ("err", "ValueError")
 
     def test_corruption_errors_identical_to_plain(self, fig9_wtrc, tmp_path):
-        data = bytearray(Path(fig9_wtrc).read_bytes())
-        _, off, length = first_events_chunk(bytes(data))
-        data[off + length // 2] ^= 0xFF
-        bad = tmp_path / "rot.wtrc"
-        bad.write_bytes(bytes(data))
+        data = Path(fig9_wtrc).read_bytes()
+        _, off, length = first_events_chunk(data)
+        rot = bytearray(data)
+        rot[off + length // 2] ^= 0xFF
+        cases = [bytes(rot)] + [data[:cut] for cut in (3, off - 1, off + 1)]
+        bad = tmp_path / "bad.wtrc"
+        for case in cases:
+            bad.write_bytes(case)
+            mapped = _reader_outcome(str(bad))
+            assert mapped == _reader_outcome(io.BytesIO(case))
+            assert mapped[0] == "err" or case is cases[0]
 
-        def outcome(**kw):
-            try:
-                with TraceFileReader(str(bad), **kw) as r:
-                    return ("ok", sum(1 for _ in r))
-            except Exception as exc:  # noqa: BLE001
-                return ("err", type(exc).__name__, str(exc))
-
-        assert outcome(mmap=True) == outcome()
+    def test_file_object_reads_from_current_position(self, fig9_wtrc, tmp_path):
+        """A file object is read from where the caller left it, not
+        mapped from byte 0."""
+        data = Path(fig9_wtrc).read_bytes()
+        prefix = b"not a trace: " * 7
+        path = tmp_path / "prefixed.bin"
+        path.write_bytes(prefix + data)
+        with open(path, "rb") as fh:
+            assert fh.read(len(prefix)) == prefix
+            with TraceFileReader(fh) as r:
+                events = list(r)
+                assert r.declared_events == len(events)
+            assert not fh.closed  # the caller keeps ownership
+        with TraceFileReader(fig9_wtrc) as r:
+            assert events == list(r)
 
 
 # ---------------------------------------------------------------------------
@@ -701,12 +732,13 @@ class TestAttribution:
         from repro.core.pipeline import Wolf, WolfConfig
         from repro.workloads.figures import fig9_program
 
-        report = Wolf(
-            config=WolfConfig(replay_attempts=1, workers=1, backend="python")
-        ).analyze(fig9_program, name="fig9")
-        assert report.backend == "python" and report.kernel is None
+        report = Wolf(config=WolfConfig(replay_attempts=1, workers=1)).analyze(
+            fig9_program, name="fig9"
+        )
+        info = backend_info()
+        assert (report.backend, report.kernel) == (info["backend"], info["kernel"])
         doc = json.loads(report.to_json())
-        assert doc["backend"] == "python" and doc["kernel"] is None
+        assert (doc["backend"], doc["kernel"]) == (info["backend"], info["kernel"])
 
     @needs_kernel
     def test_report_doc_carries_no_backend(self, fig9_wtrc):

@@ -366,6 +366,38 @@ class TestChunkDecoder:
         with pytest.raises(OversizedChunkError):
             dec.push(evil)
 
+    def test_unterminated_length_varint_rejected(self, tmp_path):
+        """A chunk-length varint that never ends is refused once ten bytes
+        carry the continuation bit, on the socket path and the file path
+        alike, instead of being rescanned on every push."""
+        from repro.corpus.validate import (
+            UNREADABLE,
+            classify_decode_error,
+            classify_trace_file,
+        )
+        from repro.runtime.tracefile import _EVENTS, ChunkDecoder, _try_uvarint
+
+        # Ten bytes carry any 64-bit length; the eleventh is hostile.
+        assert _try_uvarint(b"\xff" * 9 + b"\x01", 0) == ((1 << 64) - 1, 10)
+        assert _try_uvarint(b"\x80" * 9, 0) is None
+        hostile = MAGIC + bytes([FORMAT_VERSION, _EVENTS]) + b"\x80" * 64
+        header = len(MAGIC) + 1
+        dec = ChunkDecoder(max_chunk_bytes=1 << 20)
+        dec.push(hostile[:header])
+        fed = 0
+        with pytest.raises(ValueError, match="longer than 10 bytes") as streamed:
+            for byte in hostile[header:]:
+                fed += 1
+                dec.push(bytes([byte]))
+        assert fed <= 11  # kind byte + ten length bytes
+        code = classify_decode_error(streamed.value).code
+        assert code == UNREADABLE
+        path = tmp_path / "hostile.wtrc"
+        path.write_bytes(hostile)
+        assert classify_trace_file(str(path)).code == code
+        with pytest.raises(ValueError, match="longer than 10 bytes"):
+            read_trace(io.BytesIO(hostile))
+
     def test_data_after_end_rejected(self):
         from repro.runtime.tracefile import ChunkDecoder
 
