@@ -15,7 +15,11 @@ ways (batch engine + JSON file vs streaming engine + binary file), with
 wall times, peak memory (tracemalloc) and file sizes, asserting both
 engines find identical cycles.
 
-Schema ``bench-core/5`` (migration note): ``bench-core/4`` timed a
+Schema ``bench-core/6`` (migration note): ``macro.analyze_speedup.native``
+and ``sharding.speedup`` are now, like ``macro.decode_ratio``, ratios of
+medians over alternating pairs pinned to one CPU; ``bench-core/5`` took
+best-of-3 and single-shot timings for them.  Each records its ``pairs``
+and ``cpu``.  Schema ``bench-core/5``: ``bench-core/4`` timed a
 pure-Python mmap reader against a plain one
 (``analyze_s.streaming_binary_mmap``, ``analyze_speedup.mmap``); there is
 one reader now, so both are gone.  In their place ``macro.decode_ratio``
@@ -324,24 +328,8 @@ def _wall(fn) -> Tuple[float, object]:
     return time.perf_counter() - t0, result
 
 
-def _best_wall(fn, n: int = 3) -> Tuple[float, object]:
-    """(best-of-``n`` wall seconds, last result).
-
-    The analyze-stage ratios gate CI at 25% tolerance, and the native
-    stage is tens of milliseconds — single-shot timings swing the ratio
-    by 2x on scheduler noise alone.  Min-of-3 is stable; the first run
-    also absorbs one-time costs (kernel dlopen, page-cache warmup) for
-    every stage equally.
-    """
-    best, result = _wall(fn)
-    for _ in range(n - 1):
-        s, result = _wall(fn)
-        best = min(best, s)
-    return best, result
-
-
 def _interleaved_medians(
-    first, second, pairs: int
+    first, second, pairs: int, setup=None
 ) -> Tuple[float, float, Optional[int]]:
     """Median wall seconds of ``first`` and of ``second``, timed in
     ``pairs`` alternating pairs pinned to one CPU, plus that CPU (``None``
@@ -349,21 +337,29 @@ def _interleaved_medians(
 
     Both sides see the same load and the same core, so their ratio is
     steadier than a best-of over two separate blocks of runs.  One
-    untimed run of each absorbs warm-up first.
+    untimed run of each absorbs warm-up first (kernel dlopen, page
+    cache).  ``setup``, when given, runs untimed before every call, so
+    no call inherits state an earlier one cached.  Results are
+    discarded; a caller that needs one keeps it from inside its function.
     """
+    def call(fn) -> float:
+        if setup is not None:
+            setup()
+        return _wall(fn)[0]
+
     cpu = None
     if hasattr(os, "sched_setaffinity"):
         allowed = os.sched_getaffinity(0)
         cpu = min(allowed)
         os.sched_setaffinity(0, {cpu})
     try:
-        first()
-        second()
+        call(first)
+        call(second)
         a, b = [], []
         for i in range(pairs):
             order = ((first, a), (second, b))
             for fn, out in order if i % 2 == 0 else order[::-1]:
-                out.append(_wall(fn)[0])
+                out.append(call(fn))
     finally:
         if cpu is not None:
             os.sched_setaffinity(0, allowed)
@@ -421,13 +417,15 @@ def run_macro(n_events: int, tmp_dir: str) -> dict:
     ana_json_mb = _peak_mib(analyze_batch)
 
     # -- analyze: decode + analyze one event at a time ----------------------
+    pairs = 5
+    last = {}
+
     def analyze_streaming():
         det = StreamingDetector(max_length=3)
         with TraceFileReader(bin_path) as reader:
             det.feed_many(reader)
-        return det.finish()
+        last["python"] = det.finish()
 
-    ana_bin_s, stream = _best_wall(analyze_streaming)
     ana_bin_mb = _peak_mib(analyze_streaming)
 
     # -- decode alone vs the same detector over the trace in memory --------
@@ -437,7 +435,6 @@ def run_macro(n_events: int, tmp_dir: str) -> dict:
                 pass
 
     in_memory = read_trace(bin_path)
-    pairs = 5
     ana_mem_s, decode_s, cpu = _interleaved_medians(
         lambda: StreamingDetector(max_length=3).analyze(in_memory),
         decode_only,
@@ -451,14 +448,20 @@ def run_macro(n_events: int, tmp_dir: str) -> dict:
 
     if kernel_available():
         def analyze_native():
-            return analyze_trace_file(
+            last["native"] = analyze_trace_file(
                 bin_path, max_length=3, backend="native"
             ).detection
 
-        ana_native_s, stream_native = _best_wall(analyze_native)
+        # The native stage is tens of milliseconds: timed apart from the
+        # pure-Python side, scheduler noise swung the ratio past its gate.
+        ana_bin_s, ana_native_s, native_cpu = _interleaved_medians(
+            analyze_streaming, analyze_native, pairs
+        )
         native_kernel = kernel_version()
     else:
-        ana_native_s = stream_native = native_kernel = None
+        ana_bin_s, _ = _wall(analyze_streaming)
+        ana_native_s = native_kernel = native_cpu = None
+    stream, stream_native = last["python"], last.get("native")
 
     assert _cycle_steps(batch) == _cycle_steps(stream), (
         "engines disagree on the synthetic trace"
@@ -502,11 +505,14 @@ def run_macro(n_events: int, tmp_dir: str) -> dict:
             "streaming_binary_native": _eps(ana_native_s),
         },
         "analyze_speedup": {
-            # Relative to the pure-Python streaming analyze.
+            # Relative to the pure-Python streaming analyze, as the ratio
+            # of the two sides' medians over alternating pairs.
             "native": (
                 None if ana_native_s is None
                 else round(ana_bin_s / ana_native_s, 2)
             ),
+            "pairs": None if ana_native_s is None else pairs,
+            "cpu": native_cpu,
         },
         "decode_ratio": {
             "ratio": round(ana_mem_s / decode_s, 2),
@@ -532,9 +538,10 @@ def run_macro(n_events: int, tmp_dir: str) -> dict:
 def run_macro_sharded(n_events: int, tmp_dir: str) -> dict:
     """Loop-heavy macro: every iteration is a nested pair, so duplicate
     tuples dominate ``D_sigma``.  Times the monolithic DFS against the
-    sharded+deduplicated enumerator on the identical relation (asserting
-    identical cycles), and measures the zero-copy hand-off payload: the
-    bytes a shard task pickles versus pickling the whole trace."""
+    sharded+deduplicated enumerator on the identical relation, in
+    alternating pairs on one CPU (asserting identical cycles), and
+    measures the zero-copy hand-off payload: the bytes a shard task
+    pickles versus pickling the whole trace."""
     import pickle
 
     from repro.core.parallel import ShardEnumTask
@@ -548,12 +555,28 @@ def run_macro_sharded(n_events: int, tmp_dir: str) -> dict:
     trace = Trace(program="synthetic-loopy", seed=0)
     for ev in synthetic_events(n_events, nested_every=1, invert_pairs=2):
         trace.append(ev)
-    rel = build_lockdep(trace)
 
-    mono_s, (mono, mono_trunc) = _wall(lambda: find_cycles(rel, max_length=3))
-    shard_s, (cycles, trunc, stats) = _wall(
-        lambda: find_cycles_sharded(rel, max_length=3)
+    # Each call gets a relation built untimed just before it: entries
+    # cache their locksets and dedup keys, and a reused relation would
+    # time the sharded side without its deduplication.
+    pairs = 5
+    last = {}
+
+    def fresh_relation():
+        last["rel"] = build_lockdep(trace)
+
+    def monolithic():
+        last["mono"] = find_cycles(last["rel"], max_length=3)
+
+    def sharded():
+        last["sharded"] = find_cycles_sharded(last["rel"], max_length=3)
+
+    mono_s, shard_s, cpu = _interleaved_medians(
+        monolithic, sharded, pairs, setup=fresh_relation
     )
+    rel = last["rel"]
+    mono, mono_trunc = last["mono"]
+    cycles, trunc, stats = last["sharded"]
     mono_steps = [tuple(e.step for e in c.entries) for c in mono]
     shard_steps = [tuple(e.step for e in c.entries) for c in cycles]
     assert mono_steps == shard_steps and mono_trunc == trunc, (
@@ -593,6 +616,8 @@ def run_macro_sharded(n_events: int, tmp_dir: str) -> dict:
         "monolithic_s": round(mono_s, 6),
         "sharded_s": round(shard_s, 6),
         "speedup": round(mono_s / shard_s, 2),
+        "pairs": pairs,
+        "cpu": cpu,
         "stage_s": {k: round(v, 6) for k, v in stats.timings_s.items()},
         "handoff_bytes": {
             "largest_shard_task": task_bytes,
@@ -706,7 +731,7 @@ def main(argv=None) -> int:
         if not interrupt.triggered:
             prediction = run_prediction()
     doc = {
-        "schema": "bench-core/5",
+        "schema": "bench-core/6",
         "macro": macro,
         "sharding": sharding,
         "micro": micro,

@@ -8,7 +8,8 @@ same box, in the same process.  This gate therefore compares ratios:
 * ``macro.end_to_end_s.speedup`` — streaming+binary vs batch+JSON,
   end to end;
 * ``sharding.speedup`` — sharded+deduplicated cycle enumeration vs the
-  monolithic DFS on the loop-heavy macro;
+  monolithic DFS on the loop-heavy macro, in alternating pairs on one
+  CPU (bench-core/6);
 * ``macro.file_bytes.ratio`` — JSON vs binary trace size (fully
   deterministic, so any drop is a real format regression);
 * ``prediction.decided_ratio`` — the fraction of registry replay
@@ -16,7 +17,8 @@ same box, in the same process.  This gate therefore compares ratios:
   without replay (pure trace analysis, fully deterministic — a drop
   means the predictor lost precision);
 * ``macro.analyze_speedup.native`` — compiled analysis kernel vs the
-  pure-Python streaming analyze on the same ``.wtrc`` macro (bench-core/4);
+  pure-Python streaming analyze on the same ``.wtrc`` macro (bench-core/4),
+  in alternating pairs on one CPU (bench-core/6);
 * ``macro.decode_ratio.ratio`` — in-memory streaming analyze of the
   macro trace over a decode-only pass of its ``.wtrc``, in alternating
   pairs on one CPU; it drops when the event decoder slows

@@ -7,14 +7,17 @@ schedule by the synchronization dependency graph:
   **cross-thread** in-edge is paused (the acquisition it depends on has
   not happened yet);
 * when a tracked acquisition executes, its vertex *and every vertex that
-  reaches it* are removed (the latter handles control-flow divergence:
+  reaches it* are retired (the latter handles control-flow divergence:
   a skipped acquisition must not wedge other threads forever);
 * paused threads whose vertices lose their last cross-thread in-edge are
   released;
 * if nothing is runnable but paused threads remain, a random one is
   released (Algorithm 4 lines 5-7) — progress beats fidelity;
 * threads outside the cycle run unconstrained, and a cycle thread that
-  terminates drops all its remaining vertices.
+  terminates retires all its remaining vertices.
+
+Attempts share ``Gs`` read-only; :class:`GsDrain`, also used by the
+real-thread replayer, keeps each attempt's retired vertices in a set.
 
 A *hit* (paper §4.2) is a manifested deadlock whose blocked acquisitions
 come from exactly the target cycle's source locations.
@@ -28,23 +31,73 @@ from typing import List, Optional, Set
 
 from repro.core.generator import GeneratorDecision
 from repro.core.prediction import WitnessSchedule, event_token
-from repro.core.syncgraph import SyncGraph
+from repro.core.syncgraph import GsVertex, SyncGraph
 from repro.runtime.events import AcquireEvent, BlockEvent, EndEvent, TraceEvent
 from repro.runtime.sim.result import RunResult, RunStatus
 from repro.runtime.sim.runtime import Program, run_program
 from repro.runtime.sim.scheduler import AcquireOp, ThreadState
 from repro.runtime.sim.strategy import SchedulingStrategy
-from repro.util.ids import ThreadId
+from repro.util.ids import ExecIndex, ThreadId
 from repro.util.rng import DeterministicRNG
 
 
+class GsDrain:
+    """Algorithm 4's retirement rule over a shared, read-only ``Gs``.
+
+    One attempt's retired vertices are kept in a set; the live vertices
+    and the edges between them are the working graph the paper deletes
+    from.  Callers serialize access.
+    """
+
+    __slots__ = ("_by_index", "_preds", "_vertices", "retired")
+
+    def __init__(self, gs: SyncGraph) -> None:
+        self._by_index = gs.by_index
+        self._preds = gs.graph.predecessors
+        self._vertices = gs.vertices
+        self.retired: Set[GsVertex] = set()
+
+    def _live(self, index: ExecIndex) -> Optional[GsVertex]:
+        v = self._by_index.get(index)
+        return None if v is None or v in self.retired else v
+
+    def gates(self, index: ExecIndex) -> bool:
+        """Whether the acquisition at ``index`` must wait: its vertex is
+        live with a live in-edge from another thread."""
+        v = self._live(index)
+        return v is not None and any(
+            u.thread != v.thread and u not in self.retired for u in self._preds(v)
+        )
+
+    def acquire(self, index: ExecIndex) -> bool:
+        """Retire the vertex acquired at ``index`` and every vertex with a
+        path of *live* vertices to it (skipped acquisitions; a retired
+        vertex cut its paths); returns whether the vertex was live."""
+        v = self._live(index)
+        if v is None:
+            return False
+        self.retired.add(v)
+        stack = [v]
+        while stack:
+            for u in self._preds(stack.pop()):
+                if u not in self.retired:
+                    self.retired.add(u)
+                    stack.append(u)
+        return True
+
+    def end_thread(self, thread: ThreadId) -> bool:
+        """Retire an ended thread's live vertices; whether it had any."""
+        doomed = {v for v in self._vertices if v.thread == thread} - self.retired
+        self.retired |= doomed
+        return bool(doomed)
+
+
 class WolfReplayStrategy(SchedulingStrategy):
-    """Algorithm 4 as a scheduling strategy over a working copy of ``Gs``."""
+    """Algorithm 4 as a scheduling strategy, draining ``Gs`` in place."""
 
     def __init__(self, gs: SyncGraph, seed: int = 0) -> None:
         self.gs = gs
-        self.graph = gs.graph.copy()
-        self.by_index = dict(gs.by_index)
+        self.drain = GsDrain(gs)
         self.cycle_threads: Set[ThreadId] = set(gs.threads)
         self.rng = DeterministicRNG(seed)
         #: Number of times the scheduler had to force-release a paused
@@ -58,28 +111,14 @@ class WolfReplayStrategy(SchedulingStrategy):
         return self.rng.choice(ready)
 
     def before_acquire(self, thread: ThreadId, op: AcquireOp) -> bool:
-        if thread not in self.cycle_threads:
-            return True
-        v = self.by_index.get(op.index)
-        if v is None or v not in self.graph:
-            return True
-        return not self._has_cross_thread_dep(v)
+        return thread not in self.cycle_threads or not self.drain.gates(op.index)
 
     def on_event(self, event: TraceEvent) -> None:
         if isinstance(event, AcquireEvent):
-            v = self.by_index.get(event.index)
-            if v is not None and v in self.graph:
-                # Satisfied: this vertex, and anything that was supposed to
-                # come before it but got skipped, no longer constrain anyone.
-                for u in self.graph.ancestors(v):
-                    self.graph.remove_node(u)
-                self.graph.remove_node(v)
+            if self.drain.acquire(event.index):
                 self._release_eligible()
         elif isinstance(event, EndEvent) and event.thread in self.cycle_threads:
-            doomed = [u for u in self.graph.nodes() if u.thread == event.thread]
-            for u in doomed:
-                self.graph.remove_node(u)
-            if doomed:
+            if self.drain.end_thread(event.thread):
                 self._release_eligible()
 
     def choose_unpause(self, paused: List[ThreadId]) -> Optional[ThreadId]:
@@ -88,18 +127,13 @@ class WolfReplayStrategy(SchedulingStrategy):
 
     # -- helpers -----------------------------------------------------------
 
-    def _has_cross_thread_dep(self, v) -> bool:
-        return any(u.thread != v.thread for u in self.graph.predecessors(v))
-
     def _release_eligible(self) -> None:
+        gates = self.drain.gates
         for record in self.sched.records.values():
             if record.state != ThreadState.PAUSED:
                 continue
             op = record.op
-            if not isinstance(op, AcquireOp):
-                continue
-            v = self.by_index.get(op.index)
-            if v is None or v not in self.graph or not self._has_cross_thread_dep(v):
+            if isinstance(op, AcquireOp) and not gates(op.index):
                 self.sched.unpause(record.tid)
 
 

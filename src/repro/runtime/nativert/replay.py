@@ -5,7 +5,8 @@ object observes the synchronization operations of the threads expected to
 deadlock and pauses them at acquisitions whose ``Gs`` dependencies are
 unsatisfied.  Here the "pause" is a condition wait inside
 :meth:`NativeReplayer.before_acquire`; acquisitions notify the condition
-as vertices drain out of the working graph.
+as vertices retire.  The retirement rule is the simulated replayer's
+:class:`~repro.core.replayer.GsDrain`, so ``Gs`` is shared, not copied.
 
 Real threads cannot be steered perfectly (the OS interleaves the
 unmonitored parts), so a stall timeout force-releases the oldest waiter —
@@ -18,6 +19,7 @@ import threading
 import time
 from typing import Optional, Set
 
+from repro.core.replayer import GsDrain
 from repro.core.syncgraph import SyncGraph
 from repro.runtime.sim.result import DeadlockInfo
 from repro.util.ids import ExecIndex, ThreadId
@@ -28,8 +30,7 @@ class NativeReplayer:
 
     def __init__(self, gs: SyncGraph, *, stall_timeout: float = 0.25) -> None:
         self.gs = gs
-        self.graph = gs.graph.copy()
-        self.by_index = dict(gs.by_index)
+        self.drain = GsDrain(gs)
         self.cycle_threads: Set[ThreadId] = set(gs.threads)
         self.stall_timeout = stall_timeout
         self._cond = threading.Condition()
@@ -42,7 +43,7 @@ class NativeReplayer:
             return
         with self._cond:
             deadline = time.monotonic() + self.stall_timeout
-            while self._gated(index):
+            while self.drain.gates(index):
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     # Stall: force-release this waiter (progress beats
@@ -52,23 +53,9 @@ class NativeReplayer:
                 self._cond.wait(remaining)
 
     def on_acquired(self, thread: ThreadId, lock, index: ExecIndex) -> None:
-        v = self.by_index.get(index)
-        if v is None:
-            return
         with self._cond:
-            if v in self.graph:
-                for u in self.graph.ancestors(v):
-                    self.graph.remove_node(u)
-                self.graph.remove_node(v)
+            if self.drain.acquire(index):
                 self._cond.notify_all()
-
-    # -- internals ----------------------------------------------------------------
-
-    def _gated(self, index: ExecIndex) -> bool:
-        v = self.by_index.get(index)
-        if v is None or v not in self.graph:
-            return False
-        return any(u.thread != v.thread for u in self.graph.predecessors(v))
 
     # -- outcome ------------------------------------------------------------------------
 

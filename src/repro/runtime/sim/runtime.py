@@ -30,7 +30,7 @@ Example::
 from __future__ import annotations
 
 import sys
-from typing import Callable, Optional
+from typing import Callable, Dict, Optional
 
 from repro.runtime.events import NullTrace, SinkTrace, Trace
 from repro.runtime.sim.result import RunResult
@@ -53,15 +53,31 @@ Program = Callable[["SimRuntime"], None]
 #: workload stack-depth statistic (the paper's SL column).
 _MACHINERY = ("repro/runtime/", "threading.py")
 
+#: Source file name -> 1 for a workload file, 0 for machinery.
+_IS_WORKLOAD: Dict[str, int] = {}
+
 
 def _workload_depth() -> int:
-    """Number of workload frames on the calling thread's stack."""
+    """Number of workload frames on the calling thread's stack.
+
+    Each file is classified once per process.  The class is a pure
+    function of ``co_filename``, so the memo holds no per-run state, is
+    bounded by the number of source files, and returns the depths the
+    per-frame substring test would.  A racing first lookup computes the
+    same value twice, which is harmless.
+    """
     frame = sys._getframe(1)
     depth = 0
+    memo = _IS_WORKLOAD
     while frame is not None:
         filename = frame.f_code.co_filename
-        if not any(part in filename for part in _MACHINERY):
-            depth += 1
+        try:
+            depth += memo[filename]
+        except KeyError:
+            memo[filename] = is_workload = int(
+                not any(part in filename for part in _MACHINERY)
+            )
+            depth += is_workload
         frame = frame.f_back
     return depth
 

@@ -150,6 +150,10 @@ def _get_svarint(data: bytes, pos: int) -> Tuple[int, int]:
 #: Ten 7-bit groups hold any 64-bit chunk length; a longer one is hostile.
 _MAX_LENGTH_VARINT = 10
 
+#: Largest single ``read()`` of a declared chunk length from a file
+#: object; a longer payload is read in pieces of this size.
+_READ_PIECE = 1 << 20
+
 
 def _try_uvarint(buf, pos: int) -> Optional[Tuple[int, int]]:
     """Decode one chunk-length uvarint from ``buf[pos:]``; ``None`` while
@@ -827,18 +831,36 @@ class TraceFileReader(_DecodeCore):
             return None
 
     def _read_bytes(self, n: int) -> bytes:
-        """Up to ``n`` bytes from the current position (short at EOF)."""
+        """Up to ``n`` bytes from the current position (short at EOF).
+
+        ``n`` may be a chunk's declared length, which is untrusted: a
+        file object is read in bounded pieces, so a short source costs
+        what it holds, not what was declared, and both read modes fail
+        alike."""
         if self._mm is not None:
             data = self._mm[self._pos : self._pos + n]
             self._pos += len(data)
             return data
-        return self._fh.read(n)
+        if n <= _READ_PIECE:
+            return self._fh.read(n)
+        pieces = []
+        while n > 0:
+            piece = self._fh.read(min(n, _READ_PIECE))
+            if not piece:
+                break
+            pieces.append(piece)
+            n -= len(piece)
+        return b"".join(pieces)
 
     def _skip_bytes(self, n: int) -> None:
+        """Move ``n`` bytes forward, stopping at the end of the source."""
         if self._mm is not None:
-            self._pos += n
-        else:
-            self._fh.seek(n, os.SEEK_CUR)
+            self._pos = min(self._pos + n, len(self._mm))
+            return
+        pos = self._fh.tell()
+        end = self._fh.seek(0, os.SEEK_END)
+        if pos + n < end:
+            self._fh.seek(pos + n)
 
     def _read_uvarint_stream(self) -> Optional[int]:
         """Chunk-length uvarint at the cursor; ``None`` at clean EOF (same

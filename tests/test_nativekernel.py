@@ -80,8 +80,13 @@ needs_kernel = pytest.mark.skipif(
 )
 
 # Chunk kinds (mirrors the private constants in repro.runtime.tracefile).
+K_META = 0
 K_EVENTS = 4
 K_END = 5
+
+#: Declared chunk lengths far beyond any file here: a buffered read that
+#: trusted them would allocate (or seek) that much.
+HUGE_LENGTHS = (1 << 40, (1 << 63) - 1, (1 << 64) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +121,15 @@ def splice_events_chunk(data: bytes, payload: bytes) -> bytes:
     _put_uvarint(out, len(payload))
     out += payload
     return bytes(out)
+
+
+def with_declared_chunk(prefix: bytes, kind: int, declared: int) -> bytes:
+    """``prefix``, then a ``kind`` chunk declaring ``declared`` payload
+    bytes of which only three follow."""
+    out = bytearray(prefix)
+    out.append(kind)
+    _put_uvarint(out, declared)
+    return bytes(out) + b"abc"
 
 
 def _steps(detection):
@@ -255,6 +269,16 @@ def _reader_outcome(src):
         return ("err", type(exc).__name__, str(exc))
 
 
+def _span_outcome(src, spans):
+    """``iter_events_in`` over ``spans``: ``("ok", events)`` or the
+    exception as ``("err", type_name, message)``."""
+    try:
+        with TraceFileReader(src) as r:
+            return ("ok", list(r.iter_events_in(spans)))
+    except Exception as exc:  # noqa: BLE001 - the outcome IS the assertion
+        return ("err", type(exc).__name__, str(exc))
+
+
 class TestMmapReader:
     """The same bytes give the same outcome whichever way they are read."""
 
@@ -293,6 +317,18 @@ class TestMmapReader:
                 plain = list(r.iter_events_in(spans[picked]))
             expected = [ev for chunk in chunks[picked] for ev in chunk]
             assert mapped == plain == expected and mapped
+        # A skipped chunk declaring more than the file holds ends the
+        # selective pass alike whether the file is mapped, read through
+        # an open file, or read from memory.
+        bad = tmp_path / "huge.wtrc"
+        for declared in HUGE_LENGTHS:
+            case = with_declared_chunk(data[: spans[-1].offset], K_EVENTS, declared)
+            bad.write_bytes(case)
+            mapped = _span_outcome(str(bad), spans[:1])
+            with open(bad, "rb") as fh:
+                buffered = _span_outcome(fh, spans[:1])
+            assert mapped == buffered == _span_outcome(io.BytesIO(case), spans[:1])
+            assert mapped == ("ok", chunks[0])
 
     def test_non_file_source_falls_back(self, tmp_path):
         """A file that cannot be mapped reads plainly: an empty file
@@ -304,14 +340,21 @@ class TestMmapReader:
 
     def test_corruption_errors_identical_to_plain(self, fig9_wtrc, tmp_path):
         data = Path(fig9_wtrc).read_bytes()
-        _, off, length = first_events_chunk(data)
+        header, off, length = first_events_chunk(data)
         rot = bytearray(data)
         rot[off + length // 2] ^= 0xFF
         cases = [bytes(rot)] + [data[:cut] for cut in (3, off - 1, off + 1)]
+        # A META or EVENTS chunk declaring far more than the file holds
+        # is a truncated payload, not an allocation of that size.
+        for declared in HUGE_LENGTHS:
+            cases.append(with_declared_chunk(data[:5], K_META, declared))
+            cases.append(with_declared_chunk(data[:header], K_EVENTS, declared))
         bad = tmp_path / "bad.wtrc"
         for case in cases:
             bad.write_bytes(case)
             mapped = _reader_outcome(str(bad))
+            with open(bad, "rb") as fh:
+                assert _reader_outcome(fh) == mapped
             assert mapped == _reader_outcome(io.BytesIO(case))
             assert mapped[0] == "err" or case is cases[0]
 
