@@ -15,7 +15,15 @@ ways (batch engine + JSON file vs streaming engine + binary file), with
 wall times, peak memory (tracemalloc) and file sizes, asserting both
 engines find identical cycles.
 
-Schema ``bench-core/6`` (migration note): ``macro.analyze_speedup.native``
+Schema ``bench-core/7`` (migration note): ``macro.end_to_end_s`` is now,
+like every other gated ratio, a ratio of medians over alternating pairs
+pinned to one CPU (record then analyze, each way), and records its
+``pairs`` and ``cpu``; ``bench-core/6`` summed single-shot record and
+analyze timings.  ``sharding.speedup`` keeps its method, but its
+monolithic side (``find_cycles``) now runs the integer cycle search,
+about twice as fast as the object DFS it replaced, so the ratio roughly
+halved (the sharded side is unchanged).  Schema ``bench-core/6``:
+``macro.analyze_speedup.native``
 and ``sharding.speedup`` are now, like ``macro.decode_ratio``, ratios of
 medians over alternating pairs pinned to one CPU; ``bench-core/5`` took
 best-of-3 and single-shot timings for them.  Each records its ``pairs``
@@ -461,6 +469,12 @@ def run_macro(n_events: int, tmp_dir: str) -> dict:
     else:
         ana_bin_s, _ = _wall(analyze_streaming)
         ana_native_s = native_kernel = native_cpu = None
+    # -- end to end: record then analyze, each way -------------------------
+    e2e_batch, e2e_stream, e2e_cpu = _interleaved_medians(
+        lambda: (record_json(), analyze_batch()),
+        lambda: (record_binary(), analyze_streaming()),
+        pairs,
+    )
     stream, stream_native = last["python"], last.get("native")
 
     assert _cycle_steps(batch) == _cycle_steps(stream), (
@@ -472,8 +486,6 @@ def run_macro(n_events: int, tmp_dir: str) -> dict:
         )
     json_bytes = os.path.getsize(json_path)
     bin_bytes = os.path.getsize(bin_path)
-    e2e_batch = rec_json_s + ana_json_s
-    e2e_stream = rec_bin_s + ana_bin_s
 
     def _eps(seconds):
         """Events/second, or None for a stage that did not run."""
@@ -528,9 +540,13 @@ def run_macro(n_events: int, tmp_dir: str) -> dict:
             "analyze_streaming_binary": round(ana_bin_mb, 2),
         },
         "end_to_end_s": {
+            # Medians over alternating pairs, each a record then an
+            # analyze; single-shot stage timings sit above.
             "batch_json": e2e_batch,
             "streaming_binary": e2e_stream,
             "speedup": round(e2e_batch / e2e_stream, 2),
+            "pairs": pairs,
+            "cpu": e2e_cpu,
         },
     }
 
@@ -731,7 +747,7 @@ def main(argv=None) -> int:
         if not interrupt.triggered:
             prediction = run_prediction()
     doc = {
-        "schema": "bench-core/6",
+        "schema": "bench-core/7",
         "macro": macro,
         "sharding": sharding,
         "micro": micro,

@@ -6,10 +6,12 @@ comparison's internal ratio — the same binary runs both sides, on the
 same box, in the same process.  This gate therefore compares ratios:
 
 * ``macro.end_to_end_s.speedup`` — streaming+binary vs batch+JSON,
-  end to end;
+  end to end (record then analyze), in alternating pairs on one CPU
+  (bench-core/7);
 * ``sharding.speedup`` — sharded+deduplicated cycle enumeration vs the
   monolithic DFS on the loop-heavy macro, in alternating pairs on one
-  CPU (bench-core/6);
+  CPU (bench-core/6; the monolithic side runs the integer search since
+  bench-core/7);
 * ``macro.file_bytes.ratio`` — JSON vs binary trace size (fully
   deterministic, so any drop is a real format regression);
 * ``prediction.decided_ratio`` — the fraction of registry replay

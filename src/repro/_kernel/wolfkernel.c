@@ -11,9 +11,23 @@
  * sees whole files: Python keeps all chunk framing, table-chunk decoding
  * and error reporting, and hands this kernel only raw EVENTS payload
  * bytes (zero-copy straight out of an mmap'd file).  The kernel's output
- * is four flat int64 logs — clock ops, acquire taus, lockdep entries and
- * their held-lock pool — which Python replays/materializes lazily into
- * the exact objects the pure-Python engine would have built.
+ * is flat int64 logs — clock ops, acquire taus, lockdep entries and
+ * their held-lock pool — which Python reads as integers: the cycle
+ * search runs on them directly, and only cycle members (or a consumer
+ * that needs the whole relation) become the exact objects the
+ * pure-Python engine would have built.
+ *
+ * Thread identity is by value, not by table row: Python hands over a
+ * canonical row map (each thread row -> the first row equal to it) with
+ * the table sizes, and tau, entry positions and child stamps are keyed
+ * by canonical row, as the pure engine keys them by ThreadId.  Logs keep
+ * raw rows, so Python resolves each to the very object the pure decoder
+ * would have produced.
+ *
+ * A context can also log every event as one fixed-width integer record
+ * (wk_log_events): the prediction index's re-read of a trace uses it
+ * instead of decoding event objects.  Analysis contexts leave it off, so
+ * their memory stays proportional to the acquisitions.
  *
  * Determinism contract (enforced by the python-vs-native differential
  * suite in tests/test_nativekernel.py):
@@ -39,8 +53,8 @@
 #include <string.h>
 #include <stdio.h>
 
-#define WK_KERNEL_VERSION "1.0.0"
-#define WK_ABI 1
+#define WK_KERNEL_VERSION "1.1.0"
+#define WK_ABI 2
 
 /* Error codes (negative).  The Python wrapper maps any failure to a
  * pure-Python re-decode of the same payload, so the exact code only
@@ -64,6 +78,15 @@ enum {
     TAG_NOTIFY = 7,
     TAG_BLOCK = 8,
 };
+
+/* Event-log record: step, tag, thread, flag, lock, site, other, occ.
+ * flag is the reentrant bit of an acquire or release; lock is the lock
+ * of an acquire, release, wait, notify or block; site the string of its
+ * site (the execution index's site for acquire and block); other the
+ * execution index's thread (acquire, block), the child (spawn) or the
+ * target (join); occ the execution index's occurrence.  Unused fields
+ * are 0.  Rows are raw table rows. */
+#define WK_EVENT_WIDTH 8
 
 /* Clock-op log opcodes (replayed through the real update_clocks). */
 enum {
@@ -116,9 +139,10 @@ typedef struct wk_ctx {
     uint64_t n_threads;
     uint64_t n_locks;
 
-    /* per-thread running state, indexed by thread table index */
-    int64_t *tau; /* 0 encodes the paper's ⊥ (never ran)          */
-    int64_t *pos; /* non-reentrant acquire count (entry position) */
+    /* per-thread running state, indexed by canonical thread row */
+    int64_t *canon; /* thread row -> first row with an equal ThreadId */
+    int64_t *tau;   /* 0 encodes the paper's ⊥ (never ran)          */
+    int64_t *pos;   /* non-reentrant acquire count (entry position) */
     uint64_t threads_cap;
 
     int64_t last_step;    /* step-delta accumulator across chunks */
@@ -132,6 +156,9 @@ typedef struct wk_ctx {
                        * nheld, held_off                               */
     i64vec held;      /* quads: lock, h_thread, h_site, h_occ          */
     i64vec nonempty;  /* entry indices with nheld > 0                  */
+    i64vec events;    /* WK_EVENT_WIDTH per event when log_events is   *
+                       * set (see wk_log_events)                       */
+    int log_events;
 
     int err_code;
     char err[192];
@@ -186,6 +213,7 @@ wk_ctx *wk_new(void) {
 void wk_free(wk_ctx *c) {
     if (!c)
         return;
+    free(c->canon);
     free(c->tau);
     free(c->pos);
     vec_free(&c->clock_ops);
@@ -193,26 +221,32 @@ void wk_free(wk_ctx *c) {
     vec_free(&c->entries);
     vec_free(&c->held);
     vec_free(&c->nonempty);
+    vec_free(&c->events);
     free(c);
 }
 
 const char *wk_error(wk_ctx *c) { return c->err; }
 int wk_error_code(wk_ctx *c) { return c->err_code; }
 
-/* Table sizes only ever grow (the writer interns before referencing). */
+/* Table sizes only ever grow (the writer interns before referencing).
+ * thread_canon holds n_threads canonical rows, each at most its own row;
+ * rows already known keep the canonical row they were first given. */
 int wk_set_tables(wk_ctx *c, uint64_t n_strings, uint64_t n_threads,
-                  uint64_t n_locks) {
+                  uint64_t n_locks, const int64_t *thread_canon) {
+    uint64_t row;
     if (n_strings > c->n_strings)
         c->n_strings = n_strings;
     if (n_locks > c->n_locks)
         c->n_locks = n_locks;
-    if (n_threads > c->n_threads)
-        c->n_threads = n_threads;
-    if (c->n_threads > c->threads_cap) {
+    if (n_threads > c->threads_cap) {
         uint64_t cap = c->threads_cap ? c->threads_cap : 16;
-        int64_t *t, *p;
-        while (cap < c->n_threads)
+        int64_t *k, *t, *p;
+        while (cap < n_threads)
             cap *= 2;
+        k = (int64_t *)realloc(c->canon, cap * sizeof(int64_t));
+        if (!k)
+            return WK_ENOMEM;
+        c->canon = k;
         t = (int64_t *)realloc(c->tau, cap * sizeof(int64_t));
         if (!t)
             return WK_ENOMEM;
@@ -227,8 +261,17 @@ int wk_set_tables(wk_ctx *c, uint64_t n_strings, uint64_t n_threads,
                (cap - c->threads_cap) * sizeof(int64_t));
         c->threads_cap = cap;
     }
+    for (row = c->n_threads; row < n_threads; row++) {
+        int64_t k = thread_canon[row];
+        c->canon[row] = (k >= 0 && (uint64_t)k <= row) ? k : (int64_t)row;
+    }
+    if (n_threads > c->n_threads)
+        c->n_threads = n_threads;
     return WK_OK;
 }
+
+/* Log every event applied from now on as one WK_EVENT_WIDTH record. */
+void wk_log_events(wk_ctx *c, int on) { c->log_events = on; }
 
 /* Pass 1: decode + bounds-check the whole payload without touching any
  * state.  On success reports the event count and the total held-lock
@@ -386,8 +429,23 @@ static int validate_events(wk_ctx *c, const uint8_t *p, uint64_t len,
     return WK_OK;
 }
 
+/* Append one event-log record (capacity reserved by wk_feed_events). */
+static void log_event(wk_ctx *c, int64_t step, int64_t tag, uint64_t t,
+                      int64_t flag, uint64_t lock, uint64_t site,
+                      uint64_t other, uint64_t occ) {
+    vec_push(&c->events, step);
+    vec_push(&c->events, tag);
+    vec_push(&c->events, (int64_t)t);
+    vec_push(&c->events, flag);
+    vec_push(&c->events, (int64_t)lock);
+    vec_push(&c->events, (int64_t)site);
+    vec_push(&c->events, (int64_t)other);
+    vec_push(&c->events, (int64_t)occ);
+}
+
 /* Pass 2: apply the (already validated) payload.  Cannot fail: every
- * push goes into pre-reserved capacity and every index was checked. */
+ * push goes into pre-reserved capacity and every index was checked.
+ * tau and pos are keyed by canonical row (k), logs carry raw rows. */
 static void apply_events(wk_ctx *c, const uint8_t *p, uint64_t len,
                          uint64_t n) {
     uint64_t pos = 0, i, ignored;
@@ -397,14 +455,15 @@ static void apply_events(wk_ctx *c, const uint8_t *p, uint64_t len,
     for (i = 0; i < n; i++) {
         uint8_t tag = p[pos++];
         int64_t delta = 0;
-        uint64_t t, u;
+        uint64_t t, k, u;
         (void)get_svarint(p, len, &pos, &delta);
         step += delta;
         (void)get_uvarint(p, len, &pos, &t);
+        k = (uint64_t)c->canon[t];
 
         /* Algorithm 1 line 11: first event of a thread sets tau to 1. */
-        if (c->tau[t] == 0) {
-            c->tau[t] = 1;
+        if (c->tau[k] == 0) {
+            c->tau[k] = 1;
             vec_push(&c->clock_ops, OP_TOUCH);
             vec_push(&c->clock_ops, (int64_t)t);
             vec_push(&c->clock_ops, 0);
@@ -413,21 +472,27 @@ static void apply_events(wk_ctx *c, const uint8_t *p, uint64_t len,
         switch (tag) {
         case TAG_BEGIN:
         case TAG_END:
+            if (c->log_events)
+                log_event(c, step, tag, t, 0, 0, 0, 0, 0);
             break;
         case TAG_SPAWN:
             (void)get_uvarint(p, len, &pos, &u);
-            c->tau[t] += 1;
-            c->tau[u] = 1; /* child is now touched (update_clocks line) */
+            c->tau[k] += 1;
+            c->tau[c->canon[u]] = 1; /* child is now touched (update_clocks) */
             vec_push(&c->clock_ops, OP_SPAWN);
             vec_push(&c->clock_ops, (int64_t)t);
             vec_push(&c->clock_ops, (int64_t)u);
+            if (c->log_events)
+                log_event(c, step, tag, t, 0, 0, 0, u, 0);
             break;
         case TAG_JOIN:
             (void)get_uvarint(p, len, &pos, &u);
-            c->tau[t] += 1;
+            c->tau[k] += 1;
             vec_push(&c->clock_ops, OP_JOIN);
             vec_push(&c->clock_ops, (int64_t)t);
             vec_push(&c->clock_ops, (int64_t)u);
+            if (c->log_events)
+                log_event(c, step, tag, t, 0, 0, 0, u, 0);
             break;
         case TAG_ACQUIRE: {
             uint64_t lk, it, isite, occ, nheld, h;
@@ -460,7 +525,7 @@ static void apply_events(wk_ctx *c, const uint8_t *p, uint64_t len,
             (void)get_uvarint(p, len, &pos, &u); /* stack depth */
             /* update_clocks records acquire_tau for *every* acquire. */
             vec_push(&c->acq, step);
-            vec_push(&c->acq, c->tau[t]);
+            vec_push(&c->acq, c->tau[k]);
             if (!reentrant) {
                 if (nheld)
                     vec_push(&c->nonempty,
@@ -471,42 +536,56 @@ static void apply_events(wk_ctx *c, const uint8_t *p, uint64_t len,
                 vec_push(&c->entries, (int64_t)it);
                 vec_push(&c->entries, (int64_t)isite);
                 vec_push(&c->entries, (int64_t)occ);
-                vec_push(&c->entries, c->tau[t]);
-                vec_push(&c->entries, c->pos[t]);
+                vec_push(&c->entries, c->tau[k]);
+                vec_push(&c->entries, c->pos[k]);
                 vec_push(&c->entries, (int64_t)nheld);
                 vec_push(&c->entries, held_off);
-                c->pos[t] += 1;
+                c->pos[k] += 1;
             } else {
                 /* reentrant acquires mint no entry; drop their held
                  * quads again so held_off stays the entry log's pool. */
                 c->held.len = 4 * (uint64_t)held_off;
             }
+            if (c->log_events)
+                log_event(c, step, tag, t, reentrant, lk, isite, it, occ);
             break;
         }
-        case TAG_RELEASE:
-            (void)get_uvarint(p, len, &pos, &u);
-            (void)get_uvarint(p, len, &pos, &u);
-            pos++; /* reentrant flag */
+        case TAG_RELEASE: {
+            uint64_t lk, site;
+            int reentrant;
+            (void)get_uvarint(p, len, &pos, &lk);
+            (void)get_uvarint(p, len, &pos, &site);
+            reentrant = p[pos] == 1;
+            pos++;
+            if (c->log_events)
+                log_event(c, step, tag, t, reentrant, lk, site, 0, 0);
             break;
+        }
         case TAG_WAIT:
-            (void)get_uvarint(p, len, &pos, &u);
-            (void)get_uvarint(p, len, &pos, &u);
-            (void)get_uvarint(p, len, &pos, &u);
+        case TAG_NOTIFY: {
+            uint64_t lk, site;
+            (void)get_uvarint(p, len, &pos, &u); /* condition */
+            (void)get_uvarint(p, len, &pos, &lk);
+            (void)get_uvarint(p, len, &pos, &site);
+            if (tag == TAG_NOTIFY) {
+                (void)get_uvarint(p, len, &pos, &u); /* woken */
+                pos++;                               /* notify_all flag */
+            }
+            if (c->log_events)
+                log_event(c, step, tag, t, 0, lk, site, 0, 0);
             break;
-        case TAG_NOTIFY:
-            (void)get_uvarint(p, len, &pos, &u);
-            (void)get_uvarint(p, len, &pos, &u);
-            (void)get_uvarint(p, len, &pos, &u);
-            (void)get_uvarint(p, len, &pos, &u); /* woken */
-            pos++;                               /* notify_all flag */
+        }
+        case TAG_BLOCK: {
+            uint64_t lk, it, isite, occ;
+            (void)get_uvarint(p, len, &pos, &lk);
+            (void)get_uvarint(p, len, &pos, &it);
+            (void)get_uvarint(p, len, &pos, &isite);
+            (void)get_uvarint(p, len, &pos, &occ);
+            (void)get_uvarint(p, len, &pos, &u); /* holder */
+            if (c->log_events)
+                log_event(c, step, tag, t, 0, lk, isite, it, occ);
             break;
-        case TAG_BLOCK:
-            (void)get_uvarint(p, len, &pos, &u);
-            (void)get_uvarint(p, len, &pos, &u);
-            (void)get_uvarint(p, len, &pos, &u);
-            (void)get_uvarint(p, len, &pos, &u);
-            (void)get_uvarint(p, len, &pos, &u);
-            break;
+        }
         }
         c->events_read += 1;
     }
@@ -528,12 +607,15 @@ int wk_feed_events(wk_ctx *c, const uint8_t *payload, uint64_t len) {
     }
     /* Reserve worst-case capacity so pass 2 cannot fail midway: per
      * event at most one touch op plus one spawn/join op (3 i64 each),
-     * one acquire pair, one 10-slot entry; held quads counted exactly. */
+     * one acquire pair, one 10-slot entry and, when logging, one event
+     * record; held quads counted exactly. */
     if (vec_reserve(&c->clock_ops, 6 * n) != WK_OK ||
         vec_reserve(&c->acq, 2 * n) != WK_OK ||
         vec_reserve(&c->entries, 10 * n) != WK_OK ||
         vec_reserve(&c->nonempty, n) != WK_OK ||
-        vec_reserve(&c->held, 4 * held_total) != WK_OK) {
+        vec_reserve(&c->held, 4 * held_total) != WK_OK ||
+        (c->log_events &&
+         vec_reserve(&c->events, WK_EVENT_WIDTH * n) != WK_OK)) {
         c->err_code = WK_ENOMEM;
         snprintf(c->err, sizeof(c->err), "native kernel: out of memory");
         return WK_ENOMEM;
@@ -562,3 +644,6 @@ const int64_t *wk_held(wk_ctx *c) { return c->held.data; }
 
 uint64_t wk_n_nonempty(wk_ctx *c) { return c->nonempty.len; }
 const int64_t *wk_nonempty(wk_ctx *c) { return c->nonempty.data; }
+
+uint64_t wk_n_events(wk_ctx *c) { return c->events.len / WK_EVENT_WIDTH; }
+const int64_t *wk_events(wk_ctx *c) { return c->events.data; }

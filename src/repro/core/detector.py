@@ -16,10 +16,16 @@ cycle.  :class:`ExtendedDetector` additionally computes the timestamps and
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Set, Tuple
 
-from repro.core.lockdep import LockDepEntry, LockDependencyRelation, build_lockdep
+from repro.core.lockdep import (
+    CycleColumns,
+    LockDepEntry,
+    LockDependencyRelation,
+    build_lockdep,
+)
 from repro.core.vclock import VectorClockState, compute_vector_clocks
 from repro.runtime.events import Trace
 from repro.util.ids import ExecIndex, LockId, Site, ThreadId
@@ -107,32 +113,54 @@ def find_cycles(
     the smallest trace ``step`` in each cycle so every cycle is produced
     exactly once (in canonical rotation).  Returns ``(cycles, truncated)``
     where ``truncated`` reports hitting ``max_cycles``.
+
+    The search runs on the relation's integer
+    :meth:`~repro.core.lockdep.LockDependencyRelation.cycle_columns`
+    (the kernel-backed relation hands over its flat logs without minting
+    entries); only the members of the cycles found become
+    :class:`LockDepEntry` objects.
     """
-    cycles: List[PotentialDeadlock] = []
-    truncated = False
+    cols = rel.cycle_columns()
+    found, truncated = _search_cycles(cols, max_length, max_cycles)
+    rows = sorted({r for cycle in found for r in cycle})
+    by_row = dict(zip(rows, cols.entries(rows)))
+    return [
+        PotentialDeadlock(tuple(by_row[r] for r in cycle)) for cycle in found
+    ], truncated
 
-    # ``rel.holding`` lists are in trace order (ascending ``step``), so
-    # the anchor constraint (later-step entries only) is a binary search,
-    # not a scan.
-    from bisect import bisect_right
 
-    def candidates_after(lock, step: int):
-        lst = rel.holding.get(lock)
-        if not lst:
-            return ()
-        i = bisect_right(lst, step, key=lambda e: e.step)
-        return lst[i:]
-
-    # Lock-level reachability: appending an entry to a partial path adds
-    # one edge in the (held -> wanted) lock graph, so a candidate whose
-    # wanted lock cannot reach the anchor's lockset within the remaining
-    # length budget can never close a cycle.  Locks are few; all-pairs
-    # BFS is cheap and prunes the DFS to (near) output-sensitive cost.
-    lock_adj: Dict[LockId, Set[LockId]] = {}
-    for e in rel.entries:
-        for held in e.lockset:
-            lock_adj.setdefault(held, set()).add(e.lock)
-    lock_dist: Dict[LockId, Dict[LockId, int]] = {}
+def _search_cycles(
+    cols: CycleColumns, max_length: int, max_cycles: int
+) -> Tuple[List[Tuple[int, ...]], bool]:
+    """The DFS of :func:`find_cycles` over integer columns; cycles come
+    back as tuples of rows."""
+    steps, threads, locks, held = cols.steps, cols.threads, cols.locks, cols.held
+    # Locksets as frozensets for the guard-lock check, one per distinct
+    # lockset (loops repeat a few locksets many times).
+    shared: Dict[Tuple[int, ...], FrozenSet[int]] = {}
+    lsets: List[FrozenSet[int]] = []
+    for h in held:
+        s = shared.get(h)
+        if s is None:
+            s = shared[h] = frozenset(h)
+        lsets.append(s)
+    # holding[l]: rows whose lockset holds l, in trace order (ascending
+    # step), so the anchor constraint (later-step rows only) is a binary
+    # search over holding_steps[l], not a scan.
+    holding: Dict[int, List[int]] = {}
+    # Lock-level reachability: appending a row to a partial path adds one
+    # edge in the (held -> wanted) lock graph, so a candidate whose wanted
+    # lock cannot reach the anchor's lockset within the remaining length
+    # budget can never close a cycle.  Locks are few; all-pairs BFS is
+    # cheap and prunes the DFS to (near) output-sensitive cost.
+    lock_adj: Dict[int, Set[int]] = {}
+    for row, h in enumerate(held):
+        wanted = locks[row]
+        for l in h:
+            holding.setdefault(l, []).append(row)
+            lock_adj.setdefault(l, set()).add(wanted)
+    holding_steps = {l: [steps[r] for r in rows] for l, rows in holding.items()}
+    lock_dist: Dict[int, Dict[int, int]] = {}
     for src in lock_adj:
         dist = {src: 0}
         frontier = [src]
@@ -145,62 +173,63 @@ def find_cycles(
                         nxt_frontier.append(v)
             frontier = nxt_frontier
         lock_dist[src] = dist
+    unreachable = max_length + 1
 
-    def can_reach_anchor(lock: LockId, anchor_locks, budget: int) -> bool:
+    def can_reach_anchor(lock: int, anchor_locks: Tuple[int, ...], budget: int) -> bool:
         dist = lock_dist.get(lock)
         if dist is None:
             return False
-        return any(
-            dist.get(l, max_length + 1) <= budget for l in anchor_locks
-        )
+        return any(dist.get(l, unreachable) <= budget for l in anchor_locks)
 
-    def extend(path: List[LockDepEntry], threads: Set[ThreadId]) -> bool:
+    cycles: List[Tuple[int, ...]] = []
+    truncated = False
+
+    def extend(path: List[int], on_path: Set[int]) -> bool:
         """Returns False when the cycle budget is exhausted."""
         nonlocal truncated
-        first, last = path[0], path[-1]
-        budget = max_length - len(path) - 1  # entries allowed after nxt
-        for nxt in candidates_after(last.lock, first.step):
-            if nxt.thread in threads:
+        first = path[0]
+        anchor_locks, anchor_set = held[first], lsets[first]
+        lock = locks[path[-1]]
+        rows = holding.get(lock)
+        if not rows:
+            return True
+        budget = max_length - len(path) - 1  # rows allowed after nxt
+        for nxt in rows[bisect_right(holding_steps[lock], steps[first]):]:
+            thread = threads[nxt]
+            if thread in on_path:
                 continue
-            closes = nxt.lock in first.lockset
-            extendable = budget > 0 and can_reach_anchor(
-                nxt.lock, first.lockset, budget
-            )
+            wanted = locks[nxt]
+            closes = wanted in anchor_set
+            extendable = budget > 0 and can_reach_anchor(wanted, anchor_locks, budget)
             if not closes and not extendable:
                 continue
-            # Guard-lock check: locksets pairwise disjoint (cached
-            # frozensets — see LockDepEntry.lockset_set).
-            nxt_lockset = nxt.lockset_set
-            if any(nxt_lockset & prev.lockset_set for prev in path):
+            # Guard-lock check: locksets pairwise disjoint.
+            nxt_set = lsets[nxt]
+            if any(not nxt_set.isdisjoint(lsets[p]) for p in path):
                 continue
             path.append(nxt)
-            threads.add(nxt.thread)
+            on_path.add(thread)
             # Close the cycle when the newcomer's wanted lock is held by
             # the anchor: lock(eta_n) ∈ lockset(eta_1).
-            if closes and len(path) >= 2:
-                cycles.append(PotentialDeadlock(tuple(path)))
+            if closes:
+                cycles.append(tuple(path))
                 if len(cycles) >= max_cycles:
                     truncated = True
                     path.pop()
-                    threads.discard(nxt.thread)
+                    on_path.discard(thread)
                     return False
-            if extendable and not extend(path, threads):
+            if extendable and not extend(path, on_path):
                 path.pop()
-                threads.discard(nxt.thread)
+                on_path.discard(thread)
                 return False
             path.pop()
-            threads.discard(nxt.thread)
+            on_path.discard(thread)
         return True
 
-    for start in rel.entries:
-        if not start.lockset:
-            # An entry holding nothing cannot be waited on; it can still
-            # *wait*, but as the anchor it must also be held-from, so only
-            # entries with a non-empty lockset can ever close a cycle...
-            # except as the waiter: the anchor both waits (via its lock)
-            # and is waited on (via its lockset).  Empty lockset => no one
-            # can wait on the anchor => no cycle through it as anchor.
-            continue
+    # Every row holds a lock: an entry holding nothing cannot be waited
+    # on, so it never closes a cycle as the anchor (the columns leave it
+    # out, and it can never be a later member either).
+    for start in range(len(steps)):
         if len(cycles) >= max_cycles:
             truncated = True
             break
@@ -209,9 +238,9 @@ def find_cycles(
         # ``start, e_2 .. e_n`` walk the lock graph from ``lock(start)``
         # to ``lock(e_n) ∈ lockset(start)`` in ``n - 1`` edges.  No such
         # walk within ``max_length - 1`` edges, no cycle through ``start``.
-        if not can_reach_anchor(start.lock, start.lockset, max_length - 1):
+        if not can_reach_anchor(locks[start], held[start], max_length - 1):
             continue
-        if not extend([start], {start.thread}):
+        if not extend([start], {threads[start]}):
             break
     return cycles, truncated
 

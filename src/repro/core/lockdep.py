@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from repro.runtime.events import AcquireEvent, Trace
 from repro.util.ids import ExecIndex, LockId, ThreadId
@@ -84,6 +84,28 @@ class LockDepEntry:
         )
 
 
+@dataclass
+class CycleColumns:
+    """The entries of ``D_sigma`` that hold a lock, as integer columns in
+    trace order: what the cycle search of
+    :func:`repro.core.detector.find_cycles` reads.
+
+    Row ``i`` is one entry: its ``step``, its thread and wanted lock as
+    canonical ids, and its lockset as a tuple of canonical lock ids in
+    acquisition order.  Ids are canonical by value: two equal
+    :class:`~repro.util.ids.ThreadId` (or :class:`~repro.util.ids.LockId`)
+    get one id whatever their ``name``, as object equality has it.
+    ``entries`` maps rows back to :class:`LockDepEntry` objects, so only
+    the rows a caller asks for (the cycle members) ever need one.
+    """
+
+    steps: List[int]
+    threads: List[int]
+    locks: List[int]
+    held: List[Tuple[int, ...]]
+    entries: Callable[[Sequence[int]], List[LockDepEntry]]
+
+
 class LockDependencyRelation:
     """``D_sigma`` with the indexes cycle detection needs.
 
@@ -125,6 +147,22 @@ class LockDependencyRelation:
         """This thread's entries strictly before ``entry`` (``D'_sigma``
         restricted to one thread, paper §3.4)."""
         return self.by_thread[entry.thread][: entry.pos]
+
+    def cycle_columns(self) -> CycleColumns:
+        """The lock-holding entries as :class:`CycleColumns`, with ids
+        interned by value in order of first appearance."""
+        rows = [e for e in self.entries if e.lockset]
+        thread_ids: Dict[ThreadId, int] = {}
+        lock_ids: Dict[LockId, int] = {}
+        cols = CycleColumns([], [], [], [], lambda picked: [rows[i] for i in picked])
+        for e in rows:
+            cols.steps.append(e.step)
+            cols.threads.append(thread_ids.setdefault(e.thread, len(thread_ids)))
+            cols.locks.append(lock_ids.setdefault(e.lock, len(lock_ids)))
+            cols.held.append(
+                tuple(lock_ids.setdefault(l, len(lock_ids)) for l in e.lockset)
+            )
+        return cols
 
 
 def entry_from_acquire(ev: AcquireEvent, *, pos: int, tau: int = 1) -> LockDepEntry:

@@ -12,15 +12,21 @@ zero-copy from an mmap'd trace file, with no per-event Python objects.
 Division of labor (see docs/architecture.md, "Native analysis kernel"):
 
 * **Python keeps**: all chunk framing (:class:`TraceFileReader` /
-  :class:`ChunkDecoder` subclasses below), identity-table decoding,
-  error reporting, vector-clock *semantics* (the kernel only logs
-  touch/spawn/join ops which are replayed through the real
-  :func:`update_clocks`), cycle enumeration, and everything downstream
-  (Pruner, Generator, prediction, reports).
-* **C keeps**: the per-event byte crunching, emitting four flat int64
-  logs — clock ops, acquire taus, lockdep entries, held-lock pool —
-  that Python materializes lazily into the exact objects the
-  pure-Python engine would have built.
+  :class:`ChunkDecoder` subclasses below), identity-table decoding and
+  each table's canonical row map, error reporting, vector-clock
+  *semantics* (the kernel only logs touch/spawn/join ops which are
+  replayed through the real :func:`update_clocks`), cycle enumeration,
+  and everything downstream (Pruner, Generator, prediction, reports).
+* **C keeps**: the per-event byte crunching, emitting flat int64 logs —
+  clock ops, acquire taus, lockdep entries, held-lock pool — keyed by
+  the canonical thread rows Python hands it.
+* **Integers until an object is needed**: the cycle search reads the
+  entry log as integer columns (:meth:`NativeRelation.cycle_columns`)
+  and mints only cycle members; the whole relation materializes, into
+  the exact objects the pure-Python engine would have built, only when
+  a consumer touches it.  The prediction index re-reads the file
+  through a kernel that logs every event as integers
+  (:class:`NativeEventLogReader`) instead of decoding event objects.
 
 Build & fallback rules:
 
@@ -56,7 +62,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.detector import DetectionResult, find_cycles
-from repro.core.lockdep import LockDepEntry, LockDependencyRelation
+from repro.core.lockdep import CycleColumns, LockDepEntry, LockDependencyRelation
+from repro.core.prediction import EVENT_LOG_WIDTH, EventLog
 from repro.core.streaming import StreamingDetector
 from repro.core.vclock import VectorClockState, update_clocks
 from repro.runtime.events import JoinEvent, SpawnEvent, Trace
@@ -64,7 +71,7 @@ from repro.runtime.tracefile import ChunkDecoder, ChunkSpan, TraceFileReader, _D
 from repro.util.ids import ExecIndex, LockId, ThreadId
 
 #: Version of the kernel ABI this wrapper speaks; must match wk_abi().
-KERNEL_ABI = 1
+KERNEL_ABI = 2
 
 #: Backends accepted by every ``backend=`` parameter in the pipeline.
 BACKENDS = ("python", "native", "auto")
@@ -80,7 +87,8 @@ wk_ctx *wk_new(void);
 void wk_free(wk_ctx *);
 const char *wk_error(wk_ctx *);
 int wk_error_code(wk_ctx *);
-int wk_set_tables(wk_ctx *, uint64_t, uint64_t, uint64_t);
+int wk_set_tables(wk_ctx *, uint64_t, uint64_t, uint64_t, const int64_t *);
+void wk_log_events(wk_ctx *, int);
 int wk_feed_events(wk_ctx *, const void *, uint64_t);
 int64_t wk_last_step(wk_ctx *);
 uint64_t wk_events_read(wk_ctx *);
@@ -94,6 +102,8 @@ uint64_t wk_n_held(wk_ctx *);
 const int64_t *wk_held(wk_ctx *);
 uint64_t wk_n_nonempty(wk_ctx *);
 const int64_t *wk_nonempty(wk_ctx *);
+uint64_t wk_n_events(wk_ctx *);
+const int64_t *wk_events(wk_ctx *);
 """
 
 
@@ -287,10 +297,21 @@ class _Kernel:
             raise MemoryError("wk_new failed")
         self._ctx = ffi.gc(ctx, lib.wk_free)
 
-    def set_tables(self, n_strings: int, n_threads: int, n_locks: int) -> None:
-        rc = self._lib.wk_set_tables(self._ctx, n_strings, n_threads, n_locks)
+    def set_tables(
+        self, n_strings: int, n_locks: int, thread_canon: array
+    ) -> None:
+        """Size the tables; ``thread_canon`` maps every thread row to the
+        first row holding an equal :class:`ThreadId`."""
+        canon = self._ffi.from_buffer("int64_t[]", thread_canon)
+        rc = self._lib.wk_set_tables(
+            self._ctx, n_strings, len(thread_canon), n_locks, canon
+        )
         if rc != 0:
             raise MemoryError("wk_set_tables failed")
+
+    def log_events(self) -> None:
+        """Log every event fed from now on (see :meth:`event_log`)."""
+        self._lib.wk_log_events(self._ctx, 1)
 
     def feed_events(self, payload) -> int:
         """Feed one EVENTS payload; returns the kernel error code
@@ -324,6 +345,11 @@ class _Kernel:
             self._pull(lib.wk_n_held(ctx), lib.wk_held(ctx), 4),
             self._pull(lib.wk_n_nonempty(ctx), lib.wk_nonempty(ctx), 1),
         )
+
+    def event_log(self) -> array:
+        """Copy out the event log: ``EVENT_LOG_WIDTH`` ints per event."""
+        lib, ctx = self._lib, self._ctx
+        return self._pull(lib.wk_n_events(ctx), lib.wk_events(ctx), EVENT_LOG_WIDTH)
 
     @property
     def n_entries(self) -> int:
@@ -363,19 +389,38 @@ def _feed_payload(kernel: _Kernel, core: _DecodeCore, payload) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _extend_canon(table: Sequence, first: Dict, canon) -> None:
+    """Extend ``canon`` over the new rows of ``table``: each row maps to
+    the first row holding an equal identity.  ``ThreadId`` and ``LockId``
+    equality ignores ``name``, so a table may repeat an identity under
+    another name; every consumer that compares ids compares these."""
+    for row in range(len(canon), len(table)):
+        canon.append(first.setdefault(table[row], row))
+
+
 class _KernelFeed:
     """Mixin for a chunk source that routes EVENTS payloads into a kernel
     instead of decoding per-event Python objects.
 
     Table chunks are decoded by the inherited pure-Python logic and then
     sized into the kernel, so framing and table corruption raise the
-    exact errors of the pure backend.
+    exact errors of the pure backend.  The mixin also keeps each table's
+    canonical row map (``_thread_canon``, ``_lock_canon``): the kernel
+    keys its per-thread state by the thread map, and the cycle search
+    compares ids through both.
     """
 
+    def _init_decode_state(self) -> None:
+        super()._init_decode_state()
+        self._thread_canon = array("q")
+        self._lock_canon: List[int] = []
+        self._first_thread: Dict[ThreadId, int] = {}
+        self._first_lock: Dict[LockId, int] = {}
+
     def _sync_tables(self) -> None:
-        self._nk.set_tables(
-            len(self._strings), len(self._threads), len(self._locks)
-        )
+        _extend_canon(self._threads, self._first_thread, self._thread_canon)
+        _extend_canon(self._locks, self._first_lock, self._lock_canon)
+        self._nk.set_tables(len(self._strings), len(self._locks), self._thread_canon)
 
     def _load_strings(self, payload) -> None:
         super()._load_strings(payload)
@@ -408,6 +453,32 @@ class NativeTraceFileReader(_KernelFeed, TraceFileReader):
         super().__init__(src)
 
 
+class NativeEventLogReader(NativeTraceFileReader):
+    """A ``.wtrc`` re-read through a kernel that logs every event as
+    integers, for :meth:`ClosureIndex.from_events`.
+
+    The log exists only for the length of the re-read; analysis contexts
+    never keep one.
+    """
+
+    def __init__(self, src) -> None:
+        kernel = _Kernel()
+        kernel.log_events()
+        super().__init__(src, kernel)
+
+    def read_event_log(self) -> EventLog:
+        """Stream the rest of the file through the kernel; its whole
+        event log, with the tables the records index."""
+        for _ in self:
+            pass
+        return EventLog(
+            rows=self._nk.event_log(),
+            strings=self._strings,
+            threads=self._threads,
+            locks=self._locks,
+        )
+
+
 class NativeChunkDecoder(_KernelFeed, ChunkDecoder):
     """Push-mode :class:`ChunkDecoder` feeding a kernel.
 
@@ -430,11 +501,14 @@ class NativeChunkDecoder(_KernelFeed, ChunkDecoder):
 
 @dataclass
 class _KernelSnapshot:
-    """The kernel's flat logs plus the identity tables to resolve them."""
+    """The kernel's flat logs plus the identity tables to resolve them
+    (and the tables' canonical row maps, see :class:`_KernelFeed`)."""
 
     strings: List[str]
     threads: List[ThreadId]
     locks: List[LockId]
+    thread_canon: Sequence[int]
+    lock_canon: Sequence[int]
     clock_ops: array
     acq: array
     ent: array
@@ -528,15 +602,47 @@ class _KernelSnapshot:
             )
         return out
 
+    def cycle_columns(self) -> CycleColumns:
+        """The nonempty-lockset entries as :class:`CycleColumns`, read
+        straight from the entry log and held pool through the canonical
+        row maps.  Rows map back to entries by minting only those."""
+        ent, held, nonempty = self.ent, self.held, self.nonempty
+        tcanon, lcanon = self.thread_canon, self.lock_canon
+        steps: List[int] = []
+        threads: List[int] = []
+        locks: List[int] = []
+        helds: List[Tuple[int, ...]] = []
+        # Loops repeat a few locksets many times: map each raw one once.
+        canon_of: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
+        for i in nonempty:
+            b = 10 * i
+            hoff = 4 * ent[b + 9]
+            raw = tuple(held[hoff : hoff + 4 * ent[b + 8] : 4])
+            h = canon_of.get(raw)
+            if h is None:
+                h = canon_of[raw] = tuple([lcanon[l] for l in raw])
+            steps.append(ent[b])
+            threads.append(tcanon[ent[b + 1]])
+            locks.append(lcanon[ent[b + 2]])
+            helds.append(h)
+        return CycleColumns(
+            steps,
+            threads,
+            locks,
+            helds,
+            lambda rows: self.materialize_entries([nonempty[r] for r in rows]),
+        )
+
 
 class NativeRelation(LockDependencyRelation):
     """``D_sigma`` backed by the kernel's flat entry log.
 
-    Materialization into real :class:`LockDepEntry` objects (and the
-    by-thread/holding/acquiring indexes) happens on first attribute
-    access — the fast non-sharded analyze path never triggers it (cycle
-    search runs on the eager nonempty-lockset subset instead), while the
-    shard/reduce/Generator paths transparently get the full relation.
+    The cycle search reads :meth:`cycle_columns` straight from the logs,
+    so the default analyze path mints only the members of the cycles it
+    finds.  Materialization into real :class:`LockDepEntry` objects (and
+    the by-thread/holding/acquiring indexes) happens on first access to
+    one of those attributes: the Generator, the shard and reduce paths
+    and any other consumer of the whole relation transparently get it.
     """
 
     def __init__(self, snap: _KernelSnapshot) -> None:
@@ -560,6 +666,9 @@ class NativeRelation(LockDependencyRelation):
             return len(self.__dict__["entries"])
         return self._snap.n_entries
 
+    def cycle_columns(self) -> CycleColumns:
+        return self._snap.cycle_columns()
+
 
 # ---------------------------------------------------------------------------
 # native streaming detector
@@ -574,17 +683,17 @@ class NativeStreamingDetector:
     :class:`NativeTraceFileReader` / :class:`NativeChunkDecoder`;
     :meth:`feed`/:meth:`feed_many` therefore reject actual event objects
     (in-memory traces always use the pure-Python engine).  Enumeration
-    runs at :meth:`finish`, as in the pure detector; without sharding or
-    reduction ``find_cycles`` runs over the eager nonempty-lockset subset
-    of ``D_sigma``, which yields exactly the full relation's cycles and
-    ``truncated`` flag (every cycle member and anchor needs a nonempty
-    lockset, and relative order is preserved).
+    runs at :meth:`finish`, as in the pure detector.  Without sharding
+    or reduction ``find_cycles`` searches the kernel's integer logs
+    through :meth:`NativeRelation.cycle_columns`: the relation stays
+    unmaterialized and only cycle members become :class:`LockDepEntry`
+    objects, so a cycle-free trace's ``finish`` mints none.
     """
 
     def __init__(
         self,
         kernel: _Kernel,
-        tables: _DecodeCore,
+        tables: _KernelFeed,
         *,
         max_length: int = 4,
         max_cycles: int = 10_000,
@@ -636,6 +745,8 @@ class NativeStreamingDetector:
                 strings=self._tables._strings,
                 threads=self._tables._threads,
                 locks=self._tables._locks,
+                thread_canon=self._tables._thread_canon,
+                lock_canon=self._tables._lock_canon,
                 clock_ops=ops,
                 acq=acq,
                 ent=ent,
@@ -665,45 +776,29 @@ class NativeStreamingDetector:
         trace_path: Optional[str] = None,
         chunk_spans: Optional[Sequence[ChunkSpan]] = None,
     ) -> DetectionResult:
-        snap = self._snapshot()
         rel = self.relation
+        search_rel = rel
         removed = 0
         stats = None
-        if self.shard_cycles or self.reduce:
-            search_rel = rel
-            if self.reduce:
-                from repro.core.reduction import reduce_relation
+        if self.reduce:
+            from repro.core.reduction import reduce_relation
 
-                search_rel, removed = reduce_relation(rel)
-            if self.shard_cycles:
-                from repro.core.sharding import find_cycles_sharded
+            search_rel, removed = reduce_relation(rel)
+        if self.shard_cycles:
+            from repro.core.sharding import find_cycles_sharded
 
-                cycles, self.truncated, stats = find_cycles_sharded(
-                    search_rel,
-                    max_length=self.max_length,
-                    max_cycles=self.max_cycles,
-                    engine=shard_engine,
-                    policy=policy,
-                    trace_path=trace_path,
-                    chunk_spans=chunk_spans,
-                )
-            else:
-                cycles, self.truncated = find_cycles(
-                    search_rel,
-                    max_length=self.max_length,
-                    max_cycles=self.max_cycles,
-                )
-        else:
-            # Without materializing the full relation: only
-            # nonempty-lockset entries can participate in cycles (they
-            # alone populate the holding index and anchor set), so the
-            # DFS over this subset enumerates exactly the batch cycle
-            # sequence.
-            cycle_rel = LockDependencyRelation(
-                snap.materialize_entries(snap.nonempty)
+            cycles, self.truncated, stats = find_cycles_sharded(
+                search_rel,
+                max_length=self.max_length,
+                max_cycles=self.max_cycles,
+                engine=shard_engine,
+                policy=policy,
+                trace_path=trace_path,
+                chunk_spans=chunk_spans,
             )
+        else:
             cycles, self.truncated = find_cycles(
-                cycle_rel,
+                search_rel,
                 max_length=self.max_length,
                 max_cycles=self.max_cycles,
             )

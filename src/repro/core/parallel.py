@@ -171,17 +171,35 @@ def closure_index_for(
     Prediction examines only the Generator's survivors, so with none left
     the index is empty and the trace is never walked.  Otherwise the
     in-memory trace is used when the detection materialized one; file
-    analysis never does, so ``trace_path`` names the backing ``.wtrc`` to
-    re-read (one sequential pass, no materialization).
+    analysis never does, so ``trace_path`` names the backing ``.wtrc`` (or
+    serve spool) to re-read in one sequential pass.  A detection the
+    native kernel made is re-read through the kernel, which hands the
+    index its integer event log; if the kernel rejects a payload the
+    pure-Python decoder re-reads it and raises its own error (or, on the
+    admitted >64-bit varint divergence, indexes the whole file).  The
+    pure backend re-reads in Python: it is the only path on a host
+    without a C compiler.
     """
     if not any(d.verdict is GeneratorVerdict.UNKNOWN for d in decisions):
         return ClosureIndex()
     if len(detection.trace.events) > 0:
         return ClosureIndex.from_events(detection.trace)
-    if trace_path is not None:
-        with TraceFileReader(trace_path) as reader:
-            return ClosureIndex.from_events(reader)
-    return ClosureIndex()
+    if trace_path is None:
+        return ClosureIndex()
+    from repro.core.nativekernel import (
+        KernelDivergenceError,
+        NativeEventLogReader,
+        NativeRelation,
+    )
+
+    if isinstance(detection.relation, NativeRelation):
+        try:
+            with NativeEventLogReader(trace_path) as reader:
+                return ClosureIndex.from_events(reader)
+        except KernelDivergenceError:
+            pass
+    with TraceFileReader(trace_path) as reader:
+        return ClosureIndex.from_events(reader)
 
 
 def predict_decisions(

@@ -73,11 +73,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.detector import PotentialDeadlock
 from repro.runtime.events import (
     AcquireEvent,
+    BeginEvent,
     BlockEvent,
     EndEvent,
     JoinEvent,
@@ -87,6 +88,7 @@ from repro.runtime.events import (
     TraceEvent,
     WaitEvent,
 )
+from repro.runtime.tracefile import _EV_TAG
 from repro.util.ids import ExecIndex, LockId, ThreadId
 
 __all__ = [
@@ -95,6 +97,7 @@ __all__ = [
     "CyclePrediction",
     "PredictionResult",
     "ClosureIndex",
+    "EventLog",
     "Predictor",
     "event_token",
     "predict_cycles",
@@ -221,6 +224,77 @@ class PredictionResult:
         return sum(1 for p in self.predictions if p.decided)
 
 
+@dataclass
+class EventLog:
+    """A trace as flat integer records: the native kernel's event log.
+
+    ``rows`` holds :data:`EVENT_LOG_WIDTH` ints per event, in trace
+    order: ``step, tag, thread, flag, lock, site, other, occ``.  ``tag``
+    is the event's ``.wtrc`` wire tag and ``flag`` the reentrant bit of an
+    acquire or release.  ``lock`` is the lock of an acquire, release,
+    wait, notify or block; ``site`` the string row of its site (the
+    execution index's site for an acquire or block); ``other`` the
+    execution index's thread (acquire, block), the spawned child or the
+    join target; ``occ`` the execution index's occurrence.  Threads,
+    locks and sites are raw rows of ``threads``, ``locks`` and
+    ``strings``, the trace's own tables.
+    """
+
+    rows: Sequence[int]
+    strings: List[str]
+    threads: List[ThreadId]
+    locks: List[LockId]
+
+
+#: Ints per :class:`EventLog` record (``WK_EVENT_WIDTH`` in the kernel).
+EVENT_LOG_WIDTH = 8
+
+# Wire tags of the event kinds (an EventLog record's ``tag``).
+(
+    _TAG_BEGIN,
+    _TAG_END,
+    _TAG_SPAWN,
+    _TAG_JOIN,
+    _TAG_ACQUIRE,
+    _TAG_RELEASE,
+    _TAG_WAIT,
+    _TAG_NOTIFY,
+    _TAG_BLOCK,
+) = (
+    _EV_TAG[cls]
+    for cls in (
+        BeginEvent,
+        EndEvent,
+        SpawnEvent,
+        JoinEvent,
+        AcquireEvent,
+        ReleaseEvent,
+        WaitEvent,
+        NotifyEvent,
+        BlockEvent,
+    )
+)
+
+
+def _record_token(tag: int, reentrant: int, site: str, other: str) -> str:
+    """:func:`event_token` of the event an :class:`EventLog` record
+    stands for (``other`` is the child's or join target's pretty name)."""
+    if tag == _TAG_ACQUIRE or tag == _TAG_RELEASE:
+        verb = "acq" if tag == _TAG_ACQUIRE else "rel"
+        return f"{verb}+@{site}" if reentrant else f"{verb}@{site}"
+    if tag == _TAG_SPAWN:
+        return f"spawn:{other}"
+    if tag == _TAG_JOIN:
+        return f"join:{other}"
+    if tag == _TAG_WAIT:
+        return f"wait@{site}"
+    if tag == _TAG_NOTIFY:
+        return f"notify@{site}"
+    if tag == _TAG_BLOCK:
+        return f"block@{site}"
+    return "end" if tag == _TAG_END else "begin"
+
+
 class ClosureIndex:
     """Per-thread compact event index the closures run over.
 
@@ -237,7 +311,12 @@ class ClosureIndex:
     ``acq_by_index`` locate each non-reentrant acquisition as
     ``(thread id, position)``.  Event objects are not retained, so the
     index can be built from a ``.wtrc`` re-read (daemon / corpus paths)
-    without materializing the trace.
+    without materializing the trace; the native backend's re-read hands
+    over the kernel's :class:`EventLog` and never builds an event.
+
+    The tables grow in one routine over integer fields, :meth:`_add`.
+    :meth:`feed` adapts an event object to it, :meth:`_feed_log` a log
+    record, and both intern and tokenize alike.
     """
 
     def __init__(self) -> None:
@@ -261,9 +340,16 @@ class ClosureIndex:
 
     @classmethod
     def from_events(cls, events: Iterable[TraceEvent]) -> "ClosureIndex":
+        """Index ``events``: an iterable of trace events, or a source
+        whose ``read_event_log()`` returns the whole trace as an
+        :class:`EventLog` (the native re-read of a ``.wtrc``)."""
         index = cls()
-        for ev in events:
-            index.feed(ev)
+        read_log = getattr(events, "read_event_log", None)
+        if read_log is not None:
+            index._feed_log(read_log())
+        else:
+            for ev in events:
+                index.feed(ev)
         return index
 
     def thread_id(self, thread: ThreadId) -> int:
@@ -287,41 +373,109 @@ class ClosureIndex:
             self.locks.append(lock)
         return lid
 
-    def feed(self, ev: TraceEvent) -> None:
+    def _add(
+        self,
+        t: int,
+        step: int,
+        tag: int,
+        other: int,
+        token: str,
+        index: Optional[ExecIndex],
+    ) -> None:
+        """Append one event to thread ``t``'s tables.  ``tag`` is its
+        wire tag, except that a reentrant acquire or release comes as
+        ``_TAG_BEGIN``: it indexes like any other event.  ``other`` is the
+        id of the lock an acquire or release takes, of a join target or
+        of a spawned child; ``index`` an acquisition's execution index."""
         self.events_seen += 1
-        t = self.thread_id(ev.thread)
         steps = self.steps[t]
         pos = len(steps)
-        steps.append(ev.step)
+        steps.append(step)
         kind, aux = _OTHER, -1
-        if isinstance(ev, AcquireEvent):
-            if not ev.reentrant:
-                kind, aux = _ACQ, self.lock_id(ev.lock)
-                self.acq_by_step[ev.step] = (t, pos)
-                self.acq_by_index[ev.index] = (t, pos)
-                self._open[t][aux] = pos
-        elif isinstance(ev, ReleaseEvent):
-            if not ev.reentrant:
-                kind, aux = _REL, self.lock_id(ev.lock)
-                acq = self._open[t].pop(aux, None)
-                if acq is not None:
-                    self.rel_pos[t][acq] = pos
-        elif isinstance(ev, JoinEvent):
-            kind, aux = _JOIN, self.thread_id(ev.target)
-        elif isinstance(ev, SpawnEvent):
-            child = self.thread_id(ev.child)
-            if self.spawn_of[child] is None:
-                self.spawn_of[child] = (t, pos)
-        elif isinstance(ev, (WaitEvent, NotifyEvent)):
+        if tag == _TAG_ACQUIRE:
+            kind, aux = _ACQ, other
+            self.acq_by_step[step] = (t, pos)
+            self.acq_by_index[index] = (t, pos)
+            self._open[t][other] = pos
+        elif tag == _TAG_RELEASE:
+            kind, aux = _REL, other
+            acq = self._open[t].pop(other, None)
+            if acq is not None:
+                self.rel_pos[t][acq] = pos
+        elif tag == _TAG_JOIN:
+            kind, aux = _JOIN, other
+        elif tag == _TAG_SPAWN:
+            if self.spawn_of[other] is None:
+                self.spawn_of[other] = (t, pos)
+        elif tag == _TAG_WAIT or tag == _TAG_NOTIFY:
             kind = _CONDVAR
-        elif isinstance(ev, BlockEvent):
+        elif tag == _TAG_BLOCK:
             kind = _BLOCK
-        elif isinstance(ev, EndEvent):
+        elif tag == _TAG_END:
             self.has_end[t] = True
         self.kinds[t].append(kind)
         self.aux[t].append(aux)
         self.rel_pos[t].append(-1)
-        self.tokens[t].append(event_token(ev))
+        self.tokens[t].append(token)
+
+    def feed(self, ev: TraceEvent) -> None:
+        """Index one event object."""
+        t = self.thread_id(ev.thread)
+        tag = _EV_TAG.get(type(ev), _TAG_BEGIN)
+        other, index = -1, None
+        if tag == _TAG_ACQUIRE or tag == _TAG_RELEASE:
+            if ev.reentrant:
+                tag = _TAG_BEGIN
+            else:
+                other = self.lock_id(ev.lock)
+                if tag == _TAG_ACQUIRE:
+                    index = ev.index
+        elif tag == _TAG_JOIN:
+            other = self.thread_id(ev.target)
+        elif tag == _TAG_SPAWN:
+            other = self.thread_id(ev.child)
+        self._add(t, ev.step, tag, other, event_token(ev), index)
+
+    def _feed_log(self, log: EventLog) -> None:
+        """Index every record of ``log`` as :meth:`feed` indexes the event
+        it stands for.  Each raw table row is interned (by value) on first
+        use, and each distinct token is formatted once."""
+        strings, threads, locks = log.strings, log.threads, log.locks
+        tid = [-1] * len(threads)  # raw thread row -> thread id
+        lid = [-1] * len(locks)  # raw lock row -> lock id
+        tokens: Dict[Tuple[int, int, int, int], str] = {}
+        new = object.__new__
+        add = self._add
+        it = iter(log.rows)
+        for step, tag, row, flag, lock, site, x, occ in zip(it, it, it, it, it, it, it, it):
+            t = tid[row]
+            if t < 0:
+                t = tid[row] = self.thread_id(threads[row])
+            key = (tag, flag, site, x)
+            token = tokens.get(key)
+            if token is None:
+                named = tag == _TAG_SPAWN or tag == _TAG_JOIN
+                token = tokens[key] = _record_token(
+                    tag, flag, strings[site], threads[x].pretty() if named else ""
+                )
+            other, index = -1, None
+            if tag == _TAG_ACQUIRE or tag == _TAG_RELEASE:
+                if flag:
+                    tag = _TAG_BEGIN
+                else:
+                    other = lid[lock]
+                    if other < 0:
+                        other = lid[lock] = self.lock_id(locks[lock])
+                    if tag == _TAG_ACQUIRE:
+                        # Built as the decoder builds it: an equal object
+                        # without the frozen dataclass's per-field setattr.
+                        index = new(ExecIndex)
+                        index.__dict__.update(thread=threads[x], site=strings[site], occ=occ)
+            elif tag == _TAG_JOIN or tag == _TAG_SPAWN:
+                other = tid[x]
+                if other < 0:
+                    other = tid[x] = self.thread_id(threads[x])
+            add(t, step, tag, other, token, index)
 
     def release_pos(self, thread: int, acq_pos: int) -> int:
         return self.rel_pos[thread][acq_pos]

@@ -483,6 +483,61 @@ class TestDifferentialCorpus:
         assert set(DETECTOR_PARAMS) >= {"max_length", "max_cycles"}
 
 
+@needs_kernel
+class TestAliasedIdentityRows:
+    """Tables that repeat an identity under another name (see
+    ``tests/crafted.py``).  ``ThreadId`` and ``LockId`` compare by value,
+    so both backends must key tau, entry positions and the cycle search
+    by value too, and report the same bytes."""
+
+    @pytest.fixture(scope="class")
+    def crafted(self, tmp_path_factory):
+        from tests.crafted import lock_alias_trace, thread_alias_trace
+
+        tmp = tmp_path_factory.mktemp("alias")
+        return {
+            "thread-alias": thread_alias_trace(str(tmp / "ta.wtrc")),
+            "thread-alias-pos": thread_alias_trace(
+                str(tmp / "tapos.wtrc"), own_row_locks=3
+            ),
+            "lock-alias": lock_alias_trace(str(tmp / "la.wtrc")),
+        }
+
+    def test_reports_byte_identical(self, crafted):
+        for name, path in crafted.items():
+            py = render_report(report_doc_for_file(path, backend="python"))
+            nat = render_report(report_doc_for_file(path, backend="native"))
+            assert nat == py, f"report bytes diverge on {name}"
+
+    def test_thread_alias_cycle_survives(self, crafted):
+        """The alias's entries run at A's tau 2, after B started (V_B(A).S
+        is 2), so the Pruner keeps the cycle and prediction certifies it.
+        Keyed by raw row, they would carry tau 1 and the Pruner would
+        drop the cycle."""
+        for name in ("thread-alias", "thread-alias-pos"):
+            doc = report_doc_for_file(crafted[name], backend="native")
+            assert (doc["pruned_false"], doc["replay_candidates"]) == (0, 1), name
+            assert doc["prediction"]["certified"] == 1, name
+
+    def test_entries_and_clocks_identical(self, crafted):
+        for name, path in crafted.items():
+            dp = analyze_trace_file(path, backend="python").detection
+            dn = analyze_trace_file(path, backend="native").detection
+            # Names too: entry equality skips them.
+            assert [(e, e.thread.name, e.tau, e.pos) for e in dn.relation] == [
+                (e, e.thread.name, e.tau, e.pos) for e in dp.relation
+            ], name
+            for attr in ("tau", "clocks", "acquire_tau"):
+                a, b = getattr(dn.vclocks, attr), getattr(dp.vclocks, attr)
+                assert a == b and list(a) == list(b), f"{name}: vclocks.{attr}"
+        alias = analyze_trace_file(crafted["thread-alias-pos"], backend="native")
+        positions = [
+            e.pos for e in alias.detection.relation.entries
+            if e.thread.name == "A-alias"
+        ]
+        assert positions == [3, 4]
+
+
 # ---------------------------------------------------------------------------
 # decoder parity at the chunk-push layer (the daemon's ingestion path)
 # ---------------------------------------------------------------------------
