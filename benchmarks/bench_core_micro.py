@@ -15,8 +15,16 @@ ways (batch engine + JSON file vs streaming engine + binary file), with
 wall times, peak memory (tracemalloc) and file sizes, asserting both
 engines find identical cycles.
 
-Schema ``bench-core/7`` (migration note): ``macro.end_to_end_s`` is now,
-like every other gated ratio, a ratio of medians over alternating pairs
+Schema ``bench-core/8`` (migration note): every timed gated ratio
+(``macro.end_to_end_s.speedup``, ``macro.analyze_speedup.native``,
+``macro.decode_ratio.ratio``, ``sharding.speedup``) runs 6 alternating
+pairs, 3 in each order, and is the median of the per-pair ratios.
+``bench-core/7`` divided the two sides' medians over 5 pairs: where the
+side that ran first moved a pair's ratio, the order that had 3 of the 5
+pairs set the result, and the decode ratio read 1.40–2.53 over ten runs
+of one tree.  The sides' medians are still recorded, but no longer
+divide into the ratio.  Schema ``bench-core/7``: ``macro.end_to_end_s``
+is now, like every other gated ratio, a ratio of medians over alternating pairs
 pinned to one CPU (record then analyze, each way), and records its
 ``pairs`` and ``cpu``; ``bench-core/6`` summed single-shot record and
 analyze timings.  ``sharding.speedup`` keeps its method, but its
@@ -338,18 +346,26 @@ def _wall(fn) -> Tuple[float, object]:
 
 def _interleaved_medians(
     first, second, pairs: int, setup=None
-) -> Tuple[float, float, Optional[int]]:
-    """Median wall seconds of ``first`` and of ``second``, timed in
-    ``pairs`` alternating pairs pinned to one CPU, plus that CPU (``None``
-    where affinity is unsupported).
+) -> Tuple[float, float, float, Optional[int]]:
+    """Time ``first`` against ``second`` in ``pairs`` alternating pairs
+    pinned to one CPU: each side's median wall seconds, the ratio
+    ``first / second``, and that CPU (``None`` where affinity is
+    unsupported).
 
     Both sides see the same load and the same core, so their ratio is
-    steadier than a best-of over two separate blocks of runs.  One
+    steadier than a best-of over two separate blocks of runs.  Which side
+    of a pair runs first can still move its ratio: the macro's decode
+    ratio has alternated between two levels, pair by pair.  So ``pairs``
+    is even, half the pairs run each order, and the ratio is the median
+    of the per-pair ratios, which no single order outnumbers.  One
     untimed run of each absorbs warm-up first (kernel dlopen, page
     cache).  ``setup``, when given, runs untimed before every call, so
     no call inherits state an earlier one cached.  Results are
     discarded; a caller that needs one keeps it from inside its function.
     """
+    if pairs < 2 or pairs % 2:
+        raise ValueError(f"pairs must be even and >= 2, got {pairs}")
+
     def call(fn) -> float:
         if setup is not None:
             setup()
@@ -371,7 +387,8 @@ def _interleaved_medians(
     finally:
         if cpu is not None:
             os.sched_setaffinity(0, allowed)
-    return statistics.median(a), statistics.median(b), cpu
+    ratio = statistics.median(x / y for x, y in zip(a, b, strict=True))
+    return statistics.median(a), statistics.median(b), ratio, cpu
 
 
 def _peak_mib(fn) -> float:
@@ -425,7 +442,7 @@ def run_macro(n_events: int, tmp_dir: str) -> dict:
     ana_json_mb = _peak_mib(analyze_batch)
 
     # -- analyze: decode + analyze one event at a time ----------------------
-    pairs = 5
+    pairs = 6
     last = {}
 
     def analyze_streaming():
@@ -443,7 +460,7 @@ def run_macro(n_events: int, tmp_dir: str) -> dict:
                 pass
 
     in_memory = read_trace(bin_path)
-    ana_mem_s, decode_s, cpu = _interleaved_medians(
+    ana_mem_s, decode_s, decode_ratio, cpu = _interleaved_medians(
         lambda: StreamingDetector(max_length=3).analyze(in_memory),
         decode_only,
         pairs,
@@ -462,15 +479,15 @@ def run_macro(n_events: int, tmp_dir: str) -> dict:
 
         # The native stage is tens of milliseconds: timed apart from the
         # pure-Python side, scheduler noise swung the ratio past its gate.
-        ana_bin_s, ana_native_s, native_cpu = _interleaved_medians(
+        ana_bin_s, ana_native_s, native_ratio, native_cpu = _interleaved_medians(
             analyze_streaming, analyze_native, pairs
         )
         native_kernel = kernel_version()
     else:
         ana_bin_s, _ = _wall(analyze_streaming)
-        ana_native_s = native_kernel = native_cpu = None
+        ana_native_s = native_ratio = native_kernel = native_cpu = None
     # -- end to end: record then analyze, each way -------------------------
-    e2e_batch, e2e_stream, e2e_cpu = _interleaved_medians(
+    e2e_batch, e2e_stream, e2e_ratio, e2e_cpu = _interleaved_medians(
         lambda: (record_json(), analyze_batch()),
         lambda: (record_binary(), analyze_streaming()),
         pairs,
@@ -517,17 +534,14 @@ def run_macro(n_events: int, tmp_dir: str) -> dict:
             "streaming_binary_native": _eps(ana_native_s),
         },
         "analyze_speedup": {
-            # Relative to the pure-Python streaming analyze, as the ratio
-            # of the two sides' medians over alternating pairs.
-            "native": (
-                None if ana_native_s is None
-                else round(ana_bin_s / ana_native_s, 2)
-            ),
+            # Relative to the pure-Python streaming analyze, over
+            # alternating pairs (see _interleaved_medians).
+            "native": None if native_ratio is None else round(native_ratio, 2),
             "pairs": None if ana_native_s is None else pairs,
             "cpu": native_cpu,
         },
         "decode_ratio": {
-            "ratio": round(ana_mem_s / decode_s, 2),
+            "ratio": round(decode_ratio, 2),
             "analyze_in_memory_s": ana_mem_s,
             "decode_s": decode_s,
             "pairs": pairs,
@@ -544,7 +558,7 @@ def run_macro(n_events: int, tmp_dir: str) -> dict:
             # analyze; single-shot stage timings sit above.
             "batch_json": e2e_batch,
             "streaming_binary": e2e_stream,
-            "speedup": round(e2e_batch / e2e_stream, 2),
+            "speedup": round(e2e_ratio, 2),
             "pairs": pairs,
             "cpu": e2e_cpu,
         },
@@ -575,7 +589,7 @@ def run_macro_sharded(n_events: int, tmp_dir: str) -> dict:
     # Each call gets a relation built untimed just before it: entries
     # cache their locksets and dedup keys, and a reused relation would
     # time the sharded side without its deduplication.
-    pairs = 5
+    pairs = 6
     last = {}
 
     def fresh_relation():
@@ -587,7 +601,7 @@ def run_macro_sharded(n_events: int, tmp_dir: str) -> dict:
     def sharded():
         last["sharded"] = find_cycles_sharded(last["rel"], max_length=3)
 
-    mono_s, shard_s, cpu = _interleaved_medians(
+    mono_s, shard_s, speedup, cpu = _interleaved_medians(
         monolithic, sharded, pairs, setup=fresh_relation
     )
     rel = last["rel"]
@@ -631,7 +645,7 @@ def run_macro_sharded(n_events: int, tmp_dir: str) -> dict:
         "identical": True,
         "monolithic_s": round(mono_s, 6),
         "sharded_s": round(shard_s, 6),
-        "speedup": round(mono_s / shard_s, 2),
+        "speedup": round(speedup, 2),
         "pairs": pairs,
         "cpu": cpu,
         "stage_s": {k: round(v, 6) for k, v in stats.timings_s.items()},
@@ -747,7 +761,7 @@ def main(argv=None) -> int:
         if not interrupt.triggered:
             prediction = run_prediction()
     doc = {
-        "schema": "bench-core/7",
+        "schema": "bench-core/8",
         "macro": macro,
         "sharding": sharding,
         "micro": micro,

@@ -26,6 +26,10 @@ same box, in the same process.  This gate therefore compares ratios:
   pairs on one CPU; it drops when the event decoder slows
   (bench-core/5).
 
+Each timed ratio above is the median of its per-pair ratios over an even
+number of alternating pairs, half in each order, so neither order
+outnumbers the other (bench-core/8).
+
 A fresh ratio more than ``--tolerance`` (default 25%) below the committed
 baseline fails the gate.  When a regression is intentional (an accepted
 trade-off), refresh the baseline in the same PR —

@@ -5,11 +5,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import List, Optional
 
 from repro.core.detector import PotentialDeadlock
 from repro.core.lockdep import LockDependencyRelation
-from repro.core.syncgraph import SyncGraph, build_sync_graph
+from repro.core.syncgraph import GsVertex, SyncGraph, SyncGraphBuilder
 
 
 class GeneratorVerdict(enum.Enum):
@@ -25,8 +26,12 @@ class GeneratorDecision:
     cycle: PotentialDeadlock
     verdict: GeneratorVerdict
     gs: SyncGraph
-    #: A witness ordering cycle in Gs when verdict is FALSE.
-    gs_cycle: Optional[list] = None
+
+    @cached_property
+    def gs_cycle(self) -> Optional[List[GsVertex]]:
+        """A witness ordering cycle in Gs when verdict is FALSE, named on
+        first read (it mints the graph's vertices)."""
+        return self.gs.find_cycle() if self.verdict is GeneratorVerdict.FALSE else None
 
 
 @dataclass
@@ -43,24 +48,26 @@ class GeneratorResult:
 
 
 class Generator:
-    """Algorithm 3 driver over the Pruner's survivors."""
+    """Algorithm 3 driver over the Pruner's survivors.
+
+    The relation's :class:`~repro.core.lockdep.AcquisitionTables` are
+    built on the first cycle examined and shared by the rest: the kernel
+    snapshot's for a native relation (which never materializes), an
+    interning view of the entries otherwise.  Each ``Gs`` is decided on
+    ints as it is built; no :class:`GsVertex` exists until a view of it
+    is read.
+    """
 
     def __init__(self, relation: LockDependencyRelation) -> None:
         self.relation = relation
+        self._builder: Optional[SyncGraphBuilder] = None
 
     def examine(self, cycle: PotentialDeadlock) -> GeneratorDecision:
-        gs = build_sync_graph(cycle, self.relation)
-        # Decided on the int edge table; the object graph is built only
-        # for a cyclic Gs, to name the ordering cycle.
-        ordering_cycle = gs.find_cycle()
-        verdict = (
-            GeneratorVerdict.FALSE
-            if ordering_cycle is not None
-            else GeneratorVerdict.UNKNOWN
-        )
-        return GeneratorDecision(
-            cycle=cycle, verdict=verdict, gs=gs, gs_cycle=ordering_cycle
-        )
+        if self._builder is None:
+            self._builder = SyncGraphBuilder(self.relation.acquisition_tables())
+        gs = self._builder.build(cycle)
+        verdict = GeneratorVerdict.FALSE if gs.is_cyclic() else GeneratorVerdict.UNKNOWN
+        return GeneratorDecision(cycle=cycle, verdict=verdict, gs=gs)
 
     def run(self, cycles: List[PotentialDeadlock]) -> GeneratorResult:
         return GeneratorResult([self.examine(c) for c in cycles])

@@ -106,12 +106,45 @@ class CycleColumns:
     entries: Callable[[Sequence[int]], List[LockDepEntry]]
 
 
-class LockDependencyRelation:
-    """``D_sigma`` with the indexes cycle detection needs.
+#: A ``Gs`` vertex by value: canonical thread of the acquisition's
+#: execution index, its site and occurrence, canonical lock.
+VertexKey = Tuple[int, str, int, int]
 
-    Entries are stored in trace order; per-thread sequences and per-lock
-    holder lists are precomputed because the detector's cycle search and
-    the Generator's type-C pass both iterate them heavily.
+
+@dataclass
+class AcquisitionTables:
+    """The acquisitions of ``D_sigma`` as integer tables: what the
+    Generator's ``Gs`` builder (:mod:`repro.core.syncgraph`) reads, built
+    once per trace and shared by every cycle it examines.
+
+    Threads and locks have canonical ids by value, as in
+    :class:`CycleColumns`; ``thread_ids`` and ``lock_ids`` hold them for
+    the builder's lookups of cycle members.  Each entry (row ``r``, in
+    trace order) is one acquisition vertex, interned in ``vertex_ids`` by
+    its :data:`VertexKey`, the identity of a ``Gs`` vertex.
+    ``acquiring`` lists ``(step, thread, vertex, row)`` per acquired lock
+    and ``by_thread`` ``(vertex, row)`` per thread, both in trace order,
+    so a thread's ``D'_sigma`` is a prefix of its list.  ``index_of`` and
+    ``lock_of`` give a row's :class:`ExecIndex` and :class:`LockId`
+    objects, for the views that mint ``GsVertex`` objects.
+    """
+
+    thread_ids: Dict[ThreadId, int]
+    lock_ids: Dict[LockId, int]
+    vertex_ids: Dict[VertexKey, int]
+    acquiring: Dict[int, List[Tuple[int, int, int, int]]]
+    by_thread: Dict[int, List[Tuple[int, int]]]
+    index_of: Callable[[int], ExecIndex]
+    lock_of: Callable[[int], LockId]
+
+
+class LockDependencyRelation:
+    """``D_sigma``: its entries in trace order, with object indexes per
+    thread, per held lock and per acquired lock.
+
+    The cycle search and the Generator read integer views instead
+    (:meth:`cycle_columns`, :meth:`acquisition_tables`), which a
+    kernel-backed relation serves from its logs.
     """
 
     def __init__(self, entries: Optional[List[LockDepEntry]] = None) -> None:
@@ -163,6 +196,33 @@ class LockDependencyRelation:
                 tuple(lock_ids.setdefault(l, len(lock_ids)) for l in e.lockset)
             )
         return cols
+
+    def acquisition_tables(self) -> AcquisitionTables:
+        """Every entry as :class:`AcquisitionTables`, with ids interned
+        by value in order of first appearance."""
+        entries = self.entries
+        thread_ids: Dict[ThreadId, int] = {}
+        lock_ids: Dict[LockId, int] = {}
+        vertex_ids: Dict[VertexKey, int] = {}
+        acquiring: Dict[int, List[Tuple[int, int, int, int]]] = {}
+        by_thread: Dict[int, List[Tuple[int, int]]] = {}
+        for row, e in enumerate(entries):
+            t = thread_ids.setdefault(e.thread, len(thread_ids))
+            l = lock_ids.setdefault(e.lock, len(lock_ids))
+            ix = e.index
+            it = thread_ids.setdefault(ix.thread, len(thread_ids))
+            v = vertex_ids.setdefault((it, ix.site, ix.occ, l), len(vertex_ids))
+            acquiring.setdefault(l, []).append((e.step, t, v, row))
+            by_thread.setdefault(t, []).append((v, row))
+        return AcquisitionTables(
+            thread_ids,
+            lock_ids,
+            vertex_ids,
+            acquiring,
+            by_thread,
+            lambda row: entries[row].index,
+            lambda row: entries[row].lock,
+        )
 
 
 def entry_from_acquire(ev: AcquireEvent, *, pos: int, tau: int = 1) -> LockDepEntry:

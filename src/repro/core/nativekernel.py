@@ -22,11 +22,15 @@ Division of labor (see docs/architecture.md, "Native analysis kernel"):
   the canonical thread rows Python hands it.
 * **Integers until an object is needed**: the cycle search reads the
   entry log as integer columns (:meth:`NativeRelation.cycle_columns`)
-  and mints only cycle members; the whole relation materializes, into
-  the exact objects the pure-Python engine would have built, only when
-  a consumer touches it.  The prediction index re-reads the file
-  through a kernel that logs every event as integers
-  (:class:`NativeEventLogReader`) instead of decoding event objects.
+  and mints only cycle members; the Generator builds ``Gs`` on integer
+  tables read from the same log
+  (:meth:`NativeRelation.acquisition_tables`) and mints a ``GsVertex``
+  only when a view of its graph is read.  The whole relation
+  materializes, into the exact objects the pure-Python engine would
+  have built, only when a consumer touches it (the sharded and
+  ``reduce`` paths).  The prediction index re-reads the file through a
+  kernel that logs every event as integers (:class:`NativeEventLogReader`)
+  instead of decoding event objects.
 
 Build & fallback rules:
 
@@ -62,7 +66,13 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.detector import DetectionResult, find_cycles
-from repro.core.lockdep import CycleColumns, LockDepEntry, LockDependencyRelation
+from repro.core.lockdep import (
+    AcquisitionTables,
+    CycleColumns,
+    LockDepEntry,
+    LockDependencyRelation,
+    VertexKey,
+)
 from repro.core.prediction import EVENT_LOG_WIDTH, EventLog
 from repro.core.streaming import StreamingDetector
 from repro.core.vclock import VectorClockState, update_clocks
@@ -502,13 +512,16 @@ class NativeChunkDecoder(_KernelFeed, ChunkDecoder):
 @dataclass
 class _KernelSnapshot:
     """The kernel's flat logs plus the identity tables to resolve them
-    (and the tables' canonical row maps, see :class:`_KernelFeed`)."""
+    (and the tables' canonical row maps, see :class:`_KernelFeed`, with
+    the first row of each identity)."""
 
     strings: List[str]
     threads: List[ThreadId]
     locks: List[LockId]
     thread_canon: Sequence[int]
     lock_canon: Sequence[int]
+    first_thread: Dict[ThreadId, int]
+    first_lock: Dict[LockId, int]
     clock_ops: array
     acq: array
     ent: array
@@ -633,16 +646,50 @@ class _KernelSnapshot:
             lambda rows: self.materialize_entries([nonempty[r] for r in rows]),
         )
 
+    def acquisition_tables(self) -> AcquisitionTables:
+        """Every entry as :class:`AcquisitionTables`, read straight from
+        the entry log through the canonical row maps.  A row becomes an
+        :class:`ExecIndex` only when a ``Gs`` view mints its vertex."""
+        ent, strings = self.ent, self.strings
+        threads, locks = self.threads, self.locks
+        tcanon, lcanon = self.thread_canon, self.lock_canon
+        vertex_ids: Dict[VertexKey, int] = {}
+        acquiring: Dict[int, List[Tuple[int, int, int, int]]] = {}
+        by_thread: Dict[int, List[Tuple[int, int]]] = {}
+        columns = (ent[k::10] for k in range(6))
+        for row, (step, t, l, it, site, occ) in enumerate(zip(*columns, strict=True)):
+            t, l = tcanon[t], lcanon[l]
+            key = (tcanon[it], strings[site], occ, l)
+            v = vertex_ids.setdefault(key, len(vertex_ids))
+            acquiring.setdefault(l, []).append((step, t, v, row))
+            by_thread.setdefault(t, []).append((v, row))
+
+        def index_of(row: int) -> ExecIndex:
+            b = 10 * row
+            return ExecIndex(threads[ent[b + 3]], strings[ent[b + 4]], ent[b + 5])
+
+        return AcquisitionTables(
+            dict(self.first_thread),
+            dict(self.first_lock),
+            vertex_ids,
+            acquiring,
+            by_thread,
+            index_of,
+            lambda row: locks[ent[10 * row + 2]],
+        )
+
 
 class NativeRelation(LockDependencyRelation):
     """``D_sigma`` backed by the kernel's flat entry log.
 
-    The cycle search reads :meth:`cycle_columns` straight from the logs,
-    so the default analyze path mints only the members of the cycles it
-    finds.  Materialization into real :class:`LockDepEntry` objects (and
-    the by-thread/holding/acquiring indexes) happens on first access to
-    one of those attributes: the Generator, the shard and reduce paths
-    and any other consumer of the whole relation transparently get it.
+    The cycle search reads :meth:`cycle_columns` and the Generator
+    :meth:`acquisition_tables`, both straight from the logs, so the
+    default analyze and serve paths mint only the members of the cycles
+    they find and never materialize the relation.  Materialization into
+    real :class:`LockDepEntry` objects (and the by-thread/holding/
+    acquiring indexes) happens on first access to one of those
+    attributes: the shard and reduce paths and any other consumer of the
+    whole relation transparently get it.
     """
 
     def __init__(self, snap: _KernelSnapshot) -> None:
@@ -668,6 +715,9 @@ class NativeRelation(LockDependencyRelation):
 
     def cycle_columns(self) -> CycleColumns:
         return self._snap.cycle_columns()
+
+    def acquisition_tables(self) -> AcquisitionTables:
+        return self._snap.acquisition_tables()
 
 
 # ---------------------------------------------------------------------------
@@ -747,6 +797,8 @@ class NativeStreamingDetector:
                 locks=self._tables._locks,
                 thread_canon=self._tables._thread_canon,
                 lock_canon=self._tables._lock_canon,
+                first_thread=self._tables._first_thread,
+                first_lock=self._tables._first_lock,
                 clock_ops=ops,
                 acq=acq,
                 ent=ent,

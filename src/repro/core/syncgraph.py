@@ -29,6 +29,18 @@ test suite):
 * type-C sources are the strictly-before tuples ``D'_sigma`` of the other
   cycle threads, excluding the deadlocking tuples themselves (otherwise
   every type-D edge would be contradicted).
+
+The one builder runs on integers: :class:`SyncGraphBuilder` reads a
+trace's :class:`~repro.core.lockdep.AcquisitionTables` (the per-lock
+acquisition lists and per-thread entry lists, with one vertex id per
+acquisition), which the kernel snapshot and the pure relation each
+provide and the Generator builds once per trace.  A vertex is identified
+by value, ``(ExecIndex, LockId)``, as a canonical
+:data:`~repro.core.lockdep.VertexKey`, so a held acquisition with no
+entry of its own still gets one.  ``Gs`` is decided on ints as it is
+built; its type-P edges are added when its edge table is first read, and
+its :class:`GsVertex` objects are minted when a view is (the Replayer's
+reads; a defect report reads none).
 """
 
 from __future__ import annotations
@@ -39,7 +51,7 @@ from functools import cached_property
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.detector import PotentialDeadlock
-from repro.core.lockdep import LockDependencyRelation
+from repro.core.lockdep import AcquisitionTables, LockDependencyRelation, LockDepEntry
 from repro.util.digraph import DiGraph
 from repro.util.ids import ExecIndex, LockId, ThreadId, hash_once
 
@@ -69,35 +81,113 @@ class GsVertex:
         return f"({self.thread.pretty()}, {self.index.site}x{self.index.occ})"
 
 
-@dataclass
+#: Where a vertex's objects come from, at its first appearance: an
+#: ``(ExecIndex, LockId)`` pair, a table row and the lock the builder met
+#: it under, or a row alone (its own index and lock).
+_Source = Tuple[object, Optional[LockId]]
+
+
+def _has_cycle(n: int, edges) -> bool:
+    """Kahn's algorithm over ``n`` vertices and ``(u, v)`` int pairs."""
+    succ: List[List[int]] = [[] for _ in range(n)]
+    indeg = [0] * n
+    for u, v in edges:
+        succ[u].append(v)
+        indeg[v] += 1
+    ready = [u for u in range(n) if not indeg[u]]
+    for u in ready:  # grows while it is walked: a FIFO queue
+        for v in succ[u]:
+            indeg[v] -= 1
+            if not indeg[v]:
+                ready.append(v)
+    return len(ready) < n
+
+
+@dataclass(init=False)
 class SyncGraph:
     """``Gs`` plus the metadata the Replayer needs.
 
-    Stored compactly: ``vertices`` lists each :class:`GsVertex` once, in
-    insertion order, and ``edges`` maps ``(u, v)`` vertex positions to the
-    edge's kind, also in insertion order (the first kind given for a pair
-    is kept).  Acyclicity is decided on these ints.  ``graph``,
-    ``edge_kinds`` and ``by_index`` are object views built on first read,
-    with nodes and edges in insertion order.  Neither the views nor the
-    vertex-interning dict are pickled; the dict is rebuilt on unpickle.
+    Stored compactly: ``edges`` maps ``(u, v)`` vertex positions to the
+    edge's kind, in insertion order (the first kind given for a pair is
+    kept), and acyclicity is decided on ints.  ``vertices`` lists each
+    :class:`GsVertex` once, in insertion order.  ``graph``, ``edge_kinds``
+    and ``by_index`` are object views built on first read, with nodes and
+    edges in insertion order.
+
+    A graph from :class:`SyncGraphBuilder` arrives decided, with its
+    vertex count, before most of it exists: its type-P edges are added
+    when ``edges`` is first read, and its vertices are minted, from the
+    objects each first appeared with, when ``vertices`` or a view is.
+    Pickling keeps ``cycle``, ``vertices`` and ``edges`` only; the
+    vertex-interning dict is rebuilt on unpickle.
     """
 
     cycle: PotentialDeadlock
-    vertices: List[GsVertex] = field(default_factory=list)
-    edges: Dict[Tuple[int, int], EdgeKind] = field(default_factory=dict)
-    _ids: Dict[Tuple[ExecIndex, LockId], int] = field(
-        init=False, repr=False, compare=False
-    )
+    vertices: List[GsVertex]
+    edges: Dict[Tuple[int, int], EdgeKind]
+    _ids: Dict[Tuple[ExecIndex, LockId], int] = field(repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        self._ids = {(v.index, v.lock): i for i, v in enumerate(self.vertices)}
+    def __init__(
+        self,
+        cycle: PotentialDeadlock,
+        vertices: Optional[List[GsVertex]] = None,
+        edges: Optional[Dict[Tuple[int, int], EdgeKind]] = None,
+    ) -> None:
+        self.cycle = cycle
+        self.edges = {} if edges is None else edges
+        self._set_vertices([] if vertices is None else vertices)
+
+    @classmethod
+    def _built(
+        cls,
+        cycle: PotentialDeadlock,
+        builder: "SyncGraphBuilder",
+        plan: "_Plan",
+        n: int,
+        cyclic: bool,
+    ) -> "SyncGraph":
+        """A built graph: decided, its type-P edges and vertices later."""
+        gs = cls.__new__(cls)
+        gs.cycle = cycle
+        gs._plan = (builder, plan)
+        gs._n = n
+        gs._cyclic = cyclic
+        return gs
+
+    def __getattr__(self, name: str):
+        # Reached only for the parts of a built graph not made yet.
+        state = self.__dict__
+        if name in ("edges", "vertices", "_ids") and "_plan" in state:
+            builder, plan = state.pop("_plan")
+            self.edges = builder.complete(plan)
+            self._sources = (plan.sources, builder.tables)
+            return getattr(self, name)
+        if name in ("vertices", "_ids") and "_sources" in state:
+            self._mint()
+            return state[name]
+        raise AttributeError(name)
+
+    def _mint(self) -> None:
+        sources, tables = self.__dict__.pop("_sources")
+        index_of, lock_of = tables.index_of, tables.lock_of
+        vertices = []
+        for index, lock in sources:
+            if type(index) is int:
+                if lock is None:
+                    lock = lock_of(index)
+                index = index_of(index)
+            vertices.append(GsVertex(index=index, lock=lock))
+        self._set_vertices(vertices)
+
+    def _set_vertices(self, vertices: List[GsVertex]) -> None:
+        self.vertices = vertices
+        self._ids = {(v.index, v.lock): i for i, v in enumerate(vertices)}
 
     def __getstate__(self) -> dict:
         return {"cycle": self.cycle, "vertices": self.vertices, "edges": self.edges}
 
     def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self.__post_init__()
+        self.__init__(**state)
 
     # -- construction ------------------------------------------------------
 
@@ -114,7 +204,7 @@ class SyncGraph:
             return
         key = (self._intern(u.index, u.lock), self._intern(v.index, v.lock))
         self.edges.setdefault(key, kind)
-        for view in ("graph", "edge_kinds", "by_index"):
+        for view in ("graph", "edge_kinds", "by_index", "_n", "_cyclic"):
             self.__dict__.pop(view, None)  # rebuilt on next read
 
     # -- views -------------------------------------------------------------
@@ -145,26 +235,19 @@ class SyncGraph:
         return set(self.cycle.threads)
 
     def num_vertices(self) -> int:
-        return len(self.vertices)
+        n = self.__dict__.get("_n")
+        return len(self.vertices) if n is None else n
 
     def num_edges(self) -> int:
         return len(self.edges)
 
     def is_cyclic(self) -> bool:
-        """Kahn's algorithm over the int edge table."""
-        n = len(self.vertices)
-        succ: List[List[int]] = [[] for _ in range(n)]
-        indeg = [0] * n
-        for u, v in self.edges:
-            succ[u].append(v)
-            indeg[v] += 1
-        ready = [u for u in range(n) if not indeg[u]]
-        for u in ready:  # grows while it is walked: a FIFO queue
-            for v in succ[u]:
-                indeg[v] -= 1
-                if not indeg[v]:
-                    ready.append(v)
-        return len(ready) < n
+        """Kahn's algorithm over the int edge table (a built graph was
+        decided by its builder)."""
+        cyclic = self.__dict__.get("_cyclic")
+        if cyclic is None:
+            cyclic = _has_cycle(self.num_vertices(), self.edges)
+        return cyclic
 
     def find_cycle(self) -> Optional[List[GsVertex]]:
         """One ordering cycle of ``Gs`` (:meth:`DiGraph.find_cycle` on
@@ -183,75 +266,236 @@ class SyncGraph:
         return "\n".join(lines)
 
 
+class _Member:
+    """One cycle entry on the tables' ids: canonical thread, lock and
+    lockset, and ``mu`` as canonical lock -> (vertex id, ExecIndex)."""
+
+    __slots__ = ("entry", "thread", "lock", "held", "mu")
+
+    def __init__(self, entry: LockDepEntry, tables: AcquisitionTables) -> None:
+        thread_ids, lock_ids = tables.thread_ids, tables.lock_ids
+        vertex_ids = tables.vertex_ids
+        self.entry = entry
+        self.thread = _canon(thread_ids, entry.thread)
+        self.lock = _canon(lock_ids, entry.lock)
+        self.held = tuple(_canon(lock_ids, l) for l in entry.lockset)
+        # mu(l) is the entry's own index for its lock, else the index of
+        # the first held slot with an equal lock (LockDepEntry.mu).
+        mu: Dict[int, Tuple[int, ExecIndex]] = {}
+        for lock, index in zip(
+            (self.lock,) + self.held, (entry.index,) + entry.context, strict=True
+        ):
+            if lock not in mu:
+                key = (_canon(thread_ids, index.thread), index.site, index.occ, lock)
+                mu[lock] = (vertex_ids.setdefault(key, len(vertex_ids)), index)
+        self.mu = mu
+
+
+def _canon(ids: Dict, value) -> int:
+    """``value``'s canonical id in ``ids``; a value no table row holds
+    gets a fresh negative id, which no row shares."""
+    got = ids.get(value)
+    if got is None:
+        got = ids[value] = -1 - len(ids)
+    return got
+
+
+class _Plan:
+    """One cycle's ``Gs`` in the making: its members, the vertex ids met
+    so far (table vertex id -> position), their first-appearance sources
+    and the edge table, with or without its type-P edges (``done``)."""
+
+    __slots__ = ("theta", "local", "sources", "edges", "done")
+
+    def __init__(self, theta: List[_Member]) -> None:
+        self.theta = theta
+        self.local: Dict[int, int] = {}
+        self.sources: List[_Source] = []
+        self.edges: Dict[Tuple[int, int], EdgeKind] = {}
+        self.done = False
+
+    def intern(self, vid: int, index: object, lock: Optional[LockId]) -> int:
+        got = self.local.get(vid)
+        if got is None:
+            got = self.local[vid] = len(self.sources)
+            self.sources.append((index, lock))
+        return got
+
+
+class SyncGraphBuilder:
+    """Algorithm 3 over one trace's :class:`AcquisitionTables`, shared by
+    every cycle it builds ``Gs`` for.
+
+    :meth:`build` adds the type-D and type-C edges and decides the graph;
+    the type-P edges, which walk each cycle thread's whole ``D'_sigma``
+    and outnumber the rest, are added by :meth:`complete` when the
+    graph's edges are first read.  The decision contracts each program-
+    order chain to the vertices the other passes met: a chain vertex
+    with no other edge has one edge in and one out, so dropping it keeps
+    every cycle.  That holds while no vertex occurs twice on the chains;
+    where one may (two entries with one vertex, a cycle thread twice, an
+    entry position past its thread's list), the type-P pass runs at once
+    and Kahn's algorithm decides on the whole table.
+    """
+
+    def __init__(self, tables: AcquisitionTables) -> None:
+        self.tables = tables
+        # Cycles share their members: each entry is put on the tables'
+        # ids once.  Keyed by identity, which stays unique while the
+        # member holds its entry.
+        self._members: Dict[int, _Member] = {}
+
+    def _member(self, entry: LockDepEntry) -> _Member:
+        m = self._members.get(id(entry))
+        if m is None:
+            m = self._members[id(entry)] = _Member(entry, self.tables)
+        return m
+
+    @cached_property
+    def _chain_at(self) -> Optional[Dict[int, Tuple[int, int]]]:
+        """Each entry's vertex id -> (thread, position in the thread's
+        list); ``None`` when two entries share a vertex."""
+        at: Dict[int, Tuple[int, int]] = {}
+        rows = 0
+        for t, lst in self.tables.by_thread.items():
+            rows += len(lst)
+            for i, (vid, _) in enumerate(lst):
+                at[vid] = (t, i)
+        return at if len(at) == rows else None
+
+    def build(self, cycle: PotentialDeadlock) -> SyncGraph:
+        """Construct and decide ``Gs`` for ``cycle`` from the trace's
+        ``D_sigma``.
+
+        Vertices are interned by vertex id as they first appear, source
+        first; that order is the views' node order.  Cycle threads are
+        distinct, so no rule below orders an acquisition before itself;
+        ``u != v`` keeps the table free of self-loops regardless.
+        """
+        plan = _Plan([self._member(e) for e in cycle.entries])
+        theta, local, sources, edges = plan.theta, plan.local, plan.sources, plan.edges
+        intern = plan.intern
+
+        # D'_sigma cutoffs: per cycle thread, its deadlocking acquisition's
+        # trace step — "strictly before" is a step comparison because a
+        # thread's entries appear in trace order (paper §3.4).
+        cutoff: Dict[int, int] = {m.thread: m.entry.step for m in theta}
+
+        # --- type-D edges ---------------------------------------------------
+        # For adjacent (eta_i, eta_{i+1}): eta_i waits on lock l_i which
+        # eta_{i+1} holds.  Holder's acquisition precedes waiter's attempt.
+        for mi in theta:
+            li, li_obj = mi.lock, mi.entry.lock
+            for mj in theta:
+                if mi is not mj and li in mj.held:
+                    vid, index = mj.mu[li]
+                    u = intern(vid, index, li_obj)  # eta_j's acquisition of l_i
+                    vid, index = mi.mu[li]
+                    v = intern(vid, index, li_obj)  # eta_i's pending attempt
+                    if u != v:
+                        edges.setdefault((u, v), EdgeKind.D)
+
+        # --- type-C edges ---------------------------------------------------
+        # Each cycle-relevant lock l_k that eta_i holds (or finally
+        # attempts) must be taken by t_i only after every *other* cycle
+        # thread's earlier acquisitions of l_k have come and gone.  Sources
+        # come from the per-lock acquisition lists (trace-ordered), which
+        # keeps Gs construction near-linear in the acquisitions of the
+        # relevant locks.
+        acquiring = self.tables.acquiring
+        max_cutoff = max(cutoff.values())
+        for mi in theta:
+            ti, ei = mi.thread, mi.entry
+            for lk, lk_obj in zip(
+                mi.held + (mi.lock,), ei.lockset + (ei.lock,), strict=True
+            ):
+                vid, index = mi.mu[lk]
+                v = intern(vid, index, lk_obj)
+                for step, tx, vid, row in acquiring.get(lk, ()):
+                    if step >= max_cutoff:
+                        break  # trace-ordered: nothing later can qualify
+                    c = cutoff.get(tx)
+                    if c is None or step >= c or tx == ti:
+                        continue
+                    u = local.get(vid)
+                    if u is None:
+                        u = local[vid] = len(sources)
+                        sources.append((row, lk_obj))
+                    if u != v:
+                        edges.setdefault((u, v), EdgeKind.C)
+
+        decided = self._decide(plan)
+        if decided is None:
+            self.complete(plan)
+            decided = len(sources), _has_cycle(len(sources), edges)
+        return SyncGraph._built(cycle, self, plan, *decided)
+
+    def _decide(self, plan: _Plan) -> Optional[Tuple[int, bool]]:
+        """The vertex count and acyclicity of ``plan`` once its type-P
+        edges are in, from the chains contracted to the vertices already
+        met; ``None`` where a chain may meet a vertex twice."""
+        chain_at = self._chain_at
+        theta, local = plan.theta, plan.local
+        if chain_at is None or len({m.thread for m in theta}) < len(theta):
+            return None
+        by_thread = self.tables.by_thread
+        # Per cycle thread: its chain's length, and the met vertices on it.
+        length = {
+            m.thread: min(m.entry.pos, len(by_thread.get(m.thread, ()))) for m in theta
+        }
+        met: Dict[int, List[Tuple[int, int]]] = {t: [] for t in length}
+        for vid, u in local.items():
+            at = chain_at.get(vid)
+            if at is not None and at[1] < length.get(at[0], 0):
+                met[at[0]].append((at[1], u))
+        n = len(local)
+        edges = list(plan.edges)
+        for m in theta:
+            end = local[m.mu[m.lock][0]]
+            on = sorted(met[m.thread])
+            walk = [u for _, u in on]
+            if end in walk:
+                return None  # the chain passes its own end
+            walk.append(end)
+            edges.extend(zip(walk, walk[1:], strict=False))
+            n += length[m.thread] - len(on)
+        return n, _has_cycle(len(local), edges)
+
+    def complete(self, plan: _Plan) -> Dict[Tuple[int, int], EdgeKind]:
+        """Add ``plan``'s type-P edges; its finished edge table.
+
+        Program order along each cycle thread's acquisitions, ending at
+        its deadlocking attempt (a vertex since the type-C pass, so a
+        thread with no earlier entry adds nothing here).
+        """
+        local, sources, edges = plan.local, plan.sources, plan.edges
+        if plan.done:
+            return edges
+        plan.done = True
+        by_thread = self.tables.by_thread
+        for m in plan.theta:
+            e = m.entry
+            chain = []
+            for vid, row in by_thread.get(m.thread, ())[: e.pos]:
+                v = local.get(vid)
+                if v is None:
+                    v = local[vid] = len(sources)
+                    sources.append((row, None))
+                chain.append(v)
+            vid, index = m.mu[m.lock]
+            chain.append(plan.intern(vid, index, e.lock))
+            for u, v in zip(chain, chain[1:], strict=False):
+                if u != v:
+                    edges.setdefault((u, v), EdgeKind.P)
+        return edges
+
+
 def build_sync_graph(
     cycle: PotentialDeadlock, relation: LockDependencyRelation
 ) -> SyncGraph:
-    """Algorithm 3: construct ``Gs`` for ``cycle`` from the trace's
-    ``D_sigma``.
+    """Algorithm 3 for one cycle: ``Gs`` from ``relation``'s tables.
 
-    Each vertex key is looked up once per appearance and stored once; an
-    edge is one int-pair insert.
+    The tables are built per call; the Generator builds them once per
+    trace and shares them across its cycles.
     """
-    gs = SyncGraph(cycle=cycle)
-    intern, edges = gs._intern, gs.edges
-    theta = cycle.entries
-
-    # D'_sigma cutoffs: per cycle thread, its deadlocking acquisition's
-    # trace step — "strictly before" is a step comparison because a
-    # thread's entries appear in trace order (paper §3.4).
-    cutoff: Dict[ThreadId, int] = {e.thread: e.step for e in theta}
-
-    # An edge's endpoints are interned source first, as they first appear;
-    # that order is the view's node order.  Cycle threads are distinct, so
-    # no rule below orders an acquisition before itself; `u != v` keeps
-    # the table free of self-loops regardless.
-
-    # --- type-D edges -------------------------------------------------------
-    # For adjacent (eta_i, eta_{i+1}): eta_i waits on lock l_i which
-    # eta_{i+1} holds.  Holder's acquisition precedes waiter's attempt.
-    for ei in theta:
-        li = ei.lock
-        for ej in theta:
-            if ei is not ej and li in ej.lockset:
-                u = intern(ej.mu(li), li)  # eta_j's acquisition of l_i
-                v = intern(ei.mu(li), li)  # eta_i's pending attempt on l_i
-                if u != v:
-                    edges.setdefault((u, v), EdgeKind.D)
-
-    # --- type-C edges -------------------------------------------------------
-    # Each cycle-relevant lock l_k that eta_i holds (or finally attempts)
-    # must be taken by t_i only after every *other* cycle thread's earlier
-    # acquisitions of l_k have come and gone.  Sources are drawn from the
-    # relation's per-lock acquisition index (trace-ordered) rather than a
-    # scan of all of D'_sigma — this keeps Gs construction near-linear in
-    # the acquisitions of the relevant locks.
-    max_cutoff = max(cutoff.values())
-    for ei in theta:
-        ti = ei.thread
-        for lk in tuple(ei.lockset) + (ei.lock,):
-            v = intern(ei.mu(lk), lk)
-            for ex in relation.acquiring.get(lk, ()):
-                if ex.step >= max_cutoff:
-                    break  # trace-ordered: nothing later can qualify
-                tx = ex.thread
-                c = cutoff.get(tx)
-                if c is None or ex.step >= c or tx == ti:
-                    continue
-                u = intern(ex.index, lk)
-                if u != v:
-                    edges.setdefault((u, v), EdgeKind.C)
-
-    # --- type-P edges -------------------------------------------------------
-    # Program order along each cycle thread's acquisitions, ending at its
-    # deadlocking attempt (a vertex since the type-C pass, so a thread
-    # with no earlier entry adds nothing here).
-    for e in theta:
-        chain = relation.before(e) + [e]
-        u = intern(chain[0].index, chain[0].lock)
-        for nxt in chain[1:]:
-            v = intern(nxt.index, nxt.lock)
-            if u != v:
-                edges.setdefault((u, v), EdgeKind.P)
-            u = v
-
-    return gs
+    return SyncGraphBuilder(relation.acquisition_tables()).build(cycle)

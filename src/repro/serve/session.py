@@ -109,6 +109,8 @@ class StreamSession:
             )
         self.spool_path = os.path.join(run_dir, "spool", f"{stream_id}.wtrc")
         self._spool: Optional[BinaryIO] = None
+        #: Whether the spool changed since its last fsync.
+        self._unsynced = False
         #: Last chunk boundary made durable (spool fsync + journal line).
         self.journaled_bytes = 0
         #: Events decoded and fed so far.
@@ -125,24 +127,33 @@ class StreamSession:
     def open_resumed(self, durable_bytes: int) -> None:
         """Reattach after a daemon restart (or producer reconnect).
 
-        The spool is truncated to the journaled chunk boundary — bytes
+        The spool is cut back to the journaled chunk boundary — bytes
         past it were never journaled, so the producer re-sends them —
         and the durable prefix is re-fed through fresh decoder/detector
-        state, which reproduces the pre-crash analysis exactly.
+        state, which reproduces the pre-crash analysis exactly.  The
+        prefix is never rewritten: it stays on disk as the journal
+        vouched for it, and only the unjournaled tail is truncated.
         """
         os.makedirs(os.path.dirname(self.spool_path), exist_ok=True)
+        spool: Optional[BinaryIO] = None
         prefix = b""
         if os.path.exists(self.spool_path):
-            with open(self.spool_path, "rb") as fh:
-                prefix = fh.read(durable_bytes)
+            spool = open(self.spool_path, "r+b")
+            prefix = spool.read(durable_bytes)
         if len(prefix) < durable_bytes:
+            if spool is not None:
+                spool.close()
             raise ValueError(
                 f"spool for {self.stream_id!r} shorter than journal "
                 f"({len(prefix)} < {durable_bytes})"
             )
-        self._spool = open(self.spool_path, "wb")
-        self._spool.write(prefix)
-        self._spool.flush()
+        if spool is None:
+            spool = open(self.spool_path, "wb")  # nothing journaled or spooled
+        elif os.fstat(spool.fileno()).st_size > durable_bytes:
+            spool.truncate(durable_bytes)
+            self._unsynced = True  # the cut reaches disk at the next fsync
+        spool.seek(durable_bytes)
+        self._spool = spool
         if prefix:
             before_events = self.decoder.events_read
             events = self.decoder.push(prefix)
@@ -186,6 +197,7 @@ class StreamSession:
             )
         self._spool.write(data)
         self._spool.flush()
+        self._unsynced = True
         before = self.decoder.bytes_consumed
         before_events = self.decoder.events_read
         events = self.decoder.push(data)
@@ -197,6 +209,7 @@ class StreamSession:
             # Durable checkpoint: spool first, then the journal line that
             # vouches for it.
             os.fsync(self._spool.fileno())
+            self._unsynced = False
             self.journaled_bytes = self.decoder.bytes_consumed
             self.journal.chunk(self.stream_id, self.journaled_bytes)
         return fed
@@ -211,7 +224,9 @@ class StreamSession:
         sealed spool file plus the decoder's recorded chunk spans).
         """
         assert self.decoder.complete, "finalize() before END chunk"
-        self._close_spool()
+        # A complete decoder consumed every spooled byte, and the chunk
+        # crossing that consumed the last one fsynced them all.
+        self._close_spool(sync=self._unsynced)
         if self.shard:
             detection = self.detector.finish(
                 shard_engine=shard_engine,
@@ -294,13 +309,14 @@ class StreamSession:
         self.decoder = None
         self.detector = None
 
-    def _close_spool(self) -> None:
+    def _close_spool(self, sync: bool = True) -> None:
         if self._spool is not None:
             self._spool.flush()
-            try:
-                os.fsync(self._spool.fileno())
-            except OSError:  # pragma: no cover - spool is a real file
-                pass
+            if sync:
+                try:
+                    os.fsync(self._spool.fileno())
+                except OSError:  # pragma: no cover - spool is a real file
+                    pass
             self._spool.close()
             self._spool = None
 

@@ -533,6 +533,115 @@ class TestCrashRecovery:
 
 
 # ---------------------------------------------------------------------------
+# spool durability, one session at a time
+# ---------------------------------------------------------------------------
+
+
+def _backends():
+    from repro.core.nativekernel import kernel_available
+
+    return ["python"] + (["native"] if kernel_available() else [])
+
+
+@pytest.fixture()
+def spooled(tmp_path):
+    """(trace path, its bytes, run dir, journal) for one session."""
+    b = all_benchmarks()[0]
+    run = run_detection(b.program, b.detect_seed, name=b.name)
+    path = str(tmp_path / "t.wtrc")
+    write_trace(run.trace, path, events_per_chunk=16)
+    out = tmp_path / "run"
+    out.mkdir()
+    journal = RunJournal(str(out / "journal.jsonl"))
+    yield path, open(path, "rb").read(), str(out), journal
+    journal.close()
+
+
+def _count_fsyncs(monkeypatch) -> list:
+    calls = []
+    real = os.fsync
+
+    def counting(fd):
+        calls.append(fd)
+        return real(fd)
+
+    monkeypatch.setattr(os, "fsync", counting)
+    return calls
+
+
+class TestSpoolDurability:
+    @pytest.mark.parametrize("backend", _backends())
+    def test_finalize_adds_no_spool_fsync(self, spooled, monkeypatch, backend):
+        """Each chunk crossing fsyncs the spool and its journal line; the
+        crossing that consumed END already made every spooled byte
+        durable, so finalize fsyncs nothing more."""
+        from repro.serve.session import StreamSession
+
+        path, data, out, journal = spooled
+        calls = _count_fsyncs(monkeypatch)
+        session = StreamSession("s", out, journal, backend=backend)
+        session.open_fresh()
+        crossings = 0
+        for i in range(0, len(data), 200):
+            before = session.journaled_bytes
+            session.ingest(data[i : i + 200])
+            crossings += session.journaled_bytes != before
+        assert session.decoder.complete
+        assert len(calls) == 2 * crossings
+        doc = session.finalize()
+        assert len(calls) == 2 * crossings
+        assert render_report(doc) == render_report(report_doc_for_file(path))
+
+    def test_park_still_fsyncs_the_tail(self, spooled, monkeypatch):
+        from repro.serve.session import StreamSession
+
+        _, data, out, journal = spooled
+        session = StreamSession("s", out, journal)
+        session.open_fresh()
+        session.ingest(data[: len(data) // 2])
+        calls = _count_fsyncs(monkeypatch)
+        session.park()
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("backend", _backends())
+    def test_resume_keeps_the_durable_prefix(self, spooled, monkeypatch, backend):
+        """Resume never opens an existing spool in a truncating mode: the
+        journaled prefix stays on disk untouched, only the unjournaled
+        tail is cut, and the resumed stream reports byte-identically."""
+        import repro.serve.session as session_mod
+        from repro.serve.session import StreamSession
+
+        path, data, out, journal = spooled
+        first = StreamSession("s", out, journal, backend=backend)
+        first.open_fresh()
+        first.ingest(data[: len(data) // 2])
+        first.park()
+        durable = first.journaled_bytes
+        spool_path = first.spool_path
+        assert 0 < durable < os.path.getsize(spool_path)
+
+        opened = []
+        real_open = open
+
+        def spy_open(file, mode="r", *args, **kwargs):
+            opened.append((file, mode, os.path.exists(file)))
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(session_mod, "open", spy_open, raising=False)
+        inode = os.stat(spool_path).st_ino
+        second = StreamSession("s", out, journal, backend=backend)
+        second.open_resumed(durable)
+        assert opened == [(spool_path, "r+b", True)]
+        assert os.stat(spool_path).st_ino == inode
+        assert os.path.getsize(spool_path) == durable
+        second.ingest(data[durable:])
+        doc = second.finalize()
+        assert render_report(doc) == render_report(report_doc_for_file(path))
+        with real_open(spool_path, "rb") as fh:
+            assert fh.read() == data
+
+
+# ---------------------------------------------------------------------------
 # process-level lifecycle (the real signals)
 # ---------------------------------------------------------------------------
 
