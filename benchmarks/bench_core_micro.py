@@ -15,10 +15,17 @@ ways (batch engine + JSON file vs streaming engine + binary file), with
 wall times, peak memory (tracemalloc) and file sizes, asserting both
 engines find identical cycles.
 
-Schema ``bench-core/8`` (migration note): every timed gated ratio
-(``macro.end_to_end_s.speedup``, ``macro.analyze_speedup.native``,
-``macro.decode_ratio.ratio``, ``sharding.speedup``) runs 6 alternating
-pairs, 3 in each order, and is the median of the per-pair ratios.
+Schema ``bench-core/9`` (migration note): the ``sharding`` section is
+now ``dedup``.  ``dedup.speedup`` times ``find_cycles``, which collapses
+duplicate rows on integers, against the same integer search without the
+collapse, on the same loop-heavy relation, in the same alternating pairs;
+``sharding.speedup`` timed the sharded search against ``find_cycles``.
+The sharded path is gone, and with it ``handoff_bytes``, ``shards``,
+``singleton_sccs`` and ``stage_s``.  Schema ``bench-core/8``: every timed
+gated ratio (``macro.end_to_end_s.speedup``,
+``macro.analyze_speedup.native``, ``macro.decode_ratio.ratio``,
+``sharding.speedup``) runs 6 alternating pairs, 3 in each order, and is
+the median of the per-pair ratios.
 ``bench-core/7`` divided the two sides' medians over 5 pairs: where the
 side that ran first moved a pair's ratio, the order that had 3 of the 5
 pairs set the result, and the decode ratio read 1.40–2.53 over ten runs
@@ -258,10 +265,9 @@ def synthetic_events(
     2-cycle families to find (in disjoint lock SCCs) and the cycle search
     stays output-bounded as the stream grows.  With ``nested_every=1``
     every iteration is a nested pair: the relation is dominated by
-    duplicate tuples, the loop-heavy shape the sharded enumerator
-    collapses.  Iterations are emitted atomically round-robin, so no two
-    threads ever hold a lock simultaneously: the stream is a valid
-    execution.
+    duplicate tuples, the loop-heavy shape the cycle search collapses.
+    Iterations are emitted atomically round-robin, so no two threads ever
+    hold a lock simultaneously: the stream is a valid execution.
     """
     root = ThreadId.root()
     threads = [
@@ -565,95 +571,50 @@ def run_macro(n_events: int, tmp_dir: str) -> dict:
     }
 
 
-def run_macro_sharded(n_events: int, tmp_dir: str) -> dict:
+def run_dedup(n_events: int) -> dict:
     """Loop-heavy macro: every iteration is a nested pair, so duplicate
-    tuples dominate ``D_sigma``.  Times the monolithic DFS against the
-    sharded+deduplicated enumerator on the identical relation, in
-    alternating pairs on one CPU (asserting identical cycles), and
-    measures the zero-copy hand-off payload: the bytes a shard task
-    pickles versus pickling the whole trace."""
-    import pickle
-
-    from repro.core.parallel import ShardEnumTask
-    from repro.core.sharding import (
-        _select_spans,
-        dedupe_relation,
-        find_cycles_sharded,
-        partition_shards,
-    )
+    tuples dominate ``D_sigma``.  Times ``find_cycles``, which collapses
+    duplicate rows before its search, against the same integer search
+    without the collapse (``_search_cycles``), both minting the cycles
+    they find, on the identical relation, in alternating pairs on one CPU
+    (asserting identical cycles)."""
+    from repro.core.detector import _as_deadlocks, _group_rows, _search_cycles
 
     trace = Trace(program="synthetic-loopy", seed=0)
     for ev in synthetic_events(n_events, nested_every=1, invert_pairs=2):
         trace.append(ev)
-
-    # Each call gets a relation built untimed just before it: entries
-    # cache their locksets and dedup keys, and a reused relation would
-    # time the sharded side without its deduplication.
+    rel = build_lockdep(trace)
     pairs = 6
     last = {}
 
-    def fresh_relation():
-        last["rel"] = build_lockdep(trace)
+    def plain():
+        cols = rel.cycle_columns()
+        found, truncated = _search_cycles(cols, 3, 10_000)
+        last["plain"] = _as_deadlocks(cols, found), truncated
 
-    def monolithic():
-        last["mono"] = find_cycles(last["rel"], max_length=3)
+    def dedup():
+        last["dedup"] = find_cycles(rel, max_length=3)
 
-    def sharded():
-        last["sharded"] = find_cycles_sharded(last["rel"], max_length=3)
-
-    mono_s, shard_s, speedup, cpu = _interleaved_medians(
-        monolithic, sharded, pairs, setup=fresh_relation
+    plain_s, dedup_s, speedup, cpu = _interleaved_medians(plain, dedup, pairs)
+    plain_cycles, plain_trunc = last["plain"]
+    cycles, trunc = last["dedup"]
+    assert [c.entries for c in plain_cycles] == [c.entries for c in cycles], (
+        "the collapsed search disagrees with the plain integer search"
     )
-    rel = last["rel"]
-    mono, mono_trunc = last["mono"]
-    cycles, trunc, stats = last["sharded"]
-    mono_steps = [tuple(e.step for e in c.entries) for c in mono]
-    shard_steps = [tuple(e.step for e in c.entries) for c in cycles]
-    assert mono_steps == shard_steps and mono_trunc == trunc, (
-        "sharded enumeration disagrees with the monolithic DFS"
-    )
-    assert [c.defect_key for c in mono] == [c.defect_key for c in cycles]
-
-    # Zero-copy payload: what actually crosses the process boundary.
-    bin_path = os.path.join(tmp_dir, "loopy.wtrc")
-    with TraceFileWriter(bin_path, program="synthetic-loopy", seed=0) as w:
-        for ev in trace:
-            w.write_event(ev)
-    spans = sorted(w.event_spans, key=lambda s: s.offset)
-    shards, _, _ = partition_shards(dedupe_relation(rel))
-    tasks = [
-        ShardEnumTask(
-            trace_path=bin_path,
-            spans=_select_spans(spans, tuple(e.step for e in s.entries)),
-            entry_steps=tuple(e.step for e in s.entries),
-            max_length=3,
-            max_cycles=10_000,
-        )
-        for s in shards
-    ]
-    task_bytes = max(len(pickle.dumps(t)) for t in tasks) if tasks else 0
-    trace_bytes = len(pickle.dumps(trace))
-
+    assert plain_trunc == trunc
+    cols = rel.cycle_columns()
     return {
         "events": len(trace),
-        "entries": stats.n_entries,
-        "dedup_keys": stats.n_keys,
-        "duplicates_collapsed": stats.duplicates_collapsed,
-        "shards": stats.n_shards,
-        "singleton_sccs": stats.singleton_sccs,
+        "entries": len(rel),
+        "rows": len(cols.steps),
+        "keys": len(_group_rows(cols)),
         "cycles": len(cycles),
         "identical": True,
-        "monolithic_s": round(mono_s, 6),
-        "sharded_s": round(shard_s, 6),
+        "plain_s": round(plain_s, 6),
+        "dedup_s": round(dedup_s, 6),
         "speedup": round(speedup, 2),
         "pairs": pairs,
         "cpu": cpu,
-        "stage_s": {k: round(v, 6) for k, v in stats.timings_s.items()},
-        "handoff_bytes": {
-            "largest_shard_task": task_bytes,
-            "pickled_trace": trace_bytes,
-            "ratio": round(trace_bytes / task_bytes, 1) if task_bytes else None,
-        },
     }
 
 
@@ -751,19 +712,19 @@ def main(argv=None) -> int:
     # Ctrl-C between stages flushes whatever completed as a partial
     # document (interrupted=true) and exits EX_TEMPFAIL instead of
     # losing minutes of timings to a traceback.
-    macro = sharding = micro = prediction = None
+    macro = dedup = micro = prediction = None
     with GracefulInterrupt() as interrupt, tempfile.TemporaryDirectory() as tmp:
         macro = run_macro(args.events, tmp)
         if not interrupt.triggered:
-            sharding = run_macro_sharded(args.events, tmp)
+            dedup = run_dedup(args.events)
         if not interrupt.triggered:
             micro = run_micro()
         if not interrupt.triggered:
             prediction = run_prediction()
     doc = {
-        "schema": "bench-core/8",
+        "schema": "bench-core/9",
         "macro": macro,
-        "sharding": sharding,
+        "dedup": dedup,
         "micro": micro,
         "prediction": prediction,
     }
@@ -799,13 +760,10 @@ def main(argv=None) -> int:
         f"{dr['decode_s']:.3f}s ({dr['ratio']}x)"
     )
     print(
-        f"loop-heavy {sharding['events']} events: enumeration "
-        f"monolithic {sharding['monolithic_s']:.3f}s vs sharded "
-        f"{sharding['sharded_s']:.3f}s ({sharding['speedup']}x, "
-        f"{sharding['duplicates_collapsed']} duplicates collapsed into "
-        f"{sharding['dedup_keys']} keys, {sharding['shards']} shard(s)); "
-        f"hand-off {sharding['handoff_bytes']['largest_shard_task']} B/task "
-        f"vs {sharding['handoff_bytes']['pickled_trace']} B pickled trace"
+        f"loop-heavy {dedup['events']} events: enumeration "
+        f"plain {dedup['plain_s']:.3f}s vs collapsed "
+        f"{dedup['dedup_s']:.3f}s ({dedup['speedup']}x, {dedup['rows']} "
+        f"rows collapsed into {dedup['keys']} keys, {dedup['cycles']} cycles)"
     )
     print(
         f"prediction over {prediction['benchmarks']} benchmark(s): "
@@ -838,10 +796,11 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         ok = False
-    if sharding["speedup"] < 3.0:
+    if dedup["speedup"] < 3.0:
         print(
-            "FAIL: sharded enumeration not >=3x faster than monolithic "
-            f"DFS on the loop-heavy macro (got {sharding['speedup']}x)",
+            "FAIL: the collapsed cycle search is not >=3x faster than the "
+            f"plain integer search on the loop-heavy macro (got "
+            f"{dedup['speedup']}x)",
             file=sys.stderr,
         )
         ok = False

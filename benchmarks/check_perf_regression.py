@@ -8,10 +8,11 @@ same box, in the same process.  This gate therefore compares ratios:
 * ``macro.end_to_end_s.speedup`` — streaming+binary vs batch+JSON,
   end to end (record then analyze), in alternating pairs on one CPU
   (bench-core/7);
-* ``sharding.speedup`` — sharded+deduplicated cycle enumeration vs the
-  monolithic DFS on the loop-heavy macro, in alternating pairs on one
-  CPU (bench-core/6; the monolithic side runs the integer search since
-  bench-core/7);
+* ``dedup.speedup`` — the cycle search with duplicate rows collapsed
+  (``find_cycles``) vs the same integer search without the collapse, on
+  the loop-heavy macro, in alternating pairs on one CPU (bench-core/9;
+  it replaced ``sharding.speedup``, the sharded search vs
+  ``find_cycles``);
 * ``macro.file_bytes.ratio`` — JSON vs binary trace size (fully
   deterministic, so any drop is a real format regression);
 * ``prediction.decided_ratio`` — the fraction of registry replay
@@ -55,7 +56,7 @@ from typing import Optional
 #: (label, path into the document) for every gated ratio.
 GATED_RATIOS = [
     ("end-to-end streaming speedup", ("macro", "end_to_end_s", "speedup")),
-    ("sharded enumeration speedup", ("sharding", "speedup")),
+    ("collapsed cycle search speedup", ("dedup", "speedup")),
     ("trace file size ratio", ("macro", "file_bytes", "ratio")),
     ("prediction decided ratio", ("prediction", "decided_ratio")),
     ("native analyze speedup", ("macro", "analyze_speedup", "native")),

@@ -12,9 +12,8 @@ Commands:
   binary trace by streaming it;
 * ``wolf analyze-trace <file.wtrc>`` — offline analysis of a saved
   binary trace, one event at a time without materializing the event
-  list; ``--workers N`` fans the cycle shards out to processes that
-  re-read only their own chunks, and ``--backend`` picks the compiled
-  kernel or pure Python (JSON traces go through ``trace pack`` first);
+  list; ``--backend`` picks the compiled kernel or pure Python (JSON
+  traces go through ``trace pack`` first);
 * ``wolf corpus build|minimize|validate|gate`` — run the fuzzing campaign
   into the governed trace corpus, minimize traces, check the strict
   manifest, and gate on lost defect keys vs ``CORPUS_health.json``
@@ -92,23 +91,6 @@ def _add_workers(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_analysis_knobs(p: argparse.ArgumentParser, *, shard: bool) -> None:
-    p.add_argument(
-        "--shard-cycles",
-        action=argparse.BooleanOptionalAction,
-        default=shard,
-        help="deduplicate the lock-dependency relation and enumerate "
-        "cycles per SCC shard (identical results; default: "
-        f"{'on' if shard else 'off'})",
-    )
-    p.add_argument(
-        "--reduce",
-        action="store_true",
-        help="drop provably cycle-free tuples (MagicFuzzer-style "
-        "reduction) before cycle enumeration",
-    )
-
-
 def _add_predict(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--predict",
@@ -142,7 +124,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         help="subset of benchmarks (default: all)",
     )
     _add_workers(p)
-    _add_analysis_knobs(p, shard=False)
 
 
 def _settings(args: argparse.Namespace) -> ExperimentSettings:
@@ -153,8 +134,6 @@ def _settings(args: argparse.Namespace) -> ExperimentSettings:
         workers=getattr(args, "workers", 1) or 1,
         task_timeout=getattr(args, "task_timeout", None),
         task_retries=retries if retries is not None else 2,
-        shard_cycles=getattr(args, "shard_cycles", False),
-        reduce=getattr(args, "reduce", False),
     )
 
 
@@ -189,8 +168,6 @@ def cmd_detect(args: argparse.Namespace) -> int:
         max_cycle_length=b.max_cycle_length,
         workers=getattr(args, "workers", 1) or 1,
         sanitize=getattr(args, "sanitize", False),
-        shard_cycles=getattr(args, "shard_cycles", False),
-        reduce=getattr(args, "reduce", False),
         predict=getattr(args, "predict", "off"),
         witness_dir=getattr(args, "witness_dir", None),
         replay_witness=replay_witness,
@@ -331,11 +308,8 @@ def cmd_analyze_trace(args: argparse.Namespace) -> int:
     offline).
 
     The ``.wtrc`` file is decoded and analyzed one event at a time, never
-    materializing the event list.  With ``--workers N`` and sharded
-    enumeration (the default here) the cycle-enumeration shards fan out to
-    worker processes that re-read only their own chunks — the parent
-    ships chunk offsets, never pickled events.  A JSON trace is refused:
-    ``wolf trace pack`` converts it first.
+    materializing the event list.  A JSON trace is refused: ``wolf trace
+    pack`` converts it first.
     """
     from repro.core.generator import Generator, GeneratorVerdict
     from repro.core.nativekernel import analyze_trace_file, kernel_version
@@ -360,30 +334,7 @@ def cmd_analyze_trace(args: argparse.Namespace) -> int:
         )
         return 0
 
-    shard = getattr(args, "shard_cycles", True)
-    workers = getattr(args, "workers", 1) or 1
-    shard_engine = policy = None
-    if shard and workers > 1:
-        from repro.core.parallel import ProcessEngine, SupervisionPolicy
-
-        retries = getattr(args, "retries", None)
-        policy = SupervisionPolicy(
-            task_timeout=getattr(args, "task_timeout", None),
-            retries=retries if retries is not None else 2,
-        )
-        shard_engine = ProcessEngine(workers)
-    try:
-        analysis = analyze_trace_file(
-            args.trace_file,
-            shard_cycles=shard,
-            reduce=getattr(args, "reduce", False),
-            backend=backend,
-            shard_engine=shard_engine,
-            policy=policy,
-        )
-    finally:
-        if shard_engine is not None:
-            shard_engine.close()
+    analysis = analyze_trace_file(args.trace_file, backend=backend)
     detection = analysis.detection
     prune = Pruner(detection.vclocks).prune(detection.cycles)
     gen = Generator(detection.relation).run(prune.survivors)
@@ -400,16 +351,6 @@ def cmd_analyze_trace(args: argparse.Namespace) -> int:
     kv = f" (kernel {kernel_version()})" if analysis.backend == "native" else ""
     print(f"backend              : {analysis.backend}{kv}")
     print(f"cycles detected      : {len(detection.cycles)}")
-    if detection.reduced_away:
-        print(f"tuples reduced away  : {detection.reduced_away}")
-    if detection.sharding is not None:
-        s = detection.sharding
-        print(
-            f"sharded enumeration  : {s.n_keys} key(s) from {s.n_entries} "
-            f"tuple(s) ({s.duplicates_collapsed} duplicates collapsed), "
-            f"{s.n_shards} shard(s), {s.parallel_shards} enumerated in "
-            f"worker processes"
-        )
     print(f"false (pruner)       : {len(prune.false_positives)}")
     print(f"false (generator)    : {len(gen.false_positives)}")
     print(f"replay candidates    : {len(gen.survivors)}")
@@ -640,7 +581,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         window=args.window,
         max_total_buffer=args.max_total_buffer,
         max_stream_bytes=args.max_stream_bytes,
-        shard_workers=args.shard_workers or 1,
         journal_fsync=not args.no_journal_fsync,
         journal_max_bytes=journal_max,
         worker_index=args.fleet_index if in_fleet else 0,
@@ -697,7 +637,6 @@ def _serve_supervisor(args, socket_path, tcp, journal_max) -> int:
         window=args.window,
         max_total_buffer=args.max_total_buffer,
         max_stream_bytes=args.max_stream_bytes,
-        shard_workers=args.shard_workers or 1,
         journal_max_bytes=journal_max,
         journal_fsync=not args.no_journal_fsync,
         backend=getattr(args, "backend", "auto"),
@@ -975,7 +914,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--attempts", type=int, default=None)
     _add_workers(p)
-    _add_analysis_knobs(p, shard=False)
     _add_predict(p)
     p.add_argument(
         "--replay-witness",
@@ -1074,8 +1012,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="offline analysis of a saved binary .wtrc trace",
     )
     p.add_argument("trace_file")
-    _add_workers(p)
-    _add_analysis_knobs(p, shard=True)
     p.add_argument(
         "--backend",
         choices=("auto", "python", "native"),
@@ -1261,14 +1197,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="ingestion worker processes; >1 runs the fleet supervisor "
         "(SO_REUSEPORT or hash-router front door, merged manifest at "
         "drain; default: 1, the single-process daemon)",
-    )
-    p.add_argument(
-        "--shard-workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="processes for sharded cycle enumeration at stream finish "
-        "(default: 1, enumerate in the event loop)",
     )
     p.add_argument(
         "--router",

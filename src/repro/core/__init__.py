@@ -52,13 +52,6 @@ from repro.core.prediction import (
 from repro.core.ranking import RankedDefect, rank_defects, render_ranking
 from repro.core.reduction import reduce_relation
 from repro.core.report import Classification, CycleReport, DefectReport, WolfReport
-from repro.core.sharding import (
-    DedupedRelation,
-    ShardStats,
-    dedupe_relation,
-    find_cycles_sharded,
-    partition_shards,
-)
 from repro.core.streaming import StreamingDetector
 
 __all__ = [
@@ -69,7 +62,6 @@ __all__ = [
     "ClosureIndex",
     "CyclePrediction",
     "CycleReport",
-    "DedupedRelation",
     "DefectReport",
     "DetectionResult",
     "ExtendedDetector",
@@ -90,7 +82,6 @@ __all__ = [
     "ReplayOutcome",
     "Replayer",
     "SJ",
-    "ShardStats",
     "StreamingDetector",
     "SyncGraph",
     "VectorClockState",
@@ -100,10 +91,7 @@ __all__ = [
     "WolfReport",
     "build_sync_graph",
     "compute_vector_clocks",
-    "dedupe_relation",
     "event_token",
-    "find_cycles_sharded",
-    "partition_shards",
     "predict_cycles",
     "promote_by_defect",
 ]

@@ -16,9 +16,12 @@ cycle.  :class:`ExtendedDetector` additionally computes the timestamps and
 
 from __future__ import annotations
 
+import heapq
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Set, Tuple
+from itertools import islice, product
+from operator import lt
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.core.lockdep import (
     CycleColumns,
@@ -29,9 +32,6 @@ from repro.core.lockdep import (
 from repro.core.vclock import VectorClockState, compute_vector_clocks
 from repro.runtime.events import Trace
 from repro.util.ids import ExecIndex, LockId, Site, ThreadId
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.sharding import ShardStats
 
 
 @dataclass(frozen=True)
@@ -87,12 +87,6 @@ class DetectionResult:
     cycles: List[PotentialDeadlock]
     vclocks: Optional[VectorClockState] = None
     truncated: bool = False
-    #: Tuples the MagicFuzzer reduction removed before enumeration (0
-    #: when reduction was off — ``relation`` is always the full relation).
-    reduced_away: int = 0
-    #: Instrumentation from the sharded enumeration (``None`` when the
-    #: monolithic DFS ran).
-    sharding: Optional["ShardStats"] = None
 
     def defect_keys(self) -> List[FrozenSet[Site]]:
         seen: Dict[FrozenSet[Site], None] = {}
@@ -117,16 +111,125 @@ def find_cycles(
     The search runs on the relation's integer
     :meth:`~repro.core.lockdep.LockDependencyRelation.cycle_columns`
     (the kernel-backed relation hands over its flat logs without minting
-    entries); only the members of the cycles found become
-    :class:`LockDepEntry` objects.
+    entries), with duplicate rows collapsed first
+    (:func:`_collapsed_search`); only the members of the cycles found
+    become :class:`LockDepEntry` objects.
     """
     cols = rel.cycle_columns()
-    found, truncated = _search_cycles(cols, max_length, max_cycles)
+    found, truncated = _collapsed_search(cols, max_length, max_cycles)
+    return _as_deadlocks(cols, found), truncated
+
+
+def _as_deadlocks(
+    cols: CycleColumns, found: List[Tuple[int, ...]]
+) -> List[PotentialDeadlock]:
+    """Cycles of rows as :class:`PotentialDeadlock` objects, minting each
+    member row's entry once."""
     rows = sorted({r for cycle in found for r in cycle})
-    by_row = dict(zip(rows, cols.entries(rows)))
-    return [
-        PotentialDeadlock(tuple(by_row[r] for r in cycle)) for cycle in found
-    ], truncated
+    by_row = dict(zip(rows, cols.entries(rows), strict=True))
+    return [PotentialDeadlock(tuple(by_row[r] for r in cycle)) for cycle in found]
+
+
+def _collapsed_search(
+    cols: CycleColumns, max_length: int, max_cycles: int
+) -> Tuple[List[Tuple[int, ...]], bool]:
+    """:func:`_search_cycles` with duplicate rows collapsed: the same
+    cycles in the same order, with the same ``truncated`` flag.
+
+    Whether rows form a cycle depends only on their (thread, lockset as a
+    set, wanted lock), and loops repeat a few such keys many times.  Rows
+    are grouped by key, the search runs on each group's earliest row, and
+    each cycle found (a *shape*) expands to every combination of its
+    groups' rows, anchored at the combination's earliest row.  The DFS
+    emits a trace's cycles in ascending step-tuple order, and so does the
+    expansion.  The earliest rows of a cycle's groups form a cycle that
+    sorts no later than it, so the first ``max_cycles`` shapes cover the
+    first ``max_cycles`` cycles: capping the witness search is exact.
+
+    All of this needs rows in strictly ascending step order, which every
+    recorded trace has; a relation without it (only a crafted ``.wtrc``
+    can give one) is searched row by row.
+    """
+    steps = cols.steps
+    if not all(map(lt, steps, islice(steps, 1, None))):
+        return _search_cycles(cols, max_length, max_cycles)
+    groups = _group_rows(cols)
+    # Group ids follow their earliest rows, so the witness columns keep
+    # trace order and a witness row is its group's id.
+    witness = [g[0] for g in groups]
+    shapes, truncated = _search_cycles(
+        CycleColumns(
+            [steps[r] for r in witness],
+            [cols.threads[r] for r in witness],
+            [cols.locks[r] for r in witness],
+            [cols.held[r] for r in witness],
+            lambda rows: cols.entries([witness[r] for r in rows]),
+        ),
+        max_length,
+        max_cycles,
+    )
+    found, capped = _expand_shapes(shapes, groups, max_cycles)
+    return found, truncated or capped
+
+
+def _group_rows(cols: CycleColumns) -> List[List[int]]:
+    """The rows of ``cols`` grouped by (thread, lockset as a set, wanted
+    lock), each group in row order, groups in order of their first row."""
+    lockset_ids: Dict[Tuple[int, ...], int] = {}
+    set_ids: Dict[FrozenSet[int], int] = {}
+    group_of: Dict[Tuple[int, int, int], int] = {}
+    groups: List[List[int]] = []
+    for row, (t, h, l) in enumerate(
+        zip(cols.threads, cols.held, cols.locks, strict=True)
+    ):
+        s = lockset_ids.get(h)
+        if s is None:
+            s = lockset_ids[h] = set_ids.setdefault(frozenset(h), len(set_ids))
+        g = group_of.setdefault((t, s, l), len(groups))
+        if g == len(groups):
+            groups.append([row])
+        else:
+            groups[g].append(row)
+    return groups
+
+
+def _expand_shapes(
+    shapes: List[Tuple[int, ...]], groups: List[List[int]], max_cycles: int
+) -> Tuple[List[Tuple[int, ...]], bool]:
+    """Every row combination of each shape, in ascending row order (rows
+    ascend with steps), stopping at ``max_cycles``.
+
+    A combination is led by its earliest row, so anchors are visited in
+    row order, and each anchor's rotations draw the other members from
+    the later rows of their groups.  ``product`` over ascending pools
+    yields in lexicographic order, and ``heapq.merge`` interleaves the
+    rotations an anchor leads.  A combination determines its shape (each
+    row has one group), so none is emitted twice.
+    """
+    # rotations[g]: the other groups of each shape rotation led by g.
+    rotations: Dict[int, List[Tuple[int, ...]]] = {}
+    for shape in shapes:
+        for p, g in enumerate(shape):
+            rotations.setdefault(g, []).append(shape[p + 1 :] + shape[:p])
+    anchors = sorted((r, g) for g in rotations for r in groups[g])
+    found: List[Tuple[int, ...]] = []
+    for anchor, g in anchors:
+        combos: List[Iterable[Tuple[int, ...]]] = []
+        for rest in rotations[g]:
+            pools = [[anchor]]
+            for h in rest:
+                rows = groups[h]
+                i = bisect_right(rows, anchor)
+                if i == len(rows):
+                    break
+                pools.append(rows[i:])
+            else:
+                combos.append(product(*pools))
+        for cycle in combos[0] if len(combos) == 1 else heapq.merge(*combos):
+            found.append(cycle)
+            if len(found) >= max_cycles:
+                return found, True
+    return found, False
 
 
 def _search_cycles(
@@ -246,60 +349,19 @@ def _search_cycles(
 
 
 class BaseDetector:
-    """iGoodLock: order-agnostic cycle detection (paper §3.1).
+    """iGoodLock: order-agnostic cycle detection (paper §3.1)."""
 
-    ``magic_reduce=True`` applies the MagicFuzzer-style relation reduction
-    (:mod:`repro.core.reduction`) before cycle enumeration — same cycles,
-    less search (paper §5 notes the techniques compose).
-
-    ``shard_cycles=True`` swaps the monolithic DFS for the deduplicated
-    SCC-sharded enumeration (:mod:`repro.core.sharding`) — output
-    identical by construction, with per-stage stats on the result.
-    """
-
-    def __init__(
-        self,
-        *,
-        max_length: int = 4,
-        max_cycles: int = 10_000,
-        magic_reduce: bool = False,
-        shard_cycles: bool = False,
-    ) -> None:
+    def __init__(self, *, max_length: int = 4, max_cycles: int = 10_000) -> None:
         self.max_length = max_length
         self.max_cycles = max_cycles
-        self.magic_reduce = magic_reduce
-        self.shard_cycles = shard_cycles
-
-    def _detect(self, rel):
-        """Returns ``(cycles, truncated, reduced_away, shard_stats)``."""
-        search_rel = rel
-        removed = 0
-        if self.magic_reduce:
-            from repro.core.reduction import reduce_relation
-
-            search_rel, removed = reduce_relation(rel)
-        if self.shard_cycles:
-            from repro.core.sharding import find_cycles_sharded
-
-            cycles, truncated, stats = find_cycles_sharded(
-                search_rel, max_length=self.max_length, max_cycles=self.max_cycles
-            )
-            return cycles, truncated, removed, stats
-        cycles, truncated = find_cycles(
-            search_rel, max_length=self.max_length, max_cycles=self.max_cycles
-        )
-        return cycles, truncated, removed, None
 
     def analyze(self, trace: Trace) -> DetectionResult:
         rel = build_lockdep(trace)
-        cycles, truncated, removed, stats = self._detect(rel)
+        cycles, truncated = find_cycles(
+            rel, max_length=self.max_length, max_cycles=self.max_cycles
+        )
         return DetectionResult(
-            trace=trace,
-            relation=rel,
-            cycles=cycles,
-            truncated=truncated,
-            reduced_away=removed,
-            sharding=stats,
+            trace=trace, relation=rel, cycles=cycles, truncated=truncated
         )
 
 
@@ -315,13 +377,13 @@ class ExtendedDetector(BaseDetector):
     def analyze(self, trace: Trace) -> DetectionResult:
         vclocks = compute_vector_clocks(trace)
         rel = build_lockdep(trace, taus=vclocks.acquire_tau)
-        cycles, truncated, removed, stats = self._detect(rel)
+        cycles, truncated = find_cycles(
+            rel, max_length=self.max_length, max_cycles=self.max_cycles
+        )
         return DetectionResult(
             trace=trace,
             relation=rel,
             cycles=cycles,
             vclocks=vclocks,
             truncated=truncated,
-            reduced_away=removed,
-            sharding=stats,
         )

@@ -12,17 +12,10 @@ defined on ``lockset(eta) ∪ {lock(eta)}``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.runtime.events import AcquireEvent, Trace
 from repro.util.ids import ExecIndex, LockId, ThreadId
-
-#: DeadlockFuzzer-style equivalence key: whether a combination of tuples
-#: forms a cycle depends only on threads, locksets and wanted locks, so
-#: entries sharing a key are interchangeable for cycle *existence* (their
-#: sites/indices/steps still distinguish the concrete cycles they form).
-DedupKey = Tuple[ThreadId, FrozenSet[LockId], LockId]
 
 
 @dataclass(frozen=True)
@@ -56,26 +49,6 @@ class LockDepEntry:
                 return idx
         raise KeyError(f"{lock!r} not in lockset/lock of {self!r}")
 
-    @cached_property
-    def lockset_set(self) -> FrozenSet[LockId]:
-        """``lockset`` as a frozenset, computed once per entry.
-
-        The cycle search tests guard-lock disjointness on every DFS probe;
-        rebuilding a set from the tuple there dominated the probe cost
-        (``cached_property`` stores into ``__dict__``, bypassing the frozen
-        dataclass ``__setattr__``, and stays out of ``eq``/``hash``).
-        """
-        return frozenset(self.lockset)
-
-    def holds(self, lock: LockId) -> bool:
-        return lock in self.lockset_set
-
-    @cached_property
-    def dedup_key(self) -> DedupKey:
-        """The entry's :data:`DedupKey` — the sharded enumeration
-        (:mod:`repro.core.sharding`) collapses ``D_sigma`` by this key."""
-        return (self.thread, self.lockset_set, self.lock)
-
     def pretty(self) -> str:
         held = "{" + ",".join(l.pretty() for l in self.lockset) + "}"
         return (
@@ -92,7 +65,7 @@ class CycleColumns:
 
     Row ``i`` is one entry: its ``step``, its thread and wanted lock as
     canonical ids, and its lockset as a tuple of canonical lock ids in
-    acquisition order.  Ids are canonical by value: two equal
+    acquisition order, each id once.  Ids are canonical by value: two equal
     :class:`~repro.util.ids.ThreadId` (or :class:`~repro.util.ids.LockId`)
     get one id whatever their ``name``, as object equality has it.
     ``entries`` maps rows back to :class:`LockDepEntry` objects, so only
@@ -139,8 +112,7 @@ class AcquisitionTables:
 
 
 class LockDependencyRelation:
-    """``D_sigma``: its entries in trace order, with object indexes per
-    thread, per held lock and per acquired lock.
+    """``D_sigma``: its entries in trace order.
 
     The cycle search and the Generator read integer views instead
     (:meth:`cycle_columns`, :meth:`acquisition_tables`), which a
@@ -148,21 +120,10 @@ class LockDependencyRelation:
     """
 
     def __init__(self, entries: Optional[List[LockDepEntry]] = None) -> None:
-        self.entries: List[LockDepEntry] = []
-        self.by_thread: Dict[ThreadId, List[LockDepEntry]] = {}
-        #: entries whose *lockset* contains the key lock (potential holders)
-        self.holding: Dict[LockId, List[LockDepEntry]] = {}
-        #: entries whose *acquired lock* is the key lock
-        self.acquiring: Dict[LockId, List[LockDepEntry]] = {}
-        for e in entries or []:
-            self.add(e)
+        self.entries: List[LockDepEntry] = list(entries or ())
 
     def add(self, entry: LockDepEntry) -> None:
         self.entries.append(entry)
-        self.by_thread.setdefault(entry.thread, []).append(entry)
-        self.acquiring.setdefault(entry.lock, []).append(entry)
-        for lock in entry.lockset:
-            self.holding.setdefault(lock, []).append(entry)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -170,31 +131,30 @@ class LockDependencyRelation:
     def __iter__(self) -> Iterator[LockDepEntry]:
         return iter(self.entries)
 
-    def threads(self) -> List[ThreadId]:
-        return list(self.by_thread)
-
-    def entries_of(self, thread: ThreadId) -> List[LockDepEntry]:
-        return self.by_thread.get(thread, [])
-
-    def before(self, entry: LockDepEntry) -> List[LockDepEntry]:
-        """This thread's entries strictly before ``entry`` (``D'_sigma``
-        restricted to one thread, paper §3.4)."""
-        return self.by_thread[entry.thread][: entry.pos]
-
     def cycle_columns(self) -> CycleColumns:
         """The lock-holding entries as :class:`CycleColumns`, with ids
         interned by value in order of first appearance."""
         rows = [e for e in self.entries if e.lockset]
         thread_ids: Dict[ThreadId, int] = {}
         lock_ids: Dict[LockId, int] = {}
+        # Loops repeat a few locksets many times: map each raw one once,
+        # and each lock in it once (a repeated lock would list the row
+        # twice among the lock's holders, so the search would report its
+        # cycles twice).
+        canon_of: Dict[Tuple[LockId, ...], Tuple[int, ...]] = {}
         cols = CycleColumns([], [], [], [], lambda picked: [rows[i] for i in picked])
         for e in rows:
             cols.steps.append(e.step)
             cols.threads.append(thread_ids.setdefault(e.thread, len(thread_ids)))
             cols.locks.append(lock_ids.setdefault(e.lock, len(lock_ids)))
-            cols.held.append(
-                tuple(lock_ids.setdefault(l, len(lock_ids)) for l in e.lockset)
-            )
+            h = canon_of.get(e.lockset)
+            if h is None:
+                h = canon_of[e.lockset] = tuple(
+                    dict.fromkeys(
+                        lock_ids.setdefault(l, len(lock_ids)) for l in e.lockset
+                    )
+                )
+            cols.held.append(h)
         return cols
 
     def acquisition_tables(self) -> AcquisitionTables:

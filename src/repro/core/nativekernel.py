@@ -25,10 +25,10 @@ Division of labor (see docs/architecture.md, "Native analysis kernel"):
   and mints only cycle members; the Generator builds ``Gs`` on integer
   tables read from the same log
   (:meth:`NativeRelation.acquisition_tables`) and mints a ``GsVertex``
-  only when a view of its graph is read.  The whole relation
-  materializes, into the exact objects the pure-Python engine would
-  have built, only when a consumer touches it (the sharded and
-  ``reduce`` paths).  The prediction index re-reads the file through a
+  only when a view of its graph is read.  No analysis path reads the
+  whole relation; ``NativeRelation.entries`` materializes it, into the
+  exact objects the pure-Python engine would have built, for a caller
+  that does.  The prediction index re-reads the file through a
   kernel that logs every event as integers (:class:`NativeEventLogReader`)
   instead of decoding event objects.
 
@@ -77,7 +77,7 @@ from repro.core.prediction import EVENT_LOG_WIDTH, EventLog
 from repro.core.streaming import StreamingDetector
 from repro.core.vclock import VectorClockState, update_clocks
 from repro.runtime.events import JoinEvent, SpawnEvent, Trace
-from repro.runtime.tracefile import ChunkDecoder, ChunkSpan, TraceFileReader, _DecodeCore
+from repro.runtime.tracefile import ChunkDecoder, TraceFileReader, _DecodeCore
 from repro.util.ids import ExecIndex, LockId, ThreadId
 
 #: Version of the kernel ABI this wrapper speaks; must match wk_abi().
@@ -625,7 +625,9 @@ class _KernelSnapshot:
         threads: List[int] = []
         locks: List[int] = []
         helds: List[Tuple[int, ...]] = []
-        # Loops repeat a few locksets many times: map each raw one once.
+        # Loops repeat a few locksets many times: map each raw one once,
+        # and each canonical lock in it once (see
+        # LockDependencyRelation.cycle_columns).
         canon_of: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
         for i in nonempty:
             b = 10 * i
@@ -633,7 +635,7 @@ class _KernelSnapshot:
             raw = tuple(held[hoff : hoff + 4 * ent[b + 8] : 4])
             h = canon_of.get(raw)
             if h is None:
-                h = canon_of[raw] = tuple([lcanon[l] for l in raw])
+                h = canon_of[raw] = tuple(dict.fromkeys([lcanon[l] for l in raw]))
             steps.append(ent[b])
             threads.append(tcanon[ent[b + 1]])
             locks.append(lcanon[ent[b + 2]])
@@ -684,28 +686,21 @@ class NativeRelation(LockDependencyRelation):
 
     The cycle search reads :meth:`cycle_columns` and the Generator
     :meth:`acquisition_tables`, both straight from the logs, so the
-    default analyze and serve paths mint only the members of the cycles
-    they find and never materialize the relation.  Materialization into
-    real :class:`LockDepEntry` objects (and the by-thread/holding/
-    acquiring indexes) happens on first access to one of those
-    attributes: the shard and reduce paths and any other consumer of the
-    whole relation transparently get it.
+    analyze and serve paths mint only the members of the cycles they
+    find and never materialize the relation.  ``entries`` materializes
+    it into real :class:`LockDepEntry` objects on first access, for any
+    consumer of the whole relation.
     """
 
     def __init__(self, snap: _KernelSnapshot) -> None:
-        # deliberately NOT calling super().__init__: the four index
-        # attributes are created lazily by _materialize_now.
+        # deliberately NOT calling super().__init__: ``entries`` is
+        # created lazily by __getattr__.
         self._snap = snap
 
-    def _materialize_now(self) -> None:
-        LockDependencyRelation.__init__(self)
-        for e in self._snap.materialize_entries():
-            self.add(e)
-
     def __getattr__(self, name):
-        if name in ("entries", "by_thread", "holding", "acquiring"):
-            self._materialize_now()
-            return self.__dict__[name]
+        if name == "entries":
+            self.entries = self._snap.materialize_entries()
+            return self.entries
         raise AttributeError(name)
 
     def __len__(self) -> int:
@@ -733,11 +728,11 @@ class NativeStreamingDetector:
     :class:`NativeTraceFileReader` / :class:`NativeChunkDecoder`;
     :meth:`feed`/:meth:`feed_many` therefore reject actual event objects
     (in-memory traces always use the pure-Python engine).  Enumeration
-    runs at :meth:`finish`, as in the pure detector.  Without sharding
-    or reduction ``find_cycles`` searches the kernel's integer logs
-    through :meth:`NativeRelation.cycle_columns`: the relation stays
+    runs at :meth:`finish`, as in the pure detector: ``find_cycles``
+    searches the kernel's integer logs through
+    :meth:`NativeRelation.cycle_columns`, so the relation stays
     unmaterialized and only cycle members become :class:`LockDepEntry`
-    objects, so a cycle-free trace's ``finish`` mints none.
+    objects; a cycle-free trace's ``finish`` mints none.
     """
 
     def __init__(
@@ -747,8 +742,6 @@ class NativeStreamingDetector:
         *,
         max_length: int = 4,
         max_cycles: int = 10_000,
-        shard_cycles: bool = False,
-        reduce: bool = False,
     ) -> None:
         if max_length < 2:
             raise ValueError(f"max_length must be >= 2, got {max_length}")
@@ -758,8 +751,6 @@ class NativeStreamingDetector:
         self._tables = tables
         self.max_length = max_length
         self.max_cycles = max_cycles
-        self.shard_cycles = shard_cycles
-        self.reduce = reduce
         self.truncated = False
         self._snap: Optional[_KernelSnapshot] = None
         self._vclocks: Optional[VectorClockState] = None
@@ -819,49 +810,17 @@ class NativeStreamingDetector:
             self._rel = NativeRelation(self._snapshot())
         return self._rel
 
-    def finish(
-        self,
-        trace: Optional[Trace] = None,
-        *,
-        shard_engine=None,
-        policy=None,
-        trace_path: Optional[str] = None,
-        chunk_spans: Optional[Sequence[ChunkSpan]] = None,
-    ) -> DetectionResult:
+    def finish(self, trace: Optional[Trace] = None) -> DetectionResult:
         rel = self.relation
-        search_rel = rel
-        removed = 0
-        stats = None
-        if self.reduce:
-            from repro.core.reduction import reduce_relation
-
-            search_rel, removed = reduce_relation(rel)
-        if self.shard_cycles:
-            from repro.core.sharding import find_cycles_sharded
-
-            cycles, self.truncated, stats = find_cycles_sharded(
-                search_rel,
-                max_length=self.max_length,
-                max_cycles=self.max_cycles,
-                engine=shard_engine,
-                policy=policy,
-                trace_path=trace_path,
-                chunk_spans=chunk_spans,
-            )
-        else:
-            cycles, self.truncated = find_cycles(
-                search_rel,
-                max_length=self.max_length,
-                max_cycles=self.max_cycles,
-            )
+        cycles, self.truncated = find_cycles(
+            rel, max_length=self.max_length, max_cycles=self.max_cycles
+        )
         return DetectionResult(
             trace=trace if trace is not None else Trace(),
             relation=rel,
             cycles=cycles,
             vclocks=self.vclocks,
             truncated=self.truncated,
-            reduced_away=removed,
-            sharding=stats,
         )
 
 
@@ -879,49 +838,24 @@ class TraceAnalysis:
     seed: int
     events: int
     backend: str  # the backend that actually ran ("python" | "native")
-    spans: Tuple[ChunkSpan, ...]
 
 
-def _analyze_native(
-    path,
-    *,
-    max_length: int,
-    max_cycles: int,
-    shard_cycles: bool,
-    reduce: bool,
-    shard_engine,
-    policy,
-) -> TraceAnalysis:
+def _analyze_native(path, *, max_length: int, max_cycles: int) -> TraceAnalysis:
     kernel = _Kernel()
     with NativeTraceFileReader(path, kernel) as reader:
         det = NativeStreamingDetector(
-            kernel,
-            reader,
-            max_length=max_length,
-            max_cycles=max_cycles,
-            shard_cycles=shard_cycles,
-            reduce=reduce,
+            kernel, reader, max_length=max_length, max_cycles=max_cycles
         )
         for _ in reader:  # streams chunks through the kernel
             pass
-        spans = tuple(reader.event_spans)
         program, seed = reader.program, reader.seed
-        kw = {}
-        if shard_engine is not None:
-            kw = dict(
-                shard_engine=shard_engine,
-                policy=policy,
-                trace_path=path,
-                chunk_spans=spans,
-            )
-        detection = det.finish(**kw)
+        detection = det.finish()
     return TraceAnalysis(
         detection=detection,
         program=program,
         seed=seed,
         events=det.events_seen,
         backend="native",
-        spans=spans,
     )
 
 
@@ -930,11 +864,7 @@ def analyze_trace_file(
     *,
     max_length: int = 4,
     max_cycles: int = 10_000,
-    shard_cycles: bool = False,
-    reduce: bool = False,
     backend: str = "auto",
-    shard_engine=None,
-    policy=None,
 ) -> TraceAnalysis:
     """Analyze a ``.wtrc`` file with the resolved backend.
 
@@ -945,43 +875,19 @@ def analyze_trace_file(
     resolved = resolve_backend(backend)
     if resolved == "native":
         try:
-            return _analyze_native(
-                path,
-                max_length=max_length,
-                max_cycles=max_cycles,
-                shard_cycles=shard_cycles,
-                reduce=reduce,
-                shard_engine=shard_engine,
-                policy=policy,
-            )
+            return _analyze_native(path, max_length=max_length, max_cycles=max_cycles)
         except KernelDivergenceError:
             # Degenerate input (>64-bit varints): correctness beats
             # speed — redo the whole file in pure Python.
             resolved = "python"
-    det = StreamingDetector(
-        max_length=max_length,
-        max_cycles=max_cycles,
-        shard_cycles=shard_cycles,
-        reduce=reduce,
-    )
+    det = StreamingDetector(max_length=max_length, max_cycles=max_cycles)
     with TraceFileReader(path) as reader:
         det.feed_many(reader)
-        spans = tuple(reader.event_spans)
         program, seed = reader.program, reader.seed
-    kw = {}
-    if shard_engine is not None:
-        kw = dict(
-            shard_engine=shard_engine,
-            policy=policy,
-            trace_path=path,
-            chunk_spans=spans,
-        )
-    detection = det.finish(**kw)
     return TraceAnalysis(
-        detection=detection,
+        detection=det.finish(),
         program=program,
         seed=seed,
         events=det.events_seen,
         backend=resolved,
-        spans=spans,
     )

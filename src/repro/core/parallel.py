@@ -62,8 +62,9 @@ from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar, Union
 
-from repro.core.detector import DetectionResult, find_cycles
-from repro.core.lockdep import LockDependencyRelation, entry_from_acquire
+# ``find_cycles`` stays a module attribute here: wolfbench's tracer wraps
+# the enumeration under every name the package exposes it by.
+from repro.core.detector import DetectionResult, find_cycles  # noqa: F401
 from repro.core.streaming import StreamingDetector
 from repro.core.generator import (
     Generator,
@@ -79,9 +80,8 @@ from repro.core.prediction import (
 )
 from repro.core.pruner import Pruner, PruneResult
 from repro.core.replayer import Replayer, ReplayOutcome
-from repro.runtime.events import AcquireEvent
 from repro.runtime.sim.runtime import Program
-from repro.runtime.tracefile import ChunkSpan, TraceFileReader
+from repro.runtime.tracefile import TraceFileReader
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -110,11 +110,6 @@ class DetectTask:
     max_cycles: int
     max_steps: int
     step_timeout: float
-    #: Sharded, deduplicated cycle enumeration (output-identical to the
-    #: monolithic DFS; see :mod:`repro.core.sharding`).
-    shard_cycles: bool = False
-    #: Apply the MagicFuzzer relation reduction before enumeration.
-    reduce: bool = False
     #: Prediction mode (``"off"``, ``"filter"`` or ``"certify"``): any
     #: non-off value runs the sync-preserving prediction pass over the
     #: Generator's survivors inside the worker, so fleet batches predict
@@ -154,10 +149,7 @@ def _detect_from_task(task: DetectTask) -> DetectionResult:
         step_timeout=task.step_timeout,
     )
     return StreamingDetector(
-        max_length=task.max_cycle_length,
-        max_cycles=task.max_cycles,
-        shard_cycles=task.shard_cycles,
-        reduce=task.reduce,
+        max_length=task.max_cycle_length, max_cycles=task.max_cycles
     ).analyze(run.trace)
 
 
@@ -283,71 +275,6 @@ def run_replay_task(task: ReplayTask) -> ReplayOutcome:
         step_timeout=task.step_timeout,
     )
     return replayer.replay(task.decision, witness=task.witness)
-
-
-@dataclass(frozen=True)
-class ShardEnumTask:
-    """Enumerate one shard's cycles from an on-disk trace (zero-copy).
-
-    The payload is a file path, the EVENTS chunk spans holding the
-    shard's witness entries, and their trace steps — a few hundred bytes
-    regardless of trace size, where pickling the trace (or even the
-    shard's entries, whose identity objects drag in thread/lock/string
-    graphs) costs megabytes on long traces.  The worker re-mints the
-    witness entries from the decoded events; cycles come back as step
-    tuples, which the parent maps onto its own full-fidelity entries.
-    """
-
-    trace_path: str
-    #: EVENTS chunks covering the witness steps (other chunks are seeked
-    #: past; identity-table chunks always decode — they are tiny).
-    spans: Tuple[ChunkSpan, ...]
-    #: trace steps of the shard's canonical witness entries
-    entry_steps: Tuple[int, ...]
-    max_length: int
-    max_cycles: int
-
-
-@dataclass
-class ShardEnumResult:
-    """One shard's cycles as step tuples (canonical rotation)."""
-
-    cycles: List[Tuple[int, ...]]
-    truncated: bool
-    #: Events actually decoded (selected chunks only) — observability
-    #: for how much of the trace the zero-copy path skipped.
-    decoded_events: int
-
-
-def run_shard_enum_task(task: ShardEnumTask) -> ShardEnumResult:
-    """Module-level worker entry point (must be importable for ``spawn``).
-
-    Rebuilt witness entries agree with the parent's on every field the
-    DFS reads (thread, lockset, lock, step — ``tau``/``pos`` are not
-    consulted), and arrive in the same ascending-step order, so the
-    enumeration here is bit-for-bit the serial per-shard enumeration.
-    """
-    wanted = set(task.entry_steps)
-    entries = []
-    with TraceFileReader(task.trace_path) as reader:
-        for ev in reader.iter_events_in(task.spans):
-            if (
-                isinstance(ev, AcquireEvent)
-                and not ev.reentrant
-                and ev.step in wanted
-            ):
-                entries.append(entry_from_acquire(ev, pos=len(entries)))
-        decoded = reader.events_read
-    cycles, truncated = find_cycles(
-        LockDependencyRelation(entries),
-        max_length=task.max_length,
-        max_cycles=task.max_cycles,
-    )
-    return ShardEnumResult(
-        cycles=[tuple(e.step for e in c.entries) for c in cycles],
-        truncated=truncated,
-        decoded_events=decoded,
-    )
 
 
 # ---------------------------------------------------------------------------

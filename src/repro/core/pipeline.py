@@ -142,13 +142,9 @@ class WolfConfig:
     #: every detection run goes through
     #: :class:`~repro.core.streaming.StreamingDetector`.
     engine: str = "auto"
-    #: Sharded, deduplicated cycle enumeration
-    #: (:mod:`repro.core.sharding`) — output-identical to the monolithic
-    #: DFS, and much faster on loop-heavy traces.
+    #: Accepted for compatibility, but select nothing: the one cycle
+    #: search collapses duplicate tuples itself.
     shard_cycles: bool = False
-    #: Apply the MagicFuzzer relation reduction
-    #: (:func:`repro.core.reduction.reduce_relation`) before enumeration;
-    #: removed-tuple counts surface as ``WolfReport.reduced_tuples``.
     reduce: bool = False
     #: Sync-preserving prediction pass (:mod:`repro.core.prediction`)
     #: between Generator and Replayer.  ``"off"`` keeps the historical
@@ -246,8 +242,6 @@ class Wolf:
                     max_cycles=cfg.max_cycles,
                     max_steps=cfg.max_steps,
                     step_timeout=cfg.step_timeout,
-                    shard_cycles=cfg.shard_cycles,
-                    reduce=cfg.reduce,
                     predict=cfg.predict,
                 )
                 for seed in cfg.seeds()
@@ -267,7 +261,6 @@ class Wolf:
                     continue
                 res = out.value
                 report.detections.append(res.detection)
-                report.reduced_tuples += res.detection.reduced_away
                 for stage, seconds in res.timings.items():
                     timings[stage] = timings.get(stage, 0.0) + seconds
                 if cfg.sanitize:

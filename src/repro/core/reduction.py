@@ -2,8 +2,12 @@
 
 Cai & Chan's MagicFuzzer (ICSE 2012) scales cycle detection by iteratively
 deleting tuples that cannot participate in any cycle before enumeration.
-The paper notes the technique "can be easily incorporated in WOLF"; this
-module does so.
+The paper notes the technique "can be easily incorporated in WOLF".  The
+cycle search no longer needs it: it collapses duplicate tuples itself
+and prunes by lock reachability, and ran faster alone than after a
+reduction pass.  The corpus minimizer's thread cut
+(:mod:`repro.corpus.minimize`) uses it to find the threads no cycle can
+involve.
 
 A tuple ``eta`` can only join a cycle if
 
@@ -32,10 +36,8 @@ def reduce_relation(
     """Return ``(reduced_relation, removed_count)``.
 
     Iterates the holder/waiter pruning rule to a fixpoint.  Entry order
-    (and therefore ``pos``/``step`` fields) is preserved for survivors, so
-    downstream consumers (Generator's ``D'_sigma`` slicing) keep working —
-    the *full* relation should still be used for ``Gs`` construction; the
-    reduced one only accelerates cycle enumeration.
+    (and therefore ``pos``/``step`` fields) is preserved for survivors;
+    the *full* relation is still the one ``Gs`` construction reads.
     """
     alive: List[LockDepEntry] = list(rel.entries)
     removed = 0

@@ -207,9 +207,6 @@ class WolfReport:
     backend: str = "python"
     #: Native kernel version (``None`` on the pure-Python backend).
     kernel: Optional[str] = None
-    #: Tuples the MagicFuzzer reduction removed before enumeration,
-    #: summed across detection runs (0 unless ``WolfConfig.reduce``).
-    reduced_tuples: int = 0
     #: Prediction mode the pipeline ran with (``"off"``/``"filter"``/
     #: ``"certify"``) — prediction fields appear in the summary and JSON
     #: only when it is not ``"off"``, keeping default output byte-stable.
@@ -398,7 +395,6 @@ class WolfReport:
                 "workers": self.workers,
                 "backend": self.backend,
                 "kernel": self.kernel,
-                "reduced_tuples": self.reduced_tuples,
                 "fallback_reason": self.fallback_reason,
         }
         if self.predict != "off":
@@ -476,11 +472,6 @@ class WolfReport:
             )
             for d in self.sanitizer:
                 lines.append(f"    - {d.pretty()}")
-        if self.reduced_tuples:
-            lines.append(
-                f"  reduction : {self.reduced_tuples} tuple(s) removed "
-                f"before cycle enumeration"
-            )
         if self.fallback_reason:
             lines.append(f"  degraded : {self.fallback_reason}")
         if self.wall_s:

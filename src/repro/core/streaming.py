@@ -26,23 +26,18 @@ Per :class:`~repro.runtime.events.TraceEvent` fed to
 ``ExtendedDetector``'s on the same event sequence, ``max_cycles``
 truncation included: the relation and clocks are built by the very same
 update steps, and the cycles come from the same enumeration
-(:func:`~repro.core.detector.find_cycles`, or the sharded search of
-:mod:`repro.core.sharding` with ``shard_cycles``) over the same relation.
+(:func:`~repro.core.detector.find_cycles`) over the same relation.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, Optional, Sequence
+from typing import Dict, Iterable, Optional
 
 from repro.core.detector import DetectionResult, find_cycles
 from repro.core.lockdep import LockDependencyRelation, entry_from_acquire
 from repro.core.vclock import VectorClockState, update_clocks
 from repro.runtime.events import AcquireEvent, Trace, TraceEvent
 from repro.util.ids import ThreadId
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.parallel import ExecutionEngine, SupervisionPolicy
-    from repro.runtime.tracefile import ChunkSpan
 
 
 class StreamingDetector:
@@ -53,28 +48,16 @@ class StreamingDetector:
     straight into the analysis); call :meth:`finish` once the stream ends.
 
     ``max_length``/``max_cycles`` mean exactly what they mean on the batch
-    detector.  ``shard_cycles=True`` runs the enumeration through the
-    deduplicated SCC-sharded search (:mod:`repro.core.sharding`), which
-    loop-heavy streams finish much faster; ``reduce=True`` applies the
-    MagicFuzzer reduction first.
+    detector.
     """
 
-    def __init__(
-        self,
-        *,
-        max_length: int = 4,
-        max_cycles: int = 10_000,
-        shard_cycles: bool = False,
-        reduce: bool = False,
-    ) -> None:
+    def __init__(self, *, max_length: int = 4, max_cycles: int = 10_000) -> None:
         if max_length < 2:
             raise ValueError(f"max_length must be >= 2, got {max_length}")
         if max_cycles < 1:
             raise ValueError(f"max_cycles must be >= 1, got {max_cycles}")
         self.max_length = max_length
         self.max_cycles = max_cycles
-        self.shard_cycles = shard_cycles
-        self.reduce = reduce
         #: Events consumed so far (the stream's length; the engine itself
         #: never materializes the event sequence).
         self.events_seen = 0
@@ -127,59 +110,23 @@ class StreamingDetector:
     def relation(self) -> LockDependencyRelation:
         return self._rel
 
-    def finish(
-        self,
-        trace: Optional[Trace] = None,
-        *,
-        shard_engine: Optional["ExecutionEngine"] = None,
-        policy: Optional["SupervisionPolicy"] = None,
-        trace_path: Optional[str] = None,
-        chunk_spans: Optional[Sequence["ChunkSpan"]] = None,
-    ) -> DetectionResult:
+    def finish(self, trace: Optional[Trace] = None) -> DetectionResult:
         """Seal the stream, enumerate its cycles and return the result.
 
         ``trace`` optionally attaches the materialized trace (when the
         caller happens to hold one, e.g. the in-memory pipeline); without
         it the result carries an empty placeholder — downstream stages
         (Pruner, Generator) consume only the relation and clocks.
-
-        With ``shard_cycles`` a parallel ``shard_engine`` plus the backing
-        ``.wtrc``'s ``trace_path``/``chunk_spans`` fan the shards out to
-        workers via the zero-copy hand-off.
         """
-        search_rel = self._rel
-        removed = 0
-        stats = None
-        if self.reduce:
-            from repro.core.reduction import reduce_relation
-
-            search_rel, removed = reduce_relation(self._rel)
-        if self.shard_cycles:
-            from repro.core.sharding import find_cycles_sharded
-
-            cycles, self.truncated, stats = find_cycles_sharded(
-                search_rel,
-                max_length=self.max_length,
-                max_cycles=self.max_cycles,
-                engine=shard_engine,
-                policy=policy,
-                trace_path=trace_path,
-                chunk_spans=chunk_spans,
-            )
-        else:
-            cycles, self.truncated = find_cycles(
-                search_rel,
-                max_length=self.max_length,
-                max_cycles=self.max_cycles,
-            )
+        cycles, self.truncated = find_cycles(
+            self._rel, max_length=self.max_length, max_cycles=self.max_cycles
+        )
         return DetectionResult(
             trace=trace if trace is not None else Trace(),
             relation=self._rel,
             cycles=cycles,
             vclocks=self._vclocks,
             truncated=self.truncated,
-            reduced_away=removed,
-            sharding=stats,
         )
 
     def analyze(self, trace: Trace) -> DetectionResult:

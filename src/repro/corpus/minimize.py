@@ -80,15 +80,13 @@ def detect_defect_keys(
 ) -> FrozenSet[FrozenSet[Site]]:
     """Defect keys witnessed by an event sequence.
 
-    Uses the base (order-agnostic) detector with the MagicFuzzer
-    reduction on: cycles — and therefore keys — are identical to the
-    extended detector's, and minimization re-detects candidates many
-    times, so the cheapest equivalent pass wins.
+    Uses the base (order-agnostic) detector: cycles — and therefore keys
+    — are identical to the extended detector's, and minimization
+    re-detects candidates many times, so the cheapest equivalent pass
+    wins.
     """
     trace = events if isinstance(events, Trace) else _as_trace(events)
-    det = BaseDetector(
-        max_length=max_length, max_cycles=max_cycles, magic_reduce=True
-    )
+    det = BaseDetector(max_length=max_length, max_cycles=max_cycles)
     return frozenset(det.analyze(trace).defect_keys())
 
 

@@ -103,9 +103,8 @@ def render_health_section(reports: Sequence[WolfReport]) -> List[str]:
         "## Run health — supervision, degradation, replay fidelity",
         "",
         "| Benchmark | Workers | Faults (error/timeout/crashed) | "
-        "Forced releases | Reduced tuples | Predicted (cert/ref/und) | "
-        "Degradation |",
-        "|---|---|---|---|---|---|---|",
+        "Forced releases | Predicted (cert/ref/und) | Degradation |",
+        "|---|---|---|---|---|---|",
     ]
     for rep in reports:
         faults = (
@@ -115,7 +114,6 @@ def render_health_section(reports: Sequence[WolfReport]) -> List[str]:
         out.append(
             f"| {rep.program} | {rep.workers} | {faults} "
             f"| {total_forced_releases(rep)} "
-            f"| {rep.reduced_tuples} "
             f"| {_fmt_predictions(rep)} "
             f"| {rep.fallback_reason or 'none'} |"
         )

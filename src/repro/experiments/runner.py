@@ -30,12 +30,6 @@ class ExperimentSettings:
     task_timeout: Optional[float] = None
     #: Retries before a failing detection/replay task is quarantined.
     task_retries: int = 2
-    #: Sharded, deduplicated cycle enumeration (output-identical; see
-    #: :mod:`repro.core.sharding`).
-    shard_cycles: bool = False
-    #: Drop provably cycle-free tuples before enumeration
-    #: (:func:`repro.core.reduction.reduce_relation`).
-    reduce: bool = False
     #: Sync-preserving prediction pass between Generator and Replayer
     #: (``"off"``/``"filter"``/``"certify"``; see
     #: :mod:`repro.core.prediction`).  ``"off"`` keeps the historical
@@ -63,8 +57,6 @@ def run_wolf(b: Benchmark, settings: ExperimentSettings) -> WolfReport:
         workers=settings.workers,
         task_timeout=settings.task_timeout,
         task_retries=settings.task_retries,
-        shard_cycles=settings.shard_cycles,
-        reduce=settings.reduce,
         predict=settings.predict,
     )
     return Wolf(config=cfg).analyze(b.program, name=b.name)

@@ -97,9 +97,9 @@ class ChunkSpan:
     the chunk: steps are delta-encoded across chunk boundaries, so a
     reader jumping straight to this chunk must seed its step accumulator
     with it.  Since trace steps increase monotonically, the chunk holds
-    exactly the events with steps in ``(base_step, last_step]`` — which
-    is what :meth:`TraceFileReader.iter_events_in` and the sharded
-    enumeration's zero-copy hand-off use to pick chunks by step.
+    exactly the events with steps in ``(base_step, last_step]``, and
+    :meth:`TraceFileReader.iter_events_in` can decode any subset of
+    chunks (the corpus minimizer's delta-debugging pass does).
     """
 
     #: absolute file offset of the chunk header (kind byte)
@@ -1064,7 +1064,7 @@ class ChunkDecoder(_DecodeCore):
         #: Spans of every decoded EVENTS chunk, offsets relative to the
         #: stream start — identical to what :class:`TraceFileReader` would
         #: record over the same bytes, so they address the daemon's spool
-        #: file for the zero-copy shard hand-off.
+        #: file.
         self.event_spans: List[ChunkSpan] = []
 
     @property

@@ -117,9 +117,6 @@ class ServeConfig:
     max_chunk_bytes: int = 1 << 20
     #: Largest whole stream accepted (None = unbounded).
     max_stream_bytes: Optional[int] = 64 * 1024 * 1024
-    #: Worker processes for sharded cycle enumeration at stream finish
-    #: (1 = enumerate in the event-loop process).
-    shard_workers: int = 1
     #: fsync the journal on every append (tests may disable for speed).
     journal_fsync: bool = True
     #: Rotate (compact) the journal once an append pushes it past this
@@ -156,10 +153,6 @@ class ServeConfig:
             raise ValueError(f"idle_timeout must be > 0, got {self.idle_timeout}")
         if self.window < 1:
             raise ValueError(f"window must be >= 1, got {self.window}")
-        if self.shard_workers < 1:
-            raise ValueError(
-                f"shard_workers must be >= 1, got {self.shard_workers}"
-            )
         if self.backend not in ("python", "native", "auto"):
             raise ValueError(
                 f"backend must be 'python', 'native' or 'auto', got {self.backend!r}"
@@ -193,7 +186,6 @@ class WolfServer:
         self._rejected: List[dict] = []
         self._journal: Optional[RunJournal] = None
         self._recovered = JournalState()
-        self._shard_engine = None
         #: Streams whose credit replenishment is deferred until global
         #: buffer capacity frees: stream id -> (writer, owed bytes).
         self._owed: Dict[str, Tuple[asyncio.StreamWriter, int]] = {}
@@ -354,9 +346,6 @@ class WolfServer:
             )
             self.stats.note_quarantine(ABORTED)
             self.sessions[sid] = sess
-        if self._shard_engine is not None:
-            self._shard_engine.close()
-            self._shard_engine = None
         self._write_manifest()
         if self._journal is not None:
             self._journal.close()
@@ -461,7 +450,6 @@ class WolfServer:
             max_cycles=self.config.max_cycles,
             max_chunk_bytes=self.config.max_chunk_bytes,
             max_stream_bytes=self.config.max_stream_bytes,
-            shard=self.config.shard_workers > 1,
             backend=self.backend,
         )
 
@@ -798,7 +786,7 @@ class WolfServer:
 
     async def _finalize(self, session: StreamSession) -> dict:
         """Seal one healthy stream: report file + journal row."""
-        doc = session.finalize(shard_engine=self._ensure_shard_engine())
+        doc = session.finalize()
         name = os.path.join("reports", f"{session.stream_id}.json")
         path = os.path.join(self.config.out_dir, name)
         payload = render_report(doc)
@@ -809,15 +797,6 @@ class WolfServer:
         row = session.seal_complete(name, sha256_file(path), doc)
         self.stats.analyzed += 1
         return row
-
-    def _ensure_shard_engine(self):
-        if self.config.shard_workers <= 1:
-            return None
-        if self._shard_engine is None:
-            from repro.core.parallel import ProcessEngine
-
-            self._shard_engine = ProcessEngine(self.config.shard_workers)
-        return self._shard_engine
 
     # -- control channel -----------------------------------------------------
 

@@ -66,7 +66,6 @@ class StreamSession:
         max_cycles: int = DETECTOR_PARAMS["max_cycles"],
         max_chunk_bytes: Optional[int] = None,
         max_stream_bytes: Optional[int] = None,
-        shard: bool = False,
         backend: str = "python",
     ) -> None:
         self.stream_id = stream_id
@@ -75,12 +74,9 @@ class StreamSession:
         self.max_length = max_length
         self.max_cycles = max_cycles
         self.max_stream_bytes = max_stream_bytes
-        self.shard = shard
         self.backend = backend
         self.state = SessionState.ACTIVE
-        # Cycle enumeration runs at finalize(); shard=True fans it out
-        # through the supervised pool (output-identical per the sharding
-        # gates, so the byte-identity property still holds).
+        # Cycle enumeration runs at finalize().
         if backend == "native":
             # Resolved by the server at startup: one decoder/detector pair
             # sharing a per-stream kernel context; reports stay
@@ -96,16 +92,12 @@ class StreamSession:
                 kernel, max_chunk_bytes=max_chunk_bytes
             )
             self.detector = NativeStreamingDetector(
-                kernel,
-                self.decoder,
-                max_length=max_length,
-                max_cycles=max_cycles,
-                shard_cycles=shard,
+                kernel, self.decoder, max_length=max_length, max_cycles=max_cycles
             )
         else:
             self.decoder = ChunkDecoder(max_chunk_bytes=max_chunk_bytes)
             self.detector = StreamingDetector(
-                max_length=max_length, max_cycles=max_cycles, shard_cycles=shard
+                max_length=max_length, max_cycles=max_cycles
             )
         self.spool_path = os.path.join(run_dir, "spool", f"{stream_id}.wtrc")
         self._spool: Optional[BinaryIO] = None
@@ -216,26 +208,13 @@ class StreamSession:
 
     # -- termination ---------------------------------------------------------
 
-    def finalize(self, shard_engine=None, policy=None) -> dict:
-        """Seal a completed stream: report doc + journaled manifest row.
-
-        With ``shard=True`` and a ``shard_engine``, cycle enumeration fans
-        out through the supervised pool via the zero-copy hand-off (the
-        sealed spool file plus the decoder's recorded chunk spans).
-        """
+    def finalize(self) -> dict:
+        """Seal a completed stream: report doc + journaled manifest row."""
         assert self.decoder.complete, "finalize() before END chunk"
         # A complete decoder consumed every spooled byte, and the chunk
         # crossing that consumed the last one fsynced them all.
         self._close_spool(sync=self._unsynced)
-        if self.shard:
-            detection = self.detector.finish(
-                shard_engine=shard_engine,
-                policy=policy,
-                trace_path=self.spool_path,
-                chunk_spans=tuple(self.decoder.event_spans),
-            )
-        else:
-            detection = self.detector.finish()
+        detection = self.detector.finish()
         doc = defect_report_doc(
             detection,
             program=self.decoder.program,

@@ -44,7 +44,7 @@ import subprocess
 import sys
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.serve.journal import JOURNAL_NAME, RunJournal
 from repro.serve.protocol import (
@@ -96,7 +96,6 @@ class FleetConfig:
     window: int = DEFAULT_WINDOW
     max_total_buffer: int = 8 * 1024 * 1024
     max_stream_bytes: Optional[int] = 64 * 1024 * 1024
-    shard_workers: int = 1
     journal_max_bytes: Optional[int] = 32 * 1024 * 1024
     journal_fsync: bool = True
     backend: str = "auto"
@@ -275,8 +274,6 @@ class FleetSupervisor:
             str(cfg.max_stream_bytes),
             "--backend",
             cfg.backend,
-            "--shard-workers",
-            str(cfg.shard_workers),
             "--journal-max-bytes",
             str(cfg.journal_max_bytes or 0),
             "--fleet-dir",

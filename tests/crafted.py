@@ -6,7 +6,8 @@
   aside), so every analysis must treat such rows as one identity.  WOLF's
   own writer interns by value and never emits them.
 * :func:`thread_alias_trace` and :func:`lock_alias_trace` are the two
-  crafted files built with it.
+  crafted files built with it; :func:`repeated_lock_trace` records a
+  lockset that lists one lock twice.
 * :func:`nested_lock_trace` records seeded nested-lock programs shaped
   like the benchmark's analyze-trace inputs: ``long`` ones take their
   locks in one global order (a large relation, no cycle), ``dense`` ones
@@ -86,19 +87,22 @@ class _Script:
     def join(self, t, target):
         self.events.append(JoinEvent(self._next(), t, target=target))
 
-    def acquire(self, t, lock, site):
+    def acquire(self, t, lock, site, *, repeat_held: bool = False):
+        """``repeat_held`` records the innermost held lock twice in this
+        acquisition's lockset (and context), as a foreign producer may."""
         key = (t, site)
         self._occ[key] = self._occ.get(key, 0) + 1
         index = ExecIndex(t, site, self._occ[key])
         held = self._held.setdefault(t, [])
+        recorded = held + held[-1:] if repeat_held else held
         self.events.append(
             AcquireEvent(
                 self._next(),
                 t,
                 lock=lock,
                 index=index,
-                held=tuple(l for l, _ in held),
-                held_indices=tuple(ix for _, ix in held),
+                held=tuple(l for l, _ in recorded),
+                held_indices=tuple(ix for _, ix in recorded),
                 stack_depth=len(held) + 1,
             )
         )
@@ -190,6 +194,35 @@ def lock_alias_trace(path: str) -> str:
         s.join(main, t)
     s.end(main)
     return s.write(path, "lock-alias")
+
+
+def repeated_lock_trace(path: str) -> str:
+    """T1 takes A then B; T2 takes B then A, and its second acquisition
+    records its lockset as ``(B, B)``.  One cycle, whose T2 member holds
+    B once as a set."""
+    main = ThreadId.root()
+    t1, t2 = (ThreadId(main, "craft:spawn", i, name=f"T{i + 1}") for i in range(2))
+    a = LockId(main, "craft:lock", 1, name="A")
+    b = LockId(main, "craft:lock", 2, name="B")
+    s = _Script()
+    s.begin(main)
+    for t in (t1, t2):
+        s.spawn(main, t)
+    for t in (t1, t2):
+        s.begin(t)
+    s.acquire(t1, a, "T1.outer")
+    s.acquire(t1, b, "T1.inner")
+    s.release(t1, b, "T1.inner")
+    s.release(t1, a, "T1.outer")
+    s.acquire(t2, b, "T2.outer")
+    s.acquire(t2, a, "T2.inner", repeat_held=True)
+    s.release(t2, a, "T2.inner")
+    s.release(t2, b, "T2.outer")
+    for t in (t1, t2):
+        s.end(t)
+        s.join(main, t)
+    s.end(main)
+    return s.write(path, "repeated-lock")
 
 
 # ---------------------------------------------------------------------------

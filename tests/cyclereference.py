@@ -1,20 +1,35 @@
 """Object-level reference cycle search over ``D_sigma`` (test oracle only).
 
 This is iGoodLock's DFS as it stood before :func:`repro.core.detector.find_cycles`
-moved to integer columns: every probe reads :class:`LockDepEntry` fields,
-``rel.holding`` and the entries' cached locksets.  The differential suite
-(``tests/test_cycle_search.py``) checks that the integer search returns the
-same cycles, in the same order, with the same ``truncated`` flag.
+moved to integer columns and collapsed duplicate rows: every probe reads
+:class:`LockDepEntry` fields, the :func:`holding` index and the entries'
+locksets as sets.  The differential suite (``tests/test_cycle_search.py``)
+checks that the integer search returns the same cycles, in the same order,
+with the same ``truncated`` flag.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Dict, List, Set, Tuple
+from typing import Dict, FrozenSet, List, Set, Tuple
 
 from repro.core.detector import PotentialDeadlock
 from repro.core.lockdep import LockDepEntry, LockDependencyRelation
 from repro.util.ids import LockId, ThreadId
+
+
+def holding(rel: LockDependencyRelation) -> Dict[LockId, List[LockDepEntry]]:
+    """The entries whose lockset holds each lock, in trace order.
+
+    An entry is listed once per distinct held lock: a lockset that
+    repeats a lock would otherwise list it twice, and the DFS would
+    report each of its cycles twice.
+    """
+    index: Dict[LockId, List[LockDepEntry]] = {}
+    for e in rel.entries:
+        for lock in dict.fromkeys(e.lockset):
+            index.setdefault(lock, []).append(e)
+    return index
 
 
 def reference_find_cycles(
@@ -32,12 +47,16 @@ def reference_find_cycles(
     """
     cycles: List[PotentialDeadlock] = []
     truncated = False
+    holders = holding(rel)
+    locksets: Dict[int, FrozenSet[LockId]] = {
+        id(e): frozenset(e.lockset) for e in rel.entries
+    }
 
-    # ``rel.holding`` lists are in trace order (ascending ``step``), so
-    # the anchor constraint (later-step entries only) is a binary search,
+    # ``holders`` lists are in trace order (ascending ``step``), so the
+    # anchor constraint (later-step entries only) is a binary search,
     # not a scan.
     def candidates_after(lock, step: int):
-        lst = rel.holding.get(lock)
+        lst = holders.get(lock)
         if not lst:
             return ()
         i = bisect_right(lst, step, key=lambda e: e.step)
@@ -88,10 +107,9 @@ def reference_find_cycles(
             )
             if not closes and not extendable:
                 continue
-            # Guard-lock check: locksets pairwise disjoint (cached
-            # frozensets — see LockDepEntry.lockset_set).
-            nxt_lockset = nxt.lockset_set
-            if any(nxt_lockset & prev.lockset_set for prev in path):
+            # Guard-lock check: locksets pairwise disjoint.
+            nxt_lockset = locksets[id(nxt)]
+            if any(nxt_lockset & locksets[id(prev)] for prev in path):
                 continue
             path.append(nxt)
             threads.add(nxt.thread)

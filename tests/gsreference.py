@@ -10,13 +10,37 @@ the compact graph's views reproduce it exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 from repro.core.detector import PotentialDeadlock
 from repro.core.lockdep import LockDepEntry, LockDependencyRelation
 from repro.core.syncgraph import EdgeKind, GsVertex
 from repro.util.digraph import DiGraph
 from repro.util.ids import ExecIndex, LockId, ThreadId
+
+
+class RelationIndex:
+    """The object indexes of ``D_sigma`` the reference builder reads,
+    built from ``rel.entries``: entries per thread and per acquired lock,
+    in trace order."""
+
+    def __init__(self, rel: LockDependencyRelation) -> None:
+        self.by_thread: Dict[ThreadId, List[LockDepEntry]] = {}
+        self.acquiring: Dict[LockId, List[LockDepEntry]] = {}
+        for e in rel.entries:
+            self.by_thread.setdefault(e.thread, []).append(e)
+            self.acquiring.setdefault(e.lock, []).append(e)
+
+    def threads(self) -> List[ThreadId]:
+        return list(self.by_thread)
+
+    def entries_of(self, thread: ThreadId) -> List[LockDepEntry]:
+        return self.by_thread.get(thread, [])
+
+    def before(self, entry: LockDepEntry) -> List[LockDepEntry]:
+        """This thread's entries strictly before ``entry`` (``D'_sigma``
+        restricted to one thread, paper §3.4)."""
+        return self.by_thread[entry.thread][: entry.pos]
 
 
 @dataclass
@@ -48,6 +72,7 @@ def reference_sync_graph(
     cycle: PotentialDeadlock, relation: LockDependencyRelation
 ) -> ReferenceGs:
     gs = ReferenceGs(cycle=cycle)
+    index = RelationIndex(relation)
     theta = cycle.entries
     cutoff: Dict[ThreadId, int] = {e.thread: e.step for e in theta}
 
@@ -64,7 +89,7 @@ def reference_sync_graph(
         for lk in tuple(ei.lockset) + (ei.lock,):
             v = _vertex(ei, lk)
             gs.add_vertex(v)
-            for ex in relation.acquiring.get(lk, ()):
+            for ex in index.acquiring.get(lk, ()):
                 if ex.step >= max_cutoff:
                     break
                 tx = ex.thread
@@ -75,7 +100,7 @@ def reference_sync_graph(
                 gs.add_edge(GsVertex(index=ex.index, lock=lk), v, EdgeKind.C)
 
     for e in theta:
-        chain = relation.before(e) + [e]
+        chain = index.before(e) + [e]
         for prev, nxt in zip(chain, chain[1:], strict=False):
             u = GsVertex(index=prev.index, lock=prev.lock)
             v = GsVertex(index=nxt.index, lock=nxt.lock)

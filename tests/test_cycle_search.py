@@ -1,15 +1,18 @@
 """The integer cycle search against the object DFS it replaced.
 
 :func:`repro.core.detector.find_cycles` runs iGoodLock's DFS over integer
-columns (step, canonical thread, canonical lock, lockset), fed by two
-adapters: a :class:`~repro.core.lockdep.LockDependencyRelation` (the pure
-path, the oracle, shards, ``reduce``) and the native kernel's logs.  The
-object DFS it replaced is kept as the reference in
-``tests/cyclereference.py``.  Both adapters must return the reference's
-cycle entries, in its order, with its ``truncated`` flag, at caps 1, 2, 3
-and uncapped and ``max_length`` 2-4, on the registry traces, the committed
-corpus, seeded nested-lock traces, hypothesis relations and a file whose
-lock table repeats a ``LockId`` under another name.
+columns (step, canonical thread, canonical lock, lockset), with duplicate
+rows collapsed first, fed by two adapters: a
+:class:`~repro.core.lockdep.LockDependencyRelation` (the pure path and the
+oracle) and the native kernel's logs.  The object DFS it replaced, which
+collapses nothing, is kept as the reference in ``tests/cyclereference.py``.
+Both adapters must return the reference's cycle entries, in its order,
+with its ``truncated`` flag, at caps 1, 2, 3 and uncapped and
+``max_length`` 2-4, on the registry traces, the committed corpus, seeded
+nested-lock traces, hypothesis relations, a file whose lock table repeats
+a ``LockId`` under another name and one whose lockset repeats a lock; and
+at caps 1, 2, 3, 5, 17 and uncapped on a loop-heavy relation, where
+nearly every row has duplicates.
 
 The relation-adapter tests run everywhere; the kernel-adapter tests skip
 where the kernel cannot load (the pure-Python CI leg).
@@ -23,18 +26,22 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import repro.core.nativekernel as nk
+from benchmarks.bench_core_micro import synthetic_events
 from repro.core.detector import ExtendedDetector, find_cycles
 from repro.core.lockdep import LockDepEntry, LockDependencyRelation
 from repro.core.nativekernel import NativeRelation, analyze_trace_file, kernel_available
+from repro.runtime.events import Trace
 from repro.runtime.tracefile import write_trace
+from repro.serve.report import report_doc_for_file
 from repro.util.ids import ExecIndex, LockId, ThreadId
-from tests.crafted import lock_alias_trace, nested_lock_trace
+from tests.crafted import lock_alias_trace, nested_lock_trace, repeated_lock_trace
 from tests.cyclereference import reference_find_cycles
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 CORPUS_TRACES = sorted(str(p) for p in (REPO_ROOT / "corpus").glob("*.wtrc"))
 
 CAPS = (1, 2, 3, 10_000)
+LOOP_HEAVY_CAPS = (1, 2, 3, 5, 17, 10_000)
 LENGTHS = (2, 3, 4)
 
 needs_kernel = pytest.mark.skipif(
@@ -54,12 +61,12 @@ def _shape(result):
     ], truncated
 
 
-def assert_search_matches(rel, search_rel=None, label=""):
+def assert_search_matches(rel, search_rel=None, label="", caps=CAPS):
     """``find_cycles`` over ``search_rel`` (default ``rel``) equals the
     reference DFS over ``rel`` at every cap and length."""
     search_rel = rel if search_rel is None else search_rel
     for max_length in LENGTHS:
-        for cap in CAPS:
+        for cap in caps:
             kw = dict(max_length=max_length, max_cycles=cap)
             want = _shape(reference_find_cycles(rel, **kw))
             got = _shape(find_cycles(search_rel, **kw))
@@ -107,8 +114,27 @@ def nested_traces(tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def loop_heavy(tmp_path_factory):
+    """~3k events in which every iteration takes a nested lock pair, two
+    thread pairs inverting theirs once: few keys, many rows per key."""
+    trace = Trace(program="loop-heavy", seed=0)
+    for ev in synthetic_events(3_000, nested_every=1, invert_pairs=2):
+        trace.append(ev)
+    path = str(tmp_path_factory.mktemp("search-loop-heavy") / "loop-heavy.wtrc")
+    write_trace(trace, path)
+    return trace, path
+
+
 def _pure_relation(trace):
     return ExtendedDetector().analyze(trace).relation
+
+
+def _assert_loop_heavy_collapses(rel):
+    cols = rel.cycle_columns()
+    keys = set(zip(cols.threads, map(frozenset, cols.held), cols.locks, strict=True))
+    assert len(keys) * 4 < len(cols.steps)  # the collapse has work to do
+    assert len(find_cycles(rel, max_length=2)[0]) > 17  # cap 17 binds
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +165,46 @@ class TestRelationAdapter:
         rel = analyze_trace_file(path, backend="python").detection.relation
         assert_search_matches(rel)
         _assert_alias_cycle(find_cycles(rel)[0])
+
+    def test_repeated_held_lock_reports_one_cycle(self, tmp_path):
+        path = repeated_lock_trace(str(tmp_path / "repeated-lock.wtrc"))
+        rel = analyze_trace_file(path, backend="python").detection.relation
+        assert_search_matches(rel)
+        assert report_doc_for_file(path, backend="python")["cycles"] == 1
+
+    def test_loop_heavy_capped_matches_reference(self, loop_heavy):
+        trace, _ = loop_heavy
+        rel = _pure_relation(trace)
+        _assert_loop_heavy_collapses(rel)
+        assert_search_matches(rel, caps=LOOP_HEAVY_CAPS)
+
+    def test_unordered_steps_match_reference(self):
+        """Steps out of row order (only a crafted file records them) with
+        a duplicate row: the search anchors by row and compares steps, so
+        collapsing would report other cycles; it must not collapse."""
+        t1, t2 = (ThreadId(_ROOT, "h:spawn", i) for i in (1, 2))
+        a, b = (LockId(_ROOT, "h:lock", i) for i in (1, 2))
+        rel = LockDependencyRelation()
+        for pos, (t, held, lock, step) in enumerate(
+            [(t1, a, b, 10), (t2, b, a, 5), (t2, b, a, 20)]
+        ):
+            rel.add(
+                LockDepEntry(
+                    thread=t,
+                    lockset=(held,),
+                    lock=lock,
+                    context=(ExecIndex(t, "h:held", pos),),
+                    index=ExecIndex(t, "h:acq", pos),
+                    tau=1,
+                    step=step,
+                    pos=pos,
+                )
+            )
+        assert_search_matches(rel)
+        assert [[e.step for e in c.entries] for c in find_cycles(rel)[0]] == [
+            [10, 20],
+            [5, 10],
+        ]
 
 
 def _assert_alias_cycle(cycles):
@@ -239,6 +305,39 @@ class TestKernelAdapter:
         native = native_relation(path)
         assert_search_matches(pure, native)
         _assert_alias_cycle(find_cycles(native)[0])
+
+    def test_repeated_held_lock_reports_one_cycle(self, tmp_path):
+        path = repeated_lock_trace(str(tmp_path / "repeated-lock.wtrc"))
+        pure = analyze_trace_file(path, backend="python").detection.relation
+        assert_search_matches(pure, native_relation(path))
+        assert report_doc_for_file(path, backend="native")["cycles"] == 1
+
+    def test_loop_heavy_capped_matches_reference(self, loop_heavy):
+        trace, path = loop_heavy
+        native = native_relation(path)
+        _assert_loop_heavy_collapses(native)
+        assert_search_matches(_pure_relation(trace), native, caps=LOOP_HEAVY_CAPS)
+        assert "entries" not in native.__dict__  # never materialized
+
+    def test_loop_heavy_report_leaves_relation_unmaterialized(
+        self, loop_heavy, monkeypatch
+    ):
+        """A report (``analyze-trace --json``, serve) on a loop-heavy trace
+        collapses, searches and expands on the kernel's integers: the
+        relation never materializes."""
+        _, path = loop_heavy
+        seen = []
+        real = nk.analyze_trace_file
+
+        def spy(*args, **kw):
+            seen.append(real(*args, **kw))
+            return seen[-1]
+
+        monkeypatch.setattr(nk, "analyze_trace_file", spy)
+        doc = report_doc_for_file(path, backend="native")
+        (analysis,) = seen
+        assert doc["cycles"] == len(analysis.detection.cycles) > 17
+        assert "entries" not in analysis.detection.relation.__dict__
 
     def test_cycle_free_finish_mints_no_entry(self, nested_traces, monkeypatch):
         """A cycle-free trace's native finish searches the kernel's logs

@@ -40,14 +40,14 @@ def health():
     return load_script("check_corpus_health.py")
 
 
-def bench_doc(end_to_end=4.0, sharding=3.5, file_ratio=2.0, decode=1.7) -> dict:
+def bench_doc(end_to_end=4.0, dedup=3.5, file_ratio=2.0, decode=1.7) -> dict:
     return {
         "macro": {
             "end_to_end_s": {"speedup": end_to_end},
             "file_bytes": {"ratio": file_ratio},
             "decode_ratio": {"ratio": decode},
         },
-        "sharding": {"speedup": sharding},
+        "dedup": {"speedup": dedup},
     }
 
 
@@ -69,7 +69,7 @@ class TestPerfCheck:
         baseline = bench_doc()
         for kwargs in (
             {"end_to_end": 0.1},
-            {"sharding": 0.1},
+            {"dedup": 0.1},
             {"file_ratio": 0.1},
             {"decode": 0.1},
         ):
@@ -77,21 +77,21 @@ class TestPerfCheck:
 
     def test_missing_stage_in_fresh_fails(self, perf):
         fresh = bench_doc()
-        del fresh["sharding"]
+        del fresh["dedup"]
         assert perf.check(fresh, bench_doc(), tolerance=0.25) == 1
 
     def test_missing_stage_in_baseline_skips(self, perf, capsys):
         # An older-schema baseline predates the metric: nothing to regress
         # against, so the gate reports SKIP rather than failing.
         baseline = bench_doc()
-        del baseline["sharding"]
+        del baseline["dedup"]
         assert perf.check(bench_doc(), baseline, tolerance=0.25) == 0
         assert "SKIP" in capsys.readouterr().out
 
     def test_baseline_schema_mismatch_skips_not_crashes(self, perf):
         # A baseline whose node shape diverged entirely (dict where a
         # number should be, wrong nesting) must degrade to SKIP.
-        baseline = {"macro": "not-a-dict", "sharding": {"wrong_key": 1}}
+        baseline = {"macro": "not-a-dict", "dedup": {"wrong_key": 1}}
         assert perf.check(bench_doc(), baseline, tolerance=0.25) == 0
 
     def test_main_end_to_end(self, perf, tmp_path):

@@ -9,6 +9,8 @@ from repro.runtime.events import AcquireEvent
 from repro.runtime.sim.runtime import run_program
 from repro.runtime.sim.strategy import RandomStrategy
 from tests.conftest import two_lock_program
+from tests.cyclereference import holding
+from tests.gsreference import RelationIndex
 
 
 def trace_of(program, seed=0):
@@ -69,29 +71,30 @@ class TestBuildLockdep:
 
     def test_positions_are_per_thread(self):
         trace = trace_of(two_lock_program, seed=3)
-        rel = build_lockdep(trace)
-        for thread in rel.threads():
-            entries = rel.entries_of(thread)
+        index = RelationIndex(build_lockdep(trace))
+        for thread in index.threads():
+            entries = index.entries_of(thread)
             assert [e.pos for e in entries] == list(range(len(entries)))
 
     def test_before_slices_strictly(self):
         trace = trace_of(two_lock_program, seed=3)
-        rel = build_lockdep(trace)
-        for thread in rel.threads():
-            entries = rel.entries_of(thread)
+        index = RelationIndex(build_lockdep(trace))
+        for thread in index.threads():
+            entries = index.entries_of(thread)
             if len(entries) >= 2:
-                assert rel.before(entries[1]) == entries[:1]
-                assert rel.before(entries[0]) == []
+                assert index.before(entries[1]) == entries[:1]
+                assert index.before(entries[0]) == []
                 return
         pytest.fail("expected a thread with two entries")
 
     def test_indexes_holding_and_acquiring(self):
         trace = trace_of(two_lock_program, seed=3)
         rel = build_lockdep(trace)
+        index, holders = RelationIndex(rel), holding(rel)
         for entry in rel:
-            assert entry in rel.acquiring[entry.lock]
+            assert entry in index.acquiring[entry.lock]
             for lock in entry.lockset:
-                assert entry in rel.holding[lock]
+                assert holders[lock].count(entry) == 1
 
     def test_taus_applied(self):
         trace = trace_of(two_lock_program, seed=3)

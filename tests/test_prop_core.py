@@ -27,7 +27,6 @@ from repro.core.nativekernel import analyze_trace_file, kernel_available
 from repro.core.pipeline import run_detection
 from repro.core.pruner import Pruner
 from repro.core.replayer import Replayer
-from repro.core.sharding import find_cycles_sharded
 from repro.core.streaming import StreamingDetector
 from repro.runtime.sim.result import RunStatus
 from repro.runtime.sim.runtime import run_program
@@ -109,9 +108,9 @@ def ordered_specs():
 
 
 def assert_engines_match_oracle(spec, *, acyclic=False):
-    """Batch, sharded, streaming and native enumeration against
-    :func:`oracle` at ``max_cycles`` 0, 1 and unbounded.  Streaming and
-    native must return exactly batch's list at every cap."""
+    """Batch, streaming and native enumeration against :func:`oracle` at
+    ``max_cycles`` 0, 1 and unbounded.  Streaming and native must return
+    exactly batch's list at every cap."""
     run = run_detection(build_program(spec), 0, tries=5)
     rel = ExtendedDetector(max_length=3).analyze(run.trace).relation
     if acyclic:
@@ -125,15 +124,8 @@ def assert_engines_match_oracle(spec, *, acyclic=False):
         det = StreamingDetector(max_length=3, max_cycles=mc).analyze(run.trace)
         return det.cycles, det.truncated
 
-    def sharded(mc):
-        cycles, truncated, _ = find_cycles_sharded(
-            rel, max_length=3, max_cycles=mc
-        )
-        return cycles, truncated
-
     engines = {
         "batch": lambda mc: find_cycles(rel, max_length=3, max_cycles=mc),
-        "sharded": sharded,
         "streaming": streaming,
     }
     with tempfile.TemporaryDirectory() as tmp:
@@ -160,11 +152,8 @@ def assert_engines_match_oracle(spec, *, acyclic=False):
                 got = [steps_of(c.entries) for c in cycles]
                 if name == "batch":
                     batch = got
-                elif name != "sharded":
+                else:
                     assert got == batch, (name, mc)
-                # Under a binding cap the sharded search may keep a
-                # different subset (its documented carve-out), never
-                # other cycles.
                 assert set(got) <= expected, (name, mc)
                 assert len(got) == len(set(got)) == min(len(expected), mc)
                 assert got_truncated == truncated, (name, mc)

@@ -67,17 +67,19 @@ def test_registry_equivalence(b):
 @pytest.mark.parametrize("b", all_benchmarks(), ids=lambda b: b.name)
 def test_registry_report_identical(b):
     """Pipeline-level gate: WolfReport JSON byte-identical (modulo
-    wall-clock timings) whether the detector enumerates cycles with the
-    monolithic DFS or the sharded search."""
+    wall-clock timings) whether or not the retired ``shard_cycles`` and
+    ``reduce`` knobs are set: `WolfConfig` accepts them and they select
+    nothing."""
     reports = {}
-    for shard in (False, True):
+    for retired in (False, True):
         cfg = WolfConfig(
             seed=b.detect_seed,
             replay_attempts=b.replay_attempts,
             max_cycle_length=b.max_cycle_length,
-            shard_cycles=shard,
+            shard_cycles=retired,
+            reduce=retired,
         )
-        reports[shard] = Wolf(config=cfg).analyze(b.program, name=b.name)
+        reports[retired] = Wolf(config=cfg).analyze(b.program, name=b.name)
 
     def canonical(rep) -> str:
         doc = json.loads(rep.to_json())
@@ -85,8 +87,6 @@ def test_registry_report_identical(b):
         return json.dumps(doc, sort_keys=True)
 
     assert canonical(reports[False]) == canonical(reports[True])
-    assert all(d.sharding is None for d in reports[False].detections)
-    assert all(d.sharding is not None for d in reports[True].detections)
 
 
 class TestFeedProtocol:

@@ -376,7 +376,7 @@ class TestHealthSection:
 
     def test_clean_reports_say_so(self):
         text = "\n".join(render_health_section([self._report()]))
-        assert "| bench | 1 | 0/0/0 | 0 | 0 | off | none |" in text
+        assert "| bench | 1 | 0/0/0 | 0 | off | none |" in text
         assert "No supervised task faulted" in text
         # Prediction off in every report: no soundness line.
         assert "Prediction soundness" not in text
@@ -385,7 +385,7 @@ class TestHealthSection:
         text = "\n".join(
             render_health_section([self._report(predict="filter")])
         )
-        assert "| bench | 1 | 0/0/0 | 0 | 0 | 0/0/0 | none |" in text
+        assert "| bench | 1 | 0/0/0 | 0 | 0/0/0 | none |" in text
         assert "Prediction soundness: 0 disagreement(s)" in text
 
 

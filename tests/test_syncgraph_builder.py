@@ -4,8 +4,8 @@ The Generator builds ``Gs`` with :class:`~repro.core.syncgraph.
 SyncGraphBuilder` over a trace's
 :class:`~repro.core.lockdep.AcquisitionTables`, which come from two
 adapters: an interning view of a :class:`~repro.core.lockdep.
-LockDependencyRelation` (in-memory traces, the pure backend, shards and
-``reduce``) and the native kernel's entry log, which never materializes
+LockDependencyRelation` (in-memory traces and the pure backend) and the
+native kernel's entry log, which never materializes
 the relation.  Both must reproduce the object-level builder in
 ``tests/gsreference.py``: node, successor and predecessor order, edge
 kinds, ``by_index``, the ordering cycle of a Generator-FALSE decision,
