@@ -282,14 +282,27 @@ def cmd_trace_unpack(args: argparse.Namespace) -> int:
     return 0
 
 
+def _malformed_trace(path: str, exc: BaseException) -> int:
+    """Report a ``.wtrc`` that failed to decode as one classified line
+    (the corpus validator's and serve's taxonomy); exit status 1."""
+    from repro.corpus.validate import classify_decode_error
+
+    print(f"{path}: {classify_decode_error(exc).render()}", file=sys.stderr)
+    return 1
+
+
 def cmd_trace_info(args: argparse.Namespace) -> int:
     """Summarize a binary trace by streaming it (never materialized)."""
+    from repro.corpus.validate import DECODE_ERRORS
     from repro.runtime.tracefile import is_tracefile, trace_info
 
     if not is_tracefile(args.trace_file):
         print(f"{args.trace_file}: not a binary trace file", file=sys.stderr)
         return 1
-    info = trace_info(args.trace_file)
+    try:
+        info = trace_info(args.trace_file)
+    except DECODE_ERRORS as exc:
+        return _malformed_trace(args.trace_file, exc)
     print(f"program   : {info['program']!r}")
     print(f"seed      : {info['seed']}")
     print(f"events    : {info['events']}")
@@ -309,11 +322,13 @@ def cmd_analyze_trace(args: argparse.Namespace) -> int:
 
     The ``.wtrc`` file is decoded and analyzed one event at a time, never
     materializing the event list.  A JSON trace is refused: ``wolf trace
-    pack`` converts it first.
+    pack`` converts it first.  A file that fails to decode gets one
+    classified line on stderr; errors after decoding propagate.
     """
     from repro.core.generator import Generator, GeneratorVerdict
     from repro.core.nativekernel import analyze_trace_file, kernel_version
     from repro.core.pruner import Pruner
+    from repro.corpus.validate import DECODE_ERRORS
     from repro.runtime.tracefile import is_tracefile
 
     if not is_tracefile(args.trace_file):
@@ -323,19 +338,29 @@ def cmd_analyze_trace(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 1
-    backend = getattr(args, "backend", "auto")
-    if getattr(args, "json", False):
-        # Canonical report bytes — identical to the file the ingestion
-        # daemon writes for the same trace (tests assert equality).
-        from repro.serve.report import render_report, report_doc_for_file
-
-        sys.stdout.buffer.write(
-            render_report(report_doc_for_file(args.trace_file, backend=backend))
+    try:
+        analysis = analyze_trace_file(
+            args.trace_file, backend=getattr(args, "backend", "auto")
         )
+    except DECODE_ERRORS as exc:
+        return _malformed_trace(args.trace_file, exc)
+    detection = analysis.detection
+    if getattr(args, "json", False):
+        # Canonical report bytes: the document report_doc_for_file
+        # builds, identical to the file the ingestion daemon writes for
+        # the same trace (tests assert equality).
+        from repro.serve.report import defect_report_doc, render_report
+
+        doc = defect_report_doc(
+            detection,
+            program=analysis.program,
+            seed=analysis.seed,
+            events=analysis.events,
+            trace_path=args.trace_file,
+        )
+        sys.stdout.buffer.write(render_report(doc))
         return 0
 
-    analysis = analyze_trace_file(args.trace_file, backend=backend)
-    detection = analysis.detection
     prune = Pruner(detection.vclocks).prune(detection.cycles)
     gen = Generator(detection.relation).run(prune.survivors)
     predictions = None

@@ -142,10 +142,6 @@ class WolfConfig:
     #: every detection run goes through
     #: :class:`~repro.core.streaming.StreamingDetector`.
     engine: str = "auto"
-    #: Accepted for compatibility, but select nothing: the one cycle
-    #: search collapses duplicate tuples itself.
-    shard_cycles: bool = False
-    reduce: bool = False
     #: Sync-preserving prediction pass (:mod:`repro.core.prediction`)
     #: between Generator and Replayer.  ``"off"`` keeps the historical
     #: replay-everything pipeline.  ``"filter"`` drops REFUTED cycles

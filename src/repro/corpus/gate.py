@@ -33,17 +33,7 @@ import json
 import os
 from typing import Dict, List, Optional
 
-from repro.core.generator import Generator
-from repro.core.nativekernel import analyze_trace_file
-from repro.core.parallel import closure_index_for, predict_decisions
-from repro.core.prediction import PredictionVerdict
-from repro.core.pruner import Pruner
-from repro.corpus.manifest import (
-    HEALTH_SCHEMA,
-    CorpusManifest,
-    canonical_keys,
-    coverage_key,
-)
+from repro.corpus.manifest import HEALTH_SCHEMA, CorpusManifest, coverage_key
 
 
 class HealthError(ValueError):
@@ -51,46 +41,42 @@ class HealthError(ValueError):
 
 
 def compute_health(corpus_dir: str, manifest: CorpusManifest) -> Dict[str, object]:
-    """Full re-analysis of every committed trace -> health document."""
+    """Full re-analysis of every committed trace -> health document.
+
+    Each trace's row is read off its defect report
+    (:func:`~repro.serve.report.report_doc_for_file`), which runs the
+    same chain ``wolf analyze-trace --json`` and ``wolf serve`` run.
+    """
+    # Imported here: repro.serve imports this module.
+    from repro.serve.report import report_doc_for_file
+
     traces: Dict[str, Dict[str, object]] = {}
     coverage: set = set()
     total_cycles = 0
     total_candidates = 0
     total_verdicts = {"certified": 0, "refuted": 0, "undecided": 0}
     for rec in manifest.traces:
-        path = os.path.join(corpus_dir, rec.file)
-        detection = analyze_trace_file(
-            path,
+        doc = report_doc_for_file(
+            os.path.join(corpus_dir, rec.file),
             max_length=manifest.detector["max_length"],
             max_cycles=manifest.detector["max_cycles"],
-        ).detection
-        keys = canonical_keys(detection.defect_keys())
-        prune = Pruner(detection.vclocks).prune(detection.cycles)
-        gen = Generator(detection.relation).run(prune.survivors)
-        candidates = len(gen.survivors)
-        # File analysis never materializes the trace; the closure index
-        # re-reads the committed bytes, and only when the Generator left
-        # a survivor to predict.
-        index = closure_index_for(detection, gen.decisions, path)
-        preds = predict_decisions(index, gen.decisions)
-        verdicts = {"certified": 0, "refuted": 0, "undecided": 0}
-        certified_keys: set = set()
-        for dec, pred in zip(gen.decisions, preds):
-            if pred is None:
-                continue
-            verdicts[pred.verdict.value] += 1
-            if pred.verdict is PredictionVerdict.CERTIFIED:
-                certified_keys.add(tuple(sorted(dec.cycle.sites)))
-        coverage |= {coverage_key(rec.program, k) for k in keys}
-        total_cycles += len(detection.cycles)
-        total_candidates += candidates
+        )
+        verdicts = {v: doc["prediction"][v] for v in total_verdicts}
+        certified_keys = {
+            tuple(row["sites"])
+            for row in doc["decisions"]
+            if row.get("prediction") == "certified"
+        }
+        coverage |= {coverage_key(rec.program, k) for k in doc["defect_keys"]}
+        total_cycles += doc["cycles"]
+        total_candidates += doc["replay_candidates"]
         for v, n in verdicts.items():
             total_verdicts[v] += n
         traces[rec.file] = {
             "program": rec.program,
-            "defect_keys": [list(k) for k in keys],
-            "cycles": len(detection.cycles),
-            "replay_candidates": candidates,
+            "defect_keys": doc["defect_keys"],
+            "cycles": doc["cycles"],
+            "replay_candidates": doc["replay_candidates"],
             "predicted": verdicts,
             "certified_keys": [list(k) for k in sorted(certified_keys)],
         }

@@ -15,12 +15,11 @@ Two passes, coarse to fine:
    ``AcquireEvent`` carries its own held-lockset context: removing other
    threads' events never changes a surviving tuple.)
 2. **Chunk-level delta-debugging** — the survivor events are re-packed
-   into fine-grained ``.wtrc`` chunks and classic ddmin runs over the
-   chunk list, re-detecting each candidate subset via
-   :meth:`TraceFileReader.iter_events_in` span selection (identity-table
-   chunks are always decoded; dropped EVENTS chunks are seeked past).
-   The smallest chunk subset whose defect-key set still equals the
-   target wins.
+   into fine-grained ``.wtrc`` chunks in memory and read back, so every
+   event carries the identities the packed file gives it, and classic
+   ddmin runs over the list of chunks, re-detecting each candidate
+   subset.  The smallest chunk subset whose defect-key set still equals
+   the target wins.
 
 Both passes compare *exact* key sets: dropping events can only remove
 ``D_sigma`` tuples, so cycles (and keys) only ever disappear — equality
@@ -29,8 +28,8 @@ with the original key set is the preservation criterion.
 
 from __future__ import annotations
 
+import io
 import os
-import tempfile
 from dataclasses import dataclass
 from typing import FrozenSet, List, Sequence, Set
 
@@ -38,12 +37,7 @@ from repro.core.detector import BaseDetector
 from repro.core.lockdep import build_lockdep
 from repro.core.reduction import reduce_relation
 from repro.runtime.events import Trace, TraceEvent
-from repro.runtime.tracefile import (
-    ChunkSpan,
-    TraceFileReader,
-    TraceFileWriter,
-    read_trace,
-)
+from repro.runtime.tracefile import read_trace, write_trace
 from repro.util.ids import Site
 
 #: Chunk granularity for the delta-debugging pass — small chunks give the
@@ -113,42 +107,36 @@ def _thread_cut(trace: Trace, target: FrozenSet[FrozenSet[Site]]) -> Trace:
     return cut
 
 
-def _probe_spans(
-    path: str, spans: Sequence[ChunkSpan], target: FrozenSet[FrozenSet[Site]]
-) -> bool:
-    """Does the trace restricted to ``spans`` still witness ``target``?"""
-    with TraceFileReader(path) as reader:
-        events = list(reader.iter_events_in(spans))
-    return detect_defect_keys(events) == target
+def _joined(chunks: Sequence[List[TraceEvent]]) -> List[TraceEvent]:
+    return [ev for chunk in chunks for ev in chunk]
 
 
-def _ddmin_spans(
-    path: str,
-    spans: List[ChunkSpan],
+def _ddmin_chunks(
+    chunks: List[List[TraceEvent]],
     target: FrozenSet[FrozenSet[Site]],
-) -> tuple[List[ChunkSpan], int]:
-    """Classic ddmin over the chunk list; returns (kept spans, probes)."""
+) -> tuple[List[List[TraceEvent]], int]:
+    """Classic ddmin over the chunk list; returns (kept chunks, probes)."""
     probes = 0
     n = 2
-    while len(spans) >= 2:
-        size = max(1, len(spans) // n)
+    while len(chunks) >= 2:
+        size = max(1, len(chunks) // n)
         reduced = False
         start = 0
-        while start < len(spans):
-            complement = spans[:start] + spans[start + size :]
+        while start < len(chunks):
+            complement = chunks[:start] + chunks[start + size :]
             if complement:
                 probes += 1
-                if _probe_spans(path, complement, target):
-                    spans = complement
+                if detect_defect_keys(_joined(complement)) == target:
+                    chunks = complement
                     n = max(n - 1, 2)
                     reduced = True
                     break
             start += size
         if not reduced:
-            if n >= len(spans):
+            if n >= len(chunks):
                 break
-            n = min(len(spans), n * 2)
-    return spans, probes
+            n = min(len(chunks), n * 2)
+    return chunks, probes
 
 
 def minimize_trace(
@@ -164,41 +152,24 @@ def minimize_trace(
     cut = _thread_cut(trace, target)
     thread_cut = events_before - len(cut)
 
-    # Re-pack the survivors at fine chunk granularity in a scratch file:
-    # ddmin needs many selective re-reads, and the spans come for free.
-    fd, scratch = tempfile.mkstemp(suffix=".wtrc", dir=os.path.dirname(dest) or ".")
-    os.close(fd)
-    probes = 0
-    try:
-        with TraceFileWriter(
-            scratch,
-            program=trace.program,
-            seed=trace.seed,
-            events_per_chunk=events_per_chunk,
-        ) as writer:
-            for ev in cut:
-                writer.write_event(ev)
-        # Spans are complete only after close(): the final partial chunk
-        # is flushed by the END-chunk sealing.
-        spans = list(writer.event_spans)
-        kept, probes = _ddmin_spans(scratch, spans, target)
-        if len(kept) < len(spans):
-            with TraceFileReader(scratch) as reader:
-                events = list(reader.iter_events_in(kept))
-        else:
-            events = list(cut)
-    finally:
-        bytes_before_scratch = os.path.getsize(scratch)
-        os.unlink(scratch)
-
-    with TraceFileWriter(
+    # Re-pack the survivors at fine chunk granularity and read them back:
+    # the writer starts a chunk every ``events_per_chunk`` events, so the
+    # decoded list splits into exactly the file's chunks.
+    packed = io.BytesIO()
+    bytes_packed = write_trace(cut, packed, events_per_chunk=events_per_chunk)
+    packed.seek(0)
+    decoded = read_trace(packed).events
+    chunks = [
+        decoded[i : i + events_per_chunk]
+        for i in range(0, len(decoded), events_per_chunk)
+    ]
+    kept, probes = _ddmin_chunks(chunks, target)
+    events = _joined(kept)
+    bytes_after = write_trace(
+        _as_trace(events, program=trace.program, seed=trace.seed),
         dest,
-        program=trace.program,
-        seed=trace.seed,
         events_per_chunk=events_per_chunk,
-    ) as writer:
-        for ev in events:
-            writer.write_event(ev)
+    )
 
     final_keys = detect_defect_keys(events)
     if final_keys != target:  # pragma: no cover - every cut was validated
@@ -206,8 +177,8 @@ def minimize_trace(
     return MinimizeResult(
         events_before=events_before,
         events_after=len(events),
-        bytes_before=bytes_before_scratch,
-        bytes_after=os.path.getsize(dest),
+        bytes_before=bytes_packed,
+        bytes_after=bytes_after,
         probes=probes,
         thread_cut=thread_cut,
     )
@@ -222,7 +193,7 @@ def minimize_trace_file(
     """Minimize the ``.wtrc`` file ``src`` into ``dest``."""
     trace = read_trace(src)
     result = minimize_trace(trace, dest, events_per_chunk=events_per_chunk)
-    # Report the true on-disk starting size, not the scratch re-pack's.
+    # Report the true on-disk starting size, not the re-pack's.
     result.bytes_before = os.path.getsize(src)
     return result
 

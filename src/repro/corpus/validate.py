@@ -40,6 +40,11 @@ OVERSIZED_CHUNK = "oversized-chunk"
 #: can produce (serve adds its transport-level codes on top).
 CORRUPTION_CODES = (TORN, UNREADABLE, CORRUPT_PAYLOAD, OVERSIZED_CHUNK)
 
+#: What decoding hostile ``.wtrc`` bytes can raise: ``ValueError`` for
+#: the grammar (``OversizedChunkError`` and ``UnicodeDecodeError`` are
+#: ones too), ``IndexError``/``KeyError`` for bit rot inside payloads.
+DECODE_ERRORS = (ValueError, IndexError, KeyError)
+
 
 @dataclass(frozen=True)
 class Corruption:
@@ -96,7 +101,7 @@ def classify_trace_file(path: str) -> Optional[Corruption]:
             if reader.declared_events is None:
                 return Corruption(TORN, "torn trace (no END chunk)")
             return None
-    except (ValueError, IndexError, KeyError, UnicodeDecodeError) as exc:
+    except DECODE_ERRORS as exc:
         return classify_decode_error(exc)
 
 

@@ -34,10 +34,16 @@ with per-kind fields mirroring :mod:`repro.runtime.serialize` exactly —
 the round trip is lossless, including ``held_indices``, ``stack_depth``
 and ``BlockEvent.holder = None``.
 
-Every consumer runs one event decoder, ``_DecodeCore._decode_events``:
-the pull reader (:class:`TraceFileReader`), the push decoder behind
-``wolf serve`` (:class:`ChunkDecoder`) and the native kernel's
-error-parity re-decode.  A chunk-length varint longer than ten bytes is
+Every consumer runs one chunk grammar, ``_DecodeCore._next_chunk``: a
+stream that ends inside the header or a chunk is truncated, META comes
+first (judged by its kind byte before its payload is decoded) and only
+once, tables and EVENTS follow, END seals, and nothing may follow END.
+The pull reader (:class:`TraceFileReader`), the push decoder behind
+``wolf serve`` (:class:`ChunkDecoder`) and their native subclasses only
+cut bytes into chunks for it, so every reader reaches the same outcome
+on the same bytes; EVENTS payloads go through one event decoder,
+``_DecodeCore._decode_events``, which the native kernel's error-parity
+re-decode runs too.  A chunk-length varint longer than ten bytes is
 rejected as unreadable.
 """
 
@@ -46,8 +52,7 @@ from __future__ import annotations
 import io
 import mmap
 import os
-from dataclasses import dataclass
-from typing import BinaryIO, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import BinaryIO, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.runtime.events import (
     AcquireEvent,
@@ -66,6 +71,8 @@ from repro.util.ids import ExecIndex, LockId, ThreadId
 
 MAGIC = b"WTRC"
 FORMAT_VERSION = 1
+#: Magic plus the version byte.
+_HEADER_LEN = len(MAGIC) + 1
 
 # Chunk kinds.
 _META, _STRINGS, _THREADS, _LOCKS, _EVENTS, _END = range(6)
@@ -85,33 +92,6 @@ _EV_CLASSES: Tuple[type, ...] = (
 _EV_TAG: Dict[type, int] = {cls: i for i, cls in enumerate(_EV_CLASSES)}
 
 PathOrIO = Union[str, "os.PathLike[str]", BinaryIO]
-
-
-@dataclass(frozen=True)
-class ChunkSpan:
-    """Address of one EVENTS chunk, for selective decoding.
-
-    Spans are recorded by :class:`TraceFileWriter` as chunks are flushed
-    and by :class:`TraceFileReader` as chunks are decoded (seekable
-    sources only).  ``base_step`` is the step of the last event *before*
-    the chunk: steps are delta-encoded across chunk boundaries, so a
-    reader jumping straight to this chunk must seed its step accumulator
-    with it.  Since trace steps increase monotonically, the chunk holds
-    exactly the events with steps in ``(base_step, last_step]``, and
-    :meth:`TraceFileReader.iter_events_in` can decode any subset of
-    chunks (the corpus minimizer's delta-debugging pass does).
-    """
-
-    #: absolute file offset of the chunk header (kind byte)
-    offset: int
-    #: payload byte length
-    length: int
-    #: step of the event immediately preceding this chunk (delta base)
-    base_step: int
-    #: step of this chunk's final event
-    last_step: int
-    #: number of events in the chunk
-    events: int
 
 
 # ---------------------------------------------------------------------------
@@ -150,10 +130,6 @@ def _get_svarint(data: bytes, pos: int) -> Tuple[int, int]:
 #: Ten 7-bit groups hold any 64-bit chunk length; a longer one is hostile.
 _MAX_LENGTH_VARINT = 10
 
-#: Largest single ``read()`` of a declared chunk length from a file
-#: object; a longer payload is read in pieces of this size.
-_READ_PIECE = 1 << 20
-
 
 def _try_uvarint(buf, pos: int) -> Optional[Tuple[int, int]]:
     """Decode one chunk-length uvarint from ``buf[pos:]``; ``None`` while
@@ -178,22 +154,6 @@ def _try_uvarint(buf, pos: int) -> Optional[Tuple[int, int]]:
             f"chunk length varint longer than {_MAX_LENGTH_VARINT} bytes"
         )
     return None
-
-
-def _read_uvarint_io(fh: BinaryIO) -> Optional[int]:
-    """Read one chunk-length uvarint straight off a file; ``None`` at clean
-    EOF."""
-    buf = bytearray()
-    while True:
-        byte = fh.read(1)
-        if not byte:
-            if buf:
-                raise ValueError("truncated varint in trace file")
-            return None
-        buf += byte
-        got = _try_uvarint(buf, 0)
-        if got is not None:
-            return got[0]
 
 
 # ---------------------------------------------------------------------------
@@ -253,11 +213,6 @@ class TraceFileWriter:
         self._ev_buf = bytearray()
         self._ev_count = 0
         self._last_step = 0
-        #: Spans of the EVENTS chunks written so far (empty when the
-        #: destination is not tellable) — the writer-side half of the
-        #: zero-copy hand-off: record to disk, then ship spans to workers.
-        self.event_spans: List[ChunkSpan] = []
-        self._chunk_base_step = 0
 
         self._fh.write(MAGIC + bytes([FORMAT_VERSION]))
         meta = bytearray()
@@ -324,8 +279,6 @@ class TraceFileWriter:
         if self._closed:
             raise ValueError("trace file writer is closed")
         buf = self._ev_buf
-        if self._ev_count == 0:
-            self._chunk_base_step = self._last_step
         buf.append(_EV_TAG[type(ev)])
         _put_svarint(buf, ev.step - self._last_step)
         self._last_step = ev.step
@@ -407,26 +360,9 @@ class TraceFileWriter:
             payload = bytearray()
             _put_uvarint(payload, self._ev_count)
             payload += self._ev_buf
-            offset = self._tell()
             self._write_chunk(_EVENTS, payload)
-            if offset is not None:
-                self.event_spans.append(
-                    ChunkSpan(
-                        offset=offset,
-                        length=len(payload),
-                        base_step=self._chunk_base_step,
-                        last_step=self._last_step,
-                        events=self._ev_count,
-                    )
-                )
             self._ev_buf = bytearray()
             self._ev_count = 0
-
-    def _tell(self) -> Optional[int]:
-        try:
-            return self._fh.tell()
-        except (OSError, io.UnsupportedOperation):
-            return None
 
     def close(self) -> None:
         if self._closed:
@@ -475,17 +411,37 @@ class TraceFileWriter:
 
 
 # ---------------------------------------------------------------------------
-# shared decode core (tables + event decoding)
+# shared decode core (the chunk grammar, tables and event decoding)
 # ---------------------------------------------------------------------------
 
 
-class _DecodeCore:
-    """Identity tables plus chunk-payload decoding, shared by the file
-    reader (pull) and the incremental :class:`ChunkDecoder` (push).
+class OversizedChunkError(ValueError):
+    """A chunk declares a payload beyond the configured ceiling.
 
-    The native reader and push decoder override :meth:`_decode_events` to
+    Raised *from the header alone*, before any payload bytes are
+    buffered — the defense that keeps a hostile producer from making the
+    decoder allocate its declared (arbitrarily large) chunk.
+    """
+
+
+class _DecodeCore:
+    """The chunk grammar, identity tables and chunk-payload decoding,
+    shared by the file reader (pull) and the incremental
+    :class:`ChunkDecoder` (push).
+
+    Both keep their bytes in one buffer and call :meth:`_next_chunk` on
+    it; only what they do at its end differs (the reader is at EOF, the
+    decoder waits for the next push).  The native reader and push
+    decoder override :meth:`_decode_events` (and sync the tables) to
     feed the compiled kernel instead.
     """
+
+    #: Hand EVENTS payloads over as memoryviews into the buffer instead
+    #: of bytes (the native reader: zero-copy from page cache to the
+    #: kernel).  Table chunks stay bytes; they are decoded in Python.
+    _events_view = False
+    #: Ceiling on any chunk's declared payload (``None``: none).
+    max_chunk_bytes: Optional[int] = None
 
     def _init_decode_state(self) -> None:
         self._strings: List[str] = []
@@ -498,6 +454,71 @@ class _DecodeCore:
         self.declared_events: Optional[int] = None
         self.program = ""
         self.seed = 0
+        #: Buffer offset of the next header or chunk.
+        self._pos = 0
+        self._header_done = False
+        self._meta_done = False
+
+    def _next_chunk(self, buf) -> Optional[Iterable[TraceEvent]]:
+        """Frame the chunk at ``buf[self._pos:]`` and apply it.
+
+        The one place the grammar lives.  Returns the chunk's events
+        (empty for any chunk but EVENTS) and moves ``_pos`` past it, or
+        returns ``None`` while ``buf`` ends inside the header or the
+        chunk.  A hostile length varint or an oversized chunk is refused
+        from its header, before the payload is awaited; the chunk kind is
+        judged before its payload is decoded.
+        """
+        pos = self._pos
+        if not self._header_done:
+            if len(buf) - pos < _HEADER_LEN:
+                return None
+            if buf[pos : pos + len(MAGIC)] != MAGIC:
+                raise ValueError("not a WOLF binary trace file (bad magic)")
+            version = buf[pos + len(MAGIC)]
+            if version != FORMAT_VERSION:
+                raise ValueError(f"unsupported trace file version {version}")
+            pos = self._pos = pos + _HEADER_LEN
+            self._header_done = True
+        if self.declared_events is not None and pos < len(buf):
+            raise ValueError("data after END chunk")
+        got = _try_uvarint(buf, pos + 1)
+        if got is None:
+            return None
+        length, start = got
+        if self.max_chunk_bytes is not None and length > self.max_chunk_bytes:
+            raise OversizedChunkError(
+                f"chunk declares {length} payload bytes "
+                f"(limit {self.max_chunk_bytes})"
+            )
+        end = start + length
+        if end > len(buf):
+            return None
+        kind = buf[pos]
+        if kind != _META and not self._meta_done:
+            raise ValueError("trace file must start with a META chunk")
+        self._pos = end
+        if kind == _EVENTS:
+            if self._events_view:
+                return self._decode_events(memoryview(buf)[start:end])
+            return self._decode_events(bytes(buf[start:end]))
+        payload = bytes(buf[start:end])
+        if kind == _STRINGS:
+            self._load_strings(payload)
+        elif kind == _THREADS:
+            self._load_threads(payload)
+        elif kind == _LOCKS:
+            self._load_locks(payload)
+        elif kind == _END:
+            self._load_end(payload)
+        elif kind == _META:
+            if self._meta_done:
+                raise ValueError("duplicate META chunk")
+            self._load_meta(payload)
+            self._meta_done = True
+        else:
+            raise ValueError(f"unknown chunk kind {kind}")
+        return ()
 
     def _load_meta(self, payload: bytes) -> None:
         n, pos = _get_uvarint(payload, 0)
@@ -505,12 +526,13 @@ class _DecodeCore:
         self.seed, _ = _get_svarint(payload, pos + n)
 
     def _load_end(self, payload: bytes) -> None:
-        self.declared_events, _ = _get_uvarint(payload, 0)
-        if self.declared_events != self.events_read:
+        declared, _ = _get_uvarint(payload, 0)
+        if declared != self.events_read:
             raise ValueError(
-                f"trace file declares {self.declared_events} events "
+                f"trace file declares {declared} events "
                 f"but {self.events_read} were decoded"
             )
+        self.declared_events = declared
 
     def _load_strings(self, payload: bytes) -> None:
         n, pos = _get_uvarint(payload, 0)
@@ -767,216 +789,46 @@ class _DecodeCore:
 class TraceFileReader(_DecodeCore):
     """Sequential event iterator over a binary trace file.
 
-    Decodes one chunk at a time: peak memory is the identity tables plus a
-    single chunk, independent of the trace length.  The source picks the
-    read mode.  A path is opened, owned and mapped, so chunk payloads are
-    slices of the page cache with no ``read()`` or ``seek()`` on the hot
-    path; a file that cannot be mapped (an empty file, a pipe) falls back
-    to plain reads.  A file object stays the caller's and is read,
-    buffered, from its current position.  Both modes run the same event
-    decoder and raise the same errors.
+    The reader walks one buffer: a path is opened and mapped, so chunk
+    payloads are slices of the page cache with no ``read()`` or
+    ``seek()``; a file that cannot be mapped (an empty file, a pipe) and
+    a file object (which stays the caller's) are read whole from the
+    current position.  Events are decoded one chunk at a time, so peak
+    memory beyond the buffer is the identity tables plus one chunk.  The
+    header and META chunk are read on open; a stream that ends inside
+    the header, before META or inside a chunk raises ``ValueError``
+    ("truncated trace file"), while a clean end without END leaves
+    ``declared_events`` ``None`` (a torn trace).
     """
-
-    #: Serve EVENTS payloads as memoryviews into the map instead of bytes
-    #: (set by the native reader: zero-copy from page cache to the kernel).
-    #: Table chunks stay bytes; they are decoded in Python either way.
-    _events_view = False
 
     def __init__(self, src: PathOrIO) -> None:
         self._mm: Optional[mmap.mmap] = None
-        self._pos = 0
         if isinstance(src, (str, os.PathLike)):
-            self._fh: BinaryIO = open(src, "rb")
-            self._owns = True
-            try:
-                self._mm = mmap.mmap(self._fh.fileno(), 0, access=mmap.ACCESS_READ)
-            except (OSError, ValueError):
-                pass  # unmappable file: plain reads
+            with open(src, "rb") as fh:
+                try:
+                    self._mm = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+                    self._buf = self._mm
+                except (OSError, ValueError):
+                    self._buf = fh.read()  # unmappable file
         else:
-            self._fh = src
-            self._owns = False
+            self._buf = src.read()
         self._init_decode_state()
-        #: Spans of the EVENTS chunks decoded so far (empty for
-        #: non-tellable sources) — lets a full sequential pass double as
-        #: the index a later selective pass (:meth:`iter_events_in`) or a
-        #: zero-copy worker hand-off needs.
-        self.event_spans: List[ChunkSpan] = []
-        self._chunk_offset: Optional[int] = None
         try:
-            self._read_header()
+            if self._next_chunk(self._buf) is None:  # header + META
+                raise ValueError("truncated trace file")
         except BaseException:
-            self.close()  # a failed open must not leak the file or its map
+            self.close()  # a failed open must not leak the map
             raise
 
-    def _read_header(self) -> None:
-        header = self._read_bytes(len(MAGIC) + 1)
-        if header[: len(MAGIC)] != MAGIC:
-            raise ValueError("not a WOLF binary trace file (bad magic)")
-        version = header[len(MAGIC)]
-        if version != FORMAT_VERSION:
-            raise ValueError(f"unsupported trace file version {version}")
-        kind, payload = self._next_chunk(required=True)
-        if kind != _META:
-            raise ValueError("trace file must start with a META chunk")
-        self._load_meta(payload)
-
-    # -- chunk plumbing ------------------------------------------------------
-
-    def _tell(self) -> Optional[int]:
-        if self._mm is not None:
-            return self._pos
-        try:
-            return self._fh.tell()
-        except (OSError, io.UnsupportedOperation):
-            return None
-
-    def _read_bytes(self, n: int) -> bytes:
-        """Up to ``n`` bytes from the current position (short at EOF).
-
-        ``n`` may be a chunk's declared length, which is untrusted: a
-        file object is read in bounded pieces, so a short source costs
-        what it holds, not what was declared, and both read modes fail
-        alike."""
-        if self._mm is not None:
-            data = self._mm[self._pos : self._pos + n]
-            self._pos += len(data)
-            return data
-        if n <= _READ_PIECE:
-            return self._fh.read(n)
-        pieces = []
-        while n > 0:
-            piece = self._fh.read(min(n, _READ_PIECE))
-            if not piece:
-                break
-            pieces.append(piece)
-            n -= len(piece)
-        return b"".join(pieces)
-
-    def _skip_bytes(self, n: int) -> None:
-        """Move ``n`` bytes forward, stopping at the end of the source."""
-        if self._mm is not None:
-            self._pos = min(self._pos + n, len(self._mm))
-            return
-        pos = self._fh.tell()
-        end = self._fh.seek(0, os.SEEK_END)
-        if pos + n < end:
-            self._fh.seek(pos + n)
-
-    def _read_uvarint_stream(self) -> Optional[int]:
-        """Chunk-length uvarint at the cursor; ``None`` at clean EOF (same
-        contract and errors as :func:`_read_uvarint_io`)."""
-        if self._mm is None:
-            return _read_uvarint_io(self._fh)
-        got = _try_uvarint(self._mm, self._pos)
-        if got is None:
-            if self._pos < len(self._mm):
-                raise ValueError("truncated varint in trace file")
-            return None
-        value, self._pos = got
-        return value
-
-    def _next_chunk(self, required: bool = False) -> Tuple[int, bytes]:
-        self._chunk_offset = self._tell()
-        kind_b = self._read_bytes(1)
-        if not kind_b:
-            if required:
-                raise ValueError("truncated trace file")
-            return -1, b""
-        length = self._read_uvarint_stream()
-        if length is None:
-            raise ValueError("truncated trace file (chunk header)")
-        if self._events_view and self._mm is not None and kind_b[0] == _EVENTS:
-            start = self._pos
-            end = start + length
-            if end > len(self._mm):
-                # Checked before exporting a view: a short slice pinned in
-                # the exception traceback would block mmap.close().
-                self._pos = len(self._mm)
-                raise ValueError("truncated trace file (chunk payload)")
-            self._pos = end
-            payload: Union[bytes, memoryview] = memoryview(self._mm)[start:end]
-        else:
-            payload = self._read_bytes(length)
-        if len(payload) != length:
-            raise ValueError("truncated trace file (chunk payload)")
-        return kind_b[0], payload
-
     def __iter__(self) -> Iterator[TraceEvent]:
+        buf = self._buf
         while True:
-            kind, payload = self._next_chunk()
-            if kind == -1:
+            events = self._next_chunk(buf)
+            if events is None:
+                if self._pos < len(buf):
+                    raise ValueError("truncated trace file")
                 return
-            if kind == _STRINGS:
-                self._load_strings(payload)
-            elif kind == _THREADS:
-                self._load_threads(payload)
-            elif kind == _LOCKS:
-                self._load_locks(payload)
-            elif kind == _EVENTS:
-                offset = self._chunk_offset
-                base_step = self._last_step
-                events_before = self.events_read
-                yield from self._decode_events(payload)
-                if offset is not None:
-                    self.event_spans.append(
-                        ChunkSpan(
-                            offset=offset,
-                            length=len(payload),
-                            base_step=base_step,
-                            last_step=self._last_step,
-                            events=self.events_read - events_before,
-                        )
-                    )
-            elif kind == _END:
-                self._load_end(payload)
-                return
-            elif kind == _META:
-                raise ValueError("duplicate META chunk")
-            else:
-                raise ValueError(f"unknown chunk kind {kind}")
-
-    def iter_events_in(self, spans: Sequence[ChunkSpan]) -> Iterator[TraceEvent]:
-        """Decode only the EVENTS chunks named by ``spans``.
-
-        The zero-copy worker path: identity-table chunks are always
-        processed (they are tiny and later chunks reference them), but
-        EVENTS chunks not in ``spans`` are seeked past undecoded, and
-        each selected chunk's step accumulator is seeded from its span's
-        ``base_step``.  Must be called on a freshly opened reader over a
-        seekable source.  The END completeness check is skipped —
-        deliberately decoding a subset is the point.
-        """
-        wanted = {s.offset: s for s in spans}
-        while True:
-            offset = self._tell()
-            kind_b = self._read_bytes(1)
-            if not kind_b:
-                return
-            kind = kind_b[0]
-            length = self._read_uvarint_stream()
-            if length is None:
-                raise ValueError("truncated trace file (chunk header)")
-            if kind == _EVENTS and offset not in wanted:
-                self._skip_bytes(length)
-                continue
-            payload = self._read_bytes(length)
-            if len(payload) != length:
-                raise ValueError("truncated trace file (chunk payload)")
-            if kind == _EVENTS:
-                self._last_step = wanted[offset].base_step
-                yield from self._decode_events(payload)
-            elif kind == _STRINGS:
-                self._load_strings(payload)
-            elif kind == _THREADS:
-                self._load_threads(payload)
-            elif kind == _LOCKS:
-                self._load_locks(payload)
-            elif kind == _END:
-                return
-            elif kind == _META:
-                raise ValueError("duplicate META chunk")
-            else:
-                raise ValueError(f"unknown chunk kind {kind}")
+            yield from events
 
     def read_trace(self) -> Trace:
         """Materialize the remaining stream as an in-memory :class:`Trace`."""
@@ -996,8 +848,6 @@ class TraceFileReader(_DecodeCore):
                 # masking the original exception with a BufferError.
                 pass
             self._mm = None
-        if self._owns:
-            self._fh.close()
 
     def __enter__(self) -> "TraceFileReader":
         return self
@@ -1011,24 +861,17 @@ class TraceFileReader(_DecodeCore):
 # ---------------------------------------------------------------------------
 
 
-class OversizedChunkError(ValueError):
-    """A chunk declares a payload beyond the configured ceiling.
-
-    Raised *from the header alone*, before any payload bytes are
-    buffered — the defense that keeps a hostile producer from making the
-    decoder allocate its declared (arbitrarily large) chunk.
-    """
-
-
 class ChunkDecoder(_DecodeCore):
     """Incremental ``.wtrc`` decoder for bytes arriving in arbitrary slices.
 
     The ingestion daemon's workhorse: a producer streams a trace file over
     a socket in whatever frame sizes it likes, and each :meth:`push`
-    returns the events of every chunk that is now complete — identity
-    tables resolve exactly as in the sequential reader because chunks are
-    processed in stream order.  State the daemon's journal and flow
-    control need is exposed as it advances:
+    returns the events of every chunk that is now complete.  The chunks
+    go through the reader's grammar, so the same bytes reach the same
+    events or the same error however they are sliced, and a stream the
+    reader calls truncated leaves this decoder waiting for bytes.  State
+    the daemon's journal and flow control need is exposed as it
+    advances:
 
     ``bytes_consumed``
         absolute stream offset of the last fully-decoded chunk boundary —
@@ -1044,7 +887,7 @@ class ChunkDecoder(_DecodeCore):
     ``max_chunk_bytes`` bounds any single chunk's declared payload;
     violation raises :class:`OversizedChunkError` before the payload is
     buffered.  All other corruption surfaces exactly as
-    :class:`TraceFileReader` would raise it (``ValueError`` for framing,
+    :class:`TraceFileReader` raises it (``ValueError`` for framing,
     ``IndexError``/``KeyError``/``UnicodeDecodeError`` for bit rot inside
     payloads), so one taxonomy classifies both batch and streaming
     ingestion.
@@ -1058,96 +901,35 @@ class ChunkDecoder(_DecodeCore):
         self._buf = bytearray()
         #: absolute offset of ``_buf[0]`` in the whole stream
         self._base = 0
-        self._header_done = False
-        self._meta_done = False
-        self.complete = False
-        #: Spans of every decoded EVENTS chunk, offsets relative to the
-        #: stream start — identical to what :class:`TraceFileReader` would
-        #: record over the same bytes, so they address the daemon's spool
-        #: file.
-        self.event_spans: List[ChunkSpan] = []
 
     @property
     def bytes_consumed(self) -> int:
         """Stream offset of the last fully-decoded chunk boundary."""
-        return self._base
+        return self._base + self._pos
 
     @property
     def buffered(self) -> int:
         """Bytes held waiting for their chunk to complete."""
-        return len(self._buf)
+        return len(self._buf) - self._pos
+
+    @property
+    def complete(self) -> bool:
+        return self.declared_events is not None
 
     def push(self, data: bytes) -> List[TraceEvent]:
         """Consume a slice of the stream; return newly-decoded events."""
-        if self.complete and data:
-            raise ValueError("data after END chunk")
-        self._buf += data
+        buf = self._buf
+        buf += data
         out: List[TraceEvent] = []
         while True:
-            if not self._header_done:
-                if len(self._buf) < len(MAGIC) + 1:
-                    break
-                if bytes(self._buf[: len(MAGIC)]) != MAGIC:
-                    raise ValueError("not a WOLF binary trace file (bad magic)")
-                version = self._buf[len(MAGIC)]
-                if version != FORMAT_VERSION:
-                    raise ValueError(f"unsupported trace file version {version}")
-                self._advance(len(MAGIC) + 1)
-                self._header_done = True
-            got = _try_uvarint(self._buf, 1)
-            if got is None:
+            events = self._next_chunk(buf)
+            if events is None:
                 break
-            length, payload_at = got
-            if self.max_chunk_bytes is not None and length > self.max_chunk_bytes:
-                raise OversizedChunkError(
-                    f"chunk declares {length} payload bytes "
-                    f"(limit {self.max_chunk_bytes})"
-                )
-            if len(self._buf) < payload_at + length:
-                break
-            kind = self._buf[0]
-            payload = bytes(self._buf[payload_at : payload_at + length])
-            chunk_offset = self._base
-            self._advance(payload_at + length)
-            if kind == _EVENTS:
-                if not self._meta_done:
-                    raise ValueError("trace file must start with a META chunk")
-                base_step = self._last_step
-                events_before = self.events_read
-                out.extend(self._decode_events(payload))
-                self.event_spans.append(
-                    ChunkSpan(
-                        offset=chunk_offset,
-                        length=length,
-                        base_step=base_step,
-                        last_step=self._last_step,
-                        events=self.events_read - events_before,
-                    )
-                )
-            elif kind == _STRINGS:
-                self._load_strings(payload)
-            elif kind == _THREADS:
-                self._load_threads(payload)
-            elif kind == _LOCKS:
-                self._load_locks(payload)
-            elif kind == _META:
-                if self._meta_done:
-                    raise ValueError("duplicate META chunk")
-                self._load_meta(payload)
-                self._meta_done = True
-            elif kind == _END:
-                self._load_end(payload)
-                self.complete = True
-                if self._buf:
-                    raise ValueError("data after END chunk")
-                break
-            else:
-                raise ValueError(f"unknown chunk kind {kind}")
+            out.extend(events)
+        del buf[: self._pos]
+        self._base += self._pos
+        self._pos = 0
         return out
-
-    def _advance(self, n: int) -> None:
-        del self._buf[:n]
-        self._base += n
 
 
 # ---------------------------------------------------------------------------

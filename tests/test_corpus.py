@@ -480,6 +480,19 @@ class TestCorpusCli:
         assert cli_main(["corpus", "validate", "--corpus", str(corpus)]) == 0
         assert "valid" in capsys.readouterr().out
 
+    def test_validate_refuses_byte_after_end(self, tmp_path, capsys):
+        """A committed trace with one byte after its END chunk is
+        unreadable to the validator, as it is to `wolf serve`."""
+        corpus = tmp_path / "corpus"
+        shutil.copytree(COMMITTED_CORPUS, corpus)
+        victim = corpus / "HashMap-s0.wtrc"
+        victim.write_bytes(victim.read_bytes() + b"\x00")
+        assert cli_main(["corpus", "validate", "--corpus", str(corpus)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert (
+            "FAIL  HashMap-s0.wtrc: unreadable trace: data after END chunk" in lines
+        )
+
     def test_validate_fails_on_stray(self, tiny_corpus, tmp_path):
         corpus = corrupted_copy(tiny_corpus, tmp_path)
         (corpus / "stray.wtrc").write_bytes(b"WTRC\x01junk")

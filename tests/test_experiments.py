@@ -36,7 +36,9 @@ class TestRunner:
 
 class TestMetrics:
     def test_slowdown_near_unity(self):
-        s = detection_slowdown(get_benchmark("HashMap").program, runs=1)
+        # Summed over the default three run pairs: one host stall in a
+        # single pair must not decide the ratio.
+        s = detection_slowdown(get_benchmark("HashMap").program)
         assert 0.3 < s < 10.0
 
     def test_average_stack_length(self):

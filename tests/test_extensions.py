@@ -201,6 +201,41 @@ class TestCliExtensions:
         assert captured.out == ""
         assert "wolf trace pack" in captured.err
 
+    @pytest.mark.parametrize(
+        "damage,problem",
+        [
+            (lambda data: data[:-1], "truncated trace file"),
+            (lambda data: data + b"\x00", "data after END chunk"),
+        ],
+        ids=["truncated", "byte-after-end"],
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze-trace", "FILE"],
+            ["analyze-trace", "FILE", "--json"],
+            ["trace", "info", "FILE"],
+        ],
+        ids=["analyze-trace", "analyze-trace-json", "trace-info"],
+    )
+    def test_malformed_trace_is_one_classified_line(
+        self, tmp_path, capsys, argv, damage, problem
+    ):
+        """A corpus trace cut inside its END chunk, or followed by one
+        byte, is `unreadable`: one classified line on stderr and exit 1,
+        not a traceback."""
+        from pathlib import Path
+
+        from repro.cli import main
+
+        corpus = Path(__file__).resolve().parent.parent / "corpus"
+        bad = tmp_path / "bad.wtrc"
+        bad.write_bytes(damage((corpus / "HashMap-s0.wtrc").read_bytes()))
+        assert main([str(bad) if a == "FILE" else a for a in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{bad}: unreadable trace: {problem}\n"
+
     def test_detect_rank_flag(self, capsys):
         from repro.cli import main
 

@@ -59,7 +59,6 @@ from repro.runtime.tracefile import (
     _get_uvarint,
     _put_uvarint,
     _put_svarint,
-    read_trace,
     write_trace,
 )
 from repro.serve.report import render_report, report_doc_for_file
@@ -84,8 +83,8 @@ K_META = 0
 K_EVENTS = 4
 K_END = 5
 
-#: Declared chunk lengths far beyond any file here: a buffered read that
-#: trusted them would allocate (or seek) that much.
+#: Declared chunk lengths far beyond any file here: a reader that
+#: trusted them would allocate that much.
 HUGE_LENGTHS = (1 << 40, (1 << 63) - 1, (1 << 64) - 1)
 
 
@@ -254,27 +253,17 @@ class TestBackendSelection:
 
 
 # ---------------------------------------------------------------------------
-# read modes: a path is mapped, a file object is read buffered (must hold
-# on the pure CI leg too)
+# one buffer: a path is mapped, a file object is read whole (must hold on
+# the pure CI leg too)
 # ---------------------------------------------------------------------------
 
 
 def _reader_outcome(src):
-    """Stream ``src`` fully: events, spans and the END count, or the
-    exception as ``("err", type_name, message)``."""
+    """Stream ``src`` fully: events and the END count, or the exception
+    as ``("err", type_name, message)``."""
     try:
         with TraceFileReader(src) as r:
-            return ("ok", list(r), list(r.event_spans), r.declared_events)
-    except Exception as exc:  # noqa: BLE001 - the outcome IS the assertion
-        return ("err", type(exc).__name__, str(exc))
-
-
-def _span_outcome(src, spans):
-    """``iter_events_in`` over ``spans``: ``("ok", events)`` or the
-    exception as ``("err", type_name, message)``."""
-    try:
-        with TraceFileReader(src) as r:
-            return ("ok", list(r.iter_events_in(spans)))
+            return ("ok", list(r), r.declared_events)
     except Exception as exc:  # noqa: BLE001 - the outcome IS the assertion
         return ("err", type(exc).__name__, str(exc))
 
@@ -287,48 +276,9 @@ class TestMmapReader:
             assert r._mm is not None  # a path is mapped
             mapped = list(r)
         with TraceFileReader(io.BytesIO(Path(fig9_wtrc).read_bytes())) as r:
-            assert r._mm is None  # a file object is read buffered
+            assert r._mm is None  # a file object is read whole
             plain = list(r)
         assert mapped == plain and mapped
-
-    def test_spans_identical(self, fig9_wtrc):
-        mapped = _reader_outcome(fig9_wtrc)
-        plain = _reader_outcome(io.BytesIO(Path(fig9_wtrc).read_bytes()))
-        assert mapped[0] == "ok" and mapped[2]
-        assert mapped == plain
-
-    def test_iter_events_in_span_rereads(self, fig9_wtrc, tmp_path):
-        path = str(tmp_path / "chunky.wtrc")
-        write_trace(read_trace(fig9_wtrc), path, events_per_chunk=4)
-        data = Path(path).read_bytes()
-        with TraceFileReader(path) as r:
-            events = list(r)
-            spans = list(r.event_spans)
-        assert len(spans) > 2
-        chunks, start = [], 0
-        for s in spans:
-            chunks.append(events[start : start + s.events])
-            start += s.events
-        # The first chunk alone, and every other chunk.
-        for picked in (slice(0, 1), slice(None, None, 2)):
-            with TraceFileReader(path) as r:
-                mapped = list(r.iter_events_in(spans[picked]))
-            with TraceFileReader(io.BytesIO(data)) as r:
-                plain = list(r.iter_events_in(spans[picked]))
-            expected = [ev for chunk in chunks[picked] for ev in chunk]
-            assert mapped == plain == expected and mapped
-        # A skipped chunk declaring more than the file holds ends the
-        # selective pass alike whether the file is mapped, read through
-        # an open file, or read from memory.
-        bad = tmp_path / "huge.wtrc"
-        for declared in HUGE_LENGTHS:
-            case = with_declared_chunk(data[: spans[-1].offset], K_EVENTS, declared)
-            bad.write_bytes(case)
-            mapped = _span_outcome(str(bad), spans[:1])
-            with open(bad, "rb") as fh:
-                buffered = _span_outcome(fh, spans[:1])
-            assert mapped == buffered == _span_outcome(io.BytesIO(case), spans[:1])
-            assert mapped == ("ok", chunks[0])
 
     def test_non_file_source_falls_back(self, tmp_path):
         """A file that cannot be mapped reads plainly: an empty file

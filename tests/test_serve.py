@@ -452,6 +452,22 @@ class TestChaosSuite:
         assert rows_by_stream(manifest(out))["torn-stream"]["code"] == "torn"
 
 
+    def test_end_only_stream_is_unreadable(self, harness, tmp_path):
+        """A stream that seals before its META chunk is refused by the
+        one chunk grammar, exactly as the file reader refuses it."""
+        make, sock, out, _traces = harness
+        st = make()
+        end_only = tmp_path / "end-only.wtrc"
+        end_only.write_bytes(b"WTRC\x01" + b"\x05\x01\x00")  # END(0)
+        result = send_trace(str(end_only), "end-only", socket_path=sock)
+        assert not result.ok
+        assert result.error_code == "unreadable"
+        st.drain()
+        row = rows_by_stream(manifest(out))["end-only"]
+        assert row["status"] == "quarantined" and row["code"] == "unreadable"
+        assert row["detail"] == "trace file must start with a META chunk"
+
+
 # ---------------------------------------------------------------------------
 # crash recovery
 # ---------------------------------------------------------------------------

@@ -6,18 +6,16 @@ object DFS of ``tests/cyclereference.py``, which collapses nothing — same
 cycles, same entry objects, same order, same defect keys, same
 ``truncated`` flag — on every registry benchmark, on random programs and
 under a binding ``max_cycles`` cap.  The retired ``shard_cycles`` and
-``reduce`` knobs stay accepted by `WolfConfig` and select nothing.
+``reduce`` knobs are gone from `WolfConfig` and the CLI.
 """
 
 from __future__ import annotations
-
-import json
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.core.detector import ExtendedDetector, _group_rows, find_cycles
-from repro.core.pipeline import Wolf, WolfConfig, run_detection
+from repro.core.pipeline import WolfConfig, run_detection
 from repro.workloads.registry import all_benchmarks, get_benchmark
 from tests.cyclereference import reference_find_cycles
 from tests.randprog import build_program, program_specs
@@ -45,12 +43,6 @@ def assert_identical(rel, **kw):
         for ge, we in zip(g.entries, w.entries, strict=True):
             assert ge is we  # identity, not just equality
     return got
-
-
-def canonical(rep) -> str:
-    doc = json.loads(rep.to_json())
-    doc.pop("timings")
-    return json.dumps(doc, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -121,39 +113,6 @@ class TestDedup:
 
 
 class TestPipelineWiring:
-    def test_reduce_flag_is_output_neutral(self):
-        """`WolfConfig.reduce` is accepted and selects nothing; the report
-        JSON carries no reduction count."""
-        b = get_benchmark("Stack")
-        reports = {}
-        for reduce in (False, True):
-            cfg = WolfConfig(
-                seed=b.detect_seed,
-                replay_attempts=b.replay_attempts,
-                max_cycle_length=b.max_cycle_length,
-                reduce=reduce,
-            )
-            reports[reduce] = Wolf(config=cfg).analyze(b.program, name=b.name)
-        assert canonical(reports[False]) == canonical(reports[True])
-        assert "reduced_tuples" not in json.loads(reports[True].to_json())
-
-    def test_explicit_shard_cycles_identical_via_batch(self):
-        """`shard_cycles=True` is accepted and invisible in the report
-        JSON (modulo timings), also under the legacy `engine="batch"`
-        value, which is still accepted but selects nothing."""
-        b = get_benchmark("HashMap")
-        reports = {}
-        for shard in (False, True):
-            cfg = WolfConfig(
-                seed=b.detect_seed,
-                replay_attempts=b.replay_attempts,
-                max_cycle_length=b.max_cycle_length,
-                engine="batch",
-                shard_cycles=shard,
-            )
-            reports[shard] = Wolf(config=cfg).analyze(b.program, name=b.name)
-        assert canonical(reports[False]) == canonical(reports[True])
-
     def test_cli_defaults(self):
         from repro.cli import build_parser
 
@@ -176,5 +135,9 @@ class TestPipelineWiring:
 
     def test_wolfconfig_accepts_auto(self):
         WolfConfig(engine="auto")
+        WolfConfig(engine="batch")
         with pytest.raises(ValueError):
             WolfConfig(engine="turbo")
+        for retired in ("shard_cycles", "reduce"):
+            with pytest.raises(TypeError):
+                WolfConfig(**{retired: True})

@@ -6,13 +6,11 @@ programs."""
 
 from __future__ import annotations
 
-import json
-
 import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.core.detector import ExtendedDetector
-from repro.core.pipeline import Wolf, WolfConfig, run_detection
+from repro.core.pipeline import run_detection
 from repro.core.pruner import Pruner
 from repro.core.streaming import StreamingDetector
 from repro.workloads.registry import all_benchmarks, get_benchmark
@@ -62,31 +60,6 @@ def test_registry_equivalence(b):
     batch = ExtendedDetector(max_length=b.max_cycle_length).analyze(run.trace)
     stream = StreamingDetector(max_length=b.max_cycle_length).analyze(run.trace)
     assert_equivalent(batch, stream)
-
-
-@pytest.mark.parametrize("b", all_benchmarks(), ids=lambda b: b.name)
-def test_registry_report_identical(b):
-    """Pipeline-level gate: WolfReport JSON byte-identical (modulo
-    wall-clock timings) whether or not the retired ``shard_cycles`` and
-    ``reduce`` knobs are set: `WolfConfig` accepts them and they select
-    nothing."""
-    reports = {}
-    for retired in (False, True):
-        cfg = WolfConfig(
-            seed=b.detect_seed,
-            replay_attempts=b.replay_attempts,
-            max_cycle_length=b.max_cycle_length,
-            shard_cycles=retired,
-            reduce=retired,
-        )
-        reports[retired] = Wolf(config=cfg).analyze(b.program, name=b.name)
-
-    def canonical(rep) -> str:
-        doc = json.loads(rep.to_json())
-        doc.pop("timings")
-        return json.dumps(doc, sort_keys=True)
-
-    assert canonical(reports[False]) == canonical(reports[True])
 
 
 class TestFeedProtocol:

@@ -326,16 +326,6 @@ class TestChunkDecoder:
         assert dec.program == trace.program
         assert dec.seed == trace.seed
 
-    def test_event_spans_match_reader(self):
-        from repro.runtime.tracefile import ChunkDecoder
-
-        _, data = self._file_bytes()
-        dec = ChunkDecoder()
-        dec.push(data)
-        with TraceFileReader(io.BytesIO(data)) as r:
-            list(r)
-            assert dec.event_spans == list(r.event_spans)
-
     def test_bytes_consumed_is_chunk_aligned(self):
         """Mid-chunk bytes stay buffered: bytes_consumed only advances at
         chunk boundaries — the resume invariant the journal leans on."""
