@@ -15,7 +15,15 @@ ways (batch engine + JSON file vs streaming engine + binary file), with
 wall times, peak memory (tracemalloc) and file sizes, asserting both
 engines find identical cycles.
 
-Schema ``bench-core/9`` (migration note): the ``sharding`` section is
+Schema ``bench-core/10`` (migration note): the ``prediction`` section
+adds ``early_speedup``, ``predict_decisions`` over the registry survivors
+without ``promote_early`` over the same call with it (the report path),
+timed like the other gated ratios (6 alternating pairs on one CPU,
+median of the per-pair ratios), with both sides' medians
+(``predict_default_s``, ``predict_early_s``), ``pairs``, ``cpu`` and
+``settled_early``, the survivors whose key certified at an earlier
+instance.  Every other field is unchanged.
+Schema ``bench-core/9``: the ``sharding`` section is
 now ``dedup``.  ``dedup.speedup`` times ``find_cycles``, which collapses
 duplicate rows on integers, against the same integer search without the
 collapse, on the same loop-heavy relation, in the same alternating pairs;
@@ -626,18 +634,26 @@ def run_prediction() -> dict:
     and what the pass itself costs on top of detection.  The decided
     ratio is machine-independent (pure trace analysis), so the perf gate
     can hold a floor under it.
+
+    ``early_speedup`` times ``predict_decisions`` over the same survivors
+    without and with ``promote_early`` (what reports run), in alternating
+    pairs on one CPU.  ``settled_early`` counts the survivors whose defect
+    key already certified at an earlier instance of the same trace: the
+    ones the early path decides without a schedule search or a witness.
     """
     from repro.core.generator import Generator, GeneratorVerdict
     from repro.core.parallel import predict_decisions
     from repro.core.pipeline import run_detection
-    from repro.core.prediction import ClosureIndex
+    from repro.core.prediction import ClosureIndex, PredictionVerdict
     from repro.core.pruner import Pruner
     from repro.workloads.registry import all_benchmarks
 
     counts = {"certified": 0, "refuted": 0, "undecided": 0}
     n_bench = 0
     candidates = 0
+    settled_early = 0
     predict_s = 0.0
+    cases = []
     for b in all_benchmarks():
         n_bench += 1
         run = run_detection(b.program, b.detect_seed, name=b.name)
@@ -656,9 +672,29 @@ def run_prediction() -> dict:
         index = ClosureIndex.from_events(run.trace)
         preds = predict_decisions(index, gen.decisions)
         predict_s += time.perf_counter() - t0
-        for p in preds:
-            if p is not None:
-                counts[p.verdict.value] += 1
+        cases.append((index, gen.decisions))
+        certified_keys = set()
+        for d, p in zip(gen.decisions, preds):
+            if p is None:
+                continue
+            counts[p.verdict.value] += 1
+            key = d.cycle.defect_key
+            settled_early += key in certified_keys
+            if p.verdict is PredictionVerdict.CERTIFIED and not p.promoted:
+                certified_keys.add(key)
+
+    def default():
+        for index, decisions in cases:
+            predict_decisions(index, decisions)
+
+    def early():
+        for index, decisions in cases:
+            predict_decisions(index, decisions, promote_early=True)
+
+    pairs = 6
+    default_s, early_s, early_speedup, cpu = _interleaved_medians(
+        default, early, pairs
+    )
     decided = counts["certified"] + counts["refuted"]
     examined = sum(counts.values())
     return {
@@ -667,6 +703,12 @@ def run_prediction() -> dict:
         **counts,
         "decided_ratio": round(decided / examined, 4) if examined else None,
         "predict_s": round(predict_s, 6),
+        "settled_early": settled_early,
+        "predict_default_s": round(default_s, 6),
+        "predict_early_s": round(early_s, 6),
+        "early_speedup": round(early_speedup, 2),
+        "pairs": pairs,
+        "cpu": cpu,
     }
 
 
@@ -722,7 +764,7 @@ def main(argv=None) -> int:
         if not interrupt.triggered:
             prediction = run_prediction()
     doc = {
-        "schema": "bench-core/9",
+        "schema": "bench-core/10",
         "macro": macro,
         "dedup": dedup,
         "micro": micro,
@@ -771,7 +813,11 @@ def main(argv=None) -> int:
         f"{prediction['certified']} certified, {prediction['refuted']} "
         f"refuted, {prediction['undecided']} undecided "
         f"({100.0 * prediction['decided_ratio']:.1f}% decided without "
-        f"replay, {prediction['predict_s']:.3f}s)"
+        f"replay, {prediction['predict_s']:.3f}s); settling each key once "
+        f"({prediction['settled_early']} settled early): "
+        f"{prediction['predict_default_s'] * 1e3:.1f} -> "
+        f"{prediction['predict_early_s'] * 1e3:.1f} ms "
+        f"({prediction['early_speedup']}x)"
     )
     ok = True
     if speedup <= 1.0:

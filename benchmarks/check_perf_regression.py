@@ -19,6 +19,9 @@ same box, in the same process.  This gate therefore compares ratios:
   candidates the sync-preserving prediction pass certifies or refutes
   without replay (pure trace analysis, fully deterministic — a drop
   means the predictor lost precision);
+* ``prediction.early_speedup`` — ``predict_decisions`` over the registry
+  survivors without ``promote_early`` vs with it (reports settle each
+  defect key once), in alternating pairs on one CPU (bench-core/10);
 * ``macro.analyze_speedup.native`` — compiled analysis kernel vs the
   pure-Python streaming analyze on the same ``.wtrc`` macro (bench-core/4),
   in alternating pairs on one CPU (bench-core/6);
@@ -59,6 +62,7 @@ GATED_RATIOS = [
     ("collapsed cycle search speedup", ("dedup", "speedup")),
     ("trace file size ratio", ("macro", "file_bytes", "ratio")),
     ("prediction decided ratio", ("prediction", "decided_ratio")),
+    ("early promotion speedup", ("prediction", "early_speedup")),
     ("native analyze speedup", ("macro", "analyze_speedup", "native")),
     ("decode ratio", ("macro", "decode_ratio", "ratio")),
     # bench-serve/1 (BENCH_serve.json baselines, `--baseline BENCH_serve.json`).

@@ -368,7 +368,10 @@ def cmd_analyze_trace(args: argparse.Namespace) -> int:
         from repro.core.parallel import closure_index_for, predict_decisions
 
         index = closure_index_for(detection, gen.decisions, args.trace_file)
-        predictions = predict_decisions(index, gen.decisions)
+        # The listing prints verdicts only: settle each defect key once.
+        predictions = predict_decisions(
+            index, gen.decisions, promote_early=True
+        )
     print(
         f"trace: {analysis.program!r}, {analysis.events} events, "
         f"seed {analysis.seed}"

@@ -75,8 +75,11 @@ from repro.core.generator import (
 from repro.core.prediction import (
     ClosureIndex,
     CyclePrediction,
+    PredictionVerdict,
     Predictor,
     WitnessSchedule,
+    promote_by_defect,
+    promoted_from,
 )
 from repro.core.pruner import Pruner, PruneResult
 from repro.core.replayer import Replayer, ReplayOutcome
@@ -195,21 +198,42 @@ def closure_index_for(
 
 
 def predict_decisions(
-    index: ClosureIndex, decisions: Sequence[GeneratorDecision]
+    index: ClosureIndex,
+    decisions: Sequence[GeneratorDecision],
+    *,
+    promote_early: bool = False,
 ) -> Tuple[Optional[CyclePrediction], ...]:
     """Predict every Generator survivor; FALSE decisions map to ``None``.
 
     Verdicts are promoted key-level within the task (an UNDECIDED instance
     whose ``defect_key`` certified via a sibling inherits the sibling's
     witness); the pipeline merge promotes once more across seeds.
-    """
-    from repro.core.prediction import promote_by_defect
 
+    ``promote_early`` settles each defect key once: after an instance of
+    a key certifies, each later instance of that key is only checked for
+    refutation (:meth:`Predictor.refutation`) and otherwise inherits the
+    first certified instance's witness, with no schedule search or
+    witness of its own.  Every verdict equals the default's; only a later
+    instance that would have certified on its own comes back promoted.
+    Reports, which read verdicts only, pass it; replay follows each
+    instance's own witness and keeps the default.
+    """
     predictor = Predictor(index)
-    raw = [
-        predictor.examine(d.cycle) if d.verdict is GeneratorVerdict.UNKNOWN else None
-        for d in decisions
-    ]
+    certified: Dict[object, CyclePrediction] = {}
+    raw: List[Optional[CyclePrediction]] = []
+    for d in decisions:
+        if d.verdict is not GeneratorVerdict.UNKNOWN:
+            raw.append(None)
+            continue
+        key = d.cycle.defect_key
+        sibling = certified.get(key)
+        if sibling is not None:
+            raw.append(predictor.refutation(d.cycle) or promoted_from(sibling))
+            continue
+        pred = predictor.examine(d.cycle)
+        if promote_early and pred.verdict is PredictionVerdict.CERTIFIED:
+            certified[key] = pred
+        raw.append(pred)
     return tuple(promote_by_defect([d.cycle for d in decisions], raw))
 
 

@@ -66,7 +66,11 @@ Within one trace, verdicts lift from cycle instances to defects
 UNDECIDED instance whose ``defect_key`` already has a CERTIFIED sibling
 is promoted to CERTIFIED with the sibling's witness — typically the
 sibling is the same site pair in an earlier loop iteration whose window
-happens to linearize.
+happens to linearize.  Reports, which read verdicts only, settle each
+key once: after an instance certifies, :meth:`Predictor.refutation`
+decides whether a later instance is REFUTED, and otherwise it inherits
+the certified sibling's witness
+(:func:`repro.core.parallel.predict_decisions`, ``promote_early``).
 """
 
 from __future__ import annotations
@@ -102,6 +106,7 @@ __all__ = [
     "event_token",
     "predict_cycles",
     "promote_by_defect",
+    "promoted_from",
 ]
 
 
@@ -813,9 +818,12 @@ class Predictor:
         return caps, designated
 
     def _close(
-        self, cycle: PotentialDeadlock, *, sync_preserving: bool
+        self,
+        caps: Dict[int, int],
+        designated: Dict[int, Tuple[int, int]],
+        *,
+        sync_preserving: bool,
     ) -> _Closure:
-        caps, designated = self._base(cycle)
         closure = _Closure(
             self.index, caps, designated, sync_preserving=sync_preserving
         )
@@ -912,7 +920,8 @@ class Predictor:
                 PredictionVerdict.UNDECIDED, reason="no trace events available"
             )
         try:
-            closure = self._close(cycle, sync_preserving=True)
+            caps, designated = self._base(cycle)
+            closure = self._close(caps, designated, sync_preserving=True)
         except _Inconsistent:
             # No *sync-preserving* witness — but a non-sync-preserving
             # reordering may still exist, so try the universal closure
@@ -933,7 +942,7 @@ class Predictor:
                 witness=self._witness(cycle, closure),
             )
         try:
-            universal = self._close(cycle, sync_preserving=False)
+            universal = self._close(caps, designated, sync_preserving=False)
         except _Inconsistent as exc:
             return CyclePrediction(PredictionVerdict.REFUTED, reason=str(exc))
         except _Incomplete as exc:
@@ -956,6 +965,34 @@ class Predictor:
             reason="feasible reordering constructed by schedule search",
             witness=self._search_witness(cycle, search, order),
         )
+
+    def refutation(self, cycle: PotentialDeadlock) -> Optional[CyclePrediction]:
+        """The REFUTED prediction :meth:`examine` returns for ``cycle``, or
+        ``None`` when it returns another verdict.
+
+        :meth:`examine` refutes exactly when both closures are
+        inconsistent, with the universal closure's reason.  So the
+        universal closure runs first, and the sync-preserving one only
+        when the universal one is inconsistent; no schedule search runs
+        and no witness is built or checked.
+        """
+        if self.index.events_seen == 0:
+            return None
+        try:
+            caps, designated = self._base(cycle)
+            self._close(caps, designated, sync_preserving=False)
+            return None
+        except _Inconsistent as exc:
+            reason = str(exc)
+        except _Incomplete:
+            return None
+        try:
+            self._close(caps, designated, sync_preserving=True)
+        except _Inconsistent:
+            return CyclePrediction(PredictionVerdict.REFUTED, reason=reason)
+        except _Incomplete:
+            pass
+        return None
 
     def run(self, cycles: Iterable[PotentialDeadlock]) -> PredictionResult:
         cycle_list = list(cycles)
@@ -995,14 +1032,21 @@ def promote_by_defect(
             and pred.verdict is PredictionVerdict.UNDECIDED
             and sibling is not None
         ):
-            pred = CyclePrediction(
-                PredictionVerdict.CERTIFIED,
-                reason="promoted: sibling cycle at the same sites certified",
-                witness=sibling.witness,
-                promoted=True,
-            )
+            pred = promoted_from(sibling)
         out.append(pred)
     return out
+
+
+def promoted_from(sibling: CyclePrediction) -> CyclePrediction:
+    """The CERTIFIED prediction an instance inherits from ``sibling``, a
+    certified instance of its ``defect_key``: the sibling's witness, which
+    deadlocks at the shared sites."""
+    return CyclePrediction(
+        PredictionVerdict.CERTIFIED,
+        reason="promoted: sibling cycle at the same sites certified",
+        witness=sibling.witness,
+        promoted=True,
+    )
 
 
 def predict_cycles(

@@ -21,7 +21,12 @@ from repro.corpus.manifest import (
     canonical_keys,
     sha256_file,
 )
-from repro.runtime.tracefile import OversizedChunkError, TraceFileReader, is_tracefile
+from repro.runtime.tracefile import (
+    OversizedChunkError,
+    TraceFileReader,
+    TruncatedTraceError,
+    is_tracefile,
+)
 
 # ---------------------------------------------------------------------------
 # corruption taxonomy (shared with the ingestion daemon)
@@ -72,6 +77,10 @@ def classify_decode_error(exc: BaseException) -> Corruption:
     """
     if isinstance(exc, OversizedChunkError):
         return Corruption(OVERSIZED_CHUNK, str(exc))
+    # A stream cut inside a chunk is torn, as serve settles the same bytes
+    # followed by FIN.
+    if isinstance(exc, TruncatedTraceError):
+        return Corruption(TORN, "torn trace (truncated chunk)")
     # Kernel-vs-Python decode divergence (>64-bit varints) classifies as
     # payload corruption before the ValueError arm: the producer is
     # degenerate even though the pure decoder technically accepts it.

@@ -424,6 +424,11 @@ class OversizedChunkError(ValueError):
     """
 
 
+class TruncatedTraceError(ValueError):
+    """The byte stream ends inside the header or inside a chunk: the file
+    twin of a stream that sends FIN with a partial chunk buffered."""
+
+
 class _DecodeCore:
     """The chunk grammar, identity tables and chunk-payload decoding,
     shared by the file reader (pull) and the incremental
@@ -796,9 +801,9 @@ class TraceFileReader(_DecodeCore):
     current position.  Events are decoded one chunk at a time, so peak
     memory beyond the buffer is the identity tables plus one chunk.  The
     header and META chunk are read on open; a stream that ends inside
-    the header, before META or inside a chunk raises ``ValueError``
-    ("truncated trace file"), while a clean end without END leaves
-    ``declared_events`` ``None`` (a torn trace).
+    the header, before META or inside a chunk raises
+    :class:`TruncatedTraceError` ("truncated trace file"), while a clean
+    end without END leaves ``declared_events`` ``None`` (a torn trace).
     """
 
     def __init__(self, src: PathOrIO) -> None:
@@ -815,7 +820,7 @@ class TraceFileReader(_DecodeCore):
         self._init_decode_state()
         try:
             if self._next_chunk(self._buf) is None:  # header + META
-                raise ValueError("truncated trace file")
+                raise TruncatedTraceError("truncated trace file")
         except BaseException:
             self.close()  # a failed open must not leak the map
             raise
@@ -826,7 +831,7 @@ class TraceFileReader(_DecodeCore):
             events = self._next_chunk(buf)
             if events is None:
                 if self._pos < len(buf):
-                    raise ValueError("truncated trace file")
+                    raise TruncatedTraceError("truncated trace file")
                 return
             yield from events
 

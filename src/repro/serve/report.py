@@ -49,7 +49,8 @@ def defect_report_doc(
     prune = Pruner(detection.vclocks).prune(detection.cycles)
     gen = Generator(detection.relation).run(prune.survivors)
     index = closure_index_for(detection, gen.decisions, trace_path)
-    predictions = predict_decisions(index, gen.decisions)
+    # The document reads verdicts only, so each defect key is settled once.
+    predictions = predict_decisions(index, gen.decisions, promote_early=True)
     decisions = []
     counts = {"certified": 0, "refuted": 0, "undecided": 0}
     for dec, pred in zip(gen.decisions, predictions):

@@ -204,8 +204,8 @@ class TestCliExtensions:
     @pytest.mark.parametrize(
         "damage,problem",
         [
-            (lambda data: data[:-1], "truncated trace file"),
-            (lambda data: data + b"\x00", "data after END chunk"),
+            (lambda data: data[:-1], "torn trace (truncated chunk)"),
+            (lambda data: data + b"\x00", "unreadable trace: data after END chunk"),
         ],
         ids=["truncated", "byte-after-end"],
     )
@@ -221,8 +221,8 @@ class TestCliExtensions:
     def test_malformed_trace_is_one_classified_line(
         self, tmp_path, capsys, argv, damage, problem
     ):
-        """A corpus trace cut inside its END chunk, or followed by one
-        byte, is `unreadable`: one classified line on stderr and exit 1,
+        """A corpus trace cut inside its END chunk is `torn`, one followed
+        by a byte `unreadable`: one classified line on stderr and exit 1,
         not a traceback."""
         from pathlib import Path
 
@@ -234,7 +234,7 @@ class TestCliExtensions:
         assert main([str(bad) if a == "FILE" else a for a in argv]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"{bad}: unreadable trace: {problem}\n"
+        assert captured.err == f"{bad}: {problem}\n"
 
     def test_detect_rank_flag(self, capsys):
         from repro.cli import main

@@ -40,7 +40,9 @@ def health():
     return load_script("check_corpus_health.py")
 
 
-def bench_doc(end_to_end=4.0, dedup=3.5, file_ratio=2.0, decode=1.7) -> dict:
+def bench_doc(
+    end_to_end=4.0, dedup=3.5, file_ratio=2.0, decode=1.7, early=1.4
+) -> dict:
     return {
         "macro": {
             "end_to_end_s": {"speedup": end_to_end},
@@ -48,6 +50,7 @@ def bench_doc(end_to_end=4.0, dedup=3.5, file_ratio=2.0, decode=1.7) -> dict:
             "decode_ratio": {"ratio": decode},
         },
         "dedup": {"speedup": dedup},
+        "prediction": {"early_speedup": early},
     }
 
 
@@ -72,6 +75,7 @@ class TestPerfCheck:
             {"dedup": 0.1},
             {"file_ratio": 0.1},
             {"decode": 0.1},
+            {"early": 0.1},
         ):
             assert perf.check(bench_doc(**kwargs), baseline, tolerance=0.25) == 1
 

@@ -9,7 +9,7 @@ byte, and the META-less tables-then-END and END-only streams.
 
 An outcome is ``("ok", program, seed, events, END count)``, the
 exception as ``("err", type, message)``, or ``TRUNCATED``: the reader's
-"truncated trace file" and a decoder left waiting for bytes (a partial
+``TruncatedTraceError`` and a decoder left waiting for bytes (a partial
 chunk buffered, or no META yet) are the same outcome.  Pure readers
 must agree event for event; native readers yield no event objects, so
 they are held to the pure event count.  The one admitted divergence is
@@ -31,6 +31,7 @@ from repro.runtime.tracefile import (
     MAGIC,
     ChunkDecoder,
     TraceFileReader,
+    TruncatedTraceError,
     _get_uvarint,
     _put_uvarint,
 )
@@ -70,7 +71,7 @@ def chunks_of(data: bytes):
 
 
 def _error(exc: Exception):
-    if type(exc) is ValueError and str(exc) == "truncated trace file":
+    if type(exc) is TruncatedTraceError and str(exc) == "truncated trace file":
         return TRUNCATED
     return ("err", type(exc).__name__, str(exc))
 

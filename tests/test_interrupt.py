@@ -102,7 +102,9 @@ class TestCampaignDrain:
                 corpus,
                 "--benchmarks",
                 "--randprog",
-                "200",
+                # Enough work to outlast the wait below: on a fast host a
+                # 200-program campaign can finish before SIGINT arrives.
+                "5000",
                 "--chaos",
                 "0",
             ],

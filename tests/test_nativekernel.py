@@ -286,7 +286,7 @@ class TestMmapReader:
         empty = tmp_path / "empty.wtrc"
         empty.write_bytes(b"")
         assert _reader_outcome(str(empty)) == _reader_outcome(io.BytesIO(b""))
-        assert _reader_outcome(str(empty))[:2] == ("err", "ValueError")
+        assert _reader_outcome(str(empty))[:2] == ("err", "TruncatedTraceError")
 
     def test_corruption_errors_identical_to_plain(self, fig9_wtrc, tmp_path):
         data = Path(fig9_wtrc).read_bytes()

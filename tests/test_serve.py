@@ -18,10 +18,12 @@ import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
 from repro.core.pipeline import run_detection
+from repro.corpus.validate import Corruption, classify_trace_file
 from repro.runtime.tracefile import write_trace
 from repro.serve import (
     RUN_MANIFEST_NAME,
@@ -451,6 +453,25 @@ class TestChaosSuite:
         st.drain()
         assert rows_by_stream(manifest(out))["torn-stream"]["code"] == "torn"
 
+    def test_half_trace_is_torn_to_serve_and_validator(self, harness, tmp_path):
+        """One truncated stream, one code: the first half of a corpus
+        trace (cut inside a chunk) followed by FIN is `torn` to the
+        daemon, and the same bytes as a file are `torn` to the corpus
+        validator's classifier."""
+        make, sock, out, _traces = harness
+        st = make()
+        data = (Path(REPO) / "corpus" / "HashMap-s0.wtrc").read_bytes()
+        half = tmp_path / "half.wtrc"
+        half.write_bytes(data[: len(data) // 2])
+        assert classify_trace_file(str(half)) == Corruption(
+            "torn", "torn trace (truncated chunk)"
+        )
+        result = send_trace(str(half), "half-stream", socket_path=sock)
+        assert not result.ok
+        assert result.error_code == "torn"
+        st.drain()
+        row = rows_by_stream(manifest(out))["half-stream"]
+        assert row["status"] == "quarantined" and row["code"] == "torn"
 
     def test_end_only_stream_is_unreadable(self, harness, tmp_path):
         """A stream that seals before its META chunk is refused by the
