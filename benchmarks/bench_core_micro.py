@@ -15,7 +15,15 @@ ways (batch engine + JSON file vs streaming engine + binary file), with
 wall times, peak memory (tracemalloc) and file sizes, asserting both
 engines find identical cycles.
 
-Schema ``bench-core/10`` (migration note): the ``prediction`` section
+Schema ``bench-core/11`` (migration note): the ``prediction`` section
+adds ``index_speedup``, ``closure_index_for`` over the Generator
+survivors of seeded dense nested-lock ``.wtrc`` files re-read in pure
+Python over the same call re-read through the kernel's thread columns
+(what a native report runs), timed like the other gated ratios, with
+both sides' medians (``index_pure_s``, ``index_native_s``) and
+``index_traces``; all null where the kernel is unavailable.  Every other
+field is unchanged.
+Schema ``bench-core/10``: the ``prediction`` section
 adds ``early_speedup``, ``predict_decisions`` over the registry survivors
 without ``promote_early`` over the same call with it (the report path),
 timed like the other gated ratios (6 alternating pairs on one CPU,
@@ -71,6 +79,7 @@ import argparse
 import io
 import json
 import os
+import random
 import statistics
 import sys
 import time
@@ -626,7 +635,116 @@ def run_dedup(n_events: int) -> dict:
     }
 
 
-def run_prediction() -> dict:
+def dense_program(seed: int):
+    """A nested-lock program shaped like the benchmark's dense
+    analyze-trace inputs: six threads each take 2-3 of five background
+    locks in one global order, 12 times, and rings of 2, 2, 3 and 3
+    threads each take one ring lock while taking the next, twice."""
+    rng = random.Random(f"bench-dense/{seed}")
+    sections = [
+        [tuple(sorted(rng.sample(range(5), rng.randint(2, 3)))) for _ in range(12)]
+        for _ in range(6)
+    ]
+    n_locks = 5
+    for size in (2, 2, 3, 3):
+        ring = list(range(n_locks, n_locks + size))
+        n_locks += size
+        for i, t in enumerate(rng.sample(range(6), size)):
+            for _ in range(2):
+                section = (ring[i], ring[(i + 1) % size])
+                sections[t].insert(rng.randrange(len(sections[t]) + 1), section)
+
+    def program(rt):
+        locks = [rt.new_lock(name=f"L{i}", site="dense:locks") for i in range(n_locks)]
+
+        def body(k: int) -> None:
+            for section in sections[k]:
+                for lock in section:
+                    locks[lock].acquire(site=f"t{k}:L{lock}")
+                for lock in reversed(section):
+                    locks[lock].release(site=f"t{k}:L{lock}")
+
+        handles = [
+            rt.spawn(lambda k=k: body(k), name=f"t{k}", site="dense:spawn")
+            for k in range(6)
+        ]
+        for h in handles:
+            h.join()
+
+    return program
+
+
+def write_dense_traces(tmp_dir: str, n: int) -> List[str]:
+    """``n`` complete recordings of seeded dense programs (the first
+    schedule of each in which no ring deadlocks for real)."""
+    from repro.core.pipeline import run_detection
+    from repro.runtime.sim.result import RunStatus
+
+    paths = []
+    for seed in range(n):
+        program = dense_program(seed)
+        for attempt in range(50):
+            run = run_detection(program, 100 * seed + attempt, name=f"dense-{seed}", tries=1)
+            if run.status is RunStatus.COMPLETED:
+                break
+        else:
+            raise RuntimeError(f"no complete recording of dense-{seed}")
+        path = os.path.join(tmp_dir, f"dense-{seed}.wtrc")
+        write_trace(run.trace, path)
+        paths.append(path)
+    return paths
+
+
+def run_index(tmp_dir: str, n_traces: int = 8, pairs: int = 6) -> dict:
+    """The prediction index of dense ``.wtrc`` files, built by the pure
+    re-read against the kernel's column re-read.
+
+    Both sides run ``closure_index_for`` over the same Generator
+    survivors: one with the pure detection, which re-reads the file in
+    Python and feeds event objects, the other with the native one, which
+    re-reads it through the kernel and slices the index out of its
+    thread columns.  The first side over the second, in alternating
+    pairs on one CPU, is ``index_speedup``.
+    """
+    from repro.core.generator import Generator
+    from repro.core.nativekernel import analyze_trace_file, kernel_available
+    from repro.core.parallel import closure_index_for
+    from repro.core.pruner import Pruner
+
+    if not kernel_available():
+        return dict.fromkeys(
+            ("index_traces", "index_pure_s", "index_native_s", "index_speedup")
+        )
+    cases = []
+    for path in write_dense_traces(tmp_dir, n_traces):
+        pair = []
+        for backend in ("python", "native"):
+            detection = analyze_trace_file(path, backend=backend).detection
+            prune = Pruner(detection.vclocks).prune(detection.cycles)
+            pair.append((detection, Generator(detection.relation).run(prune.survivors)))
+        (pure, gen), (native, _) = pair
+        if not gen.survivors:
+            raise RuntimeError(f"{path}: no Generator survivors to index")
+        cases.append((pure, native, gen.decisions, path))
+
+    def pure():
+        for detection, _, decisions, path in cases:
+            closure_index_for(detection, decisions, path)
+
+    def native():
+        for _, detection, decisions, path in cases:
+            closure_index_for(detection, decisions, path)
+
+    pure_s, native_s, speedup, _ = _interleaved_medians(pure, native, pairs)
+    return {
+        "index_traces": len(cases),
+        "index_pure_s": round(pure_s, 6),
+        "index_native_s": round(native_s, 6),
+        "index_speedup": round(speedup, 2),
+    }
+
+
+def run_prediction(tmp_dir: str) -> dict:
     """Sync-preserving prediction over every registry benchmark.
 
     Measures what the prediction tentpole claims: how many Generator
@@ -640,6 +758,7 @@ def run_prediction() -> dict:
     pairs on one CPU.  ``settled_early`` counts the survivors whose defect
     key already certified at an earlier instance of the same trace: the
     ones the early path decides without a schedule search or a witness.
+    The ``index_*`` fields come from :func:`run_index`.
     """
     from repro.core.generator import Generator, GeneratorVerdict
     from repro.core.parallel import predict_decisions
@@ -709,6 +828,7 @@ def run_prediction() -> dict:
         "early_speedup": round(early_speedup, 2),
         "pairs": pairs,
         "cpu": cpu,
+        **run_index(tmp_dir, pairs=pairs),
     }
 
 
@@ -762,9 +882,9 @@ def main(argv=None) -> int:
         if not interrupt.triggered:
             micro = run_micro()
         if not interrupt.triggered:
-            prediction = run_prediction()
+            prediction = run_prediction(tmp)
     doc = {
-        "schema": "bench-core/10",
+        "schema": "bench-core/11",
         "macro": macro,
         "dedup": dedup,
         "micro": micro,
@@ -819,6 +939,13 @@ def main(argv=None) -> int:
         f"{prediction['predict_early_s'] * 1e3:.1f} ms "
         f"({prediction['early_speedup']}x)"
     )
+    if prediction["index_speedup"] is not None:
+        print(
+            f"closure index over {prediction['index_traces']} dense trace(s): "
+            f"pure re-read {prediction['index_pure_s'] * 1e3:.1f} ms vs kernel "
+            f"columns {prediction['index_native_s'] * 1e3:.1f} ms "
+            f"({prediction['index_speedup']}x)"
+        )
     ok = True
     if speedup <= 1.0:
         print("FAIL: streaming+binary not faster end-to-end", file=sys.stderr)

@@ -22,6 +22,9 @@ same box, in the same process.  This gate therefore compares ratios:
 * ``prediction.early_speedup`` — ``predict_decisions`` over the registry
   survivors without ``promote_early`` vs with it (reports settle each
   defect key once), in alternating pairs on one CPU (bench-core/10);
+* ``prediction.index_speedup`` — ``closure_index_for`` on dense ``.wtrc``
+  files, the pure re-read vs the kernel's column re-read, in alternating
+  pairs on one CPU (bench-core/11; null, so skipped, without a kernel);
 * ``macro.analyze_speedup.native`` — compiled analysis kernel vs the
   pure-Python streaming analyze on the same ``.wtrc`` macro (bench-core/4),
   in alternating pairs on one CPU (bench-core/6);
@@ -63,6 +66,7 @@ GATED_RATIOS = [
     ("trace file size ratio", ("macro", "file_bytes", "ratio")),
     ("prediction decided ratio", ("prediction", "decided_ratio")),
     ("early promotion speedup", ("prediction", "early_speedup")),
+    ("closure index speedup", ("prediction", "index_speedup")),
     ("native analyze speedup", ("macro", "analyze_speedup", "native")),
     ("decode ratio", ("macro", "decode_ratio", "ratio")),
     # bench-serve/1 (BENCH_serve.json baselines, `--baseline BENCH_serve.json`).

@@ -17,17 +17,24 @@
  * that needs the whole relation) become the exact objects the
  * pure-Python engine would have built.
  *
- * Thread identity is by value, not by table row: Python hands over a
- * canonical row map (each thread row -> the first row equal to it) with
+ * Identity is by value, not by table row: Python hands over canonical
+ * row maps (each thread or lock row -> the first row equal to it) with
  * the table sizes, and tau, entry positions and child stamps are keyed
- * by canonical row, as the pure engine keys them by ThreadId.  Logs keep
- * raw rows, so Python resolves each to the very object the pure decoder
- * would have produced.
+ * by canonical thread row, as the pure engine keys them by ThreadId.
+ * Logs keep raw rows, so Python resolves each to the very object the
+ * pure decoder would have produced.
  *
- * A context can also log every event as one fixed-width integer record
- * (wk_log_events): the prediction index's re-read of a trace uses it
- * instead of decoding event objects.  Analysis contexts leave it off, so
- * their memory stays proportional to the acquisitions.
+ * A context can also collect the trace as per-thread columns
+ * (wk_collect_columns): the prediction index's re-read of a trace uses
+ * them instead of decoding event objects.  Threads and locks get dense
+ * column ids in the order the trace first mentions each canonical
+ * identity, and each keeps the raw row of that first mention; each
+ * event gets its step, closure kind, aux (lock or join target id) and
+ * witness token key, and wk_columns_finish groups the events by thread
+ * and matches each acquisition with its release.  The columns give
+ * ClosureIndex exactly the tables its object path builds from the same
+ * trace (tests/test_kernel_reread.py).  Analysis contexts leave them
+ * off, so their memory stays proportional to the acquisitions.
  *
  * Determinism contract (enforced by the python-vs-native differential
  * suite in tests/test_nativekernel.py):
@@ -53,8 +60,8 @@
 #include <string.h>
 #include <stdio.h>
 
-#define WK_KERNEL_VERSION "1.1.0"
-#define WK_ABI 2
+#define WK_KERNEL_VERSION "1.2.0"
+#define WK_ABI 3
 
 /* Error codes (negative).  The Python wrapper maps any failure to a
  * pure-Python re-decode of the same payload, so the exact code only
@@ -79,14 +86,39 @@ enum {
     TAG_BLOCK = 8,
 };
 
-/* Event-log record: step, tag, thread, flag, lock, site, other, occ.
- * flag is the reentrant bit of an acquire or release; lock is the lock
- * of an acquire, release, wait, notify or block; site the string of its
- * site (the execution index's site for acquire and block); other the
- * execution index's thread (acquire, block), the child (spawn) or the
- * target (join); occ the execution index's occurrence.  Unused fields
- * are 0.  Rows are raw table rows. */
-#define WK_EVENT_WIDTH 8
+/* Closure kinds of a column event — must match repro.core.prediction. */
+enum {
+    KIND_OTHER = 0,
+    KIND_ACQ = 1,
+    KIND_JOIN = 2,
+    KIND_CONDVAR = 3,
+    KIND_BLOCK = 4,
+    KIND_REL = 5,
+};
+
+/* Column layouts (ints per item) — must match repro.core.prediction.
+ *   thread: first-mention row, spawn parent id, spawn position, ended,
+ *           event count (spawn fields -1 without a spawn);
+ *   lock:   first-mention row;
+ *   event:  step, kind, aux, release position, token key (grouped by
+ *           thread, trace order within one); aux is the lock id of a
+ *           non-reentrant acquire or release, the target id of a join,
+ *           else -1; the release position is that of a non-reentrant
+ *           acquire's matching release, else -1;
+ *   acquisition: step, thread id, position, index thread id, index
+ *           site row, index occurrence (non-reentrant, trace order).
+ * A thread is mentioned by its events, as a spawned child or join target
+ * and as the thread of a non-reentrant acquire's execution index.
+ * A token key is arg << 5 | tag, plus 16 when reentrant; arg is the
+ * site's string row, or the spawned child's or join target's row. */
+#define WK_THREAD_WIDTH 5
+#define WK_EVENT_WIDTH 5
+#define WK_ACQ_WIDTH 6
+#define WK_TOKEN_REENTRANT 16
+#define WK_TOKEN_SHIFT 5
+
+/* Column numbers for wk_column / wk_column_len. */
+enum { COL_THREADS = 0, COL_LOCKS = 1, COL_EVENTS = 2, COL_ACQS = 3 };
 
 /* Clock-op log opcodes (replayed through the real update_clocks). */
 enum {
@@ -140,10 +172,14 @@ typedef struct wk_ctx {
     uint64_t n_locks;
 
     /* per-thread running state, indexed by canonical thread row */
-    int64_t *canon; /* thread row -> first row with an equal ThreadId */
-    int64_t *tau;   /* 0 encodes the paper's ⊥ (never ran)          */
-    int64_t *pos;   /* non-reentrant acquire count (entry position) */
+    int64_t *canon;  /* thread row -> first row with an equal ThreadId */
+    int64_t *tau;    /* 0 encodes the paper's ⊥ (never ran)          */
+    int64_t *pos;    /* non-reentrant acquire count (entry position) */
+    int64_t *tid_of; /* column thread id, -1 until first mentioned   */
     uint64_t threads_cap;
+    int64_t *lcanon; /* lock row -> first row with an equal LockId   */
+    int64_t *lid_of; /* canonical lock row -> column lock id, or -1  */
+    uint64_t locks_cap;
 
     int64_t last_step;    /* step-delta accumulator across chunks */
     uint64_t events_read; /* total events decoded                 */
@@ -156,9 +192,15 @@ typedef struct wk_ctx {
                        * nheld, held_off                               */
     i64vec held;      /* quads: lock, h_thread, h_site, h_occ          */
     i64vec nonempty;  /* entry indices with nheld > 0                  */
-    i64vec events;    /* WK_EVENT_WIDTH per event when log_events is   *
-                       * set (see wk_log_events)                       */
-    int log_events;
+
+    /* column re-read (wk_collect_columns); empty in analysis contexts */
+    int columns;
+    i64vec col_threads; /* WK_THREAD_WIDTH per column thread id         */
+    i64vec col_locks;   /* first-mention row per column lock id         */
+    i64vec col_trace;   /* per event in trace order: thread id, step,   *
+                         * kind, aux, token key                         */
+    i64vec col_events;  /* WK_EVENT_WIDTH per event, grouped by thread  */
+    i64vec col_acqs;    /* WK_ACQ_WIDTH per non-reentrant acquire       */
 
     int err_code;
     char err[192];
@@ -216,62 +258,85 @@ void wk_free(wk_ctx *c) {
     free(c->canon);
     free(c->tau);
     free(c->pos);
+    free(c->tid_of);
+    free(c->lcanon);
+    free(c->lid_of);
     vec_free(&c->clock_ops);
     vec_free(&c->acq);
     vec_free(&c->entries);
     vec_free(&c->held);
     vec_free(&c->nonempty);
-    vec_free(&c->events);
+    vec_free(&c->col_threads);
+    vec_free(&c->col_locks);
+    vec_free(&c->col_trace);
+    vec_free(&c->col_events);
+    vec_free(&c->col_acqs);
     free(c);
 }
 
 const char *wk_error(wk_ctx *c) { return c->err; }
 int wk_error_code(wk_ctx *c) { return c->err_code; }
 
+/* Grow a per-row state array to cap slots, filling new slots with fill. */
+static int grow_rows(int64_t **rows, uint64_t old_cap, uint64_t cap,
+                     int64_t fill) {
+    uint64_t i;
+    int64_t *p = (int64_t *)realloc(*rows, cap * sizeof(int64_t));
+    if (!p)
+        return WK_ENOMEM;
+    for (i = old_cap; i < cap; i++)
+        p[i] = fill;
+    *rows = p;
+    return WK_OK;
+}
+
 /* Table sizes only ever grow (the writer interns before referencing).
- * thread_canon holds n_threads canonical rows, each at most its own row;
- * rows already known keep the canonical row they were first given. */
+ * thread_canon and lock_canon hold n_threads and n_locks canonical rows,
+ * each at most its own row; rows already known keep the canonical row
+ * they were first given. */
 int wk_set_tables(wk_ctx *c, uint64_t n_strings, uint64_t n_threads,
-                  uint64_t n_locks, const int64_t *thread_canon) {
+                  uint64_t n_locks, const int64_t *thread_canon,
+                  const int64_t *lock_canon) {
     uint64_t row;
     if (n_strings > c->n_strings)
         c->n_strings = n_strings;
-    if (n_locks > c->n_locks)
-        c->n_locks = n_locks;
     if (n_threads > c->threads_cap) {
         uint64_t cap = c->threads_cap ? c->threads_cap : 16;
-        int64_t *k, *t, *p;
         while (cap < n_threads)
             cap *= 2;
-        k = (int64_t *)realloc(c->canon, cap * sizeof(int64_t));
-        if (!k)
+        if (grow_rows(&c->canon, c->threads_cap, cap, 0) != WK_OK ||
+            grow_rows(&c->tau, c->threads_cap, cap, 0) != WK_OK ||
+            grow_rows(&c->pos, c->threads_cap, cap, 0) != WK_OK ||
+            grow_rows(&c->tid_of, c->threads_cap, cap, -1) != WK_OK)
             return WK_ENOMEM;
-        c->canon = k;
-        t = (int64_t *)realloc(c->tau, cap * sizeof(int64_t));
-        if (!t)
-            return WK_ENOMEM;
-        c->tau = t;
-        p = (int64_t *)realloc(c->pos, cap * sizeof(int64_t));
-        if (!p)
-            return WK_ENOMEM;
-        c->pos = p;
-        memset(c->tau + c->threads_cap, 0,
-               (cap - c->threads_cap) * sizeof(int64_t));
-        memset(c->pos + c->threads_cap, 0,
-               (cap - c->threads_cap) * sizeof(int64_t));
         c->threads_cap = cap;
+    }
+    if (n_locks > c->locks_cap) {
+        uint64_t cap = c->locks_cap ? c->locks_cap : 16;
+        while (cap < n_locks)
+            cap *= 2;
+        if (grow_rows(&c->lcanon, c->locks_cap, cap, 0) != WK_OK ||
+            grow_rows(&c->lid_of, c->locks_cap, cap, -1) != WK_OK)
+            return WK_ENOMEM;
+        c->locks_cap = cap;
     }
     for (row = c->n_threads; row < n_threads; row++) {
         int64_t k = thread_canon[row];
         c->canon[row] = (k >= 0 && (uint64_t)k <= row) ? k : (int64_t)row;
     }
+    for (row = c->n_locks; row < n_locks; row++) {
+        int64_t k = lock_canon[row];
+        c->lcanon[row] = (k >= 0 && (uint64_t)k <= row) ? k : (int64_t)row;
+    }
     if (n_threads > c->n_threads)
         c->n_threads = n_threads;
+    if (n_locks > c->n_locks)
+        c->n_locks = n_locks;
     return WK_OK;
 }
 
-/* Log every event applied from now on as one WK_EVENT_WIDTH record. */
-void wk_log_events(wk_ctx *c, int on) { c->log_events = on; }
+/* Collect every event applied from now on into the per-thread columns. */
+void wk_collect_columns(wk_ctx *c, int on) { c->columns = on; }
 
 /* Pass 1: decode + bounds-check the whole payload without touching any
  * state.  On success reports the event count and the total held-lock
@@ -429,18 +494,47 @@ static int validate_events(wk_ctx *c, const uint8_t *p, uint64_t len,
     return WK_OK;
 }
 
-/* Append one event-log record (capacity reserved by wk_feed_events). */
-static void log_event(wk_ctx *c, int64_t step, int64_t tag, uint64_t t,
-                      int64_t flag, uint64_t lock, uint64_t site,
-                      uint64_t other, uint64_t occ) {
-    vec_push(&c->events, step);
-    vec_push(&c->events, tag);
-    vec_push(&c->events, (int64_t)t);
-    vec_push(&c->events, flag);
-    vec_push(&c->events, (int64_t)lock);
-    vec_push(&c->events, (int64_t)site);
-    vec_push(&c->events, (int64_t)other);
-    vec_push(&c->events, (int64_t)occ);
+/* The column id of thread row t, assigning the next one (with an empty
+ * thread record) on its first mention.  Capacity reserved by
+ * wk_feed_events. */
+static int64_t col_thread(wk_ctx *c, uint64_t t) {
+    int64_t k = c->canon[t];
+    if (c->tid_of[k] < 0) {
+        c->tid_of[k] = (int64_t)(c->col_threads.len / WK_THREAD_WIDTH);
+        vec_push(&c->col_threads, (int64_t)t);
+        vec_push(&c->col_threads, -1); /* spawn parent   */
+        vec_push(&c->col_threads, -1); /* spawn position */
+        vec_push(&c->col_threads, 0);  /* ended          */
+        vec_push(&c->col_threads, 0);  /* event count    */
+    }
+    return c->tid_of[k];
+}
+
+/* The column id of lock row lk, assigning the next one on first mention. */
+static int64_t col_lock(wk_ctx *c, uint64_t lk) {
+    int64_t k = c->lcanon[lk];
+    if (c->lid_of[k] < 0) {
+        c->lid_of[k] = (int64_t)c->col_locks.len;
+        vec_push(&c->col_locks, (int64_t)lk);
+    }
+    return c->lid_of[k];
+}
+
+/* Append one event of column thread tid; returns its position there. */
+static int64_t col_event(wk_ctx *c, int64_t tid, int64_t step, int64_t kind,
+                         int64_t aux, int64_t token) {
+    int64_t *count = c->col_threads.data + WK_THREAD_WIDTH * tid + 4;
+    vec_push(&c->col_trace, tid);
+    vec_push(&c->col_trace, step);
+    vec_push(&c->col_trace, kind);
+    vec_push(&c->col_trace, aux);
+    vec_push(&c->col_trace, token);
+    return (*count)++;
+}
+
+static int64_t token_key(uint64_t arg, int tag, int reentrant) {
+    return ((int64_t)arg << WK_TOKEN_SHIFT) | tag |
+           (reentrant ? WK_TOKEN_REENTRANT : 0);
 }
 
 /* Pass 2: apply the (already validated) payload.  Cannot fail: every
@@ -454,12 +548,14 @@ static void apply_events(wk_ctx *c, const uint8_t *p, uint64_t len,
     (void)get_uvarint(p, len, &pos, &ignored); /* skip the count */
     for (i = 0; i < n; i++) {
         uint8_t tag = p[pos++];
-        int64_t delta = 0;
+        int64_t delta = 0, tid = -1;
         uint64_t t, k, u;
         (void)get_svarint(p, len, &pos, &delta);
         step += delta;
         (void)get_uvarint(p, len, &pos, &t);
         k = (uint64_t)c->canon[t];
+        if (c->columns)
+            tid = col_thread(c, t);
 
         /* Algorithm 1 line 11: first event of a thread sets tau to 1. */
         if (c->tau[k] == 0) {
@@ -472,8 +568,12 @@ static void apply_events(wk_ctx *c, const uint8_t *p, uint64_t len,
         switch (tag) {
         case TAG_BEGIN:
         case TAG_END:
-            if (c->log_events)
-                log_event(c, step, tag, t, 0, 0, 0, 0, 0);
+            if (c->columns) {
+                (void)col_event(c, tid, step, KIND_OTHER, -1,
+                                token_key(0, tag, 0));
+                if (tag == TAG_END)
+                    c->col_threads.data[WK_THREAD_WIDTH * tid + 3] = 1;
+            }
             break;
         case TAG_SPAWN:
             (void)get_uvarint(p, len, &pos, &u);
@@ -482,8 +582,16 @@ static void apply_events(wk_ctx *c, const uint8_t *p, uint64_t len,
             vec_push(&c->clock_ops, OP_SPAWN);
             vec_push(&c->clock_ops, (int64_t)t);
             vec_push(&c->clock_ops, (int64_t)u);
-            if (c->log_events)
-                log_event(c, step, tag, t, 0, 0, 0, u, 0);
+            if (c->columns) {
+                int64_t child = col_thread(c, u);
+                int64_t at = col_event(c, tid, step, KIND_OTHER, -1,
+                                       token_key(u, tag, 0));
+                int64_t *rec = c->col_threads.data + WK_THREAD_WIDTH * child;
+                if (rec[1] < 0) { /* the first spawn of a thread starts it */
+                    rec[1] = tid;
+                    rec[2] = at;
+                }
+            }
             break;
         case TAG_JOIN:
             (void)get_uvarint(p, len, &pos, &u);
@@ -491,8 +599,11 @@ static void apply_events(wk_ctx *c, const uint8_t *p, uint64_t len,
             vec_push(&c->clock_ops, OP_JOIN);
             vec_push(&c->clock_ops, (int64_t)t);
             vec_push(&c->clock_ops, (int64_t)u);
-            if (c->log_events)
-                log_event(c, step, tag, t, 0, 0, 0, u, 0);
+            if (c->columns) {
+                int64_t target = col_thread(c, u);
+                (void)col_event(c, tid, step, KIND_JOIN, target,
+                                token_key(u, tag, 0));
+            }
             break;
         case TAG_ACQUIRE: {
             uint64_t lk, it, isite, occ, nheld, h;
@@ -546,8 +657,23 @@ static void apply_events(wk_ctx *c, const uint8_t *p, uint64_t len,
                  * quads again so held_off stays the entry log's pool. */
                 c->held.len = 4 * (uint64_t)held_off;
             }
-            if (c->log_events)
-                log_event(c, step, tag, t, reentrant, lk, isite, it, occ);
+            if (c->columns) {
+                if (reentrant) {
+                    (void)col_event(c, tid, step, KIND_OTHER, -1,
+                                    token_key(isite, tag, 1));
+                } else {
+                    int64_t owner = col_thread(c, it);
+                    int64_t lid = col_lock(c, lk);
+                    int64_t at = col_event(c, tid, step, KIND_ACQ, lid,
+                                           token_key(isite, tag, 0));
+                    vec_push(&c->col_acqs, step);
+                    vec_push(&c->col_acqs, tid);
+                    vec_push(&c->col_acqs, at);
+                    vec_push(&c->col_acqs, owner);
+                    vec_push(&c->col_acqs, (int64_t)isite);
+                    vec_push(&c->col_acqs, (int64_t)occ);
+                }
+            }
             break;
         }
         case TAG_RELEASE: {
@@ -557,8 +683,14 @@ static void apply_events(wk_ctx *c, const uint8_t *p, uint64_t len,
             (void)get_uvarint(p, len, &pos, &site);
             reentrant = p[pos] == 1;
             pos++;
-            if (c->log_events)
-                log_event(c, step, tag, t, reentrant, lk, site, 0, 0);
+            if (c->columns) {
+                if (reentrant)
+                    (void)col_event(c, tid, step, KIND_OTHER, -1,
+                                    token_key(site, tag, 1));
+                else
+                    (void)col_event(c, tid, step, KIND_REL, col_lock(c, lk),
+                                    token_key(site, tag, 0));
+            }
             break;
         }
         case TAG_WAIT:
@@ -571,8 +703,9 @@ static void apply_events(wk_ctx *c, const uint8_t *p, uint64_t len,
                 (void)get_uvarint(p, len, &pos, &u); /* woken */
                 pos++;                               /* notify_all flag */
             }
-            if (c->log_events)
-                log_event(c, step, tag, t, 0, lk, site, 0, 0);
+            if (c->columns)
+                (void)col_event(c, tid, step, KIND_CONDVAR, -1,
+                                token_key(site, tag, 0));
             break;
         }
         case TAG_BLOCK: {
@@ -582,8 +715,9 @@ static void apply_events(wk_ctx *c, const uint8_t *p, uint64_t len,
             (void)get_uvarint(p, len, &pos, &isite);
             (void)get_uvarint(p, len, &pos, &occ);
             (void)get_uvarint(p, len, &pos, &u); /* holder */
-            if (c->log_events)
-                log_event(c, step, tag, t, 0, lk, isite, it, occ);
+            if (c->columns)
+                (void)col_event(c, tid, step, KIND_BLOCK, -1,
+                                token_key(isite, tag, 0));
             break;
         }
         }
@@ -607,15 +741,19 @@ int wk_feed_events(wk_ctx *c, const uint8_t *payload, uint64_t len) {
     }
     /* Reserve worst-case capacity so pass 2 cannot fail midway: per
      * event at most one touch op plus one spawn/join op (3 i64 each),
-     * one acquire pair, one 10-slot entry and, when logging, one event
-     * record; held quads counted exactly. */
+     * one acquire pair, one 10-slot entry and, when collecting columns,
+     * one event record and one acquisition; held quads counted exactly,
+     * and a column id at most for every thread and lock row. */
     if (vec_reserve(&c->clock_ops, 6 * n) != WK_OK ||
         vec_reserve(&c->acq, 2 * n) != WK_OK ||
         vec_reserve(&c->entries, 10 * n) != WK_OK ||
         vec_reserve(&c->nonempty, n) != WK_OK ||
         vec_reserve(&c->held, 4 * held_total) != WK_OK ||
-        (c->log_events &&
-         vec_reserve(&c->events, WK_EVENT_WIDTH * n) != WK_OK)) {
+        (c->columns &&
+         (vec_reserve(&c->col_trace, 5 * n) != WK_OK ||
+          vec_reserve(&c->col_acqs, WK_ACQ_WIDTH * n) != WK_OK ||
+          vec_reserve(&c->col_threads, WK_THREAD_WIDTH * c->n_threads) != WK_OK ||
+          vec_reserve(&c->col_locks, c->n_locks) != WK_OK))) {
         c->err_code = WK_ENOMEM;
         snprintf(c->err, sizeof(c->err), "native kernel: out of memory");
         return WK_ENOMEM;
@@ -645,5 +783,90 @@ const int64_t *wk_held(wk_ctx *c) { return c->held.data; }
 uint64_t wk_n_nonempty(wk_ctx *c) { return c->nonempty.len; }
 const int64_t *wk_nonempty(wk_ctx *c) { return c->nonempty.data; }
 
-uint64_t wk_n_events(wk_ctx *c) { return c->events.len / WK_EVENT_WIDTH; }
-const int64_t *wk_events(wk_ctx *c) { return c->events.data; }
+/* ------------------------------------------------------------------ */
+/* column re-read: group by thread, match releases                    */
+
+/* Group the collected events by column thread id (trace order within a
+ * thread) and give each non-reentrant acquire its matching release's
+ * position: the thread's next release of that lock, unless the thread
+ * acquires the lock again first.  Call once, after the last payload. */
+int wk_columns_finish(wk_ctx *c) {
+    uint64_t n = c->col_trace.len / 5, nt = c->col_threads.len / WK_THREAD_WIDTH;
+    uint64_t nl = c->col_locks.len, i, t;
+    int64_t *end, *open, *ev;
+    if (n == 0)
+        return WK_OK;
+    end = (int64_t *)malloc((nt + 1) * sizeof(int64_t));
+    open = (int64_t *)malloc((nl + 1) * sizeof(int64_t));
+    if (!end || !open ||
+        vec_reserve(&c->col_events, WK_EVENT_WIDTH * n) != WK_OK) {
+        free(end);
+        free(open);
+        return WK_ENOMEM;
+    }
+    /* end[t] starts at thread t's first slot and ends past its last. */
+    for (i = 0, t = 0; t < nt; t++) {
+        end[t] = (int64_t)i;
+        i += (uint64_t)c->col_threads.data[WK_THREAD_WIDTH * t + 4];
+    }
+    ev = c->col_events.data;
+    for (i = 0; i < n; i++) {
+        const int64_t *r = c->col_trace.data + 5 * i;
+        int64_t *e = ev + WK_EVENT_WIDTH * end[r[0]]++;
+        e[0] = r[1];
+        e[1] = r[2];
+        e[2] = r[3];
+        e[3] = -1;
+        e[4] = r[4];
+    }
+    c->col_events.len = WK_EVENT_WIDTH * n;
+    vec_free(&c->col_trace);
+    for (i = 0; i < nl; i++)
+        open[i] = -1;
+    for (t = 0; t < nt; t++) {
+        int64_t hi = end[t], lo = hi - c->col_threads.data[WK_THREAD_WIDTH * t + 4];
+        int64_t j;
+        for (j = lo; j < hi; j++) {
+            int64_t *e = ev + WK_EVENT_WIDTH * j;
+            if (e[1] == KIND_ACQ) {
+                open[e[2]] = j - lo;
+            } else if (e[1] == KIND_REL && open[e[2]] >= 0) {
+                ev[WK_EVENT_WIDTH * (lo + open[e[2]]) + 3] = j - lo;
+                open[e[2]] = -1;
+            }
+        }
+        for (j = lo; j < hi; j++) { /* forget this thread's open locks */
+            int64_t *e = ev + WK_EVENT_WIDTH * j;
+            if (e[1] == KIND_ACQ || e[1] == KIND_REL)
+                open[e[2]] = -1;
+        }
+    }
+    free(end);
+    free(open);
+    return WK_OK;
+}
+
+static i64vec *column(wk_ctx *c, int which) {
+    switch (which) {
+    case COL_THREADS:
+        return &c->col_threads;
+    case COL_LOCKS:
+        return &c->col_locks;
+    case COL_EVENTS:
+        return &c->col_events;
+    case COL_ACQS:
+        return &c->col_acqs;
+    }
+    return NULL;
+}
+
+/* Column `which` (COL_*), valid until the next wk_feed_events; its
+ * length counts int64s.  An unknown column is empty. */
+uint64_t wk_column_len(wk_ctx *c, int which) {
+    i64vec *v = column(c, which);
+    return v ? v->len : 0;
+}
+const int64_t *wk_column(wk_ctx *c, int which) {
+    i64vec *v = column(c, which);
+    return v ? v->data : NULL;
+}

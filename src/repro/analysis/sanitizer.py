@@ -417,7 +417,7 @@ def check_cycle_closure(
             # Index lookups yield (thread id, position); the entry's own
             # thread id is None when the trace never saw that thread.
             thread = index.thread_ids.get(entry.thread)
-            home = index.acq_by_index.get(entry.index)
+            home = index.acquisition(entry.index)
             if home is None:
                 bad(
                     entry,
@@ -435,7 +435,7 @@ def check_cycle_closure(
                 continue
             acq_pos = home[1]
             for lock, ctx in zip(entry.lockset, entry.context):
-                held = index.acq_by_index.get(ctx)
+                held = index.acquisition(ctx)
                 if held is None:
                     bad(
                         entry,

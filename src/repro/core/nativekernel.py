@@ -28,9 +28,17 @@ Division of labor (see docs/architecture.md, "Native analysis kernel"):
   only when a view of its graph is read.  No analysis path reads the
   whole relation; ``NativeRelation.entries`` materializes it, into the
   exact objects the pure-Python engine would have built, for a caller
-  that does.  The prediction index re-reads the file through a
-  kernel that logs every event as integers (:class:`NativeEventLogReader`)
-  instead of decoding event objects.
+  that does.
+* **Columns for the prediction index**: the index re-reads the file
+  through a kernel that collects the trace as per-thread columns
+  (:class:`NativeColumnReader`): dense thread and lock ids in first-
+  mention order; per thread the steps, closure kinds, aux ids, matched
+  release positions and token keys of its events; its spawn and end
+  facts; and the acquisitions in trace order.
+  :meth:`~repro.core.prediction.ClosureIndex.from_events` slices its
+  tables out of them with no per-event Python loop and formats a
+  thread's witness tokens only when a witness reads them.  Analysis
+  contexts collect no columns.
 
 Build & fallback rules:
 
@@ -73,7 +81,7 @@ from repro.core.lockdep import (
     LockDependencyRelation,
     VertexKey,
 )
-from repro.core.prediction import EVENT_LOG_WIDTH, EventLog
+from repro.core.prediction import ThreadColumns
 from repro.core.streaming import StreamingDetector
 from repro.core.vclock import VectorClockState, update_clocks
 from repro.runtime.events import JoinEvent, SpawnEvent, Trace
@@ -81,7 +89,7 @@ from repro.runtime.tracefile import ChunkDecoder, TraceFileReader, _DecodeCore
 from repro.util.ids import ExecIndex, LockId, ThreadId
 
 #: Version of the kernel ABI this wrapper speaks; must match wk_abi().
-KERNEL_ABI = 2
+KERNEL_ABI = 3
 
 #: Backends accepted by every ``backend=`` parameter in the pipeline.
 BACKENDS = ("python", "native", "auto")
@@ -97,8 +105,9 @@ wk_ctx *wk_new(void);
 void wk_free(wk_ctx *);
 const char *wk_error(wk_ctx *);
 int wk_error_code(wk_ctx *);
-int wk_set_tables(wk_ctx *, uint64_t, uint64_t, uint64_t, const int64_t *);
-void wk_log_events(wk_ctx *, int);
+int wk_set_tables(wk_ctx *, uint64_t, uint64_t, uint64_t, const int64_t *,
+                  const int64_t *);
+void wk_collect_columns(wk_ctx *, int);
 int wk_feed_events(wk_ctx *, const void *, uint64_t);
 int64_t wk_last_step(wk_ctx *);
 uint64_t wk_events_read(wk_ctx *);
@@ -112,8 +121,9 @@ uint64_t wk_n_held(wk_ctx *);
 const int64_t *wk_held(wk_ctx *);
 uint64_t wk_n_nonempty(wk_ctx *);
 const int64_t *wk_nonempty(wk_ctx *);
-uint64_t wk_n_events(wk_ctx *);
-const int64_t *wk_events(wk_ctx *);
+int wk_columns_finish(wk_ctx *);
+uint64_t wk_column_len(wk_ctx *, int);
+const int64_t *wk_column(wk_ctx *, int);
 """
 
 
@@ -308,20 +318,25 @@ class _Kernel:
         self._ctx = ffi.gc(ctx, lib.wk_free)
 
     def set_tables(
-        self, n_strings: int, n_locks: int, thread_canon: array
+        self, n_strings: int, thread_canon: array, lock_canon: array
     ) -> None:
-        """Size the tables; ``thread_canon`` maps every thread row to the
-        first row holding an equal :class:`ThreadId`."""
-        canon = self._ffi.from_buffer("int64_t[]", thread_canon)
+        """Size the tables; ``thread_canon`` and ``lock_canon`` map every
+        thread and lock row to the first row holding an equal identity."""
+        from_buffer = self._ffi.from_buffer
         rc = self._lib.wk_set_tables(
-            self._ctx, n_strings, len(thread_canon), n_locks, canon
+            self._ctx,
+            n_strings,
+            len(thread_canon),
+            len(lock_canon),
+            from_buffer("int64_t[]", thread_canon),
+            from_buffer("int64_t[]", lock_canon),
         )
         if rc != 0:
             raise MemoryError("wk_set_tables failed")
 
-    def log_events(self) -> None:
-        """Log every event fed from now on (see :meth:`event_log`)."""
-        self._lib.wk_log_events(self._ctx, 1)
+    def collect_columns(self) -> None:
+        """Collect every event fed from now on (see :meth:`columns`)."""
+        self._lib.wk_collect_columns(self._ctx, 1)
 
     def feed_events(self, payload) -> int:
         """Feed one EVENTS payload; returns the kernel error code
@@ -356,10 +371,17 @@ class _Kernel:
             self._pull(lib.wk_n_nonempty(ctx), lib.wk_nonempty(ctx), 1),
         )
 
-    def event_log(self) -> array:
-        """Copy out the event log: ``EVENT_LOG_WIDTH`` ints per event."""
+    def columns(self) -> Tuple[array, array, array, array]:
+        """Group the collected events by thread and copy the columns out
+        (threads, locks, events, acquisitions; see :class:`ThreadColumns`).
+        Empty for a context that collected none."""
         lib, ctx = self._lib, self._ctx
-        return self._pull(lib.wk_n_events(ctx), lib.wk_events(ctx), EVENT_LOG_WIDTH)
+        if lib.wk_columns_finish(ctx) != 0:
+            raise MemoryError("wk_columns_finish failed")
+        return tuple(
+            self._pull(lib.wk_column_len(ctx, k), lib.wk_column(ctx, k), 1)
+            for k in range(4)
+        )
 
     @property
     def n_entries(self) -> int:
@@ -423,14 +445,14 @@ class _KernelFeed:
     def _init_decode_state(self) -> None:
         super()._init_decode_state()
         self._thread_canon = array("q")
-        self._lock_canon: List[int] = []
+        self._lock_canon = array("q")
         self._first_thread: Dict[ThreadId, int] = {}
         self._first_lock: Dict[LockId, int] = {}
 
     def _sync_tables(self) -> None:
         _extend_canon(self._threads, self._first_thread, self._thread_canon)
         _extend_canon(self._locks, self._first_lock, self._lock_canon)
-        self._nk.set_tables(len(self._strings), len(self._locks), self._thread_canon)
+        self._nk.set_tables(len(self._strings), self._thread_canon, self._lock_canon)
 
     def _load_strings(self, payload) -> None:
         super()._load_strings(payload)
@@ -463,29 +485,34 @@ class NativeTraceFileReader(_KernelFeed, TraceFileReader):
         super().__init__(src)
 
 
-class NativeEventLogReader(NativeTraceFileReader):
-    """A ``.wtrc`` re-read through a kernel that logs every event as
-    integers, for :meth:`ClosureIndex.from_events`.
+class NativeColumnReader(NativeTraceFileReader):
+    """A ``.wtrc`` re-read through a kernel that collects per-thread
+    columns, for :meth:`ClosureIndex.from_events`.
 
-    The log exists only for the length of the re-read; analysis contexts
-    never keep one.
+    The columns exist only for the length of the re-read; analysis
+    contexts never collect them.
     """
 
     def __init__(self, src) -> None:
         kernel = _Kernel()
-        kernel.log_events()
+        kernel.collect_columns()
         super().__init__(src, kernel)
 
-    def read_event_log(self) -> EventLog:
-        """Stream the rest of the file through the kernel; its whole
-        event log, with the tables the records index."""
+    def read_columns(self) -> ThreadColumns:
+        """Stream the rest of the file through the kernel; the whole
+        trace as :class:`ThreadColumns`, with the tables their rows
+        index."""
         for _ in self:
             pass
-        return EventLog(
-            rows=self._nk.event_log(),
+        threads, locks, events, acquisitions = self._nk.columns()
+        return ThreadColumns(
+            threads=threads,
+            locks=locks,
+            events=events,
+            acquisitions=acquisitions,
             strings=self._strings,
-            threads=self._threads,
-            locks=self._locks,
+            thread_rows=self._threads,
+            lock_rows=self._locks,
         )
 
 

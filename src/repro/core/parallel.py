@@ -169,7 +169,7 @@ def closure_index_for(
     analysis never does, so ``trace_path`` names the backing ``.wtrc`` (or
     serve spool) to re-read in one sequential pass.  A detection the
     native kernel made is re-read through the kernel, which hands the
-    index its integer event log; if the kernel rejects a payload the
+    index per-thread columns; if the kernel rejects a payload the
     pure-Python decoder re-reads it and raises its own error (or, on the
     admitted >64-bit varint divergence, indexes the whole file).  The
     pure backend re-reads in Python: it is the only path on a host
@@ -183,13 +183,13 @@ def closure_index_for(
         return ClosureIndex()
     from repro.core.nativekernel import (
         KernelDivergenceError,
-        NativeEventLogReader,
+        NativeColumnReader,
         NativeRelation,
     )
 
     if isinstance(detection.relation, NativeRelation):
         try:
-            with NativeEventLogReader(trace_path) as reader:
+            with NativeColumnReader(trace_path) as reader:
                 return ClosureIndex.from_events(reader)
         except KernelDivergenceError:
             pass

@@ -77,7 +77,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from itertools import accumulate
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.detector import PotentialDeadlock
 from repro.runtime.events import (
@@ -101,7 +102,7 @@ __all__ = [
     "CyclePrediction",
     "PredictionResult",
     "ClosureIndex",
-    "EventLog",
+    "ThreadColumns",
     "Predictor",
     "event_token",
     "predict_cycles",
@@ -229,32 +230,7 @@ class PredictionResult:
         return sum(1 for p in self.predictions if p.decided)
 
 
-@dataclass
-class EventLog:
-    """A trace as flat integer records: the native kernel's event log.
-
-    ``rows`` holds :data:`EVENT_LOG_WIDTH` ints per event, in trace
-    order: ``step, tag, thread, flag, lock, site, other, occ``.  ``tag``
-    is the event's ``.wtrc`` wire tag and ``flag`` the reentrant bit of an
-    acquire or release.  ``lock`` is the lock of an acquire, release,
-    wait, notify or block; ``site`` the string row of its site (the
-    execution index's site for an acquire or block); ``other`` the
-    execution index's thread (acquire, block), the spawned child or the
-    join target; ``occ`` the execution index's occurrence.  Threads,
-    locks and sites are raw rows of ``threads``, ``locks`` and
-    ``strings``, the trace's own tables.
-    """
-
-    rows: Sequence[int]
-    strings: List[str]
-    threads: List[ThreadId]
-    locks: List[LockId]
-
-
-#: Ints per :class:`EventLog` record (``WK_EVENT_WIDTH`` in the kernel).
-EVENT_LOG_WIDTH = 8
-
-# Wire tags of the event kinds (an EventLog record's ``tag``).
+# Wire tags of the event kinds.
 (
     _TAG_BEGIN,
     _TAG_END,
@@ -280,10 +256,73 @@ EVENT_LOG_WIDTH = 8
     )
 )
 
+#: Ints per thread, event and acquisition of :class:`ThreadColumns`
+#: (``WK_THREAD_WIDTH``, ``WK_EVENT_WIDTH`` and ``WK_ACQ_WIDTH`` in the
+#: kernel).
+THREAD_WIDTH, EVENT_WIDTH, ACQ_WIDTH = 5, 5, 6
+#: A token key is ``arg << TOKEN_SHIFT | tag``, plus ``TOKEN_REENTRANT``
+#: for a reentrant acquire or release.
+TOKEN_SHIFT, TOKEN_REENTRANT = 5, 16
+
+
+@dataclass
+class ThreadColumns:
+    """A trace regrouped by thread: the native kernel's column re-read.
+
+    Threads and locks have dense ids, in the order the trace first
+    mentions each identity, as :meth:`ClosureIndex.feed` interns them (a
+    non-reentrant acquisition mentions its execution index's thread).
+    ``threads`` holds :data:`THREAD_WIDTH` ints per thread id: the table
+    row of its first mention, the thread id and position of the spawn that
+    started it (-1 and -1 without one), whether it ended, and its event
+    count.  ``locks`` holds the table row of each lock id's first mention.
+    ``events`` holds :data:`EVENT_WIDTH` ints per event, grouped by thread
+    id and in trace order within a thread: step, kind, aux, release
+    position and token key, as :class:`ClosureIndex` defines them (a token
+    key's ``arg`` is the row of the event's site, or of the spawned child
+    or join target).  ``acquisitions`` holds :data:`ACQ_WIDTH` ints per
+    non-reentrant acquisition, in trace order: step, thread id, position,
+    and its execution index's thread id, site row and occurrence.  Rows
+    index the trace's own tables ``strings``, ``thread_rows`` and
+    ``lock_rows``.
+    """
+
+    threads: Sequence[int]
+    locks: Sequence[int]
+    events: Sequence[int]
+    acquisitions: Sequence[int]
+    strings: List[str]
+    thread_rows: List[ThreadId]
+    lock_rows: List[LockId]
+
+    def tokens_of(self, key_lists: List[List[int]]) -> Callable[[int], List[str]]:
+        """A formatter of one thread's witness tokens from its token keys;
+        each distinct key is formatted once."""
+        strings, rows = self.strings, self.thread_rows
+        memo: Dict[int, str] = {}
+
+        def format_tokens(thread: int) -> List[str]:
+            out = []
+            for key in key_lists[thread]:
+                token = memo.get(key)
+                if token is None:
+                    tag, arg = key & (TOKEN_REENTRANT - 1), key >> TOKEN_SHIFT
+                    if tag == _TAG_SPAWN or tag == _TAG_JOIN:
+                        site, other = "", rows[arg].pretty()
+                    else:
+                        site, other = strings[arg], ""
+                    token = memo[key] = _record_token(
+                        tag, key & TOKEN_REENTRANT, site, other
+                    )
+                out.append(token)
+            return out
+
+        return format_tokens
+
 
 def _record_token(tag: int, reentrant: int, site: str, other: str) -> str:
-    """:func:`event_token` of the event an :class:`EventLog` record
-    stands for (``other`` is the child's or join target's pretty name)."""
+    """:func:`event_token` of an event given by its wire tag, reentrant
+    bit, site and (spawn, join) the child's or target's pretty name."""
     if tag == _TAG_ACQUIRE or tag == _TAG_RELEASE:
         verb = "acq" if tag == _TAG_ACQUIRE else "rel"
         return f"{verb}+@{site}" if reentrant else f"{verb}@{site}"
@@ -303,25 +342,27 @@ def _record_token(tag: int, reentrant: int, site: str, other: str) -> str:
 class ClosureIndex:
     """Per-thread compact event index the closures run over.
 
-    One trace pass (``feed`` per event, or :meth:`from_events`) builds
-    everything both closures need.  Threads and locks are interned to
-    dense ints the first time ``feed`` sees them; ``threads`` and
-    ``locks`` map an id back to its identity, which the closures need only
-    for reason strings and witness names.  Every per-thread table is a
-    list indexed by thread id, holding one entry per event position:
-    ``steps``, ``kinds``, ``aux`` (the lock id of an acquire or release,
-    the thread id of a join target, else -1), ``tokens``, and ``rel_pos``
-    (for a non-reentrant acquisition, its matching release's position;
-    -1 while open and for every other event).  ``acq_by_step`` and
-    ``acq_by_index`` locate each non-reentrant acquisition as
-    ``(thread id, position)``.  Event objects are not retained, so the
-    index can be built from a ``.wtrc`` re-read (daemon / corpus paths)
-    without materializing the trace; the native backend's re-read hands
-    over the kernel's :class:`EventLog` and never builds an event.
-
-    The tables grow in one routine over integer fields, :meth:`_add`.
-    :meth:`feed` adapts an event object to it, :meth:`_feed_log` a log
-    record, and both intern and tokenize alike.
+    One trace pass builds everything both closures need: :meth:`feed`
+    per event object, or :meth:`from_events` over a whole trace.  Threads
+    and locks are interned to dense ints the first time the trace
+    mentions them: a thread as an event's thread, a spawned child, a join
+    target or the thread of an acquisition's execution index; a lock by
+    a non-reentrant acquire or release.  ``threads`` and ``locks`` map an
+    id back to its identity, which the closures need only for reason
+    strings and witness names.  Every per-thread table is a list indexed
+    by thread id, holding one entry per event position: ``steps``,
+    ``kinds``, ``aux`` (the lock id of an acquire or release, the thread
+    id of a join target, else -1) and ``rel_pos`` (for a non-reentrant
+    acquisition, its matching release's position; -1 while open and for
+    every other event).  ``acq_by_step`` locates each non-reentrant
+    acquisition by step as ``(thread id, position)``, and
+    :meth:`acquisition` by execution index.  Witness tokens are read per
+    thread through :meth:`thread_tokens`.  Event objects are not
+    retained, so the index can be built from a ``.wtrc`` re-read (daemon
+    / corpus paths) without materializing the trace; the native
+    backend's re-read hands over the kernel's :class:`ThreadColumns` and
+    never builds an event, and its tokens are formatted when a witness
+    first reads them.
     """
 
     def __init__(self) -> None:
@@ -332,7 +373,8 @@ class ClosureIndex:
         self.steps: List[List[int]] = []
         self.kinds: List[List[int]] = []
         self.aux: List[List[int]] = []
-        self.tokens: List[List[str]] = []
+        #: per thread: its tokens, or ``None`` until first formatted.
+        self.tokens: List[Optional[List[str]]] = []
         self.rel_pos: List[List[int]] = []
         #: per thread: lock id -> position of its open acquisition.
         self._open: List[Dict[int, int]] = []
@@ -340,21 +382,61 @@ class ClosureIndex:
         self.spawn_of: List[Optional[Tuple[int, int]]] = []
         self.has_end: List[bool] = []
         self.acq_by_step: Dict[int, Tuple[int, int]] = {}
-        self.acq_by_index: Dict[ExecIndex, Tuple[int, int]] = {}
+        #: (thread id, site, occ) of an execution index -> (thread id,
+        #: position).
+        self.acq_by_index: Dict[Tuple[int, str, int], Tuple[int, int]] = {}
         self.events_seen = 0
+        self._format_tokens: Optional[Callable[[int], List[str]]] = None
 
     @classmethod
     def from_events(cls, events: Iterable[TraceEvent]) -> "ClosureIndex":
         """Index ``events``: an iterable of trace events, or a source
-        whose ``read_event_log()`` returns the whole trace as an
-        :class:`EventLog` (the native re-read of a ``.wtrc``)."""
+        whose ``read_columns()`` returns the whole trace as
+        :class:`ThreadColumns` (the native re-read of a ``.wtrc``)."""
+        read_columns = getattr(events, "read_columns", None)
+        if read_columns is not None:
+            return cls._from_columns(read_columns())
         index = cls()
-        read_log = getattr(events, "read_event_log", None)
-        if read_log is not None:
-            index._feed_log(read_log())
-        else:
-            for ev in events:
-                index.feed(ev)
+        for ev in events:
+            index.feed(ev)
+        return index
+
+    @classmethod
+    def _from_columns(cls, cols: ThreadColumns) -> "ClosureIndex":
+        """The index :meth:`feed` builds from the same trace, from array
+        slices.  Tokens are formatted per thread on first read."""
+        index = cls()
+        rows = cols.thread_rows
+        threads = cols.threads
+        index.threads = [rows[r] for r in threads[0::THREAD_WIDTH]]
+        index.locks = [cols.lock_rows[r] for r in cols.locks]
+        index.thread_ids = {t: i for i, t in enumerate(index.threads)}
+        index.lock_ids = {l: i for i, l in enumerate(index.locks)}
+        ends = list(accumulate(threads[4::THREAD_WIDTH]))
+        spans = [
+            (EVENT_WIDTH * lo, EVENT_WIDTH * hi) for lo, hi in zip([0, *ends], ends)
+        ]
+        flat = cols.events.tolist()
+        w = EVENT_WIDTH
+        index.steps = [flat[lo:hi:w] for lo, hi in spans]
+        index.kinds = [flat[lo + 1 : hi : w] for lo, hi in spans]
+        index.aux = [flat[lo + 2 : hi : w] for lo, hi in spans]
+        index.rel_pos = [flat[lo + 3 : hi : w] for lo, hi in spans]
+        index.tokens = [None] * len(spans)
+        keys = [flat[lo + 4 : hi : w] for lo, hi in spans]
+        index._format_tokens = cols.tokens_of(keys)
+        index._open = [{} for _ in spans]
+        index.spawn_of = [
+            None if parent < 0 else (parent, pos)
+            for parent, pos in zip(threads[1::THREAD_WIDTH], threads[2::THREAD_WIDTH])
+        ]
+        index.has_end = [bool(e) for e in threads[3::THREAD_WIDTH]]
+        acqs, aw = cols.acquisitions, ACQ_WIDTH
+        homes = list(zip(acqs[1::aw], acqs[2::aw]))
+        index.acq_by_step = dict(zip(acqs[0::aw], homes))
+        sites = map(cols.strings.__getitem__, acqs[4::aw])
+        index.acq_by_index = dict(zip(zip(acqs[3::aw], sites, acqs[5::aw]), homes))
+        index.events_seen = len(flat) // EVENT_WIDTH
         return index
 
     def thread_id(self, thread: ThreadId) -> int:
@@ -378,109 +460,61 @@ class ClosureIndex:
             self.locks.append(lock)
         return lid
 
-    def _add(
-        self,
-        t: int,
-        step: int,
-        tag: int,
-        other: int,
-        token: str,
-        index: Optional[ExecIndex],
-    ) -> None:
-        """Append one event to thread ``t``'s tables.  ``tag`` is its
-        wire tag, except that a reentrant acquire or release comes as
-        ``_TAG_BEGIN``: it indexes like any other event.  ``other`` is the
-        id of the lock an acquire or release takes, of a join target or
-        of a spawned child; ``index`` an acquisition's execution index."""
-        self.events_seen += 1
+    def acquisition(self, index: ExecIndex) -> Optional[Tuple[int, int]]:
+        """``(thread id, position)`` of the non-reentrant acquisition whose
+        execution index equals ``index``, or ``None``."""
+        thread = self.thread_ids.get(index.thread)
+        if thread is None:
+            return None
+        return self.acq_by_index.get((thread, index.site, index.occ))
+
+    def thread_tokens(self, thread: int) -> List[str]:
+        """:func:`event_token` of each of ``thread``'s events."""
+        tokens = self.tokens[thread]
+        if tokens is None:
+            tokens = self.tokens[thread] = self._format_tokens(thread)
+        return tokens
+
+    def feed(self, ev: TraceEvent) -> None:
+        """Index one event object."""
+        t = self.thread_id(ev.thread)
+        tag = _EV_TAG.get(type(ev), _TAG_BEGIN)
         steps = self.steps[t]
         pos = len(steps)
-        steps.append(step)
         kind, aux = _OTHER, -1
         if tag == _TAG_ACQUIRE:
-            kind, aux = _ACQ, other
-            self.acq_by_step[step] = (t, pos)
-            self.acq_by_index[index] = (t, pos)
-            self._open[t][other] = pos
+            if not ev.reentrant:
+                kind = _ACQ
+                aux = self.lock_id(ev.lock)
+                ix = ev.index
+                key = (self.thread_id(ix.thread), ix.site, ix.occ)
+                self.acq_by_step[ev.step] = self.acq_by_index[key] = (t, pos)
+                self._open[t][aux] = pos
         elif tag == _TAG_RELEASE:
-            kind, aux = _REL, other
-            acq = self._open[t].pop(other, None)
-            if acq is not None:
-                self.rel_pos[t][acq] = pos
+            if not ev.reentrant:
+                kind = _REL
+                aux = self.lock_id(ev.lock)
+                acq = self._open[t].pop(aux, None)
+                if acq is not None:
+                    self.rel_pos[t][acq] = pos
         elif tag == _TAG_JOIN:
-            kind, aux = _JOIN, other
+            kind, aux = _JOIN, self.thread_id(ev.target)
         elif tag == _TAG_SPAWN:
-            if self.spawn_of[other] is None:
-                self.spawn_of[other] = (t, pos)
+            child = self.thread_id(ev.child)
+            if self.spawn_of[child] is None:
+                self.spawn_of[child] = (t, pos)
         elif tag == _TAG_WAIT or tag == _TAG_NOTIFY:
             kind = _CONDVAR
         elif tag == _TAG_BLOCK:
             kind = _BLOCK
         elif tag == _TAG_END:
             self.has_end[t] = True
+        self.events_seen += 1
+        steps.append(ev.step)
         self.kinds[t].append(kind)
         self.aux[t].append(aux)
         self.rel_pos[t].append(-1)
-        self.tokens[t].append(token)
-
-    def feed(self, ev: TraceEvent) -> None:
-        """Index one event object."""
-        t = self.thread_id(ev.thread)
-        tag = _EV_TAG.get(type(ev), _TAG_BEGIN)
-        other, index = -1, None
-        if tag == _TAG_ACQUIRE or tag == _TAG_RELEASE:
-            if ev.reentrant:
-                tag = _TAG_BEGIN
-            else:
-                other = self.lock_id(ev.lock)
-                if tag == _TAG_ACQUIRE:
-                    index = ev.index
-        elif tag == _TAG_JOIN:
-            other = self.thread_id(ev.target)
-        elif tag == _TAG_SPAWN:
-            other = self.thread_id(ev.child)
-        self._add(t, ev.step, tag, other, event_token(ev), index)
-
-    def _feed_log(self, log: EventLog) -> None:
-        """Index every record of ``log`` as :meth:`feed` indexes the event
-        it stands for.  Each raw table row is interned (by value) on first
-        use, and each distinct token is formatted once."""
-        strings, threads, locks = log.strings, log.threads, log.locks
-        tid = [-1] * len(threads)  # raw thread row -> thread id
-        lid = [-1] * len(locks)  # raw lock row -> lock id
-        tokens: Dict[Tuple[int, int, int, int], str] = {}
-        new = object.__new__
-        add = self._add
-        it = iter(log.rows)
-        for step, tag, row, flag, lock, site, x, occ in zip(it, it, it, it, it, it, it, it):
-            t = tid[row]
-            if t < 0:
-                t = tid[row] = self.thread_id(threads[row])
-            key = (tag, flag, site, x)
-            token = tokens.get(key)
-            if token is None:
-                named = tag == _TAG_SPAWN or tag == _TAG_JOIN
-                token = tokens[key] = _record_token(
-                    tag, flag, strings[site], threads[x].pretty() if named else ""
-                )
-            other, index = -1, None
-            if tag == _TAG_ACQUIRE or tag == _TAG_RELEASE:
-                if flag:
-                    tag = _TAG_BEGIN
-                else:
-                    other = lid[lock]
-                    if other < 0:
-                        other = lid[lock] = self.lock_id(locks[lock])
-                    if tag == _TAG_ACQUIRE:
-                        # Built as the decoder builds it: an equal object
-                        # without the frozen dataclass's per-field setattr.
-                        index = new(ExecIndex)
-                        index.__dict__.update(thread=threads[x], site=strings[site], occ=occ)
-            elif tag == _TAG_JOIN or tag == _TAG_SPAWN:
-                other = tid[x]
-                if other < 0:
-                    other = tid[x] = self.thread_id(threads[x])
-            add(t, step, tag, other, token, index)
+        self.tokens[t].append(event_token(ev))
 
     def release_pos(self, thread: int, acq_pos: int) -> int:
         return self.rel_pos[thread][acq_pos]
@@ -809,7 +843,7 @@ class Predictor:
                 )
             caps[found[0]] = found[1]
             for lock in entry.lockset:
-                des = index.acq_by_index.get(entry.mu(lock))
+                des = index.acquisition(entry.mu(lock))
                 if des is None:
                     raise _Incomplete(
                         f"held acquisition of {lock.pretty()} is not in the trace"
@@ -843,7 +877,7 @@ class Predictor:
             prefix_lens.append((name, n))
             steps = index.steps[thread]
             kinds = index.kinds[thread]
-            tokens = index.tokens[thread]
+            tokens = index.thread_tokens(thread)
             included.extend(
                 (steps[pos], name, tokens[pos])
                 for pos in range(n)
@@ -868,7 +902,8 @@ class Predictor:
         """A witness from a discovered schedule: already in execution
         order, so no linearization — just tokens, minus blocked attempts."""
         index = self.index
-        kinds, tokens = index.kinds, index.tokens
+        kinds = index.kinds
+        tokens = {t: index.thread_tokens(t) for t in search.need}
         names = {t: index.threads[t].pretty() for t in search.need}
         return WitnessSchedule(
             sites=tuple(sorted(cycle.sites)),

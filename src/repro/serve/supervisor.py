@@ -160,7 +160,6 @@ class FleetSupervisor:
         self._procs: List[Optional[subprocess.Popen]] = [None] * config.workers
         self._logs: List[Optional[object]] = [None] * config.workers
         self._servers: List[asyncio.AbstractServer] = []
-        self._router_conns: set = set()
         self._health_task: Optional[asyncio.Task] = None
         self._draining = False
         self._drain_requested: Optional[asyncio.Event] = None
@@ -413,18 +412,13 @@ class FleetSupervisor:
                 )
             finally:
                 wwriter.close()
-                try:
-                    await wwriter.wait_closed()
-                except (ConnectionError, OSError):
-                    pass
         except asyncio.CancelledError:
             pass
         finally:
+            # Close without awaiting the transports: a routing coroutine
+            # still pending at loop shutdown is closed with GeneratorExit,
+            # and may not await again while it unwinds.
             writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError, asyncio.CancelledError):
-                pass
 
     async def _connect_worker(self, index: int):
         """Dial a worker's unix socket, retrying across a restart window."""

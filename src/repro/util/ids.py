@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from typing import Optional, Tuple, TypeVar
 
 #: A source location.  Plain strings keep hashing cheap; helpers below
@@ -66,20 +67,25 @@ def hash_once(cls: _C) -> _C:
     names = tuple(
         f.name for f in fields(cls) if (f.compare if f.hash is None else f.hash)
     )
+    # attrgetter returns a tuple for two or more names, the value for one.
+    get = attrgetter(*names)
+    field_tuple = get if len(names) > 1 else lambda self: (get(self),)
 
     def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash(tuple(getattr(self, n) for n in names))
-            object.__setattr__(self, "_hash", h)
-            return h
+        # Before the first hash, ``_hash`` reads the class's ``None``: the
+        # first hash of an object is as common as the later ones, so it
+        # must not cost a raised AttributeError.
+        h = self._hash
+        if h is None:
+            h = self.__dict__["_hash"] = hash(field_tuple(self))
+        return h
 
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
         state.pop("_hash", None)
         return state
 
+    cls._hash = None
     cls.__hash__ = __hash__
     cls.__getstate__ = __getstate__
     return cls

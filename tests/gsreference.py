@@ -45,21 +45,27 @@ class RelationIndex:
 
 @dataclass
 class ReferenceGs:
+    """``Gs`` as Algorithm 3 states it: every acquisition a rule names is a
+    vertex, even where the rule's edge would be a self-loop (two entries
+    sharing a vertex), and no self-loop is added."""
+
     cycle: PotentialDeadlock
     graph: DiGraph = field(default_factory=DiGraph)
     edge_kinds: Dict[Tuple[GsVertex, GsVertex], EdgeKind] = field(default_factory=dict)
-    by_index: Dict[ExecIndex, GsVertex] = field(default_factory=dict)
+
+    @property
+    def by_index(self) -> Dict[ExecIndex, GsVertex]:
+        """Each execution index's vertex; where one index carries two locks,
+        the later in vertex order."""
+        return {v.index: v for v in self.graph.nodes()}
 
     def add_vertex(self, v: GsVertex) -> None:
         self.graph.add_node(v)
-        self.by_index[v.index] = v
 
     def add_edge(self, u: GsVertex, v: GsVertex, kind: EdgeKind) -> None:
-        if u == v:
-            return
         self.add_vertex(u)
         self.add_vertex(v)
-        if not self.graph.has_edge(u, v):
+        if u != v and not self.graph.has_edge(u, v):
             self.graph.add_edge(u, v)
             self.edge_kinds[(u, v)] = kind
 

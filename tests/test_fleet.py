@@ -21,11 +21,13 @@ The contracts this suite pins:
 from __future__ import annotations
 
 import asyncio
+import gc
 import json
 import os
 import random
 import signal
 import socket as socketlib
+import sys
 import threading
 import time
 
@@ -268,6 +270,67 @@ class TestShardRouting:
         # misrouted HELLO is not durable state.
         doc = json.load(open(os.path.join(wdir, RUN_MANIFEST_NAME)))
         assert doc["streams"] == [] and doc["rejected"] == []
+
+
+class TestRouterShutdown:
+    """A routing coroutine still pending when its loop shuts down is
+    closed with ``GeneratorExit``: it must unwind without awaiting again
+    ("coroutine ignored GeneratorExit", reported as unraisable when the
+    collector closes it)."""
+
+    def _close_pending(self, tmp_path, stage: str) -> None:
+        cfg = FleetConfig(
+            out_dir=str(tmp_path), workers=1, socket_path=str(tmp_path / "pub.sock")
+        )
+        sup = FleetSupervisor(cfg)
+        loop = asyncio.new_event_loop()
+        client, peer = socketlib.socketpair()
+        held = []
+
+        async def worker(reader, writer):
+            held.append(writer)
+            await reader.read(1)  # the routed HELLO: the splice is up
+            spliced.set()
+            await reader.read()
+
+        async def start():
+            os.makedirs(os.path.dirname(worker_socket_path(cfg.out_dir, 0)), exist_ok=True)
+            server = await asyncio.start_unix_server(
+                worker, worker_socket_path(cfg.out_dir, 0)
+            )
+            reader, writer = await asyncio.open_connection(sock=client)
+            task = asyncio.ensure_future(sup._route_connection(reader, writer))
+            if stage == "peek":
+                await asyncio.sleep(0)  # waiting for the first frame
+            else:
+                peer.sendall(encode_frame(FrameKind.HELLO, b'{"stream": "s"}'))
+                await asyncio.wait_for(spliced.wait(), timeout=10)
+            assert not task.done()
+            return server, task
+
+        spliced = asyncio.Event()
+        unraisable = []
+        hook, sys.unraisablehook = sys.unraisablehook, unraisable.append
+        try:
+            server, task = loop.run_until_complete(start())
+            task.get_coro().close()  # what collecting the pending task does
+            task.cancel()
+            for w in held:
+                w.close()
+            server.close()
+            loop.run_until_complete(server.wait_closed())
+            gc.collect()
+        finally:
+            sys.unraisablehook = hook
+            peer.close()
+            loop.close()
+        assert unraisable == []
+
+    def test_pending_peek(self, tmp_path):
+        self._close_pending(tmp_path, "peek")
+
+    def test_pending_splice(self, tmp_path):
+        self._close_pending(tmp_path, "splice")
 
 
 class TestClientBatching:

@@ -41,7 +41,7 @@ def health():
 
 
 def bench_doc(
-    end_to_end=4.0, dedup=3.5, file_ratio=2.0, decode=1.7, early=1.4
+    end_to_end=4.0, dedup=3.5, file_ratio=2.0, decode=1.7, early=1.4, index=3.0
 ) -> dict:
     return {
         "macro": {
@@ -50,7 +50,7 @@ def bench_doc(
             "decode_ratio": {"ratio": decode},
         },
         "dedup": {"speedup": dedup},
-        "prediction": {"early_speedup": early},
+        "prediction": {"early_speedup": early, "index_speedup": index},
     }
 
 
@@ -76,6 +76,7 @@ class TestPerfCheck:
             {"file_ratio": 0.1},
             {"decode": 0.1},
             {"early": 0.1},
+            {"index": 0.1},
         ):
             assert perf.check(bench_doc(**kwargs), baseline, tolerance=0.25) == 1
 
@@ -91,6 +92,14 @@ class TestPerfCheck:
         del baseline["dedup"]
         assert perf.check(bench_doc(), baseline, tolerance=0.25) == 0
         assert "SKIP" in capsys.readouterr().out
+
+    def test_index_speedup_without_a_kernel_skips(self, perf, capsys):
+        # A bench run on a host without the kernel records the closure
+        # index ratio as null: the gate skips it rather than failing.
+        baseline = bench_doc()
+        baseline["prediction"]["index_speedup"] = None
+        assert perf.check(bench_doc(index=0.1), baseline, tolerance=0.25) == 0
+        assert "SKIP  closure index speedup" in capsys.readouterr().out
 
     def test_baseline_schema_mismatch_skips_not_crashes(self, perf):
         # A baseline whose node shape diverged entirely (dict where a

@@ -1,13 +1,17 @@
-"""The prediction index built from the kernel's event log.
+"""The prediction index built from the kernel's thread columns.
 
 On the native backend :func:`repro.core.parallel.closure_index_for`
 re-reads a ``.wtrc`` (or a serve spool) through the kernel, which hands
-:class:`~repro.core.prediction.ClosureIndex` a flat integer event log
-instead of decoded events.  This suite holds that index to the pure
-re-read's, table by table, on the registry traces, the committed corpus
-and the crafted alias files; checks that a native report never runs the
-pure decoder; and checks the fallback when the kernel rejects a payload
-during the re-read.  Everything here needs the kernel.
+:class:`~repro.core.prediction.ClosureIndex` per-thread columns instead
+of decoded events.  This suite holds that index to the pure re-read's,
+table by table, tokens and the acquisition map included, on the registry
+traces, the committed corpus, the crafted alias files, dense and long
+nested-lock traces at two chunk sizes, generated programs, a trace cut
+inside a critical section and a trace with wait/notify.  It checks that
+every corpus survivor gets the same witness whichever re-read built its
+index, that a native report never runs the pure decoder, that analysis
+contexts collect no columns, and the fallback when the kernel rejects a
+payload during the re-read.  Everything here needs the kernel.
 """
 
 from __future__ import annotations
@@ -18,17 +22,19 @@ import pytest
 
 from repro.core.generator import Generator
 from repro.core.nativekernel import (
-    NativeEventLogReader,
+    NativeColumnReader,
     NativeTraceFileReader,
     _Kernel,
     analyze_trace_file,
     kernel_available,
 )
-from repro.core.parallel import closure_index_for
-from repro.core.prediction import ClosureIndex
+from repro.core.parallel import closure_index_for, predict_decisions
+from repro.core.prediction import _ACQ, ClosureIndex
 from repro.core.pruner import Pruner
+from repro.runtime.events import AcquireEvent, NotifyEvent, ReleaseEvent, Trace, WaitEvent
 from repro.runtime.tracefile import TraceFileReader, _DecodeCore, _get_uvarint, write_trace
 from repro.serve.report import render_report, report_doc_for_file
+from repro.workloads.randomgen import build_program, random_spec
 from tests.crafted import lock_alias_trace, nested_lock_trace, thread_alias_trace
 
 pytestmark = pytest.mark.skipif(
@@ -37,15 +43,19 @@ pytestmark = pytest.mark.skipif(
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 CORPUS_TRACES = sorted(str(p) for p in (REPO_ROOT / "corpus").glob("*.wtrc"))
+#: Events per EVENTS chunk of the nested-lock traces: chunks of 4 cut
+#: critical sections and spawn/join pairs apart.
+CHUNKINGS = (4, 1024)
+RANDOM_SEEDS = range(40)
 
-#: Every table the closures read, compared one by one.
+#: Every table the closures read, compared one by one (tokens through
+#: ``thread_tokens``, which formats them).
 TABLES = (
     "threads",
     "locks",
     "steps",
     "kinds",
     "aux",
-    "tokens",
     "rel_pos",
     "spawn_of",
     "has_end",
@@ -63,32 +73,43 @@ def pure_index(path: str) -> ClosureIndex:
 
 
 def kernel_index(path: str) -> ClosureIndex:
-    with NativeEventLogReader(path) as reader:
+    with NativeColumnReader(path) as reader:
         return ClosureIndex.from_events(reader)
+
+
+def tokens(index: ClosureIndex):
+    return [index.thread_tokens(t) for t in range(len(index.threads))]
 
 
 def assert_same_index(got: ClosureIndex, want: ClosureIndex, label: str = "") -> None:
     for name in TABLES:
         assert getattr(got, name) == getattr(want, name), (label, name)
+    assert tokens(got) == tokens(want), label
     # Ids compare by value; the index keeps the first object it met, name
     # included, and witnesses print those names.
     assert [t.name for t in got.threads] == [t.name for t in want.threads], label
     assert [l.name for l in got.locks] == [l.name for l in want.locks], label
 
 
+def assert_parity(path: str) -> None:
+    assert_same_index(kernel_index(path), pure_index(path), path)
+
+
+def _record(tmp, name: str, program, seed: int, **kw) -> str:
+    from repro.core.pipeline import run_detection
+
+    run = run_detection(program, seed, name=name)
+    path = str(tmp / f"{name}.wtrc")
+    write_trace(run.trace, path, **kw)
+    return path
+
+
 @pytest.fixture(scope="module")
 def registry_paths(tmp_path_factory):
-    from repro.core.pipeline import run_detection
     from repro.workloads.registry import all_benchmarks
 
     tmp = tmp_path_factory.mktemp("reread-registry")
-    out = []
-    for b in all_benchmarks():
-        run = run_detection(b.program, b.detect_seed, name=b.name)
-        path = str(tmp / f"{b.name}.wtrc")
-        write_trace(run.trace, path)
-        out.append(path)
-    return out
+    return [_record(tmp, b.name, b.program, b.detect_seed) for b in all_benchmarks()]
 
 
 @pytest.fixture(scope="module")
@@ -102,36 +123,86 @@ def crafted_paths(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def dense_path(tmp_path_factory):
+def nested_traces():
+    return {(kind, seed): nested_lock_trace(kind, seed) for kind in ("dense", "long") for seed in (1, 2)}
+
+
+@pytest.fixture(scope="module")
+def dense_path(tmp_path_factory, nested_traces):
     path = str(tmp_path_factory.mktemp("reread-dense") / "dense.wtrc")
-    write_trace(nested_lock_trace("dense", 1), path)
+    write_trace(nested_traces[("dense", 1)], path)
     return path
 
 
 class TestTableParity:
     def test_registry(self, registry_paths):
         for path in registry_paths:
-            assert_same_index(kernel_index(path), pure_index(path), path)
+            assert_parity(path)
 
     def test_corpus(self):
         for path in CORPUS_TRACES:
-            assert_same_index(kernel_index(path), pure_index(path), path)
+            assert_parity(path)
 
     def test_crafted(self, crafted_paths):
         for path in crafted_paths:
-            assert_same_index(kernel_index(path), pure_index(path), path)
+            assert_parity(path)
+
+    @pytest.mark.parametrize("events_per_chunk", CHUNKINGS)
+    def test_nested_lock_traces(self, nested_traces, tmp_path, events_per_chunk):
+        for (kind, seed), trace in nested_traces.items():
+            path = str(tmp_path / f"{kind}-{seed}.wtrc")
+            write_trace(trace, path, events_per_chunk=events_per_chunk)
+            assert_parity(path)
+
+    def test_random_programs(self, tmp_path):
+        for seed in RANDOM_SEEDS:
+            spec = random_spec(seed, max_threads=4, max_locks=4)
+            assert_parity(_record(tmp_path, f"random-{seed}", build_program(spec), seed))
+
+    def test_cut_inside_a_critical_section(self, nested_traces, tmp_path):
+        """A trace that stops while locks are held: open acquisitions keep
+        release position -1 in both indexes."""
+        events = list(nested_traces[("dense", 1)])
+        held = 0
+        for cut, ev in enumerate(events):
+            if isinstance(ev, AcquireEvent) and not ev.reentrant:
+                held += 1
+            elif isinstance(ev, ReleaseEvent) and not ev.reentrant:
+                held -= 1
+            if held >= 2 and cut > len(events) // 2:
+                break
+        path = str(tmp_path / "cut.wtrc")
+        write_trace(Trace(program="cut", events=events[: cut + 1]), path, events_per_chunk=4)
+        index = kernel_index(path)
+        open_acquisitions = [
+            (t, pos)
+            for t, kinds in enumerate(index.kinds)
+            for pos, kind in enumerate(kinds)
+            if kind == _ACQ and index.rel_pos[t][pos] < 0
+        ]
+        assert len(open_acquisitions) >= 2
+        assert_same_index(index, pure_index(path), path)
+
+    def test_wait_notify(self, tmp_path):
+        from repro.workloads.boundedbuffer import pipeline_program
+
+        path = _record(tmp_path, "pipeline", pipeline_program, 0)
+        with TraceFileReader(path) as reader:
+            kinds = {type(ev) for ev in reader}
+        assert {WaitEvent, NotifyEvent} <= kinds
+        assert_parity(path)
 
     def test_closure_index_for_uses_the_kernel_on_native(self, dense_path, monkeypatch):
-        """The native detection's index comes from the event log; the pure
+        """The native detection's index comes from the columns; the pure
         detection's from the Python re-read."""
         calls = []
-        real = NativeEventLogReader.read_event_log
+        real = NativeColumnReader.read_columns
 
         def spy(self):
             calls.append(self)
             return real(self)
 
-        monkeypatch.setattr(NativeEventLogReader, "read_event_log", spy)
+        monkeypatch.setattr(NativeColumnReader, "read_columns", spy)
         for backend, expect in (("native", 1), ("python", 0)):
             detection, decisions = _decisions(dense_path, backend)
             index = closure_index_for(detection, decisions, dense_path)
@@ -148,6 +219,31 @@ def _decisions(path: str, backend: str):
     return detection, gen.decisions
 
 
+def _witness_docs(index: ClosureIndex, decisions, **kw):
+    return [
+        None if p is None else (p.verdict, p.reason, p.promoted, p.witness and p.witness.to_doc())
+        for p in predict_decisions(index, decisions, **kw)
+    ]
+
+
+class TestWitnessParity:
+    def test_corpus_witnesses(self):
+        """Every corpus survivor's prediction, witness included, is the same
+        whichever re-read built its index; reports carry no witness, so
+        nothing else pins the native tokens."""
+        witnesses = 0
+        for path in CORPUS_TRACES:
+            detection = analyze_trace_file(path, backend="native").detection
+            prune = Pruner(detection.vclocks).prune(detection.cycles)
+            decisions = Generator(detection.relation).run(prune.survivors).decisions
+            native, pure = kernel_index(path), pure_index(path)
+            for kw in ({}, {"promote_early": True}):
+                got = _witness_docs(native, decisions, **kw)
+                assert got == _witness_docs(pure, decisions, **kw), path
+                witnesses += sum(row is not None and row[3] is not None for row in got)
+        assert witnesses > 0
+
+
 class TestNoPureDecode:
     def test_native_report_never_runs_the_pure_decoder(self, dense_path, monkeypatch):
         want = render_report(report_doc_for_file(dense_path, backend="python"))
@@ -160,15 +256,18 @@ class TestNoPureDecode:
         assert doc["replay_candidates"] > 0  # the index was built
         assert render_report(doc) == want
 
-    def test_analysis_kernels_keep_no_event_log(self, dense_path):
-        """Only the re-read logs events: an analysis context's memory
+    def test_analysis_kernels_build_no_columns(self, dense_path):
+        """Only the re-read collects columns: an analysis context's memory
         stays proportional to its acquisitions."""
         kernel = _Kernel()
         with NativeTraceFileReader(dense_path, kernel) as reader:
             for _ in reader:
                 pass
             assert reader.events_read > 0
-        assert len(kernel.event_log()) == 0
+        assert [len(col) for col in kernel.columns()] == [0, 0, 0, 0]
+        analysis = analyze_trace_file(dense_path, backend="native")
+        assert analysis.events > 0
+        assert analysis.detection.relation._snap.n_entries > 0
 
 
 class TestRereadFallback:

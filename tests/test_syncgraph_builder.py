@@ -58,15 +58,12 @@ def names(vertices):
     return [(v.thread.name, v.lock.name) for v in vertices]
 
 
-def check_decisions(relation, cycles, label="", *, same_names=True):
+def check_decisions(relation, cycles, label=""):
     """The Generator's decisions over ``relation`` match the reference
     builder cycle by cycle; returns how many were Generator-FALSE.
 
     The reference reads the relation's object indexes, so it runs after
-    the Generator (a native relation materializes there).  Where two
-    entries share a vertex, the reference skips an edge's endpoints when
-    they are one vertex, so it may meet the vertex under another name
-    first: ``same_names=False`` leaves names out there."""
+    the Generator (a native relation materializes there)."""
     decisions = Generator(relation).run(list(cycles)).decisions
     assert all("vertices" not in vars(d.gs) for d in decisions), label
     n_vertices = [d.gs.num_vertices() for d in decisions]
@@ -74,8 +71,7 @@ def check_decisions(relation, cycles, label="", *, same_names=True):
     for dec, n in zip(decisions, n_vertices, strict=True):
         ref = reference_sync_graph(dec.cycle, relation)
         assert_matches_reference(dec.gs, ref)
-        if same_names:
-            assert names(dec.gs.vertices) == names(ref.graph.nodes()), label
+        assert names(dec.gs.vertices) == names(ref.graph.nodes()), label
         assert n == len(dec.gs.vertices), label
         assert dec.gs_cycle == ref.graph.find_cycle(), label
         assert (dec.verdict is GeneratorVerdict.FALSE) == ref.graph.has_cycle(), label
@@ -138,9 +134,7 @@ def dense_paths(tmp_path_factory):
 def colliding_relations(draw):
     """Hypothesis relations whose entries may share a vertex: a thread's
     acquisitions of one lock repeat their execution index, so one chain
-    can meet a vertex twice.  (The site names the lock: an index with two
-    locks makes ``by_index`` keep one of two vertices, where the
-    reference keeps the other.)"""
+    can meet a vertex twice."""
     out = LockDependencyRelation()
     for e in draw(relations()):
         index = ExecIndex(e.thread, f"h:acq:{e.lock.seq}", draw(st.integers(0, 2)))
@@ -197,7 +191,7 @@ class TestRelationAdapter:
     )
     @given(rel=colliding_relations())
     def test_hypothesis_shared_vertices(self, rel):
-        check_decisions(rel, find_cycles(rel, max_length=4)[0], same_names=False)
+        check_decisions(rel, find_cycles(rel, max_length=4)[0])
 
 
 # ---------------------------------------------------------------------------
