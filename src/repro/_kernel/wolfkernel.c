@@ -37,18 +37,18 @@
  * off, so their memory stays proportional to the acquisitions.
  *
  * Determinism contract (enforced by the python-vs-native differential
- * suite in tests/test_nativekernel.py):
+ * suite in tests/test_nativekernel.py and the grammar parity suite in
+ * tests/test_grammar_parity.py): the kernel fails on exactly the
+ * payloads the pure-Python decoder fails on.
  *
- *   - the kernel MUST fail (with state untouched) on every payload the
- *     pure-Python decoder fails on — wk_feed_events validates the whole
- *     payload against the current table sizes before mutating anything,
- *     so the caller can re-decode the failing payload in Python and
- *     surface the authentic exception;
- *   - the kernel must never *succeed* where Python fails; the one
- *     admitted divergence is arbitrary-precision varints (> 64 bits),
- *     which Python's bignums accept and the kernel rejects with
- *     WK_EOVERFLOW — the Python wrapper detects this (Python re-decode
- *     succeeds) and falls back to the pure-Python engine.
+ *   - wk_feed_events validates the whole payload against the current
+ *     table sizes before mutating anything, so on a failure the caller
+ *     re-decodes the payload in Python, from the same state, and
+ *     surfaces the authentic exception;
+ *   - the widths checked here (WK_EOVERFLOW) are the pure decoder's
+ *     EVENTS rule too: a varint is at most ten bytes and below 2^64,
+ *     the running step stays within int64, and an acquisition's
+ *     occurrence and its held indices' are at most INT64_MAX.
  *
  * Plain C99, no Python.h: built as a standalone shared object by
  * repro.core.nativekernel (cc -O2 -shared -fPIC) and driven through the
@@ -64,13 +64,13 @@
 #define WK_ABI 3
 
 /* Error codes (negative).  The Python wrapper maps any failure to a
- * pure-Python re-decode of the same payload, so the exact code only
- * distinguishes "Python would fail too" from the overflow divergence. */
+ * pure-Python re-decode of the same payload, which raises the error a
+ * caller sees, so the exact code never reaches one. */
 #define WK_OK 0
 #define WK_ETRUNC (-1)    /* read past payload end (Python: IndexError)   */
 #define WK_EINDEX (-2)    /* interned-table index out of range            */
 #define WK_ETAG (-3)      /* unknown event tag (Python: ValueError)       */
-#define WK_EOVERFLOW (-4) /* varint/step exceeds 64 bits: Python diverges */
+#define WK_EOVERFLOW (-4) /* wider than the EVENTS rule (OverflowError)  */
 #define WK_ENOMEM (-5)    /* allocation failure                           */
 
 /* Event tags — must match repro.runtime.tracefile._TAGS. */
@@ -218,8 +218,8 @@ static int get_uvarint(const uint8_t *p, uint64_t len, uint64_t *pos,
         if (*pos >= len)
             return WK_ETRUNC;
         b = p[(*pos)++];
-        /* Python decodes arbitrary-precision ints here; anything that
-         * cannot round-trip through uint64 is the admitted divergence. */
+        /* Ten bytes at most, and below 2^64: the EVENTS varint rule the
+         * pure decoder applies too. */
         if (shift >= 64 || (shift == 63 && (b & 0x7Fu) > 1))
             return WK_EOVERFLOW;
         result |= (uint64_t)(b & 0x7Fu) << shift;

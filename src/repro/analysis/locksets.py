@@ -158,9 +158,6 @@ class CorpusSummary:
     #: module stem -> set of corpus module stems it imports from
     imports: Dict[str, List[str]] = field(default_factory=dict)
 
-    def functions_of_module(self, module: str) -> List[FunctionSummary]:
-        return [f for f in self.functions.values() if f.module == module]
-
 
 # -- environment ------------------------------------------------------------
 

@@ -271,10 +271,14 @@ def cmd_trace_pack(args: argparse.Namespace) -> int:
 
 def cmd_trace_unpack(args: argparse.Namespace) -> int:
     """Binary trace -> JSON trace (the lossless machine format)."""
+    from repro.corpus.validate import DECODE_ERRORS
     from repro.runtime.serialize import dump_trace
     from repro.runtime.tracefile import read_trace
 
-    trace = read_trace(args.trace_file)
+    try:
+        trace = read_trace(args.trace_file)
+    except DECODE_ERRORS as exc:
+        return _malformed_trace(args.trace_file, exc)
     text = dump_trace(trace)
     with open(args.out, "w") as fh:
         fh.write(text)
@@ -453,8 +457,12 @@ def cmd_corpus_build(args: argparse.Namespace) -> int:
 def cmd_corpus_minimize(args: argparse.Namespace) -> int:
     """Minimize one trace, preserving its defect-key set."""
     from repro.corpus import minimize_trace_file
+    from repro.corpus.validate import DECODE_ERRORS
 
-    res = minimize_trace_file(args.trace_file, args.out)
+    try:
+        res = minimize_trace_file(args.trace_file, args.out)
+    except DECODE_ERRORS as exc:
+        return _malformed_trace(args.trace_file, exc)
     print(
         f"minimized {args.trace_file}: {res.events_before} -> "
         f"{res.events_after} events ({res.bytes_before} -> {res.bytes_after} "
@@ -609,7 +617,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         window=args.window,
         max_total_buffer=args.max_total_buffer,
         max_stream_bytes=args.max_stream_bytes,
-        journal_fsync=not args.no_journal_fsync,
         journal_max_bytes=journal_max,
         worker_index=args.fleet_index if in_fleet else 0,
         num_workers=args.fleet_size if in_fleet else 1,
@@ -666,7 +673,6 @@ def _serve_supervisor(args, socket_path, tcp, journal_max) -> int:
         max_total_buffer=args.max_total_buffer,
         max_stream_bytes=args.max_stream_bytes,
         journal_max_bytes=journal_max,
-        journal_fsync=not args.no_journal_fsync,
         backend=getattr(args, "backend", "auto"),
     )
     sup = FleetSupervisor(cfg)
@@ -1242,9 +1248,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="BYTES",
         help="rotate (compact) journal.jsonl once it grows past this "
         "(0 disables; default: 32 MiB)",
-    )
-    p.add_argument(
-        "--no-journal-fsync", action="store_true", help=argparse.SUPPRESS
     )
     # Internal flags the supervisor passes to the workers it spawns.
     p.add_argument("--fleet-dir", default=None, help=argparse.SUPPRESS)

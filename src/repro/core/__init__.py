@@ -46,7 +46,6 @@ from repro.core.prediction import (
     Predictor,
     WitnessSchedule,
     event_token,
-    predict_cycles,
     promote_by_defect,
 )
 from repro.core.ranking import RankedDefect, rank_defects, render_ranking
@@ -92,6 +91,5 @@ __all__ = [
     "build_sync_graph",
     "compute_vector_clocks",
     "event_token",
-    "predict_cycles",
     "promote_by_defect",
 ]

@@ -52,13 +52,13 @@ Build & fallback rules:
   falling back; ``backend="python"`` never touches the kernel.
   ``WOLF_PURE_PYTHON=1`` force-disables the kernel process-wide.
 * Determinism: the differential suite (tests/test_nativekernel.py)
-  proves byte-identical reports against the pure-Python engine.  The one
-  admitted divergence is varints beyond 64 bits (Python bignums accept
-  them, the kernel cannot): the kernel rejects the payload, the wrapper
-  notices the pure-Python re-decode *succeeding* and raises
-  :class:`KernelDivergenceError`, and :func:`analyze_trace_file` then
-  redoes the whole analysis in pure Python — degenerate inputs stay
-  correct, merely slower.
+  proves byte-identical reports against the pure-Python engine, and the
+  grammar parity suite (tests/test_grammar_parity.py) one outcome per
+  byte string.  The pure decoder holds an EVENTS payload to the
+  kernel's widths (every varint below 2^64, the step and occurrences
+  within int64), so both backends accept exactly the same payloads; a
+  payload the kernel refuses is re-decoded in Python only to raise the
+  pure backend's own exception (:func:`_feed_payload`).
 """
 
 from __future__ import annotations
@@ -129,16 +129,6 @@ const int64_t *wk_column(wk_ctx *, int);
 
 class KernelUnavailableError(RuntimeError):
     """``backend="native"`` was requested but the kernel cannot load."""
-
-
-class KernelDivergenceError(RuntimeError):
-    """The kernel rejected a payload the pure-Python decoder accepts.
-
-    Only reachable through varints wider than 64 bits (Python decodes
-    them as bignums).  Callers that can re-run the analysis fall back to
-    the pure-Python engine; the ingestion daemon quarantines the stream
-    (the producer is degenerate either way).
-    """
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +330,8 @@ class _Kernel:
 
     def feed_events(self, payload) -> int:
         """Feed one EVENTS payload; returns the kernel error code
-        (0 = OK).  The caller handles non-zero codes via the pure-Python
-        re-decode (:func:`_feed_payload`)."""
+        (0 = OK).  The caller raises for non-zero codes through the
+        pure-Python re-decode (:func:`_feed_payload`)."""
         buf = self._ffi.from_buffer(payload)
         return self._lib.wk_feed_events(self._ctx, buf, len(payload))
 
@@ -391,13 +381,13 @@ class _Kernel:
 def _feed_payload(kernel: _Kernel, core: _DecodeCore, payload) -> None:
     """Feed one EVENTS payload into the kernel with error parity.
 
-    On any kernel rejection the payload is re-decoded by the pure-Python
-    decoder from the identical pre-chunk state (the kernel validates
-    before mutating, so its state is untouched): if Python fails too, its
-    authentic exception propagates — same type, same message as the pure
-    backend; if Python succeeds, the kernel hit the admitted
-    >64-bit-varint divergence and :class:`KernelDivergenceError` is raised
-    for the caller's fallback policy.
+    The kernel refuses exactly the payloads the pure-Python decoder
+    refuses.  On a refusal the payload is re-decoded in Python from the
+    identical pre-chunk state (the kernel validates before mutating, so
+    its state is untouched), and Python's exception propagates: the same
+    type and message as the pure backend.  A refusal Python accepts is a
+    bug in one of the two decoders and raises ``RuntimeError``, which no
+    caller treats as a decode outcome.
     """
     rc = kernel.feed_events(payload)
     if rc != 0:
@@ -408,9 +398,9 @@ def _feed_payload(kernel: _Kernel, core: _DecodeCore, payload) -> None:
         data = payload.tobytes() if isinstance(payload, memoryview) else payload
         for _ in _DecodeCore._decode_events(core, data):
             pass
-        raise KernelDivergenceError(
-            "native kernel rejected a payload the pure-Python decoder "
-            f"accepts (kernel code {rc}); falling back to pure Python"
+        raise RuntimeError(
+            f"native kernel refused (code {rc}) an EVENTS payload the "
+            "pure-Python decoder accepts"
         )
     core.events_read = kernel.events_read
     core._last_step = kernel.last_step
@@ -897,16 +887,13 @@ def analyze_trace_file(
 
     The single front door used by ``wolf analyze-trace``,
     ``report_doc_for_file`` and the corpus tools — one place guarantees
-    every consumer resolves/falls back identically.
+    every consumer resolves the backend identically.  The resolved
+    backend reads the whole file: a decode error propagates from either
+    backend as the same exception.
     """
     resolved = resolve_backend(backend)
     if resolved == "native":
-        try:
-            return _analyze_native(path, max_length=max_length, max_cycles=max_cycles)
-        except KernelDivergenceError:
-            # Degenerate input (>64-bit varints): correctness beats
-            # speed — redo the whole file in pure Python.
-            resolved = "python"
+        return _analyze_native(path, max_length=max_length, max_cycles=max_cycles)
     det = StreamingDetector(max_length=max_length, max_cycles=max_cycles)
     with TraceFileReader(path) as reader:
         det.feed_many(reader)
@@ -916,5 +903,5 @@ def analyze_trace_file(
         program=program,
         seed=seed,
         events=det.events_seen,
-        backend=resolved,
+        backend="python",
     )

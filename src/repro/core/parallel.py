@@ -167,13 +167,12 @@ def closure_index_for(
     the index is empty and the trace is never walked.  Otherwise the
     in-memory trace is used when the detection materialized one; file
     analysis never does, so ``trace_path`` names the backing ``.wtrc`` (or
-    serve spool) to re-read in one sequential pass.  A detection the
-    native kernel made is re-read through the kernel, which hands the
-    index per-thread columns; if the kernel rejects a payload the
-    pure-Python decoder re-reads it and raises its own error (or, on the
-    admitted >64-bit varint divergence, indexes the whole file).  The
-    pure backend re-reads in Python: it is the only path on a host
-    without a C compiler.
+    serve spool) to re-read in one sequential pass, with the backend
+    that made the detection.  A detection the native kernel made is
+    re-read through the kernel, which hands the index per-thread
+    columns; a pure detection is re-read in Python, the only path on a
+    host without a C compiler.  Both backends accept the same bytes, so
+    a payload the kernel refuses raises the pure decoder's error.
     """
     if not any(d.verdict is GeneratorVerdict.UNKNOWN for d in decisions):
         return ClosureIndex()
@@ -181,19 +180,14 @@ def closure_index_for(
         return ClosureIndex.from_events(detection.trace)
     if trace_path is None:
         return ClosureIndex()
-    from repro.core.nativekernel import (
-        KernelDivergenceError,
-        NativeColumnReader,
-        NativeRelation,
-    )
+    from repro.core.nativekernel import NativeColumnReader, NativeRelation
 
-    if isinstance(detection.relation, NativeRelation):
-        try:
-            with NativeColumnReader(trace_path) as reader:
-                return ClosureIndex.from_events(reader)
-        except KernelDivergenceError:
-            pass
-    with TraceFileReader(trace_path) as reader:
+    reader_of = (
+        NativeColumnReader
+        if isinstance(detection.relation, NativeRelation)
+        else TraceFileReader
+    )
+    with reader_of(trace_path) as reader:
         return ClosureIndex.from_events(reader)
 
 
@@ -472,8 +466,9 @@ class SerialEngine:
     """Same-process execution: the ``workers=1`` path and the fallback for
     programs that cannot be shipped to worker processes.
 
-    ``map`` evaluates strictly in task order, which is what makes the
-    ``workers=1`` pipeline bit-identical to the historical serial one.
+    :meth:`map_supervised` evaluates strictly in task order, which is
+    what makes the ``workers=1`` pipeline bit-identical to the
+    historical serial one.
     """
 
     #: Parallel engines replay every candidate eagerly; the pipeline keys
@@ -485,9 +480,6 @@ class SerialEngine:
         #: Why a requested process pool degraded to serial ("" when serial
         #: was requested outright).
         self.fallback_reason = fallback_reason
-
-    def map(self, fn: Callable[[T], R], tasks: Sequence[T]) -> List[R]:
-        return [fn(t) for t in tasks]
 
     def map_supervised(
         self,
@@ -530,12 +522,11 @@ class SerialEngine:
 class ProcessEngine:
     """Fan tasks out over a lazily-created :class:`ProcessPoolExecutor`.
 
-    Results are returned in task order (``Executor.map`` semantics), never
-    completion order.  The raw :meth:`map` propagates worker exceptions
-    exactly like the serial path's would; :meth:`map_supervised` instead
-    wraps every task in a :class:`TaskOutcome` and survives worker
-    failures.  The pool is reused across stages of one ``Wolf.analyze``
-    call and torn down by :meth:`close` (or the ``with`` statement).
+    Results are returned in task order, never completion order:
+    :meth:`map_supervised` wraps every task in a :class:`TaskOutcome` and
+    survives worker failures.  The pool is reused across stages of one
+    ``Wolf.analyze`` call and torn down by :meth:`close` (or the
+    ``with`` statement).
 
     **Breakage ladder.**  A dead worker breaks the whole
     ``ProcessPoolExecutor`` and fails every in-flight future, so the
@@ -601,14 +592,6 @@ class ProcessEngine:
                 f"(budget {policy.max_pool_breakages}): {why}; "
                 "degrading to in-process execution"
             )
-
-    # -- raw map (legacy fail-fast path) -----------------------------------
-
-    def map(self, fn: Callable[[T], R], tasks: Sequence[T]) -> List[R]:
-        tasks = list(tasks)
-        if not tasks:
-            return []
-        return list(self._ensure_pool().map(fn, tasks))
 
     # -- supervised map ----------------------------------------------------
 

@@ -76,7 +76,7 @@ the certified sibling's witness
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -100,12 +100,10 @@ __all__ = [
     "PredictionVerdict",
     "WitnessSchedule",
     "CyclePrediction",
-    "PredictionResult",
     "ClosureIndex",
     "ThreadColumns",
     "Predictor",
     "event_token",
-    "predict_cycles",
     "promote_by_defect",
     "promoted_from",
 ]
@@ -216,18 +214,6 @@ class CyclePrediction:
     @property
     def decided(self) -> bool:
         return self.verdict is not PredictionVerdict.UNDECIDED
-
-
-@dataclass
-class PredictionResult:
-    predictions: List[CyclePrediction] = field(default_factory=list)
-
-    def count(self, verdict: PredictionVerdict) -> int:
-        return sum(1 for p in self.predictions if p.verdict is verdict)
-
-    @property
-    def decided(self) -> int:
-        return sum(1 for p in self.predictions if p.decided)
 
 
 # Wire tags of the event kinds.
@@ -1029,11 +1015,6 @@ class Predictor:
             pass
         return None
 
-    def run(self, cycles: Iterable[PotentialDeadlock]) -> PredictionResult:
-        cycle_list = list(cycles)
-        predictions = [self.examine(c) for c in cycle_list]
-        return PredictionResult(promote_by_defect(cycle_list, predictions))
-
 
 def promote_by_defect(
     cycles: List[PotentialDeadlock], predictions: List[Optional[CyclePrediction]]
@@ -1082,10 +1063,3 @@ def promoted_from(sibling: CyclePrediction) -> CyclePrediction:
         witness=sibling.witness,
         promoted=True,
     )
-
-
-def predict_cycles(
-    events: Iterable[TraceEvent], cycles: Iterable[PotentialDeadlock]
-) -> PredictionResult:
-    """One-shot convenience: build the index and predict every cycle."""
-    return Predictor(ClosureIndex.from_events(events)).run(cycles)

@@ -327,10 +327,6 @@ class Replayer:
         self.max_steps = max_steps
         self.step_timeout = step_timeout
 
-    def run_once(self, decision: GeneratorDecision, seed: int) -> RunResult:
-        result, _ = self._run_attempt(decision, seed)
-        return result
-
     def _run_attempt(
         self,
         decision: GeneratorDecision,

@@ -48,13 +48,6 @@ class Classification(enum.Enum):
             Classification.FALSE_PREDICTION,
         )
 
-    @property
-    def is_confirmed(self) -> bool:
-        return self in (
-            Classification.CONFIRMED,
-            Classification.CONFIRMED_PREDICTED,
-        )
-
 
 @dataclass
 class CycleReport:

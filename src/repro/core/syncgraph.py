@@ -255,9 +255,6 @@ class SyncGraph:
         table is cyclic."""
         return self.graph.find_cycle() if self.is_cyclic() else None
 
-    def edges_of_kind(self, kind: EdgeKind) -> List[Tuple[GsVertex, GsVertex]]:
-        return [e for e, k in self.edge_kinds.items() if k == kind]
-
     def pretty(self) -> str:
         vs = self.vertices
         lines = [f"Gs for {self.cycle.pretty()}"]

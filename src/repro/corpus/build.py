@@ -24,8 +24,9 @@ from __future__ import annotations
 
 import os
 import re
+import shutil
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, List, Optional, Sequence
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.nativekernel import analyze_trace_file
 from repro.corpus.manifest import (
@@ -176,13 +177,7 @@ def build_corpus(
     sealed with everything admitted so far — a partial campaign is a
     valid, resumable corpus, never a torn one.
     """
-    os.makedirs(corpus_dir, exist_ok=True)
-    manifest_path = os.path.join(corpus_dir, MANIFEST_NAME)
-    if manifest is None:
-        if os.path.exists(manifest_path):
-            manifest = CorpusManifest.load(manifest_path)
-        else:
-            manifest = CorpusManifest()
+    manifest_path, manifest = _open_manifest(corpus_dir, manifest)
     say = log or (lambda _msg: None)
     report = BuildReport()
 
@@ -193,50 +188,21 @@ def build_corpus(
         if cfg.max_traces is not None and report.admitted >= cfg.max_traces:
             break
         report.runs += 1
-        scratch = os.path.join(
-            corpus_dir, f".campaign-{_safe_name(source.name)}-s{source.seed}.wtrc"
-        )
+        filename = f"{_safe_name(source.name)}-s{source.seed}.wtrc"
+        scratch = os.path.join(corpus_dir, f".campaign-{filename}")
         try:
             errored = record_source(source, scratch, cfg)
             if errored:
                 report.run_errors += 1
-            analysis = analyze_trace_file(scratch, **DETECTOR_PARAMS)
-            report.events_recorded += analysis.events
-            keys = canonical_keys(analysis.detection.defect_keys())
-            if not keys:
-                report.rejected_clean += 1
-                continue
-            coverage = {coverage_key(source.name, k) for k in keys}
-            if coverage <= manifest.coverage():
-                report.rejected_covered += 1
-                continue
-
-            filename = f"{_safe_name(source.name)}-s{source.seed}.wtrc"
-            final = os.path.join(corpus_dir, filename)
-            minimized = minimize_trace_file(scratch, final)
-            # Keys are re-derived from the *minimized* file: the manifest
-            # must describe the committed artifact, not its ancestor.
-            final_detection = analyze_trace_file(final, **DETECTOR_PARAMS).detection
-            final_keys = canonical_keys(final_detection.defect_keys())
-            record = TraceRecord(
-                file=filename,
-                sha256=sha256_file(final),
-                bytes=os.path.getsize(final),
-                events=minimized.events_after,
+            _admit(
+                scratch,
+                filename,
+                manifest,
+                report,
+                say,
                 program=source.name,
-                seed=source.seed,
                 source=source.kind,
                 generator_seed=source.generator_seed,
-                defect_keys=final_keys,
-            )
-            manifest.traces.append(record)
-            report.admitted += 1
-            report.events_admitted += minimized.events_after
-            report.admitted_files.append(filename)
-            say(
-                f"admitted {filename}: {len(final_keys)} key(s), "
-                f"{minimized.events_before} -> {minimized.events_after} events "
-                f"({minimized.bytes_after} bytes)"
             )
         finally:
             if os.path.exists(scratch):
@@ -244,6 +210,77 @@ def build_corpus(
 
     manifest.save(manifest_path)
     return report
+
+
+def _open_manifest(
+    corpus_dir: str, manifest: Optional[CorpusManifest]
+) -> Tuple[str, CorpusManifest]:
+    """The manifest path in ``corpus_dir`` (created if missing) and the
+    manifest to build on: ``manifest``, else the one on disk, else a new
+    one."""
+    os.makedirs(corpus_dir, exist_ok=True)
+    path = os.path.join(corpus_dir, MANIFEST_NAME)
+    if manifest is None:
+        exists = os.path.exists(path)
+        manifest = CorpusManifest.load(path) if exists else CorpusManifest()
+    return path, manifest
+
+
+def _admit(
+    scratch: str,
+    filename: str,
+    manifest: CorpusManifest,
+    report: BuildReport,
+    say: Callable[[str], None],
+    *,
+    program: str,
+    source: str,
+    generator_seed: Optional[int] = None,
+    note: str = "",
+) -> None:
+    """Coverage-key admission, the one path both builders take: a
+    ``scratch`` trace that witnesses a key the manifest does not cover
+    yet is minimized into ``filename`` beside the scratch file and
+    appended to the manifest; ``report`` counts the outcome.
+    ``program`` names a trace whose META carries none."""
+    analysis = analyze_trace_file(scratch, **DETECTOR_PARAMS)
+    report.events_recorded += analysis.events
+    keys = canonical_keys(analysis.detection.defect_keys())
+    if not keys:
+        report.rejected_clean += 1
+        return
+    program = analysis.program or program
+    if {coverage_key(program, k) for k in keys} <= manifest.coverage():
+        report.rejected_covered += 1
+        return
+
+    final = os.path.join(os.path.dirname(scratch), filename)
+    minimized = minimize_trace_file(scratch, final)
+    # Keys are re-derived from the *minimized* file: the manifest must
+    # describe the committed artifact, not its ancestor.
+    final_detection = analyze_trace_file(final, **DETECTOR_PARAMS).detection
+    final_keys = canonical_keys(final_detection.defect_keys())
+    manifest.traces.append(
+        TraceRecord(
+            file=filename,
+            sha256=sha256_file(final),
+            bytes=os.path.getsize(final),
+            events=minimized.events_after,
+            program=program,
+            seed=analysis.seed,
+            source=source,
+            generator_seed=generator_seed,
+            defect_keys=final_keys,
+        )
+    )
+    report.admitted += 1
+    report.events_admitted += minimized.events_after
+    report.admitted_files.append(filename)
+    say(
+        f"admitted {filename}: {len(final_keys)} key(s), "
+        f"{minimized.events_before} -> {minimized.events_after} events "
+        f"({minimized.bytes_after} bytes){note}"
+    )
 
 
 def _salvage_quarantined(path: str, dest: str) -> Optional[int]:
@@ -296,13 +333,7 @@ def build_from_quarantine(
     """
     from repro.corpus.validate import classify_trace_file
 
-    os.makedirs(corpus_dir, exist_ok=True)
-    manifest_path = os.path.join(corpus_dir, MANIFEST_NAME)
-    if manifest is None:
-        if os.path.exists(manifest_path):
-            manifest = CorpusManifest.load(manifest_path)
-        else:
-            manifest = CorpusManifest()
+    manifest_path, manifest = _open_manifest(corpus_dir, manifest)
     say = log or (lambda _msg: None)
     report = BuildReport()
 
@@ -320,8 +351,6 @@ def build_from_quarantine(
             if corruption is None:
                 # Fully intact evidence (quarantined for a transport
                 # offense, not corruption): admit the bytes as-is.
-                import shutil
-
                 shutil.copyfile(src, scratch)
                 salvaged = None
             else:
@@ -330,47 +359,19 @@ def build_from_quarantine(
                     report.run_errors += 1
                     say(f"skipped {entry}: {corruption.render()}, no salvageable prefix")
                     continue
-            analysis = analyze_trace_file(scratch, **DETECTOR_PARAMS)
-            report.events_recorded += analysis.events
-            keys = canonical_keys(analysis.detection.defect_keys())
-            if not keys:
-                report.rejected_clean += 1
-                continue
-            program, seed = analysis.program or stem, analysis.seed
-            coverage = {coverage_key(program, k) for k in keys}
-            if coverage <= manifest.coverage():
-                report.rejected_covered += 1
-                continue
-
-            filename = f"quar-{stem}.wtrc"
-            final = os.path.join(corpus_dir, filename)
-            minimized = minimize_trace_file(scratch, final)
-            final_detection = analyze_trace_file(final, **DETECTOR_PARAMS).detection
-            final_keys = canonical_keys(final_detection.defect_keys())
-            record = TraceRecord(
-                file=filename,
-                sha256=sha256_file(final),
-                bytes=os.path.getsize(final),
-                events=minimized.events_after,
-                program=program,
-                seed=seed,
+            _admit(
+                scratch,
+                f"quar-{stem}.wtrc",
+                manifest,
+                report,
+                say,
+                program=stem,
                 source="quarantine",
-                generator_seed=None,
-                defect_keys=final_keys,
-            )
-            manifest.traces.append(record)
-            report.admitted += 1
-            report.events_admitted += minimized.events_after
-            report.admitted_files.append(filename)
-            salvage_note = (
-                f" (salvaged {salvaged} event(s) from damaged evidence)"
-                if salvaged is not None
-                else ""
-            )
-            say(
-                f"admitted {filename}: {len(final_keys)} key(s), "
-                f"{minimized.events_before} -> {minimized.events_after} events"
-                f"{salvage_note}"
+                note=(
+                    f", salvaged {salvaged} event(s) from damaged evidence"
+                    if salvaged is not None
+                    else ""
+                ),
             )
         finally:
             if os.path.exists(scratch):

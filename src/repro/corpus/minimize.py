@@ -31,7 +31,7 @@ from __future__ import annotations
 import io
 import os
 from dataclasses import dataclass
-from typing import FrozenSet, List, Sequence, Set
+from typing import FrozenSet, List, Sequence
 
 from repro.core.detector import BaseDetector
 from repro.core.lockdep import build_lockdep
@@ -60,10 +60,6 @@ class MinimizeResult:
     probes: int
     #: events removed by the relation-guided thread cut alone
     thread_cut: int
-
-    @property
-    def event_ratio(self) -> float:
-        return self.events_after / self.events_before if self.events_before else 1.0
 
 
 def detect_defect_keys(
@@ -196,9 +192,3 @@ def minimize_trace_file(
     # Report the true on-disk starting size, not the re-pack's.
     result.bytes_before = os.path.getsize(src)
     return result
-
-
-def drop_threads_events(trace: Trace, keep: Set) -> List[TraceEvent]:
-    """Events of ``trace`` restricted to the ``keep`` threads (exposed for
-    tests exercising the thread-cut soundness argument directly)."""
-    return [ev for ev in trace if ev.thread in keep]

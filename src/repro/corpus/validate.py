@@ -45,10 +45,13 @@ OVERSIZED_CHUNK = "oversized-chunk"
 #: can produce (serve adds its transport-level codes on top).
 CORRUPTION_CODES = (TORN, UNREADABLE, CORRUPT_PAYLOAD, OVERSIZED_CHUNK)
 
-#: What decoding hostile ``.wtrc`` bytes can raise: ``ValueError`` for
-#: the grammar (``OversizedChunkError`` and ``UnicodeDecodeError`` are
-#: ones too), ``IndexError``/``KeyError`` for bit rot inside payloads.
-DECODE_ERRORS = (ValueError, IndexError, KeyError)
+#: What decoding hostile ``.wtrc`` bytes can raise, on either backend:
+#: ``ValueError`` for the grammar (``OversizedChunkError`` and
+#: ``UnicodeDecodeError`` are ones too), ``IndexError``/``KeyError`` for
+#: bit rot inside payloads, and ``OverflowError`` for a payload varint
+#: longer than ten bytes or an EVENTS integer wider than the native
+#: kernel holds.
+DECODE_ERRORS = (ValueError, IndexError, KeyError, OverflowError)
 
 
 @dataclass(frozen=True)
@@ -81,17 +84,11 @@ def classify_decode_error(exc: BaseException) -> Corruption:
     # followed by FIN.
     if isinstance(exc, TruncatedTraceError):
         return Corruption(TORN, "torn trace (truncated chunk)")
-    # Kernel-vs-Python decode divergence (>64-bit varints) classifies as
-    # payload corruption before the ValueError arm: the producer is
-    # degenerate even though the pure decoder technically accepts it.
-    # Checked by name to keep this module import-light.
-    if type(exc).__name__ == "KernelDivergenceError":
-        return Corruption(CORRUPT_PAYLOAD, str(exc))
     if isinstance(exc, ValueError) and not isinstance(exc, UnicodeDecodeError):
         return Corruption(UNREADABLE, str(exc))
     # Bit rot inside a chunk payload surfaces as whatever the decoder
-    # trips over (bad table index, mangled utf-8) rather than a clean
-    # ValueError; the verdict is the same.
+    # trips over (bad table index, mangled utf-8, an overlong or too wide
+    # varint) rather than a clean ValueError; the verdict is the same.
     return Corruption(CORRUPT_PAYLOAD, repr(exc))
 
 

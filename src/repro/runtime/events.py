@@ -188,14 +188,6 @@ class Trace:
                 out[ev.thread] = ev.step
         return out
 
-    def spawn_steps(self) -> Dict[ThreadId, int]:
-        """Step at which each thread was spawned (root threads absent)."""
-        out: Dict[ThreadId, int] = {}
-        for ev in self.events:
-            if isinstance(ev, SpawnEvent) and ev.child not in out:
-                out[ev.child] = ev.step
-        return out
-
     # -- serialization -------------------------------------------------------
 
     def to_json(self) -> str:

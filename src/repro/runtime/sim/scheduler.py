@@ -228,9 +228,6 @@ class _ThreadRecord:
     #: re-pause it and the loop would spin forever.
     skip_gate: bool = False
 
-    def held_locks(self) -> Tuple[object, ...]:
-        return tuple(l for l, _ in self.held)
-
 
 # --------------------------------------------------------------------------
 # Worker pool
@@ -333,9 +330,6 @@ class Scheduler:
                 "this operation is only valid inside a simulated thread"
             )
         return record
-
-    def in_sim_thread(self) -> bool:
-        return getattr(self._tls, "record", None) is not None
 
     # -- lifecycle ---------------------------------------------------------------
 

@@ -18,13 +18,13 @@ Layout::
            5 END     total event count
 
 (``*`` = index into the string table; all integers are unsigned LEB128
-varints, signed values zigzag-encoded.)  Identity rows are interned on
-first use and emitted in table chunks *before* the event chunk that
-references them, so a reader's tables are always resolvable after a
-strictly sequential scan; recursive :class:`~repro.util.ids.ThreadId`
-parent chains work because a parent is interned (and its row queued)
-before any child that references it.  Event steps are delta-encoded
-against the previous event.
+varints of at most ten bytes, signed values zigzag-encoded.)  Identity
+rows are interned on first use and emitted in table chunks *before* the
+event chunk that references them, so a reader's tables are always
+resolvable after a strictly sequential scan; recursive
+:class:`~repro.util.ids.ThreadId` parent chains work because a parent is
+interned (and its row queued) before any child that references it.
+Event steps are delta-encoded against the previous event.
 
 An event::
 
@@ -43,8 +43,17 @@ The pull reader (:class:`TraceFileReader`), the push decoder behind
 cut bytes into chunks for it, so every reader reaches the same outcome
 on the same bytes; EVENTS payloads go through one event decoder,
 ``_DecodeCore._decode_events``, which the native kernel's error-parity
-re-decode runs too.  A chunk-length varint longer than ten bytes is
-rejected as unreadable.
+re-decode runs too.
+
+One varint rule holds for every reader: a varint is at most ten bytes,
+and inside an EVENTS payload, the only bytes the native kernel reads,
+its integers have the kernel's widths: every varint below 2^64, the
+running step within int64, and each acquisition's execution-index
+occurrence (its own and its held indices') at most 2^63 - 1.  So the
+pure decoder refuses exactly what the kernel refuses.  A chunk-length
+varint longer than ten bytes is unreadable framing (``ValueError``);
+a payload varint that breaks the rule raises ``OverflowError``, a
+corrupt payload.
 """
 
 from __future__ import annotations
@@ -110,7 +119,25 @@ def _put_svarint(buf: bytearray, n: int) -> None:
     _put_uvarint(buf, n * 2 if n >= 0 else -n * 2 - 1)
 
 
-def _get_uvarint(data: bytes, pos: int) -> Tuple[int, int]:
+#: Every ``.wtrc`` varint is at most ten bytes: ten 7-bit groups hold any
+#: 64-bit value, and the zigzag of any 64-bit seed.
+_MAX_VARINT_BYTES = 10
+_VARINT_MAX = (1 << (7 * _MAX_VARINT_BYTES)) - 1
+#: The native kernel's widths for an EVENTS payload, which is all it
+#: reads (``get_uvarint``/``validate_events`` in ``_kernel/wolfkernel.c``):
+#: every varint below 2^64, the running step and each execution-index
+#: occurrence within int64.
+_U64_MAX = (1 << 64) - 1
+_I64_MIN, _I64_MAX = -(1 << 63), (1 << 63) - 1
+
+
+def _get_uvarint(data: bytes, pos: int, top: int = _VARINT_MAX) -> Tuple[int, int]:
+    """Decode one uvarint at ``data[pos:]``.
+
+    ``IndexError`` when ``data`` ends inside it; ``OverflowError`` once
+    ten bytes all carry the continuation bit, or for a value above
+    ``top``.
+    """
     result = 0
     shift = 0
     while True:
@@ -118,8 +145,12 @@ def _get_uvarint(data: bytes, pos: int) -> Tuple[int, int]:
         pos += 1
         result |= (b & 0x7F) << shift
         if not b & 0x80:
+            if result > top:
+                raise OverflowError(f"varint wider than {top.bit_length()} bits")
             return result, pos
         shift += 7
+        if shift == 7 * _MAX_VARINT_BYTES:
+            raise OverflowError(f"varint longer than {_MAX_VARINT_BYTES} bytes")
 
 
 def _get_svarint(data: bytes, pos: int) -> Tuple[int, int]:
@@ -127,33 +158,20 @@ def _get_svarint(data: bytes, pos: int) -> Tuple[int, int]:
     return (zz >> 1) ^ -(zz & 1), pos
 
 
-#: Ten 7-bit groups hold any 64-bit chunk length; a longer one is hostile.
-_MAX_LENGTH_VARINT = 10
-
-
 def _try_uvarint(buf, pos: int) -> Optional[Tuple[int, int]]:
     """Decode one chunk-length uvarint from ``buf[pos:]``; ``None`` while
     it is incomplete.
 
-    Raises ``ValueError`` once ten bytes all carry the continuation bit,
-    so a hostile header is rejected after ten bytes instead of being
-    rescanned on every push.
+    Raises ``ValueError`` (the framing is unreadable) once ten bytes all
+    carry the continuation bit, so a hostile header is rejected after ten
+    bytes instead of being rescanned on every push.
     """
-    result = 0
-    shift = 0
-    end = min(len(buf), pos + _MAX_LENGTH_VARINT)
-    while pos < end:
-        b = buf[pos]
-        pos += 1
-        result |= (b & 0x7F) << shift
-        if not b & 0x80:
-            return result, pos
-        shift += 7
-    if shift == 7 * _MAX_LENGTH_VARINT:
-        raise ValueError(
-            f"chunk length varint longer than {_MAX_LENGTH_VARINT} bytes"
-        )
-    return None
+    try:
+        return _get_uvarint(buf, pos)
+    except IndexError:
+        return None
+    except OverflowError as exc:
+        raise ValueError(f"chunk length {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -584,15 +602,21 @@ class _DecodeCore:
         """Decode one EVENTS payload, advancing ``events_read`` and the
         step accumulator.
 
+        An integer wider than the native kernel holds (the varint rule
+        in the module docstring) raises ``OverflowError``, so both
+        backends accept the same payloads.
+
         One-byte varints are decoded inline; multi-byte values go through
-        :func:`_get_uvarint` / :func:`_get_svarint`.  Most fields are
-        single-byte table indices and small step deltas, so inlining them
-        skips a call and a tuple allocation per field.
+        :func:`_get_uvarint`.  Most fields are single-byte table indices
+        and small step deltas, so inlining them skips a call and a tuple
+        allocation per field.
         """
-        uvarint, svarint = _get_uvarint, _get_svarint
+        uvarint = _get_uvarint
+        u64, occ_max = _U64_MAX, _I64_MAX
+        step_min, step_max = _I64_MIN, _I64_MAX
         strings, threads, locks = self._strings, self._threads, self._locks
         new = object.__new__
-        n, pos = uvarint(payload, 0)
+        n, pos = uvarint(payload, 0, u64)
         step = self._last_step
         for _ in range(n):
             tag = payload[pos]
@@ -602,14 +626,16 @@ class _DecodeCore:
                 pos += 1
                 step += (b >> 1) ^ -(b & 1)
             else:
-                delta, pos = svarint(payload, pos)
-                step += delta
+                zz, pos = uvarint(payload, pos, u64)
+                step += (zz >> 1) ^ -(zz & 1)
+            if not step_min <= step <= step_max:
+                raise OverflowError("event step outside int64")
             b = payload[pos]
             if b < 0x80:
                 t = b
                 pos += 1
             else:
-                t, pos = uvarint(payload, pos)
+                t, pos = uvarint(payload, pos, u64)
             thread = threads[t]
             if tag == 4:  # AcquireEvent (hottest first)
                 b = payload[pos]
@@ -617,31 +643,31 @@ class _DecodeCore:
                     lk = b
                     pos += 1
                 else:
-                    lk, pos = uvarint(payload, pos)
+                    lk, pos = uvarint(payload, pos, u64)
                 b = payload[pos]
                 if b < 0x80:
                     it = b
                     pos += 1
                 else:
-                    it, pos = uvarint(payload, pos)
+                    it, pos = uvarint(payload, pos, u64)
                 b = payload[pos]
                 if b < 0x80:
                     isite = b
                     pos += 1
                 else:
-                    isite, pos = uvarint(payload, pos)
+                    isite, pos = uvarint(payload, pos, u64)
                 b = payload[pos]
                 if b < 0x80:
                     occ = b
                     pos += 1
                 else:
-                    occ, pos = uvarint(payload, pos)
+                    occ, pos = uvarint(payload, pos, occ_max)
                 b = payload[pos]
                 if b < 0x80:
                     nheld = b
                     pos += 1
                 else:
-                    nheld, pos = uvarint(payload, pos)
+                    nheld, pos = uvarint(payload, pos, u64)
                 if nheld:
                     held = []
                     for _h in range(nheld):
@@ -650,7 +676,7 @@ class _DecodeCore:
                             h = b
                             pos += 1
                         else:
-                            h, pos = uvarint(payload, pos)
+                            h, pos = uvarint(payload, pos, u64)
                         held.append(locks[h])
                     held_indices = []
                     for _h in range(nheld):
@@ -659,19 +685,19 @@ class _DecodeCore:
                             ht = b
                             pos += 1
                         else:
-                            ht, pos = uvarint(payload, pos)
+                            ht, pos = uvarint(payload, pos, u64)
                         b = payload[pos]
                         if b < 0x80:
                             hs = b
                             pos += 1
                         else:
-                            hs, pos = uvarint(payload, pos)
+                            hs, pos = uvarint(payload, pos, u64)
                         b = payload[pos]
                         if b < 0x80:
                             ho = b
                             pos += 1
                         else:
-                            ho, pos = uvarint(payload, pos)
+                            ho, pos = uvarint(payload, pos, occ_max)
                         held_indices.append(
                             ExecIndex(threads[ht], strings[hs], ho)
                         )
@@ -683,7 +709,7 @@ class _DecodeCore:
                     depth = b
                     pos += 2
                 else:
-                    depth, pos = uvarint(payload, pos + 1)
+                    depth, pos = uvarint(payload, pos + 1, u64)
                 # Frozen-dataclass construction funnels every field
                 # through object.__setattr__; building the instance dict
                 # directly produces an equal object (same fields, eq,
@@ -712,13 +738,13 @@ class _DecodeCore:
                     lk = b
                     pos += 1
                 else:
-                    lk, pos = uvarint(payload, pos)
+                    lk, pos = uvarint(payload, pos, u64)
                 b = payload[pos]
                 if b < 0x80:
                     site = b
                     pos += 1
                 else:
-                    site, pos = uvarint(payload, pos)
+                    site, pos = uvarint(payload, pos, u64)
                 reentrant = payload[pos] == 1
                 pos += 1
                 ev = new(ReleaseEvent)
@@ -734,15 +760,15 @@ class _DecodeCore:
             elif tag == 1:
                 ev = EndEvent(step, thread)
             elif tag == 2:
-                c, pos = uvarint(payload, pos)
+                c, pos = uvarint(payload, pos, u64)
                 ev = SpawnEvent(step, thread, child=threads[c])
             elif tag == 3:
-                tgt, pos = uvarint(payload, pos)
+                tgt, pos = uvarint(payload, pos, u64)
                 ev = JoinEvent(step, thread, target=threads[tgt])
             elif tag == 6:
-                cond, pos = uvarint(payload, pos)
-                lk, pos = uvarint(payload, pos)
-                site, pos = uvarint(payload, pos)
+                cond, pos = uvarint(payload, pos, u64)
+                lk, pos = uvarint(payload, pos, u64)
+                site, pos = uvarint(payload, pos, u64)
                 ev = WaitEvent(
                     step,
                     thread,
@@ -751,10 +777,10 @@ class _DecodeCore:
                     site=strings[site],
                 )
             elif tag == 7:
-                cond, pos = uvarint(payload, pos)
-                lk, pos = uvarint(payload, pos)
-                site, pos = uvarint(payload, pos)
-                woken, pos = uvarint(payload, pos)
+                cond, pos = uvarint(payload, pos, u64)
+                lk, pos = uvarint(payload, pos, u64)
+                site, pos = uvarint(payload, pos, u64)
+                woken, pos = uvarint(payload, pos, u64)
                 notify_all = payload[pos] == 1
                 pos += 1
                 ev = NotifyEvent(
@@ -767,11 +793,11 @@ class _DecodeCore:
                     notify_all=notify_all,
                 )
             elif tag == 8:
-                lk, pos = uvarint(payload, pos)
-                it, pos = uvarint(payload, pos)
-                isite, pos = uvarint(payload, pos)
-                occ, pos = uvarint(payload, pos)
-                holder, pos = uvarint(payload, pos)
+                lk, pos = uvarint(payload, pos, u64)
+                it, pos = uvarint(payload, pos, u64)
+                isite, pos = uvarint(payload, pos, u64)
+                occ, pos = uvarint(payload, pos, u64)
+                holder, pos = uvarint(payload, pos, u64)
                 ev = BlockEvent(
                     step,
                     thread,
@@ -893,9 +919,9 @@ class ChunkDecoder(_DecodeCore):
     violation raises :class:`OversizedChunkError` before the payload is
     buffered.  All other corruption surfaces exactly as
     :class:`TraceFileReader` raises it (``ValueError`` for framing,
-    ``IndexError``/``KeyError``/``UnicodeDecodeError`` for bit rot inside
-    payloads), so one taxonomy classifies both batch and streaming
-    ingestion.
+    ``IndexError``/``KeyError``/``UnicodeDecodeError``/``OverflowError``
+    for bit rot inside payloads), so one taxonomy classifies both batch
+    and streaming ingestion.
     """
 
     def __init__(self, *, max_chunk_bytes: Optional[int] = None) -> None:

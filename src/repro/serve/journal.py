@@ -101,15 +101,8 @@ class RunJournal:
     ``None`` keeps the historical grow-forever behavior.
     """
 
-    def __init__(
-        self,
-        path: str,
-        *,
-        fsync: bool = True,
-        max_bytes: Optional[int] = None,
-    ) -> None:
+    def __init__(self, path: str, *, max_bytes: Optional[int] = None) -> None:
         self.path = path
-        self._fsync = fsync
         self._max_bytes = max_bytes
         #: Rotations performed by this journal instance (observability).
         self.rotations = 0
@@ -124,8 +117,7 @@ class RunJournal:
         assert self._fh is not None, "journal is closed"
         self._fh.write(json.dumps(doc, sort_keys=True) + "\n")
         self._fh.flush()
-        if self._fsync:
-            os.fsync(self._fh.fileno())
+        os.fsync(self._fh.fileno())
         if self._max_bytes is not None and self._fh.tell() > self._max_bytes:
             self._rotate()
 
@@ -148,16 +140,14 @@ class RunJournal:
                 + "\n"
             )
             out.flush()
-            if self._fsync:
-                os.fsync(out.fileno())
+            os.fsync(out.fileno())
         self._fh.close()
         os.replace(tmp, self.path)
-        if self._fsync:
-            dir_fd = os.open(os.path.dirname(self.path) or ".", os.O_RDONLY)
-            try:
-                os.fsync(dir_fd)
-            finally:
-                os.close(dir_fd)
+        dir_fd = os.open(os.path.dirname(self.path) or ".", os.O_RDONLY)
+        try:
+            os.fsync(dir_fd)
+        finally:
+            os.close(dir_fd)
         self._fh = open(self.path, "a", encoding="utf-8")
         self.rotations += 1
 

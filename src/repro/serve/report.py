@@ -14,7 +14,7 @@ identical inputs must produce identical bytes on any machine at any time.
 from __future__ import annotations
 
 import json
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.core.detector import DetectionResult
 from repro.core.generator import Generator, GeneratorVerdict
@@ -128,12 +128,3 @@ def report_doc_for_file(
 def render_report(doc: dict) -> bytes:
     """Canonical byte rendering: sorted keys, two-space indent, ``\\n``."""
     return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
-
-
-def summarize_keys(doc: dict) -> Sequence[str]:
-    """Flat ``site|site`` strings for manifest rows and logs."""
-    return ["|".join(k) for k in doc.get("defect_keys", [])]
-
-
-def events_of(doc: Optional[dict]) -> int:
-    return 0 if doc is None else int(doc.get("events", 0))

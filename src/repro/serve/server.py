@@ -39,6 +39,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.corpus.manifest import DETECTOR_PARAMS, sha256_file
+from repro.corpus.validate import DECODE_ERRORS
 from repro.serve.health import ServeStats
 from repro.serve.journal import JOURNAL_NAME, JournalState, RunJournal
 from repro.serve.protocol import (
@@ -117,8 +118,6 @@ class ServeConfig:
     max_chunk_bytes: int = 1 << 20
     #: Largest whole stream accepted (None = unbounded).
     max_stream_bytes: Optional[int] = 64 * 1024 * 1024
-    #: fsync the journal on every append (tests may disable for speed).
-    journal_fsync: bool = True
     #: Rotate (compact) the journal once an append pushes it past this
     #: size; ``None`` disables rotation.  The default bounds journal
     #: growth across long runs and daemon restarts without ever rotating
@@ -210,11 +209,7 @@ class WolfServer:
         # re-analysis); journaled partial streams await reconnection.
         self._recovered = RunJournal.load_state(journal_path)
         self._rejected = list(self._recovered.rejected)
-        self._journal = RunJournal(
-            journal_path,
-            fsync=cfg.journal_fsync,
-            max_bytes=cfg.journal_max_bytes,
-        )
+        self._journal = RunJournal(journal_path, max_bytes=cfg.journal_max_bytes)
         self._drain_requested = asyncio.Event()
         self._drain_done = asyncio.Event()
         if cfg.socket_path is not None:
@@ -734,7 +729,7 @@ class WolfServer:
                 journaled_before = session.journaled_bytes
                 try:
                     fed = session.ingest(frame.payload)
-                except Exception as exc:  # hostile bytes: classify + settle
+                except DECODE_ERRORS as exc:  # hostile bytes: classify + settle
                     code, detail = classify_ingest_error(exc)
                     await settle(code, detail)
                     return

@@ -30,7 +30,7 @@ import os
 from typing import BinaryIO, Optional
 
 from repro.core.streaming import StreamingDetector
-from repro.corpus.manifest import DETECTOR_PARAMS, sha256_file
+from repro.corpus.manifest import DETECTOR_PARAMS
 from repro.corpus.validate import classify_decode_error
 from repro.runtime.tracefile import ChunkDecoder
 from repro.serve.journal import RunJournal
@@ -298,9 +298,6 @@ class StreamSession:
                     pass
             self._spool.close()
             self._spool = None
-
-    def spool_sha256(self) -> str:
-        return sha256_file(self.spool_path)
 
 
 class StreamTooLarge(ValueError):

@@ -97,7 +97,6 @@ class FleetConfig:
     max_total_buffer: int = 8 * 1024 * 1024
     max_stream_bytes: Optional[int] = 64 * 1024 * 1024
     journal_max_bytes: Optional[int] = 32 * 1024 * 1024
-    journal_fsync: bool = True
     backend: str = "auto"
     #: Seconds between child liveness probes.
     health_interval: float = 0.25
@@ -282,8 +281,6 @@ class FleetSupervisor:
             "--fleet-size",
             str(cfg.workers),
         ]
-        if not cfg.journal_fsync:
-            argv.append("--no-journal-fsync")
         if self.router == "reuseport" and self.tcp_address is not None:
             host, port = self.tcp_address
             argv += ["--tcp", f"{host}:{port}", "--tcp-reuseport"]

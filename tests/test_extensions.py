@@ -215,15 +215,23 @@ class TestCliExtensions:
             ["analyze-trace", "FILE"],
             ["analyze-trace", "FILE", "--json"],
             ["trace", "info", "FILE"],
+            ["trace", "unpack", "FILE", "--out", "OUT"],
+            ["corpus", "minimize", "FILE", "--out", "OUT"],
         ],
-        ids=["analyze-trace", "analyze-trace-json", "trace-info"],
+        ids=[
+            "analyze-trace",
+            "analyze-trace-json",
+            "trace-info",
+            "trace-unpack",
+            "corpus-minimize",
+        ],
     )
     def test_malformed_trace_is_one_classified_line(
         self, tmp_path, capsys, argv, damage, problem
     ):
         """A corpus trace cut inside its END chunk is `torn`, one followed
         by a byte `unreadable`: one classified line on stderr and exit 1,
-        not a traceback."""
+        not a traceback, from every command that reads a .wtrc."""
         from pathlib import Path
 
         from repro.cli import main
@@ -231,10 +239,46 @@ class TestCliExtensions:
         corpus = Path(__file__).resolve().parent.parent / "corpus"
         bad = tmp_path / "bad.wtrc"
         bad.write_bytes(damage((corpus / "HashMap-s0.wtrc").read_bytes()))
-        assert main([str(bad) if a == "FILE" else a for a in argv]) == 1
+        slots = {"FILE": str(bad), "OUT": str(tmp_path / "out")}
+        assert main([slots.get(a, a) for a in argv]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"{bad}: {problem}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("backend", ["python", "native"])
+    def test_wide_step_delta_is_one_classified_line(self, tmp_path, capsys, backend):
+        """An event whose step delta needs eleven varint bytes is a
+        corrupt payload to either backend: one classified line, exit 1."""
+        from pathlib import Path
+
+        from repro.cli import main
+        from repro.core.nativekernel import kernel_available
+        from repro.runtime.tracefile import _get_uvarint, _put_svarint, _put_uvarint
+
+        if backend == "native" and not kernel_available():
+            pytest.skip("native kernel unavailable on this host")
+        data = (
+            Path(__file__).resolve().parent.parent / "corpus" / "HashMap-s0.wtrc"
+        ).read_bytes()
+        pos = 5  # magic + version byte
+        while data[pos] != 4:  # up to the first EVENTS chunk
+            length, body = _get_uvarint(data, pos + 1)
+            pos = body + length
+        payload = bytearray([1, 0])  # one BeginEvent
+        _put_svarint(payload, 1 << 70)
+        payload.append(0)  # thread index
+        chunk = bytearray([4])
+        _put_uvarint(chunk, len(payload))
+        bad = tmp_path / "wide.wtrc"
+        bad.write_bytes(data[:pos] + bytes(chunk + payload) + data[pos:])
+        assert main(["analyze-trace", str(bad), "--backend", backend]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"{bad}: corrupt trace payload: "
+            "OverflowError('varint longer than 10 bytes')\n"
+        )
 
     def test_detect_rank_flag(self, capsys):
         from repro.cli import main

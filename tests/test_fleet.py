@@ -149,7 +149,6 @@ def run_fleet(tmp_path, traces, *, workers, tag, crash_stream=None, **kw):
         workers=workers,
         socket_path=sock,
         idle_timeout=10.0,
-        journal_fsync=False,
         health_interval=0.1,
         **kw,
     )
@@ -247,7 +246,6 @@ class TestShardRouting:
                 out_dir=wdir,
                 socket_path=str(tmp_path / "w.sock"),
                 idle_timeout=5.0,
-                journal_fsync=False,
                 worker_index=me,
                 num_workers=4,
                 fleet_dir=fleet_dir,
@@ -342,7 +340,6 @@ class TestClientBatching:
                 out_dir=out,
                 socket_path=sock,
                 idle_timeout=5.0,
-                journal_fsync=False,
             )
         ).start()
         try:
@@ -367,7 +364,7 @@ class TestClientBatching:
 class TestJournalRotation:
     def test_rotation_compacts_and_preserves_state(self, tmp_path):
         path = str(tmp_path / "journal.jsonl")
-        j = RunJournal(path, fsync=False, max_bytes=2048)
+        j = RunJournal(path, max_bytes=2048)
         for i in range(200):
             j.chunk("big-stream", (i + 1) * 64)
         j.complete("done-stream", {"stream": "done-stream", "status": "analyzed"})
@@ -389,7 +386,7 @@ class TestJournalRotation:
 
     def test_snapshot_drops_terminal_chunk_offsets(self, tmp_path):
         path = str(tmp_path / "journal.jsonl")
-        j = RunJournal(path, fsync=False, max_bytes=512)
+        j = RunJournal(path, max_bytes=512)
         for i in range(50):
             j.chunk("s", (i + 1) * 10)
         j.complete("s", {"stream": "s", "status": "analyzed"})
@@ -416,7 +413,6 @@ class TestJournalRotation:
                     out_dir=out,
                     socket_path=sock,
                     idle_timeout=5.0,
-                    journal_fsync=False,
                     journal_max_bytes=160,  # rotate every few appends
                 )
             ).start()
@@ -623,7 +619,6 @@ class TestFleet:
             workers=2,
             socket_path=sock,
             idle_timeout=10.0,
-            journal_fsync=False,
             health_interval=0.1,
         )
         ft = FleetThread(cfg).start()
@@ -658,7 +653,6 @@ class TestFleet:
             workers=2,
             tcp=("127.0.0.1", 0),
             idle_timeout=10.0,
-            journal_fsync=False,
         )
         assert resolve_router(cfg) == "proxy"
         ft = FleetThread(cfg).start()
@@ -686,7 +680,6 @@ class TestFleet:
             workers=2,
             socket_path=sock,
             idle_timeout=10.0,
-            journal_fsync=False,
         )
         ft = FleetThread(cfg).start()
         straggler = None

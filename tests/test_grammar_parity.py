@@ -12,9 +12,9 @@ exception as ``("err", type, message)``, or ``TRUNCATED``: the reader's
 ``TruncatedTraceError`` and a decoder left waiting for bytes (a partial
 chunk buffered, or no META yet) are the same outcome.  Pure readers
 must agree event for event; native readers yield no event objects, so
-they are held to the pure event count.  The one admitted divergence is
-the kernel's refusal of varints wider than 64 bits
-(``KernelDivergenceError``, see ``tests/test_nativekernel.py``).
+they are held to the pure event count.  There is no exception: the
+EVENTS-width tests below hold every reader to the native kernel's
+widths, at the largest value it accepts and at the next one up.
 """
 
 from __future__ import annotations
@@ -166,8 +166,7 @@ def assert_one_outcome(out, label) -> tuple:
         got_native = next(iter(native.values()))
         for key, got in native.items():
             assert got == got_native, f"{label}: {key} {got} != {got_native}"
-        if got_native[:2] != ("err", "KernelDivergenceError"):
-            assert got_native[:5] == want[:5], f"{label}: native {got_native}"
+        assert got_native[:5] == want[:5], f"{label}: native {got_native}"
     return want
 
 
@@ -279,3 +278,211 @@ def test_short_header_is_truncated(tmp_path):
         assert assert_one_outcome(out, repr(data)) == TRUNCATED
     out = outcomes(b"NOPE!", tmp_path / "t.wtrc")
     assert assert_one_outcome(out, "bad magic")[:2] == ("err", "ValueError")
+
+
+# ---------------------------------------------------------------------------
+# EVENTS widths: each integer validate_events bounds, at its edge
+# ---------------------------------------------------------------------------
+
+U64_MAX = (1 << 64) - 1
+I64_MAX = (1 << 63) - 1
+WIDER_64 = ("err", "OverflowError", "varint wider than 64 bits")
+WIDER_63 = ("err", "OverflowError", "varint wider than 63 bits")
+STEP_OUT = ("err", "OverflowError", "event step outside int64")
+OVERLONG = ("err", "OverflowError", "varint longer than 10 bytes")
+OUT_OF_RANGE = ("err", "IndexError", "list index out of range")
+#: Zero in eleven bytes: ten carry the continuation bit.
+ELEVEN = b"\x80" * 10 + b"\x00"
+
+
+def _varint(value) -> bytes:
+    """``value`` as a uvarint, or raw bytes as they are."""
+    if isinstance(value, bytes):
+        return value
+    buf = bytearray()
+    _put_uvarint(buf, value)
+    return bytes(buf)
+
+
+def _zigzag(value) -> bytes:
+    if isinstance(value, bytes):
+        return value
+    return _varint(value * 2 if value >= 0 else -value * 2 - 1)
+
+
+def acquire(
+    delta=1, thread=0, lock=0, ix_thread=0, site=0, occ=1, held=None, depth=0
+) -> bytes:
+    """One encoded AcquireEvent; ``held`` is a list of (lock, index
+    thread, index site, index occurrence) for its held locks, one by
+    default.  Each field is an int or its raw varint bytes."""
+    if held is None:
+        held = [(0, 0, 0, 1)]
+    return b"".join(
+        [bytes([4]), _zigzag(delta)]
+        + [_varint(v) for v in (thread, lock, ix_thread, site, occ, len(held))]
+        + [_varint(h[0]) for h in held]
+        + [_varint(v) for h in held for v in h[1:]]
+        + [b"\x00", _varint(depth)]
+    )
+
+
+@pytest.fixture(scope="module")
+def tables():
+    """Header, META and the table chunks of a one-thread, one-lock trace,
+    and the thread and string table sizes."""
+    from repro.runtime.events import AcquireEvent, Trace
+    from repro.runtime.tracefile import write_trace
+    from repro.util.ids import ExecIndex, LockId, ThreadId
+
+    root = ThreadId.root()
+    lock = LockId(root, "new:L", 0, name="L")
+    index = ExecIndex(root, "acq:L", 1)
+    trace = Trace(program="widths", seed=0)
+    trace.append(AcquireEvent(1, root, lock, index, (lock,), (index,)))
+    buf = io.BytesIO()
+    write_trace(trace, buf)
+    data = buf.getvalue()
+    with TraceFileReader(io.BytesIO(data)) as r:
+        list(r)
+        sizes = {"threads": len(r._threads), "locks": len(r._locks)}
+        sizes["strings"] = len(r._strings)
+    head = b"".join(raw for kind, raw in chunks_of(data) if kind < K_EVENTS)
+    return HEADER + head, sizes
+
+
+def widths_trace(tables, events, count=None) -> bytes:
+    """The tables, one EVENTS chunk of ``events`` (its count ``count``,
+    an int or raw bytes, by default the true one) and a matching END."""
+    head, _sizes = tables
+    payload = _varint(len(events) if count is None else count) + b"".join(events)
+    return (
+        head
+        + chunk(K_EVENTS, payload)
+        + chunk(K_END, _varint(len(events)))
+    )
+
+
+def _index_case(field, size_key):
+    """An index field: the last table row reads, the next row is out of
+    range, 2^64 is too wide and eleven bytes too long."""
+
+    def make(value):
+        if field.startswith("held_"):
+            row = [0, 0, 0, 1]
+            row[["held_lock", "held_thread", "held_site"].index(field)] = value
+            return [acquire(held=[row])]
+        return [acquire(**{field: value})]
+
+    return (
+        lambda sizes: (make(sizes[size_key] - 1), None),
+        lambda sizes: [
+            ((make(sizes[size_key]), None), OUT_OF_RANGE),
+            ((make(1 << 64), None), WIDER_64),
+        ],
+        (make(ELEVEN), None),
+    )
+
+
+#: field -> (the edge (events, count) from the table sizes, the
+#: [((events, count), outcome)] one step past the edge, and the
+#: (events, count) with the field eleven bytes long).  A ``None`` count
+#: is the true one.
+WIDTH_CASES = {
+    # The count is the number of events, so its edge is its width.
+    "count": (
+        lambda sizes: ([acquire()], b"\x81" + b"\x80" * 8 + b"\x00"),
+        lambda sizes: [(([acquire()], 1 << 64), WIDER_64)],
+        ([acquire()], b"\x81" + b"\x80" * 9 + b"\x00"),
+    ),
+    "step delta": (
+        lambda sizes: (
+            [
+                acquire(delta=-(1 << 63)),
+                acquire(delta=I64_MAX),
+                acquire(delta=I64_MAX),
+                acquire(delta=1),
+            ],
+            None,
+        ),
+        lambda sizes: [
+            (([acquire(delta=I64_MAX), acquire(delta=1)], None), STEP_OUT),
+            (([acquire(delta=-(1 << 63)), acquire(delta=-1)], None), STEP_OUT),
+            (([acquire(delta=1 << 63)], None), WIDER_64),
+        ],
+        ([acquire(delta=ELEVEN)], None),
+    ),
+    "occurrence": (
+        lambda sizes: ([acquire(occ=I64_MAX)], None),
+        lambda sizes: [(([acquire(occ=1 << 63)], None), WIDER_63)],
+        ([acquire(occ=ELEVEN)], None),
+    ),
+    "held-index occurrence": (
+        lambda sizes: ([acquire(held=[(0, 0, 0, I64_MAX)])], None),
+        lambda sizes: [(([acquire(held=[(0, 0, 0, 1 << 63)])], None), WIDER_63)],
+        ([acquire(held=[(0, 0, 0, ELEVEN)])], None),
+    ),
+    "depth": (
+        lambda sizes: ([acquire(depth=U64_MAX)], None),
+        lambda sizes: [(([acquire(depth=1 << 64)], None), WIDER_64)],
+        ([acquire(depth=ELEVEN)], None),
+    ),
+    "thread": _index_case("thread", "threads"),
+    "lock": _index_case("lock", "locks"),
+    "index thread": _index_case("ix_thread", "threads"),
+    "index site": _index_case("site", "strings"),
+    "held lock": _index_case("held_lock", "locks"),
+    "held thread": _index_case("held_thread", "threads"),
+    "held site": _index_case("held_site", "strings"),
+}
+
+
+@pytest.mark.parametrize("field", list(WIDTH_CASES))
+class TestEventsWidths:
+    """The largest value the native kernel accepts reads to the same
+    events on every reader; the next one up, and an eleven-byte varint,
+    are refused by every reader with one exception and message."""
+
+    def test_edge_reads(self, tables, tmp_path, field):
+        events, count = WIDTH_CASES[field][0](tables[1])
+        data = widths_trace(tables, events, count)
+        want = assert_one_outcome(outcomes(data, tmp_path / "t.wtrc"), field)
+        assert want[0] == "ok" and want[3] == want[4] == len(events), want
+
+    def test_next_value_up_refused(self, tables, tmp_path, field):
+        for (events, count), refusal in WIDTH_CASES[field][1](tables[1]):
+            data = widths_trace(tables, events, count)
+            got = assert_one_outcome(outcomes(data, tmp_path / "t.wtrc"), field)
+            assert got == refusal, (field, got)
+
+    def test_eleven_bytes_refused(self, tables, tmp_path, field):
+        events, count = WIDTH_CASES[field][2]
+        data = widths_trace(tables, events, count)
+        got = assert_one_outcome(outcomes(data, tmp_path / "t.wtrc"), field)
+        assert got == OVERLONG, (field, got)
+
+
+def test_edge_values_decode_exactly(tables):
+    """The edge values reach the pure events unchanged."""
+    data = widths_trace(
+        tables,
+        [
+            acquire(delta=-(1 << 63), occ=I64_MAX, held=[(0, 0, 0, I64_MAX)]),
+            acquire(delta=I64_MAX, depth=U64_MAX),
+            acquire(delta=I64_MAX),
+            acquire(delta=1),
+        ],
+    )
+    with TraceFileReader(io.BytesIO(data)) as r:
+        events = list(r)
+    assert [e.step for e in events] == [-(1 << 63), -1, I64_MAX - 1, I64_MAX]
+    assert events[0].index.occ == events[0].held_indices[0].occ == I64_MAX
+    assert events[1].stack_depth == U64_MAX
+
+
+def test_run_of_continuation_bytes_refused_after_ten(tables, tmp_path):
+    """An EVENTS chunk of 64 KiB of 0xff is refused as an overlong
+    varint by every reader, the same way a short one is."""
+    data = tables[0] + chunk(K_EVENTS, b"\xff" * 65536)
+    got = assert_one_outcome(outcomes(data, tmp_path / "t.wtrc"), "0xff run")
+    assert got == OVERLONG

@@ -10,8 +10,9 @@ nested-lock traces at two chunk sizes, generated programs, a trace cut
 inside a critical section and a trace with wait/notify.  It checks that
 every corpus survivor gets the same witness whichever re-read built its
 index, that a native report never runs the pure decoder, that analysis
-contexts collect no columns, and the fallback when the kernel rejects a
-payload during the re-read.  Everything here needs the kernel.
+contexts collect no columns, and that a payload the kernel refuses
+during the re-read raises the pure decoder's error, with no pure re-read
+standing in.  Everything here needs the kernel.
 """
 
 from __future__ import annotations
@@ -271,13 +272,17 @@ class TestNoPureDecode:
 
 
 class TestRereadFallback:
-    def test_rejected_payload_falls_back_to_python(self, dense_path, monkeypatch):
-        """A payload the kernel rejects but Python accepts: the whole
-        index comes from the Python re-read."""
+    def test_refusal_python_accepts_is_internal_error(self, dense_path, monkeypatch):
+        """A payload the kernel refuses but Python accepts is a bug in one
+        decoder, not a decode outcome: the re-read raises an error no
+        caller classifies, and no pure re-read stands in for it."""
+        from repro.corpus.validate import DECODE_ERRORS
+
         detection, decisions = _decisions(dense_path, "native")
         monkeypatch.setattr(_Kernel, "feed_events", lambda self, payload: -1)
-        index = closure_index_for(detection, decisions, dense_path)
-        assert_same_index(index, pure_index(dense_path))
+        with pytest.raises(RuntimeError, match="code -1") as exc:
+            closure_index_for(detection, decisions, dense_path)
+        assert not isinstance(exc.value, DECODE_ERRORS)
 
     def test_corrupt_payload_raises_the_python_error(self, dense_path, tmp_path):
         """A file corrupted after analysis fails the re-read with exactly

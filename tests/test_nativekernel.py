@@ -17,11 +17,11 @@ proves that contract three ways:
   single-byte bit-rot sweep and hypothesis fuzz over mutations and
   truncations, asserting outcome parity for every input.
 
-The one admitted divergence: varints wider than 64 bits.  Python decodes
-them as bignums; the kernel rejects the payload, the wrapper confirms
-the pure re-decode succeeds and raises ``KernelDivergenceError``, and
-``analyze_trace_file`` falls back to pure Python — asserted explicitly
-in :class:`TestOversizedVarintDivergence`.
+There is no admitted divergence: the pure decoder holds EVENTS payloads
+to the kernel's widths, so a varint wider than 64 bits is refused by
+both backends with one ``OverflowError``, and ``analyze_trace_file``
+reports the backend it resolved for every input
+(:class:`TestOversizedVarint`).
 
 Everything that needs the compiled kernel is skipped when it cannot load
 (no C compiler, no cffi, or ``WOLF_PURE_PYTHON=1`` — the CI pure leg),
@@ -40,7 +40,6 @@ import pytest
 
 from repro.core.nativekernel import (
     BACKENDS,
-    KernelDivergenceError,
     KernelUnavailableError,
     _build_shared_object,
     _kernel_source,
@@ -155,16 +154,26 @@ def read_outcome(path: str, backend: str):
         return ("err", type(exc).__name__, str(exc))
 
 
+def analyze_outcome(path: str, backend: str):
+    """``analyze_trace_file`` on one backend: the events and defect keys,
+    or the exception as ``("err", type_name, message)``.  A finished
+    analysis ran on the backend it resolved."""
+    try:
+        analysis = analyze_trace_file(path, max_length=3, backend=backend)
+    except Exception as exc:  # noqa: BLE001 - the outcome IS the assertion
+        return ("err", type(exc).__name__, str(exc))
+    assert analysis.backend == resolve_backend(backend)
+    return ("ok", analysis.events, analysis.detection.defect_keys())
+
+
 def assert_outcome_parity(path: str):
-    """Both backends agree on the file, modulo the admitted divergence."""
+    """Both backends reach one outcome on the file, read and analyzed."""
     py = read_outcome(path, "python")
     nat = read_outcome(path, "native")
-    if nat[0] == "err" and nat[1] == "KernelDivergenceError":
-        # >64-bit varint class: the kernel refuses what Python's bignums
-        # accept.  analyze_trace_file redoes these in pure Python, so no
-        # constraint on the pure outcome here beyond "no crash".
-        return
     assert nat == py, f"backend outcomes diverge: python={py} native={nat}"
+    py = analyze_outcome(path, "python")
+    nat = analyze_outcome(path, "native")
+    assert nat == py, f"analyses diverge: python={py} native={nat}"
 
 
 @pytest.fixture(scope="module")
@@ -605,8 +614,6 @@ class TestErrorParity:
                 bad.write_bytes(bytes(mutated))
                 py = read_outcome(str(bad), "python")
                 nat = read_outcome(str(bad), "native")
-                if nat[0] == "err" and nat[1] == "KernelDivergenceError":
-                    continue  # admitted >64-bit-varint divergence
                 assert nat == py, f"offset {rel} value {val:#x}"
                 if py[0] == "err":
                     seen_types.add(py[1])
@@ -646,63 +653,69 @@ def _read_raising(path: str, backend: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# the admitted divergence: varints wider than 64 bits
+# varints wider than 64 bits: refused by both backends alike
 # ---------------------------------------------------------------------------
 
 
+def _oversized_payload() -> bytes:
+    """One BeginEvent whose zigzag step delta is 2^70: eleven bytes."""
+    buf = bytearray()
+    _put_uvarint(buf, 1)
+    buf += bytes([0])  # BeginEvent tag
+    _put_uvarint(buf, 1 << 70)  # zigzag step delta
+    _put_uvarint(buf, 0)  # thread index
+    return bytes(buf)
+
+
+def _with_extra_events_chunk(data: bytes, payload: bytes) -> bytes:
+    """``data`` with ``payload`` spliced in as an EVENTS chunk of one
+    event in front of its first EVENTS chunk, and the END count bumped
+    to match: well-formed end to end but for that payload."""
+    extra = bytearray([K_EVENTS])
+    _put_uvarint(extra, len(payload))
+    extra += payload
+    out = bytearray(data[:5])
+    inserted = False
+    for kind, header, off, length in iter_chunks(data):
+        if kind == K_EVENTS and not inserted:
+            out += extra
+            inserted = True
+            out += data[header : off + length]
+        elif kind == K_END:
+            declared, _ = _get_uvarint(data, off)
+            end_payload = bytearray()
+            _put_uvarint(end_payload, declared + 1)
+            out.append(K_END)
+            _put_uvarint(out, len(end_payload))
+            out += end_payload
+        else:
+            out += data[header : off + length]
+    return bytes(out)
+
+
+OVERLONG = ("err", "OverflowError", "varint longer than 10 bytes")
+
+
 @needs_kernel
-class TestOversizedVarintDivergence:
-    def _oversized_payload(self) -> bytes:
-        buf = bytearray()
-        _put_uvarint(buf, 1)
-        buf += bytes([0])  # BeginEvent tag
-        _put_uvarint(buf, 1 << 70)  # zigzag step delta: a bignum
-        _put_uvarint(buf, 0)  # thread index
-        return bytes(buf)
+class TestOversizedVarint:
+    def test_both_backends_refuse(self, fig9_wtrc, tmp_path):
+        path = craft(fig9_wtrc, tmp_path, _oversized_payload(), "big.wtrc")
+        assert read_outcome(path, "python") == OVERLONG
+        assert read_outcome(path, "native") == OVERLONG
 
-    def test_python_accepts_kernel_diverges(self, fig9_wtrc, tmp_path):
-        path = craft(fig9_wtrc, tmp_path, self._oversized_payload(), "big.wtrc")
-        py = read_outcome(path, "python")
-        assert py[0] == "ok"
-        nat = read_outcome(path, "native")
-        assert nat[:2] == ("err", "KernelDivergenceError")
-
-    def test_front_door_falls_back_to_python(self, fig9_wtrc, tmp_path):
-        """analyze_trace_file never surfaces the divergence: it redoes
-        the degenerate file in pure Python."""
+    def test_front_door_refuses_on_both_backends(self, fig9_wtrc, tmp_path):
+        """analyze_trace_file runs the backend it resolved to the end: the
+        file is refused with the decoder's error, never redone in pure
+        Python."""
         data = Path(fig9_wtrc).read_bytes()
-        # Keep the file well-formed end to end: splice the oversized
-        # chunk in front of the original EVENTS chunk and bump the END
-        # chunk's declared event count to match.
-        extra = bytearray([K_EVENTS])
-        payload = self._oversized_payload()
-        _put_uvarint(extra, len(payload))
-        extra += payload
-        out = bytearray(data[:5])
-        inserted = False
-        for kind, header, off, length in iter_chunks(data):
-            if kind == K_EVENTS and not inserted:
-                out += extra
-                inserted = True
-                out += data[header : off + length]
-            elif kind == K_END:
-                declared, _ = _get_uvarint(data, off)
-                end_payload = bytearray()
-                _put_uvarint(end_payload, declared + 1)
-                out.append(K_END)
-                _put_uvarint(out, len(end_payload))
-                out += end_payload
-            else:
-                out += data[header : off + length]
         path = tmp_path / "degenerate.wtrc"
-        path.write_bytes(bytes(out))
-        py = analyze_trace_file(str(path), max_length=3, backend="python")
-        nat = analyze_trace_file(str(path), max_length=3, backend="native")
-        assert nat.backend == "python"  # fell back
-        assert nat.events == py.events
+        path.write_bytes(_with_extra_events_chunk(data, _oversized_payload()))
+        for backend in ("python", "native"):
+            assert analyze_outcome(str(path), backend) == OVERLONG
+            assert analyze_outcome(fig9_wtrc, backend)[0] == "ok"
 
-    def test_divergence_quarantines_as_corrupt_payload(self):
-        code = classify_decode_error(KernelDivergenceError("boom")).code
+    def test_overflow_quarantines_as_corrupt_payload(self):
+        code = classify_decode_error(OverflowError(OVERLONG[2])).code
         assert code == CORRUPT_PAYLOAD
 
 

@@ -147,15 +147,19 @@ class TestEngines:
             for seed in (3, 1, 2, 0)
         ]
         try:
-            results = engine.map(parallel.run_detect_task, tasks)
+            outcomes = engine.map_supervised(
+                parallel.run_detect_task, tasks, parallel.SupervisionPolicy()
+            )
         finally:
             engine.close()
-        assert [r.seed for r in results] == [3, 1, 2, 0]
+        assert all(o.status is parallel.TaskStatus.OK for o in outcomes)
+        assert [o.value.seed for o in outcomes] == [3, 1, 2, 0]
 
     def test_map_empty_tasks(self):
         engine = parallel.make_engine(2, PROGRAM)
         try:
-            assert engine.map(parallel.run_detect_task, []) == []
+            policy = parallel.SupervisionPolicy()
+            assert engine.map_supervised(parallel.run_detect_task, [], policy) == []
         finally:
             engine.close()
 

@@ -34,10 +34,8 @@ from repro.core.parallel import predict_decisions
 from repro.core.pipeline import Wolf, WolfConfig, run_detection
 from repro.core.prediction import (
     ClosureIndex,
-    Predictor,
     PredictionVerdict,
     WitnessSchedule,
-    predict_cycles,
 )
 from repro.core.pruner import Pruner
 from repro.core.replayer import Replayer
@@ -196,13 +194,6 @@ class TestKnownAnswerCertified:
             assert all(
                 p.verdict is PredictionVerdict.CERTIFIED for _, p in pairs
             )
-
-    def test_predict_cycles_one_shot_matches(self):
-        run = run_detection(two_lock_program, 0, name="t")
-        detection = ExtendedDetector(max_length=4).analyze(run.trace)
-        result = predict_cycles(run.trace, detection.cycles)
-        assert result.count(PredictionVerdict.CERTIFIED) >= 1
-        assert result.count(PredictionVerdict.REFUTED) == 0
 
 
 class TestKnownAnswerRefuted:

@@ -122,7 +122,6 @@ def harness(tmp_path):
 
     def make(**kw) -> ServerThread:
         kw.setdefault("idle_timeout", 5.0)
-        kw.setdefault("journal_fsync", False)
         cfg = ServeConfig(out_dir=out, socket_path=sock, **kw)
         st = ServerThread(cfg).start()
         started.append(st)
@@ -490,6 +489,112 @@ class TestChaosSuite:
 
 
 # ---------------------------------------------------------------------------
+# one outcome per stream, whichever backend the daemon runs
+# ---------------------------------------------------------------------------
+
+HOSTILE_MODES = ("garbage", "corrupt", "oversized", "overdraft")
+OVERLONG_DETAIL = "OverflowError('varint longer than 10 bytes')"
+
+
+def _chunk(kind: int, payload: bytes) -> bytes:
+    from repro.runtime.tracefile import _put_uvarint
+
+    head = bytearray([kind])
+    _put_uvarint(head, len(payload))
+    return bytes(head) + payload
+
+
+def _crafted_streams(tmp_path) -> dict:
+    """Stream id -> path: a corpus trace with an extra EVENTS chunk of one
+    event whose step delta is 2^70 (its END count bumped to match), and
+    the same trace's tables followed by an EVENTS chunk of 64 KiB of
+    0xff."""
+    from repro.runtime.tracefile import (
+        _END,
+        _EVENTS,
+        _get_uvarint,
+        _put_svarint,
+        _put_uvarint,
+    )
+
+    corpus = Path(REPO) / "corpus"
+    data = (corpus / "ArrayList-s11578652118208600430.wtrc").read_bytes()
+    wide = bytearray()
+    _put_uvarint(wide, 1)  # one event
+    wide.append(0)  # BeginEvent tag
+    _put_svarint(wide, 1 << 70)  # step delta: eleven bytes
+    _put_uvarint(wide, 0)  # thread index
+    spliced, tables = bytearray(data[:5]), b""
+    pos = 5  # magic + version byte
+    while pos < len(data):
+        length, body = _get_uvarint(data, pos + 1)
+        if data[pos] == _EVENTS and not tables:
+            tables = bytes(spliced)
+            spliced += _chunk(_EVENTS, bytes(wide))
+        if data[pos] == _END:
+            declared, _ = _get_uvarint(data, body)
+            end = bytearray()
+            _put_uvarint(end, declared + 1)
+            spliced += _chunk(_END, bytes(end))
+        else:
+            spliced += data[pos : body + length]
+        pos = body + length
+    out = {}
+    for sid, stream in (
+        ("step-2-70", bytes(spliced)),
+        ("ff-run", tables + _chunk(_EVENTS, b"\xff" * 65536)),
+    ):
+        path = tmp_path / f"{sid}.wtrc"
+        path.write_bytes(stream)
+        out[sid] = str(path)
+    return out
+
+
+class TestBackendParity:
+    """The python and native daemons settle every hostile stream alike:
+    the same quarantine code and detail, and no internal error."""
+
+    def test_hostile_streams_settle_alike(self, tmp_path):
+        b = all_benchmarks()[0]
+        run = run_detection(b.program, b.detect_seed, name=b.name)
+        trace = str(tmp_path / f"{b.name}.wtrc")
+        write_trace(run.trace, trace, events_per_chunk=16)
+        crafted = _crafted_streams(tmp_path)
+        rows = {}
+        for backend in _backends():
+            sock = str(tmp_path / f"{backend}.sock")
+            out = str(tmp_path / backend)
+            st = ServerThread(
+                ServeConfig(
+                    out_dir=out, socket_path=sock, idle_timeout=5.0, backend=backend
+                )
+            ).start()
+            try:
+                for mode in HOSTILE_MODES:
+                    chaos_client(mode, trace, f"chaos-{mode}", socket_path=sock)
+                for sid, path in crafted.items():
+                    assert not send_trace(path, sid, socket_path=sock).ok
+            finally:
+                st.drain()
+            assert st.server.backend == backend
+            assert st.server.stats.internal_errors == 0, backend
+            rows[backend] = rows_by_stream(manifest(out))
+        want = rows["python"]
+        assert {sid: (r["status"], r["code"]) for sid, r in want.items()} == {
+            "chaos-garbage": ("quarantined", "unreadable"),
+            "chaos-corrupt": ("quarantined", "corrupt-payload"),
+            "chaos-oversized": ("quarantined", "oversized-chunk"),
+            "chaos-overdraft": ("quarantined", "flow-violation"),
+            "step-2-70": ("quarantined", "corrupt-payload"),
+            "ff-run": ("quarantined", "corrupt-payload"),
+        }
+        for sid in ("step-2-70", "ff-run"):
+            assert want[sid]["detail"] == OVERLONG_DETAIL, sid
+        for backend, got in rows.items():
+            assert got == want, backend
+
+
+# ---------------------------------------------------------------------------
 # crash recovery
 # ---------------------------------------------------------------------------
 
@@ -558,7 +663,7 @@ class TestCrashRecovery:
 
     def test_journal_torn_final_line_ignored(self, tmp_path):
         p = str(tmp_path / "journal.jsonl")
-        j = RunJournal(p, fsync=False)
+        j = RunJournal(p)
         j.chunk("s", 100)
         j.complete("s", {"stream": "s", "status": "analyzed"})
         j.close()
