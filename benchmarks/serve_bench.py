@@ -22,7 +22,7 @@ single-process daemon (the pre-fleet baseline path), ``--workers N``
 spawns the supervisor and N workers.  Producers connect straight to the
 owning worker's unix socket (computed with the shared ``shard_of``
 contract) so the measurement covers the ingestion tier itself, not the
-supervisor's portability proxy.
+supervisor's router in front of it.
 
 Usage::
 

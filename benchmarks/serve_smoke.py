@@ -13,6 +13,13 @@ its connection mid-chunk and never returning).  The gate:
 * SIGTERM drains cleanly: exit status 0 and a sealed ``run_manifest.json``
   whose totals match.
 
+Then a two-worker fleet (``wolf serve --workers 2 --tcp 127.0.0.1:0``)
+takes the six healthy streams on its public TCP port, where the
+supervisor routes each to the worker that owns its stream id.  The gate:
+each worker's report is byte-identical to ``wolf analyze-trace --json``,
+``--status`` answers over TCP, no worker counts an internal error,
+SIGTERM exits 0, and the merged ``run_manifest.json`` totals are right.
+
 Exit status: 0 on success, 1 with a diagnostic on any violation.
 """
 
@@ -33,7 +40,13 @@ sys.path.insert(0, os.path.join(REPO, "src"))
 
 from repro.core.pipeline import run_detection  # noqa: E402
 from repro.runtime.tracefile import write_trace  # noqa: E402
-from repro.serve import RUN_MANIFEST_NAME, chaos_client, send_trace  # noqa: E402
+from repro.serve import (  # noqa: E402
+    FLEET_NAME,
+    RUN_MANIFEST_NAME,
+    chaos_client,
+    send_trace,
+    shard_of,
+)
 from repro.workloads.registry import all_benchmarks  # noqa: E402
 
 HEALTHY = 6
@@ -56,6 +69,105 @@ def wolf(*args: str, check: bool = True) -> subprocess.CompletedProcess:
 def fail(msg: str) -> int:
     print(f"FAIL: {msg}", file=sys.stderr)
     return 1
+
+
+def ship_healthy(traces, **where) -> dict:
+    """The six honest producers, concurrently: stream id -> SendResult."""
+    results: dict = {}
+
+    def honest(i: int) -> None:
+        results[f"s{i}"] = send_trace(traces[i % len(traces)], f"s{i}", **where)
+
+    threads = [threading.Thread(target=honest, args=(i,)) for i in range(HEALTHY)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120)
+    return results
+
+
+def fleet_smoke(tmp: str, traces, batch: dict):
+    """The two-worker fleet over TCP; a failure message, or None."""
+    out = os.path.join(tmp, "fleet")
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
+    fleet = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--workers", "2",
+         "--tcp", "127.0.0.1:0", "--out", out],
+        env=env,
+        cwd=REPO,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+    )
+    try:
+        # fleet.json names the bound port once the router listens; a
+        # healthz answer through it means the drain handler is installed.
+        deadline = time.monotonic() + 60
+        while True:
+            try:
+                with open(os.path.join(out, FLEET_NAME)) as fh:
+                    tcp = json.load(fh)["tcp"]
+            except (OSError, ValueError):
+                tcp = None
+            if tcp is not None:
+                addr = f"{tcp[0]}:{tcp[1]}"
+                probe = wolf("serve", "--tcp", addr, "--healthz", check=False)
+                if probe.returncode == 0 and '"status": "ok"' in probe.stdout:
+                    break
+            if fleet.poll() is not None:
+                return f"fleet died at startup:\n{fleet.stdout.read()}"
+            if time.monotonic() > deadline:
+                return "fleet did not come up"
+            time.sleep(0.1)
+
+        results = ship_healthy(traces, tcp=(tcp[0], tcp[1]))
+        for sid, r in sorted(results.items()):
+            if not r.ok:
+                return f"fleet stream {sid} failed: {r.error_code} {r.response}"
+
+        status = json.loads(wolf("serve", "--tcp", addr, "--status").stdout)
+        if status["worker"] != 0 or status["workers"] != 2:
+            return f"--status over TCP did not reach worker 0: {status}"
+        # Each worker answers with its own counters: ask every one.
+        analyzed = 0
+        for k in range(2):
+            sock = os.path.join(out, "workers", f"w{k}", "worker.sock")
+            doc = json.loads(wolf("serve", "--socket", sock, "--status").stdout)
+            if doc["internal_errors"] != 0:
+                return f"worker {k} internal errors: {doc['internal_errors']}"
+            analyzed += doc["streams"]["analyzed"]
+        if analyzed != HEALTHY:
+            return f"workers analyzed {analyzed} of {HEALTHY} streams"
+
+        fleet.send_signal(signal.SIGTERM)
+        code = fleet.wait(timeout=60)
+        if code != 0:
+            return f"fleet drain exited {code}:\n{fleet.stdout.read()}"
+    finally:
+        if fleet.poll() is None:
+            fleet.kill()
+            fleet.wait(timeout=10)
+
+    with open(os.path.join(out, RUN_MANIFEST_NAME)) as fh:
+        totals = json.load(fh)["totals"]
+    want = {
+        "streams": HEALTHY,
+        "analyzed": HEALTHY,
+        "quarantined": 0,
+        "rejected": 0,
+        "events": sum(r.response["events"] for r in results.values()),
+        "defect_keys": sum(r.response["defect_keys"] for r in results.values()),
+    }
+    if totals != want:
+        return f"merged manifest totals {totals} != {want}"
+    for i in range(HEALTHY):
+        report = os.path.join(
+            out, "workers", f"w{shard_of(f's{i}', 2)}", "reports", f"s{i}.json"
+        )
+        with open(report) as fh:
+            if fh.read() != batch[traces[i % len(traces)]]:
+                return f"fleet report for s{i} diverges from batch analyze-trace"
+    return None
 
 
 def main(argv=None) -> int:
@@ -100,22 +212,16 @@ def main(argv=None) -> int:
         # Eight concurrent producers: six honest, two chaos.
         results: dict = {}
 
-        def honest(i: int) -> None:
-            results[f"s{i}"] = send_trace(
-                traces[i % len(traces)], f"s{i}", socket_path=sock
-            )
-
         def chaos(mode: str, sid: str) -> None:
             results[sid] = chaos_client(mode, traces[0], sid, socket_path=sock)
 
         threads = [
-            threading.Thread(target=honest, args=(i,)) for i in range(HEALTHY)
-        ] + [
             threading.Thread(target=chaos, args=("garbage", "chaos-garbage")),
             threading.Thread(target=chaos, args=("kill", "chaos-kill")),
         ]
         for t in threads:
             t.start()
+        results.update(ship_healthy(traces, socket_path=sock))
         for t in threads:
             t.join(timeout=120)
 
@@ -158,18 +264,23 @@ def main(argv=None) -> int:
         return fail(f"chaos-kill row wrong: {rows.get('chaos-kill')}")
 
     # Byte-identity gate: daemon report == `wolf analyze-trace --json`.
+    batch = {t: wolf("analyze-trace", t, "--json").stdout for t in traces}
     for i in range(HEALTHY):
-        trace = traces[i % len(traces)]
         with open(os.path.join(out, "reports", f"s{i}.json"), "rb") as fh:
             daemon_bytes = fh.read()
-        batch = wolf("analyze-trace", trace, "--json")
-        if daemon_bytes.decode() != batch.stdout:
+        if daemon_bytes.decode() != batch[traces[i % len(traces)]]:
             return fail(f"report for s{i} diverges from batch analyze-trace")
+
+    problem = fleet_smoke(tmp, traces, batch)
+    if problem is not None:
+        return fail(problem)
 
     print(
         f"serve-smoke OK: {HEALTHY} healthy analyzed byte-identical, "
         f"2 chaos quarantined ({rows['chaos-garbage']['code']}, "
-        f"{rows['chaos-kill']['code']}), drained with exit 0"
+        f"{rows['chaos-kill']['code']}), drained with exit 0; "
+        f"2-worker fleet over TCP analyzed {HEALTHY} byte-identical, "
+        f"drained with exit 0"
     )
     if args.keep:
         print(f"run dir kept at {out}")

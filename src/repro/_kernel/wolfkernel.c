@@ -58,9 +58,8 @@
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
-#include <stdio.h>
 
-#define WK_KERNEL_VERSION "1.2.0"
+#define WK_KERNEL_VERSION "1.2.1"
 #define WK_ABI 3
 
 /* Error codes (negative).  The Python wrapper maps any failure to a
@@ -201,9 +200,6 @@ typedef struct wk_ctx {
                          * kind, aux, token key                         */
     i64vec col_events;  /* WK_EVENT_WIDTH per event, grouped by thread  */
     i64vec col_acqs;    /* WK_ACQ_WIDTH per non-reentrant acquire       */
-
-    int err_code;
-    char err[192];
 } wk_ctx;
 
 /* ------------------------------------------------------------------ */
@@ -273,9 +269,6 @@ void wk_free(wk_ctx *c) {
     vec_free(&c->col_acqs);
     free(c);
 }
-
-const char *wk_error(wk_ctx *c) { return c->err; }
-int wk_error_code(wk_ctx *c) { return c->err_code; }
 
 /* Grow a per-row state array to cap slots, filling new slots with fill. */
 static int grow_rows(int64_t **rows, uint64_t old_cap, uint64_t cap,
@@ -730,15 +723,9 @@ int wk_feed_events(wk_ctx *c, const uint8_t *payload, uint64_t len) {
     uint64_t n = 0, held_total = 0;
     int rc;
 
-    c->err_code = WK_OK;
-    c->err[0] = '\0';
     rc = validate_events(c, payload, len, &n, &held_total);
-    if (rc != WK_OK) {
-        c->err_code = rc;
-        snprintf(c->err, sizeof(c->err),
-                 "native kernel: payload rejected (code %d)", rc);
+    if (rc != WK_OK)
         return rc;
-    }
     /* Reserve worst-case capacity so pass 2 cannot fail midway: per
      * event at most one touch op plus one spawn/join op (3 i64 each),
      * one acquire pair, one 10-slot entry and, when collecting columns,
@@ -753,11 +740,8 @@ int wk_feed_events(wk_ctx *c, const uint8_t *payload, uint64_t len) {
          (vec_reserve(&c->col_trace, 5 * n) != WK_OK ||
           vec_reserve(&c->col_acqs, WK_ACQ_WIDTH * n) != WK_OK ||
           vec_reserve(&c->col_threads, WK_THREAD_WIDTH * c->n_threads) != WK_OK ||
-          vec_reserve(&c->col_locks, c->n_locks) != WK_OK))) {
-        c->err_code = WK_ENOMEM;
-        snprintf(c->err, sizeof(c->err), "native kernel: out of memory");
+          vec_reserve(&c->col_locks, c->n_locks) != WK_OK)))
         return WK_ENOMEM;
-    }
     apply_events(c, payload, len, n);
     return WK_OK;
 }

@@ -544,7 +544,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve import query_server
 
     tcp = _parse_tcp(args.tcp)
-    socket_path = args.socket if tcp is None or args.socket else None
+    socket_path = args.socket or (None if tcp else "wolf.sock")
 
     if args.status or args.healthz:
         doc = query_server(
@@ -621,7 +621,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         worker_index=args.fleet_index if in_fleet else 0,
         num_workers=args.fleet_size if in_fleet else 1,
         fleet_dir=args.fleet_dir,
-        tcp_reuseport=args.tcp_reuseport,
         backend=getattr(args, "backend", "auto"),
     )
     server = WolfServer(cfg)
@@ -667,7 +666,6 @@ def _serve_supervisor(args, socket_path, tcp, journal_max) -> int:
         workers=args.workers,
         socket_path=socket_path,
         tcp=tcp,
-        router=args.router,
         idle_timeout=args.idle_timeout,
         window=args.window,
         max_total_buffer=args.max_total_buffer,
@@ -686,8 +684,8 @@ def _serve_supervisor(args, socket_path, tcp, journal_max) -> int:
             f"{sup.tcp_address[0]}:{sup.tcp_address[1]}" if sup.tcp_address else "?"
         )
         print(
-            f"wolf serve: supervising {cfg.workers} worker(s) via "
-            f"{sup.router} on {where}, fleet dir {cfg.out_dir}"
+            f"wolf serve: supervising {cfg.workers} worker(s) on {where}, "
+            f"fleet dir {cfg.out_dir}"
         )
         sys.stdout.flush()
         assert sup._drain_requested is not None
@@ -1176,16 +1174,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--socket",
-        default="wolf.sock",
+        default=None,
         metavar="PATH",
-        help="unix socket to listen on / query (default: wolf.sock)",
+        help="unix socket to listen on / query (default: wolf.sock, "
+        "unless --tcp is given)",
     )
     p.add_argument(
         "--tcp",
         default=None,
         metavar="[HOST:]PORT",
-        help="also (or instead) listen on TCP; with --status/--send, "
-        "query/ship over TCP instead of the unix socket",
+        help="listen on TCP, instead of the default unix socket or beside "
+        "an explicit --socket; with --status/--send and no --socket, "
+        "query/ship over TCP",
     )
     p.add_argument(
         "--out",
@@ -1228,18 +1228,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="ingestion worker processes; >1 runs the fleet supervisor "
-        "(SO_REUSEPORT or hash-router front door, merged manifest at "
-        "drain; default: 1, the single-process daemon)",
-    )
-    p.add_argument(
-        "--router",
-        choices=("auto", "reuseport", "proxy"),
-        default="auto",
-        help="fleet front door with --workers N: 'reuseport' shares the "
-        "public TCP port across workers, 'proxy' routes by stream-id "
-        "hash through the supervisor (the unix-socket/portability "
-        "fallback); default: auto",
+        help="ingestion worker processes; >1 runs the fleet supervisor, "
+        "which routes each stream from the public socket or TCP port to "
+        "the worker that owns its stream id and merges one manifest at "
+        "drain (default: 1, the single-process daemon)",
     )
     p.add_argument(
         "--journal-max-bytes",
@@ -1253,7 +1245,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fleet-dir", default=None, help=argparse.SUPPRESS)
     p.add_argument("--fleet-index", type=int, default=None, help=argparse.SUPPRESS)
     p.add_argument("--fleet-size", type=int, default=1, help=argparse.SUPPRESS)
-    p.add_argument("--tcp-reuseport", action="store_true", help=argparse.SUPPRESS)
     p.add_argument(
         "--backend",
         choices=("auto", "python", "native"),

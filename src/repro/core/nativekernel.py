@@ -103,8 +103,6 @@ const char *wk_version(void);
 int wk_abi(void);
 wk_ctx *wk_new(void);
 void wk_free(wk_ctx *);
-const char *wk_error(wk_ctx *);
-int wk_error_code(wk_ctx *);
 int wk_set_tables(wk_ctx *, uint64_t, uint64_t, uint64_t, const int64_t *,
                   const int64_t *);
 void wk_collect_columns(wk_ctx *, int);

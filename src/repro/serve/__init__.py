@@ -23,8 +23,9 @@ Robustness is the point of the package:
   byte-identical to ``wolf analyze-trace --json`` on the same trace;
 * :mod:`repro.serve.health` — ``/healthz`` + ``/stats`` documents;
 * :mod:`repro.serve.supervisor` — the multi-process fleet: N workers
-  behind SO_REUSEPORT or a stream-id hash router, health-probed,
-  restart-on-crash, one merged manifest at drain;
+  behind one stream-id hash router that serves the public unix socket
+  and TCP port alike, health-probed, restart-on-crash, one merged
+  manifest at drain;
 * :mod:`repro.serve.rollup` — deterministic fleet-wide defect rollups
   (``wolf fleet report``), byte-identical at any worker count.
 """

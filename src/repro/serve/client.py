@@ -4,7 +4,10 @@
 to ship a finished (or in-progress) ``.wtrc`` to the ingestion daemon.
 It speaks the credit protocol honestly: HELLO, seek to the server's
 ``resume_offset``, slice DATA frames never exceeding granted credit,
-FIN, wait for FIN_ACK.
+FIN, wait for FIN_ACK.  It makes one connection per call: a fleet's
+public endpoint routes the stream to its owning worker, and any ERR
+(``wrong-worker`` from a non-owner dialled directly included) is
+reported in the :class:`SendResult`.
 
 :func:`chaos_client` is the same shim bent into the failure shapes the
 robustness suite injects:
@@ -12,7 +15,7 @@ robustness suite injects:
 ``kill``        drop the connection mid-DATA-frame (torn frame);
 ``stall``       go silent mid-stream until the idle deadline evicts us;
 ``garbage``     ship bytes that are not a ``.wtrc`` stream at all;
-``corrupt``     flip a byte inside a chunk payload;
+``corrupt``     point the first event's thread index past the thread table;
 ``oversized``   declare a ``.wtrc`` chunk bigger than the daemon's cap;
 ``overdraft``   send more DATA than the granted credit window;
 ``dup``         HELLO under a stream id that is already active/settled;
@@ -36,7 +39,6 @@ from typing import List, Optional, Tuple
 from repro.serve.protocol import (
     MAX_FRAME,
     PROTOCOL_VERSION,
-    WRONG_WORKER,
     Frame,
     FrameKind,
     ProtocolError,
@@ -49,10 +51,6 @@ from repro.serve.protocol import (
 #: one credit window, large enough to amortize syscalls.
 DEFAULT_SLICE = 64 * 1024
 
-#: ``wrong-worker`` redirects a single send will follow before giving up
-#: (a sane fleet resolves in one hop; a loop means misconfiguration).
-MAX_REDIRECTS = 4
-
 
 @dataclass
 class SendResult:
@@ -63,8 +61,6 @@ class SendResult:
     bytes_sent: int = 0
     resume_offset: int = 0
     credit_waits: int = 0
-    #: ``wrong-worker`` redirects followed before landing on the owner.
-    redirects: int = 0
     #: FIN_ACK payload when ``ok``; ERR payload otherwise.
     response: dict = field(default_factory=dict)
     error_code: Optional[str] = None
@@ -133,30 +129,11 @@ def send_trace(
     ``slice_bytes`` slices — fewer frames and syscalls per stream, which
     is what lets a bench producer saturate a multi-worker fleet.  Credit
     accounting is unchanged: a batched producer still never overdrafts.
-
-    In a fleet, the daemon answering HELLO may not own the stream's
-    shard; it replies ``wrong-worker`` with the owner's direct addresses
-    and this shim follows the redirect transparently (bounded by
-    :data:`MAX_REDIRECTS`).
     """
     result = SendResult(stream_id=stream_id, ok=False)
     sock = _connect(socket_path, tcp, timeout)
     try:
         frame, doc = _hello(sock, stream_id, program or os.path.basename(trace_path))
-        while (
-            frame is not None
-            and frame.kind is FrameKind.ERR
-            and doc.get("code") == WRONG_WORKER
-            and (doc.get("socket") or doc.get("tcp"))
-            and result.redirects < MAX_REDIRECTS
-        ):
-            result.redirects += 1
-            sock.close()
-            owner_tcp = tuple(doc["tcp"]) if doc.get("tcp") else None
-            sock = _connect(doc.get("socket"), owner_tcp, timeout)
-            frame, doc = _hello(
-                sock, stream_id, program or os.path.basename(trace_path)
-            )
         if frame is None or frame.kind is FrameKind.ERR:
             result.error_code = doc.get("code", "connection-closed")
             result.response = doc
@@ -243,6 +220,8 @@ def chaos_client(
     if mode != "dup":
         with open(trace_path, "rb") as fh:
             data = fh.read()
+    if mode == "corrupt":
+        data = _misindex_first_event(data)
     sock = _connect(socket_path, tcp, timeout)
     try:
         frame, doc = _hello(sock, stream_id, f"chaos-{mode}")
@@ -314,13 +293,8 @@ def chaos_client(
             sock.sendall(encode_frame(FrameKind.DATA, payload[:credit]))
             outcome.bytes_sent = min(len(payload), credit)
         elif mode == "corrupt":
-            # Valid header, then a flipped byte inside the first chunk's
-            # payload region.
-            broken = bytearray(data)
-            target = min(len(broken) - 1, 24)
-            broken[target] ^= 0xFF
-            sock.sendall(encode_frame(FrameKind.DATA, bytes(broken[:credit])))
-            outcome.bytes_sent = min(len(broken), credit)
+            sock.sendall(encode_frame(FrameKind.DATA, data[:credit]))
+            outcome.bytes_sent = min(len(data), credit)
             try:
                 sock.sendall(encode_frame(FrameKind.FIN))
             except ConnectionError:
@@ -364,6 +338,43 @@ def chaos_client(
             sock.close()
         except OSError:
             pass
+
+
+def _misindex_first_event(data: bytes) -> bytes:
+    """``data`` with its first event's thread index set one past the
+    thread table, so every decoder refuses the EVENTS chunk holding it
+    (an ``IndexError``: ``corrupt-payload``) while the framing and tables
+    before it stay intact."""
+    from repro.runtime.tracefile import (
+        _EVENTS,
+        _HEADER_LEN,
+        _THREADS,
+        _get_uvarint,
+    )
+
+    threads = 0
+    pos = _HEADER_LEN
+    while pos < len(data):
+        length, body = _get_uvarint(data, pos + 1)
+        payload = data[body : body + length]
+        if data[pos] == _THREADS:
+            threads += _get_uvarint(payload, 0)[0]
+        elif data[pos] == _EVENTS:
+            count, at = _get_uvarint(payload, 0)
+            if count:
+                # Skip the first event's tag byte and step delta.
+                _, at = _get_uvarint(payload, at + 1)
+                _, end = _get_uvarint(payload, at)
+                events = payload[:at] + _uvarint(threads) + payload[end:]
+                return (
+                    data[:pos]
+                    + bytes([_EVENTS])
+                    + _uvarint(len(events))
+                    + events
+                    + data[body + length :]
+                )
+        pos = body + length
+    raise ValueError("corrupt mode needs a trace with at least one event")
 
 
 def _uvarint(value: int) -> bytes:

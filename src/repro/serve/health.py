@@ -34,8 +34,8 @@ class ServeStats:
     credits_withheld: int = 0
     journal_chunks: int = 0
     control_queries: int = 0
-    #: HELLOs for streams another fleet worker owns, answered with a
-    #: ``wrong-worker`` redirect (always 0 in single-worker mode).
+    #: HELLOs for streams another fleet worker owns, refused with
+    #: ``wrong-worker`` (always 0 in single-worker mode).
     redirects: int = 0
     #: Handler bugs swallowed by the zero-unhandled-exceptions backstop.
     internal_errors: int = 0

@@ -41,6 +41,28 @@ from typing import Dict, List, Optional, TextIO
 JOURNAL_NAME = "journal.jsonl"
 
 
+def replace_durably(path: str, text: str) -> None:
+    """Atomically replace ``path`` with ``text``, durable on return.
+
+    The text is fsynced under a temporary name, renamed over ``path``,
+    and then the directory entry is fsynced, so a crash at any instant
+    leaves either the old file or the complete new one, never neither.
+    Every document serve seals (manifests, ``fleet.json``, endpoint
+    advertisements, journal compactions) goes through here.
+    """
+    tmp = path + ".tmp"
+    with open(tmp, "w", encoding="utf-8") as fh:
+        fh.write(text)
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
+    dir_fd = os.open(os.path.dirname(path) or ".", os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
+
+
 @dataclass
 class JournalState:
     """What a journal says survived the previous daemon incarnation."""
@@ -124,30 +146,20 @@ class RunJournal:
     def _rotate(self) -> None:
         """Compact: snapshot the mirror into a fresh file, swap, continue.
 
-        The snapshot is fully durable (fsynced, then atomically replaced,
-        then the directory entry fsynced) *before* the old file goes
-        away, so a crash at any instant leaves either the old journal or
-        the complete snapshot — never neither.
+        The snapshot is fully durable (:func:`replace_durably`) *before*
+        the old file goes away, so a crash at any instant leaves either
+        the old journal or the complete snapshot — never neither.
         """
         assert self._fh is not None
-        tmp = self.path + ".compact"
-        with open(tmp, "w", encoding="utf-8") as out:
-            out.write(
-                json.dumps(
-                    {"op": "snapshot", "state": self._state.to_doc()},
-                    sort_keys=True,
-                )
-                + "\n"
+        replace_durably(
+            self.path,
+            json.dumps(
+                {"op": "snapshot", "state": self._state.to_doc()},
+                sort_keys=True,
             )
-            out.flush()
-            os.fsync(out.fileno())
+            + "\n",
+        )
         self._fh.close()
-        os.replace(tmp, self.path)
-        dir_fd = os.open(os.path.dirname(self.path) or ".", os.O_RDONLY)
-        try:
-            os.fsync(dir_fd)
-        finally:
-            os.close(dir_fd)
         self._fh = open(self.path, "a", encoding="utf-8")
         self.rotations += 1
 

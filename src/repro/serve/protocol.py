@@ -43,10 +43,10 @@ from typing import Optional, Tuple
 #: Protocol version, exchanged in HELLO and checked by the server.
 PROTOCOL_VERSION = 1
 
-#: ERR code a worker answers HELLO with when the stream id hashes to a
-#: different worker's shard; the doc carries the owner's identity and
-#: direct addresses so the producer can reconnect there (the client shim
-#: follows it transparently).
+#: ERR code a fleet worker answers HELLO with when the stream id hashes
+#: to a different worker's shard; the doc names the owner's index.  The
+#: supervisor's router always dials the owner, so only a producer that
+#: bypasses the public endpoint sees it.
 WRONG_WORKER = "wrong-worker"
 
 #: Hard per-frame payload cap (1 MiB): DATA slices are far smaller (the
@@ -173,8 +173,8 @@ def shard_of(stream_id: str, num_workers: int) -> int:
     """The worker index that owns ``stream_id`` in an ``num_workers`` fleet.
 
     The routing contract every component shares — workers (ownership
-    check + redirect), the supervisor's hash router, and reconnecting
-    producers all compute the same owner, which is what makes per-worker
+    check), the supervisor's hash router, and tools that dial a worker
+    directly all compute the same owner, which is what makes per-worker
     journal segments safe: a stream's durable state only ever lives in
     one worker's run directory, across restarts and reconnects.  sha256
     rather than ``hash()``: stable across processes and Python runs
@@ -184,22 +184,6 @@ def shard_of(stream_id: str, num_workers: int) -> int:
         return 0
     digest = hashlib.sha256(stream_id.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") % num_workers
-
-
-def redirect_doc(
-    owner: int,
-    *,
-    socket_path: Optional[str] = None,
-    tcp: Optional[Tuple[str, int]] = None,
-) -> dict:
-    """The ``wrong-worker`` ERR payload: who owns the stream, and where."""
-    return {
-        "code": WRONG_WORKER,
-        "detail": f"stream belongs to worker {owner}",
-        "worker": owner,
-        "socket": socket_path,
-        "tcp": list(tcp) if tcp is not None else None,
-    }
 
 
 def _recv_exactly(sock, n: int) -> Optional[bytes]:

@@ -40,11 +40,18 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.corpus.manifest import DETECTOR_PARAMS, sha256_file
 from repro.corpus.validate import DECODE_ERRORS
+from repro.serve.client import _connect
 from repro.serve.health import ServeStats
-from repro.serve.journal import JOURNAL_NAME, JournalState, RunJournal
+from repro.serve.journal import (
+    JOURNAL_NAME,
+    JournalState,
+    RunJournal,
+    replace_durably,
+)
 from repro.serve.protocol import (
     DEFAULT_WINDOW,
     PROTOCOL_VERSION,
+    WRONG_WORKER,
     Frame,
     FrameKind,
     ProtocolError,
@@ -52,7 +59,6 @@ from repro.serve.protocol import (
     encode_json_frame,
     read_frame,
     recv_frame_sync,
-    redirect_doc,
     shard_of,
 )
 from repro.serve.report import render_report
@@ -68,33 +74,11 @@ from repro.serve.session import (
 
 RUN_SCHEMA = "wolf-serve-run/1"
 RUN_MANIFEST_NAME = "run_manifest.json"
-#: Per-worker endpoint advertisement (direct addresses for redirects).
+#: Per-worker advertisement of a fleet worker's pid and unix socket; the
+#: supervisor counts a worker ready once this file names its pid.
 ENDPOINT_NAME = "endpoint.json"
 
 _STREAM_ID_RE = re.compile(r"^[A-Za-z0-9_.-]{1,64}$")
-
-
-def reuseport_available() -> bool:
-    """Can this platform share one TCP port across worker processes?"""
-    import socket as socketlib
-
-    return hasattr(socketlib, "SO_REUSEPORT")
-
-
-def _reuseport_socket(host: str, port: int):
-    """A bound listening socket with SO_REUSEPORT set (kernel balances
-    accepts across every worker bound to the same port)."""
-    import socket as socketlib
-
-    sock = socketlib.socket(socketlib.AF_INET, socketlib.SOCK_STREAM)
-    try:
-        sock.setsockopt(socketlib.SOL_SOCKET, socketlib.SO_REUSEPORT, 1)
-        sock.bind((host, port))
-        sock.listen(128)
-    except BaseException:
-        sock.close()
-        raise
-    return sock
 
 
 @dataclass
@@ -129,15 +113,12 @@ class ServeConfig:
     worker_index: int = 0
     #: Total ingestion worker processes in the fleet this daemon belongs
     #: to.  A HELLO for a stream id hashing to a different worker is
-    #: answered with a ``wrong-worker`` redirect instead of a session.
+    #: refused with ``wrong-worker`` instead of opening a session.
     num_workers: int = 1
     #: The fleet's top-level run directory (where ``fleet.json`` and the
-    #: sibling workers' run dirs live); required when ``num_workers > 1``
-    #: so redirects can name the owner's direct addresses.
+    #: sibling workers' run dirs live); set for every fleet worker, which
+    #: then advertises its ``endpoint.json`` for the supervisor.
     fleet_dir: Optional[str] = None
-    #: Bind the TCP listener with SO_REUSEPORT so every worker in the
-    #: fleet can share one public port (the kernel balances accepts).
-    tcp_reuseport: bool = False
     #: Analysis backend for per-stream sessions: ``"python"``,
     #: ``"native"`` (compiled kernel; startup fails if it cannot load) or
     #: ``"auto"`` — resolved once at :meth:`WolfServer.start`, so every
@@ -220,71 +201,30 @@ class WolfServer:
             )
         if cfg.tcp is not None:
             host, port = cfg.tcp
-            if cfg.tcp_reuseport:
-                srv = await asyncio.start_server(
-                    self._on_connection, sock=_reuseport_socket(host, port)
-                )
-            else:
-                srv = await asyncio.start_server(self._on_connection, host, port)
+            srv = await asyncio.start_server(self._on_connection, host, port)
             self._servers.append(srv)
             if srv.sockets:
                 addr = srv.sockets[0].getsockname()
                 self.tcp_address = (addr[0], addr[1])
         if cfg.fleet_dir is not None:
-            # Advertise this worker's direct addresses for redirects and
-            # supervisor probes (readiness is "endpoint.json names my
-            # pid", so even a one-worker fleet writes it).  Written after
-            # the listeners are bound so the file always names live
-            # endpoints.
+            # The supervisor's readiness probe is "endpoint.json names my
+            # pid", so even a one-worker fleet writes it, after the
+            # listener is bound so the file always names a live socket.
             self._write_endpoint()
 
     def _write_endpoint(self) -> None:
         cfg = self.config
-        # A reuseport-shared TCP port is NOT a direct address — a
-        # redirected client reconnecting there would land on an arbitrary
-        # worker again — so only a private TCP listener is advertised.
-        direct_tcp = (
-            self.tcp_address
-            if self.tcp_address and not cfg.tcp_reuseport
-            else None
-        )
         doc = {
             "worker": cfg.worker_index,
             "pid": os.getpid(),
             "socket": os.path.abspath(cfg.socket_path)
             if cfg.socket_path
             else None,
-            "tcp": list(direct_tcp) if direct_tcp else None,
         }
-        path = os.path.join(cfg.out_dir, ENDPOINT_NAME)
-        tmp = path + ".tmp"
-        with open(tmp, "w") as fh:
-            json.dump(doc, fh, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
-
-    def _owner_endpoint(self, owner: int) -> dict:
-        """Best-effort direct addresses of the sibling worker ``owner``.
-
-        Reads the owner's ``endpoint.json`` fresh on every redirect — a
-        restarted worker rewrites it with new addresses, and redirects
-        are once-per-misrouted-stream, not per-frame.  Falls back to the
-        owner's well-known unix socket path when the file is not there
-        yet (the owner may still be starting up)."""
-        assert self.config.fleet_dir is not None
-        wdir = os.path.join(self.config.fleet_dir, "workers", f"w{owner}")
-        try:
-            with open(os.path.join(wdir, ENDPOINT_NAME)) as fh:
-                doc = json.load(fh)
-            return {
-                "socket": doc.get("socket"),
-                "tcp": tuple(doc["tcp"]) if doc.get("tcp") else None,
-            }
-        except (OSError, ValueError, KeyError):
-            return {
-                "socket": os.path.join(wdir, "worker.sock"),
-                "tcp": None,
-            }
+        replace_durably(
+            os.path.join(cfg.out_dir, ENDPOINT_NAME),
+            json.dumps(doc, sort_keys=True) + "\n",
+        )
 
     @property
     def accepting(self) -> bool:
@@ -391,14 +331,10 @@ class WolfServer:
                 "defect_keys": sum(r.get("defect_keys", 0) for r in analyzed),
             },
         }
-        path = os.path.join(self.config.out_dir, RUN_MANIFEST_NAME)
-        tmp = path + ".tmp"
-        with open(tmp, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
+        replace_durably(
+            os.path.join(self.config.out_dir, RUN_MANIFEST_NAME),
+            json.dumps(doc, indent=2, sort_keys=True) + "\n",
+        )
 
     # -- connection plumbing -------------------------------------------------
 
@@ -577,18 +513,19 @@ class WolfServer:
             owner = shard_of(stream_id, cfg.num_workers)
             if owner != cfg.worker_index:
                 # Not ours: the stream's journal segment lives with the
-                # owning worker, so answer with the owner's direct
-                # addresses and close.  Deliberately NOT journaled — a
-                # redirect carries no durable state, and journaling it
-                # would make crash-run manifests diverge from clean runs.
+                # owning worker, so refuse it and close.  Deliberately
+                # NOT journaled — a misrouted HELLO carries no durable
+                # state, and journaling it would make crash-run manifests
+                # diverge from clean runs.
                 self.stats.redirects += 1
-                ep = self._owner_endpoint(owner)
                 await self._send(
                     writer,
                     FrameKind.ERR,
-                    redirect_doc(
-                        owner, socket_path=ep["socket"], tcp=ep["tcp"]
-                    ),
+                    {
+                        "code": WRONG_WORKER,
+                        "detail": f"stream belongs to worker {owner}",
+                        "worker": owner,
+                    },
                 )
                 return
         if self._draining:
@@ -836,16 +773,7 @@ def query_server(
     timeout: float = 10.0,
 ) -> dict:
     """Synchronous one-shot CONTROL query (``wolf serve --status``)."""
-    import socket as socketlib
-
-    if socket_path is not None:
-        sock = socketlib.socket(socketlib.AF_UNIX, socketlib.SOCK_STREAM)
-        sock.settimeout(timeout)
-        sock.connect(socket_path)
-    elif tcp is not None:
-        sock = socketlib.create_connection(tcp, timeout=timeout)
-    else:
-        raise ValueError("query_server needs a unix socket path or TCP address")
+    sock = _connect(socket_path, tcp, timeout)
     try:
         sock.sendall(encode_json_frame(FrameKind.CONTROL, {"query": query}))
         frame = recv_frame_sync(sock)

@@ -9,29 +9,28 @@ supervisor forks N worker *processes*, each an ordinary single-process
       run_manifest.json          ONE merged manifest, sealed at drain
       workers/
         w0/ … wN-1/
-          worker.sock            the worker's direct unix listener
-          endpoint.json          its advertised addresses (rewritten on restart)
+          worker.sock            the worker's only listener
+          endpoint.json          its pid + socket (rewritten on restart)
           journal.jsonl spool/ reports/ quarantine/ run_manifest.json
 
 **Routing.**  Stream ownership is ``shard_of(stream_id, N)`` — the
-sha256 contract every component shares.  Two front doors:
+sha256 contract every component shares.  The supervisor is the one
+front door, for the public unix socket and the public TCP port alike:
+it peeks exactly one frame to learn the stream id, dials the owning
+worker's unix socket, and splices bytes both ways.  CONTROL probes go
+to worker 0, which answers with its own counters.  Connect retries
+cover a worker's restart window.  A worker still checks ownership: a
+HELLO dialled straight to a non-owner is refused ``wrong-worker``.
 
-* ``reuseport`` — every worker binds the same public TCP port with
-  SO_REUSEPORT; the kernel balances accepts, and a worker answered a
-  HELLO for a stream it does not own replies ``wrong-worker`` with the
-  owner's direct addresses (the client shim follows transparently).
-* ``proxy`` — the portability / unix-socket fallback: the supervisor
-  itself listens on the public endpoint, peeks exactly one frame to
-  learn the stream id, and splices bytes to the owning worker's unix
-  socket.  Connect retries cover a worker's restart window.
-
-**Lifecycle.**  The supervisor health-probes its children, restarts any
-that die (the PR 7 journal machinery makes the restart resume journaled
-streams from the last chunk boundary), and on SIGTERM coordinates the
-drain: workers seal their per-worker manifests, the supervisor merges
-them into one ``run_manifest.json``.  Restart counts live in
-``fleet.json``, *never* in the merged manifest — a run that survived a
-worker crash must seal byte-identical output to one that did not.
+**Lifecycle.**  The supervisor probes its children every
+:data:`HEALTH_INTERVAL` seconds, restarts any that die (up to
+:data:`MAX_RESTARTS` times per worker; the restarted worker's journal
+resumes its streams from the last chunk boundary), and on SIGTERM
+coordinates the drain: workers seal their per-worker manifests within
+:data:`DRAIN_TIMEOUT` seconds, and the supervisor merges them into one
+``run_manifest.json``.  Restart counts live in ``fleet.json``, *never*
+in the merged manifest — a run that survived a worker crash must seal
+byte-identical output to one that did not.
 """
 
 from __future__ import annotations
@@ -46,30 +45,32 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.serve.journal import JOURNAL_NAME, RunJournal
+from repro.serve.journal import JOURNAL_NAME, RunJournal, replace_durably
 from repro.serve.protocol import (
     DEFAULT_WINDOW,
-    HEADER_SIZE,
     FrameKind,
     ProtocolError,
+    encode_frame,
     encode_json_frame,
-    parse_header,
+    read_frame,
     shard_of,
 )
-from repro.serve.server import (
-    ENDPOINT_NAME,
-    RUN_MANIFEST_NAME,
-    reuseport_available,
-)
+from repro.serve.server import ENDPOINT_NAME, RUN_MANIFEST_NAME, query_server
 
 FLEET_SCHEMA = "wolf-serve-fleet/1"
 FLEET_NAME = "fleet.json"
 #: Merged-manifest schema: wolf-serve-run/1 plus a ``fleet`` section.
 MERGED_RUN_SCHEMA = "wolf-serve-run/2"
+#: The ``router`` value ``fleet.json`` and the merged manifest record:
+#: the supervisor's stream-id proxy is the fleet's only front door.
+ROUTER = "proxy"
 
-#: Tests set this to force the proxy router even where SO_REUSEPORT
-#: exists, exercising the portability fallback path.
-NO_REUSEPORT_ENV = "WOLF_SERVE_NO_REUSEPORT"
+#: Seconds between child liveness probes.
+HEALTH_INTERVAL = 0.25
+#: Seconds draining workers get before SIGKILL escalation.
+DRAIN_TIMEOUT = 30.0
+#: Restarts allowed per worker before the supervisor gives up on it.
+MAX_RESTARTS = 16
 
 
 def worker_dir(out_dir: str, index: int) -> str:
@@ -86,66 +87,22 @@ class FleetConfig:
 
     out_dir: str
     workers: int = 2
-    #: Public unix socket (always served: by the proxy router).
+    #: Public unix socket, served by the supervisor's router.
     socket_path: Optional[str] = None
-    #: Public TCP endpoint (reuseport-shared or proxied).
+    #: Public TCP endpoint, served by the supervisor's router.
     tcp: Optional[Tuple[str, int]] = None
-    #: ``auto`` → reuseport when TCP + platform allow, else proxy.
-    router: str = "auto"
     idle_timeout: float = 30.0
     window: int = DEFAULT_WINDOW
     max_total_buffer: int = 8 * 1024 * 1024
     max_stream_bytes: Optional[int] = 64 * 1024 * 1024
     journal_max_bytes: Optional[int] = 32 * 1024 * 1024
     backend: str = "auto"
-    #: Seconds between child liveness probes.
-    health_interval: float = 0.25
-    #: Seconds a draining worker gets before SIGKILL escalation.
-    drain_timeout: float = 30.0
-    #: Restarts allowed per worker before the supervisor gives up on it.
-    max_restarts: int = 16
 
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.socket_path is None and self.tcp is None:
             raise ValueError("FleetConfig needs a public socket path or TCP address")
-        if self.router not in ("auto", "reuseport", "proxy"):
-            raise ValueError(
-                f"router must be 'auto', 'reuseport' or 'proxy', got {self.router!r}"
-            )
-
-
-def resolve_router(cfg: FleetConfig) -> str:
-    """Pick the front door: reuseport needs TCP *and* platform support."""
-    can_reuseport = (
-        cfg.tcp is not None
-        and reuseport_available()
-        and not os.environ.get(NO_REUSEPORT_ENV)
-    )
-    if cfg.router == "reuseport":
-        if not can_reuseport:
-            raise ValueError(
-                "router='reuseport' needs a TCP endpoint and SO_REUSEPORT "
-                f"support (set --tcp; unset {NO_REUSEPORT_ENV})"
-            )
-        return "reuseport"
-    if cfg.router == "proxy":
-        return "proxy"
-    return "reuseport" if can_reuseport else "proxy"
-
-
-def _pick_free_port(host: str) -> int:
-    """A port the fleet's workers can all bind with SO_REUSEPORT."""
-    import socket as socketlib
-
-    sock = socketlib.socket(socketlib.AF_INET, socketlib.SOCK_STREAM)
-    try:
-        sock.setsockopt(socketlib.SOL_SOCKET, socketlib.SO_REUSEPORT, 1)
-        sock.bind((host, 0))
-        return sock.getsockname()[1]
-    finally:
-        sock.close()
 
 
 class FleetSupervisor:
@@ -153,7 +110,7 @@ class FleetSupervisor:
 
     def __init__(self, config: FleetConfig) -> None:
         self.config = config
-        self.router = resolve_router(config)
+        #: The bound public TCP address (the real port when asked for 0).
         self.tcp_address: Optional[Tuple[str, int]] = None
         self.restarts: List[int] = [0] * config.workers
         self._procs: List[Optional[subprocess.Popen]] = [None] * config.workers
@@ -170,29 +127,13 @@ class FleetSupervisor:
         cfg = self.config
         self._drain_requested = asyncio.Event()
         self._drain_done = asyncio.Event()
-        if cfg.tcp is not None:
-            host, port = cfg.tcp
-            if self.router == "reuseport" and port == 0:
-                # Workers must all bind the *same* port, so an ephemeral
-                # request is resolved up front.
-                port = _pick_free_port(host)
-            self.tcp_address = (host, port)
         for k in range(cfg.workers):
             os.makedirs(worker_dir(cfg.out_dir, k), exist_ok=True)
         self._write_fleet_doc()
         for k in range(cfg.workers):
             self._procs[k] = self._spawn(k)
         await self._wait_ready()
-        if self.router == "proxy":
-            await self._start_router()
-        elif cfg.socket_path is not None:
-            # Reuseport covers TCP only; the public unix socket is still
-            # proxied so unix clients keep working.
-            self._servers.append(
-                await asyncio.start_unix_server(
-                    self._route_connection, cfg.socket_path
-                )
-            )
+        await self._start_router()
         self._health_task = asyncio.ensure_future(self._health_loop())
 
     def request_drain(self) -> None:
@@ -226,7 +167,7 @@ class FleetSupervisor:
         for proc in self._procs:
             if proc is not None and proc.poll() is None:
                 proc.send_signal(signal.SIGTERM)
-        deadline = time.monotonic() + self.config.drain_timeout
+        deadline = time.monotonic() + DRAIN_TIMEOUT
         while time.monotonic() < deadline:
             if all(p is None or p.poll() is not None for p in self._procs):
                 break
@@ -281,9 +222,6 @@ class FleetSupervisor:
             "--fleet-size",
             str(cfg.workers),
         ]
-        if self.router == "reuseport" and self.tcp_address is not None:
-            host, port = self.tcp_address
-            argv += ["--tcp", f"{host}:{port}", "--tcp-reuseport"]
         if self._logs[index] is None:
             self._logs[index] = open(
                 os.path.join(wdir, "worker.log"), "ab", buffering=0
@@ -324,13 +262,12 @@ class FleetSupervisor:
 
     async def _health_loop(self) -> None:
         """Restart dead workers; journaled streams resume on reconnect."""
-        cfg = self.config
         while True:
-            await asyncio.sleep(cfg.health_interval)
+            await asyncio.sleep(HEALTH_INTERVAL)
             for k, proc in enumerate(self._procs):
                 if proc is None or proc.poll() is None:
                     continue
-                if self.restarts[k] >= cfg.max_restarts:
+                if self.restarts[k] >= MAX_RESTARTS:
                     self._procs[k] = None
                     continue
                 self.restarts[k] += 1
@@ -349,14 +286,13 @@ class FleetSupervisor:
                     self._route_connection, cfg.socket_path
                 )
             )
-        if self.tcp_address is not None:
-            host, port = self.tcp_address
+        if cfg.tcp is not None:
+            host, port = cfg.tcp
             srv = await asyncio.start_server(self._route_connection, host, port)
             self._servers.append(srv)
-            if srv.sockets:
-                addr = srv.sockets[0].getsockname()
-                self.tcp_address = (addr[0], addr[1])
-                self._write_fleet_doc()
+            addr = srv.sockets[0].getsockname()
+            self.tcp_address = (addr[0], addr[1])
+            self._write_fleet_doc()
 
     async def _route_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -364,19 +300,22 @@ class FleetSupervisor:
         """Peek one frame, pick the shard, splice bytes both ways."""
         try:
             try:
-                raw, kind, doc = await asyncio.wait_for(
-                    _read_raw_frame(reader), timeout=self.config.idle_timeout
+                frame = await asyncio.wait_for(
+                    read_frame(reader), timeout=self.config.idle_timeout
                 )
-            except (
-                asyncio.TimeoutError,
-                ProtocolError,
-                ConnectionError,
-                asyncio.IncompleteReadError,
-            ):
+            except (asyncio.TimeoutError, ProtocolError, ConnectionError):
                 return
-            if kind is FrameKind.HELLO:
-                owner = shard_of(str(doc.get("stream", "")), self.config.workers)
-            elif kind is FrameKind.CONTROL:
+            if frame is None:
+                return
+            if frame.kind is FrameKind.HELLO:
+                try:
+                    stream = str(frame.json().get("stream", ""))
+                except ProtocolError:
+                    # Forwarded all the same: the owner of "" refuses it
+                    # as a flow violation, as a lone daemon would.
+                    stream = ""
+                owner = shard_of(stream, self.config.workers)
+            elif frame.kind is FrameKind.CONTROL:
                 owner = 0  # any worker can answer; w0 by convention
             else:
                 writer.write(
@@ -402,7 +341,7 @@ class FleetSupervisor:
                 return
             wreader, wwriter = upstream
             try:
-                wwriter.write(raw)
+                wwriter.write(encode_frame(frame.kind, frame.payload))
                 await wwriter.drain()
                 await asyncio.gather(
                     _pump(reader, wwriter), _pump(wreader, writer)
@@ -436,7 +375,7 @@ class FleetSupervisor:
         doc = {
             "schema": FLEET_SCHEMA,
             "workers": cfg.workers,
-            "router": self.router,
+            "router": ROUTER,
             "socket": os.path.abspath(cfg.socket_path)
             if cfg.socket_path
             else None,
@@ -445,28 +384,20 @@ class FleetSupervisor:
             "restarts": list(self.restarts),
             "drained": drained,
         }
-        path = os.path.join(cfg.out_dir, FLEET_NAME)
-        tmp = path + ".tmp"
-        with open(tmp, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
+        replace_durably(
+            os.path.join(cfg.out_dir, FLEET_NAME),
+            json.dumps(doc, indent=2, sort_keys=True) + "\n",
+        )
 
     def _write_merged_manifest(self) -> None:
-        doc = merge_manifests(
-            self.config.out_dir, self.config.workers, router=self.router
+        doc = merge_manifests(self.config.out_dir, self.config.workers)
+        replace_durably(
+            os.path.join(self.config.out_dir, RUN_MANIFEST_NAME),
+            json.dumps(doc, indent=2, sort_keys=True) + "\n",
         )
-        path = os.path.join(self.config.out_dir, RUN_MANIFEST_NAME)
-        tmp = path + ".tmp"
-        with open(tmp, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
 
 
-def merge_manifests(out_dir: str, workers: int, *, router: str) -> dict:
+def merge_manifests(out_dir: str, workers: int) -> dict:
     """One fleet manifest from N per-worker manifests.
 
     A worker that never sealed (SIGKILLed straggler) contributes its
@@ -503,7 +434,7 @@ def merge_manifests(out_dir: str, workers: int, *, router: str) -> dict:
         "schema": MERGED_RUN_SCHEMA,
         "drained": sealed == workers,
         "detector": detector,
-        "fleet": {"workers": workers, "router": router},
+        "fleet": {"workers": workers, "router": ROUTER},
         "streams": stream_rows,
         "rejected": sorted(rejected, key=lambda r: (r["stream"], r["code"])),
         "totals": {
@@ -519,8 +450,6 @@ def merge_manifests(out_dir: str, workers: int, *, router: str) -> dict:
 
 def fleet_status(out_dir: str, *, timeout: float = 5.0) -> dict:
     """Live fleet overview: fleet.json + a healthz probe per worker."""
-    from repro.serve.server import query_server
-
     with open(os.path.join(out_dir, FLEET_NAME)) as fh:
         fleet = json.load(fh)
     probes = {}
@@ -534,22 +463,6 @@ def fleet_status(out_dir: str, *, timeout: float = 5.0) -> dict:
             probes[f"w{k}"] = {"status": "unreachable", "error": str(exc)}
     fleet["probes"] = probes
     return fleet
-
-
-async def _read_raw_frame(reader: asyncio.StreamReader):
-    """One frame as raw bytes + parsed kind/doc (the router's peek)."""
-    header = await reader.readexactly(HEADER_SIZE)
-    kind, length = parse_header(header)
-    payload = await reader.readexactly(length) if length else b""
-    doc: dict = {}
-    if kind in (FrameKind.HELLO, FrameKind.CONTROL):
-        try:
-            doc = json.loads(payload.decode("utf-8"))
-            if not isinstance(doc, dict):
-                doc = {}
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            doc = {}
-    return header + payload, kind, doc
 
 
 async def _pump(src: asyncio.StreamReader, dst: asyncio.StreamWriter) -> None:

@@ -12,8 +12,9 @@ The contracts this suite pins:
 * kill -9 of a single worker mid-stream is survivable: the supervisor
   restarts it, the stream resumes from the journaled chunk boundary,
   and the merged manifest equals the no-crash run's byte-for-byte;
-* the proxy router (the SO_REUSEPORT portability fallback) carries
-  streams end-to-end when reuseport is forced off;
+* the supervisor's stream-id router is the one front door, and carries
+  streams sent to a public TCP port end-to-end as it does for a unix
+  socket, while a worker dialled directly refuses streams it does not own;
 * drain with stragglers seals exactly one merged manifest with every
   stream accounted for.
 """
@@ -60,9 +61,8 @@ from repro.serve.protocol import (
     recv_frame_sync,
 )
 from repro.serve.supervisor import (
-    NO_REUSEPORT_ENV,
     merge_manifests,
-    resolve_router,
+    worker_dir,
     worker_socket_path,
 )
 from repro.workloads.registry import all_benchmarks
@@ -149,7 +149,6 @@ def run_fleet(tmp_path, traces, *, workers, tag, crash_stream=None, **kw):
         workers=workers,
         socket_path=sock,
         idle_timeout=10.0,
-        health_interval=0.1,
         **kw,
     )
     ft = FleetThread(cfg).start()
@@ -232,11 +231,11 @@ class TestShardRouting:
         owners = {shard_of(f"s{i}", 4) for i in range(64)}
         assert len(owners) == 4
 
-    def test_wrong_worker_redirect_from_non_owner(self, tmp_path, traces):
-        """A worker answers HELLO for a non-owned stream with the owner's
-        direct addresses, and journals nothing about it."""
+    def test_wrong_worker_refusal_from_non_owner(self, tmp_path, traces):
+        """A worker refuses a HELLO for a stream it does not own, naming
+        the owner's index and no address, and journals nothing about it."""
         fleet_dir = str(tmp_path / "fleet")
-        stream = "redirect-me"
+        stream = "misrouted"
         owner = shard_of(stream, 4)
         me = (owner + 1) % 4
         wdir = os.path.join(fleet_dir, "workers", f"w{me}")
@@ -258,15 +257,24 @@ class TestShardRouting:
             frame, doc = _hello(sock, stream, "prog")
             sock.close()
             assert frame is not None and frame.kind is FrameKind.ERR
-            assert doc["code"] == WRONG_WORKER
-            assert doc["worker"] == owner
-            assert doc["socket"].endswith(f"w{owner}/worker.sock")
-            assert st.server.stats.redirects == 1
+            assert doc == {
+                "code": WRONG_WORKER,
+                "detail": f"stream belongs to worker {owner}",
+                "worker": owner,
+            }
+            path = next(iter(traces.values()))
+            r = send_trace(path, stream, socket_path=str(tmp_path / "w.sock"))
+            assert not r.ok and r.error_code == WRONG_WORKER
+            assert r.response == doc and r.bytes_sent == 0
+            # One connection per attempt: the client follows nothing.
+            assert st.server.stats.connections == 2
+            assert st.server.stats.redirects == 2
         finally:
             st.drain()
-        # Redirects must not reach the journal or the manifest: a
+        # Refusals must not reach the journal or the manifest: a
         # misrouted HELLO is not durable state.
-        doc = json.load(open(os.path.join(wdir, RUN_MANIFEST_NAME)))
+        with open(os.path.join(wdir, RUN_MANIFEST_NAME)) as fh:
+            doc = json.load(fh)
         assert doc["streams"] == [] and doc["rejected"] == []
 
 
@@ -619,7 +627,6 @@ class TestFleet:
             workers=2,
             socket_path=sock,
             idle_timeout=10.0,
-            health_interval=0.1,
         )
         ft = FleetThread(cfg).start()
         try:
@@ -644,33 +651,50 @@ class TestFleet:
             r["stream"] for r in base["streams"]
         } | {crash_stream}
 
-    def test_forced_proxy_fallback(self, tmp_path, traces, monkeypatch):
-        """With SO_REUSEPORT forced off, TCP service still works through
-        the supervisor's stream-id hash router."""
-        monkeypatch.setenv(NO_REUSEPORT_ENV, "1")
+    def test_tcp_front_door_routes_every_stream(self, tmp_path, traces):
+        """The supervisor's router serves a public TCP port as it serves a
+        unix socket: each stream is analyzed by its owner, byte-identical
+        to the batch path."""
+        fleet_dir = str(tmp_path / "fleet-tcp")
         cfg = FleetConfig(
-            out_dir=str(tmp_path / "fleet-proxy"),
+            out_dir=fleet_dir,
             workers=2,
             tcp=("127.0.0.1", 0),
             idle_timeout=10.0,
         )
-        assert resolve_router(cfg) == "proxy"
         ft = FleetThread(cfg).start()
+        events = defect_keys = 0
         try:
-            assert ft.sup.router == "proxy"
-            host, port = ft.sup.tcp_address
+            assert ft.sup.tcp_address[1] != 0
             for i, path in enumerate(traces.values()):
-                r = send_trace(path, f"stream-{i}", tcp=(host, port))
+                r = send_trace(path, f"stream-{i}", tcp=ft.sup.tcp_address)
                 assert r.ok, (r.error_code, r.response)
-                assert r.redirects == 0  # the router landed it directly
+                events += r.response["events"]
+                defect_keys += r.response["defect_keys"]
             ft.drain()
         finally:
             ft.kill()
-        doc = json.load(
-            open(os.path.join(str(tmp_path / "fleet-proxy"), RUN_MANIFEST_NAME))
-        )
-        assert doc["fleet"]["router"] == "proxy"
-        assert doc["totals"]["analyzed"] == len(traces)
+        owners = set()
+        for i, path in enumerate(traces.values()):
+            owner = shard_of(f"stream-{i}", 2)
+            owners.add(owner)
+            report = os.path.join(
+                worker_dir(fleet_dir, owner), "reports", f"stream-{i}.json"
+            )
+            with open(report, "rb") as fh:
+                assert fh.read() == render_report(report_doc_for_file(path))
+        assert owners == {0, 1}  # both workers were routed to
+        with open(os.path.join(fleet_dir, RUN_MANIFEST_NAME)) as fh:
+            doc = json.load(fh)
+        assert doc["fleet"] == {"workers": 2, "router": "proxy"}
+        assert doc["totals"] == {
+            "streams": len(traces),
+            "analyzed": len(traces),
+            "quarantined": 0,
+            "rejected": 0,
+            "events": events,
+            "defect_keys": defect_keys,
+        }
 
     def test_drain_with_stragglers_seals_one_manifest(self, tmp_path, traces):
         fleet_dir = str(tmp_path / "fleet-straggle")
@@ -721,7 +745,7 @@ class TestFleet:
         assert doc["totals"]["streams"] == 3
         # merge_manifests is idempotent and deterministic over the sealed
         # worker manifests.
-        again = merge_manifests(fleet_dir, 2, router=ft.sup.router)
+        again = merge_manifests(fleet_dir, 2)
         assert (
             json.dumps(again, indent=2, sort_keys=True) + "\n"
         ).encode() == open(os.path.join(fleet_dir, RUN_MANIFEST_NAME), "rb").read()

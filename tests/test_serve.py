@@ -14,6 +14,7 @@ import json
 import os
 import select
 import signal
+import stat
 import subprocess
 import sys
 import threading
@@ -364,6 +365,24 @@ class TestChaosSuite:
         st.drain()
         assert outcome.err is not None
         assert outcome.err["code"] == "corrupt-payload"
+
+    def test_corrupt_mode_breaks_every_corpus_trace(self, harness):
+        """``corrupt`` damages what every decoder refuses, whatever the
+        trace: each committed corpus trace settles ``corrupt-payload``."""
+        make, sock, out, _ = harness
+        st = make()
+        paths = sorted(Path(REPO, "corpus").glob("*.wtrc"))
+        assert paths
+        for path in paths:
+            outcome = chaos_client("corrupt", str(path), path.stem, socket_path=sock)
+            assert outcome.err is not None, path.name
+            assert outcome.err["code"] == "corrupt-payload", (path.name, outcome.err)
+        st.drain()
+        rows = rows_by_stream(manifest(out))
+        assert {sid: (r["status"], r["code"]) for sid, r in rows.items()} == {
+            path.stem: ("quarantined", "corrupt-payload") for path in paths
+        }
+        assert st.server.stats.internal_errors == 0
 
     def test_stall_evicted_as_idle_timeout(self, harness):
         make, sock, out, traces = harness
@@ -781,6 +800,55 @@ class TestSpoolDurability:
         assert render_report(doc) == render_report(report_doc_for_file(path))
         with real_open(spool_path, "rb") as fh:
             assert fh.read() == data
+
+
+# ---------------------------------------------------------------------------
+# sealed documents
+# ---------------------------------------------------------------------------
+
+
+def _record_durability(monkeypatch) -> list:
+    """Log each ``os.replace`` target and whether each fsync hit a file or
+    a directory, in call order."""
+    ops = []
+    fsync, replace = os.fsync, os.replace
+
+    def recording_fsync(fd):
+        kind = "dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file"
+        ops.append(("fsync", kind))
+        return fsync(fd)
+
+    def recording_replace(src, dst):
+        ops.append(("replace", os.path.basename(dst)))
+        return replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", recording_fsync)
+    monkeypatch.setattr(os, "replace", recording_replace)
+    return ops
+
+
+#: A durable document write: the new file, its rename, the directory entry.
+SEALED = [("fsync", "file"), ("replace", RUN_MANIFEST_NAME), ("fsync", "dir")]
+
+
+class TestDocumentDurability:
+    def test_drained_manifest_fsyncs_its_directory(self, harness, monkeypatch):
+        make, _, _, _ = harness
+        st = make()
+        ops = _record_durability(monkeypatch)
+        st.drain()
+        i = ops.index(("replace", RUN_MANIFEST_NAME))
+        assert ops[i - 1 : i + 2] == SEALED
+
+    def test_merged_manifest_fsyncs_its_directory(self, tmp_path, monkeypatch):
+        from repro.serve import FleetConfig, FleetSupervisor
+
+        sup = FleetSupervisor(
+            FleetConfig(out_dir=str(tmp_path), socket_path=str(tmp_path / "s"))
+        )
+        ops = _record_durability(monkeypatch)
+        sup._write_merged_manifest()
+        assert ops == SEALED
 
 
 # ---------------------------------------------------------------------------
