@@ -17,8 +17,9 @@ Then a two-worker fleet (``wolf serve --workers 2 --tcp 127.0.0.1:0``)
 takes the six healthy streams on its public TCP port, where the
 supervisor routes each to the worker that owns its stream id.  The gate:
 each worker's report is byte-identical to ``wolf analyze-trace --json``,
-``--status`` answers over TCP, no worker counts an internal error,
-SIGTERM exits 0, and the merged ``run_manifest.json`` totals are right.
+``--status`` answers over TCP, one ``wolf fleet status`` finds every
+worker up with no internal error, SIGTERM exits 0, and the merged
+``run_manifest.json`` totals are right.
 
 Exit status: 0 on success, 1 with a diagnostic on any violation.
 """
@@ -128,16 +129,13 @@ def fleet_smoke(tmp: str, traces, batch: dict):
         status = json.loads(wolf("serve", "--tcp", addr, "--status").stdout)
         if status["worker"] != 0 or status["workers"] != 2:
             return f"--status over TCP did not reach worker 0: {status}"
-        # Each worker answers with its own counters: ask every one.
-        analyzed = 0
-        for k in range(2):
-            sock = os.path.join(out, "workers", f"w{k}", "worker.sock")
-            doc = json.loads(wolf("serve", "--socket", sock, "--status").stdout)
-            if doc["internal_errors"] != 0:
-                return f"worker {k} internal errors: {doc['internal_errors']}"
-            analyzed += doc["streams"]["analyzed"]
-        if analyzed != HEALTHY:
-            return f"workers analyzed {analyzed} of {HEALTHY} streams"
+        # One `wolf fleet status` probes every worker.
+        probes = json.loads(wolf("fleet", "status", out).stdout)["probes"]
+        if sorted(probes) != ["w0", "w1"]:
+            return f"fleet status probed {sorted(probes)}"
+        for k, probe in sorted(probes.items()):
+            if probe.get("status") != "ok" or probe.get("internal_errors") != 0:
+                return f"worker {k} unhealthy: {probe}"
 
         fleet.send_signal(signal.SIGTERM)
         code = fleet.wait(timeout=60)

@@ -24,6 +24,15 @@
  * Logs keep raw rows, so Python resolves each to the very object the
  * pure decoder would have produced.
  *
+ * The cycle search sees only the entries that can be members of a tuple
+ * cycle (wk_find_cycle_rows): those whose wanted lock and some held lock
+ * lie in one strongly connected component of two or more locks of the
+ * canonical held -> wanted lock graph.  Member i of a cycle holds the
+ * lock l(i-1) and wants l(i); locksets are pairwise disjoint, so the
+ * l(i) are distinct and l(0) -> ... -> l(0) is a cycle of that graph.
+ * An entry failing the test is in no tuple cycle, so dropping it changes
+ * neither the cycles found, nor their order, nor the truncation flag.
+ *
  * A context can also collect the trace as per-thread columns
  * (wk_collect_columns): the prediction index's re-read of a trace uses
  * them instead of decoding event objects.  Threads and locks get dense
@@ -59,8 +68,8 @@
 #include <stdlib.h>
 #include <string.h>
 
-#define WK_KERNEL_VERSION "1.2.1"
-#define WK_ABI 3
+#define WK_KERNEL_VERSION "1.3.0"
+#define WK_ABI 4
 
 /* Error codes (negative).  The Python wrapper maps any failure to a
  * pure-Python re-decode of the same payload, which raises the error a
@@ -190,7 +199,8 @@ typedef struct wk_ctx {
                        * lock, ix_thread, ix_site, ix_occ, tau, pos,   *
                        * nheld, held_off                               */
     i64vec held;      /* quads: lock, h_thread, h_site, h_occ          */
-    i64vec nonempty;  /* entry indices with nheld > 0                  */
+    i64vec cycle_rows; /* entry indices that can close a cycle         *
+                        * (wk_find_cycle_rows)                         */
 
     /* column re-read (wk_collect_columns); empty in analysis contexts */
     int columns;
@@ -261,7 +271,7 @@ void wk_free(wk_ctx *c) {
     vec_free(&c->acq);
     vec_free(&c->entries);
     vec_free(&c->held);
-    vec_free(&c->nonempty);
+    vec_free(&c->cycle_rows);
     vec_free(&c->col_threads);
     vec_free(&c->col_locks);
     vec_free(&c->col_trace);
@@ -631,9 +641,6 @@ static void apply_events(wk_ctx *c, const uint8_t *p, uint64_t len,
             vec_push(&c->acq, step);
             vec_push(&c->acq, c->tau[k]);
             if (!reentrant) {
-                if (nheld)
-                    vec_push(&c->nonempty,
-                             (int64_t)(c->entries.len / 10));
                 vec_push(&c->entries, step);
                 vec_push(&c->entries, (int64_t)t);
                 vec_push(&c->entries, (int64_t)lk);
@@ -734,7 +741,6 @@ int wk_feed_events(wk_ctx *c, const uint8_t *payload, uint64_t len) {
     if (vec_reserve(&c->clock_ops, 6 * n) != WK_OK ||
         vec_reserve(&c->acq, 2 * n) != WK_OK ||
         vec_reserve(&c->entries, 10 * n) != WK_OK ||
-        vec_reserve(&c->nonempty, n) != WK_OK ||
         vec_reserve(&c->held, 4 * held_total) != WK_OK ||
         (c->columns &&
          (vec_reserve(&c->col_trace, 5 * n) != WK_OK ||
@@ -764,8 +770,147 @@ const int64_t *wk_entries(wk_ctx *c) { return c->entries.data; }
 uint64_t wk_n_held(wk_ctx *c) { return c->held.len / 4; }
 const int64_t *wk_held(wk_ctx *c) { return c->held.data; }
 
-uint64_t wk_n_nonempty(wk_ctx *c) { return c->nonempty.len; }
-const int64_t *wk_nonempty(wk_ctx *c) { return c->nonempty.data; }
+/* ------------------------------------------------------------------ */
+/* cycle rows: the entries a tuple cycle can go through               */
+
+/* Tarjan's strongly connected components of the graph on n nodes whose
+ * out-edges of node v are adj[off[v] .. off[v+1]), iteratively.  comp[v]
+ * gets v's component and size[k] the node count of component k. */
+static int lock_sccs(uint64_t n, const int64_t *off, const int64_t *adj,
+                     int64_t *comp, int64_t *size) {
+    int64_t *idx = (int64_t *)malloc((n + 1) * sizeof(int64_t));
+    int64_t *low = (int64_t *)malloc((n + 1) * sizeof(int64_t));
+    int64_t *stack = (int64_t *)malloc((n + 1) * sizeof(int64_t));
+    int64_t *call = (int64_t *)malloc((n + 1) * sizeof(int64_t));
+    int64_t *next = (int64_t *)malloc((n + 1) * sizeof(int64_t));
+    int64_t counter = 0, sp = 0, ncomp = 0;
+    uint64_t root;
+    if (!idx || !low || !stack || !call || !next) {
+        free(idx);
+        free(low);
+        free(stack);
+        free(call);
+        free(next);
+        return WK_ENOMEM;
+    }
+    for (root = 0; root < n; root++)
+        idx[root] = comp[root] = -1;
+    for (root = 0; root < n; root++) {
+        int64_t cp = 0;
+        if (idx[root] >= 0)
+            continue;
+        /* call[0 .. cp) is the DFS path; next[i] is call[i]'s next edge */
+        idx[root] = low[root] = counter++;
+        stack[sp++] = (int64_t)root;
+        call[cp] = (int64_t)root;
+        next[cp++] = off[root];
+        while (cp > 0) {
+            int64_t v = call[cp - 1];
+            if (next[cp - 1] < off[v + 1]) {
+                int64_t w = adj[next[cp - 1]++];
+                if (idx[w] < 0) {
+                    idx[w] = low[w] = counter++;
+                    stack[sp++] = w;
+                    call[cp] = w;
+                    next[cp++] = off[w];
+                } else if (comp[w] < 0 && idx[w] < low[v]) {
+                    low[v] = idx[w]; /* w is still on the stack */
+                }
+                continue;
+            }
+            if (--cp > 0 && low[v] < low[call[cp - 1]])
+                low[call[cp - 1]] = low[v];
+            if (low[v] == idx[v]) {
+                int64_t w;
+                size[ncomp] = 0;
+                do {
+                    w = stack[--sp];
+                    comp[w] = ncomp;
+                    size[ncomp]++;
+                } while (w != v);
+                ncomp++;
+            }
+        }
+    }
+    free(idx);
+    free(low);
+    free(stack);
+    free(call);
+    free(next);
+    return WK_OK;
+}
+
+/* Collect the cycle rows of the entries logged so far: every entry whose
+ * wanted lock and some held lock lie in one strongly connected component
+ * of at least two locks of the held -> wanted graph over canonical lock
+ * rows (self-edges left out), in entry order.  Read them with
+ * wk_n_cycle_rows / wk_cycle_rows. */
+int wk_find_cycle_rows(wk_ctx *c) {
+    uint64_t n = c->n_locks, ne = c->entries.len / 10, i;
+    const int64_t *ent = c->entries.data, *held = c->held.data;
+    const int64_t *lc = c->lcanon;
+    int64_t *off, *fill, *adj, *comp, *size;
+    int rc = WK_ENOMEM;
+
+    c->cycle_rows.len = 0;
+    if (ne == 0)
+        return WK_OK;
+    off = (int64_t *)calloc(n + 1, sizeof(int64_t));
+    fill = (int64_t *)malloc((n + 1) * sizeof(int64_t));
+    adj = (int64_t *)malloc((c->held.len / 4 + 1) * sizeof(int64_t));
+    comp = (int64_t *)malloc((n + 1) * sizeof(int64_t));
+    size = (int64_t *)malloc((n + 1) * sizeof(int64_t));
+    if (!off || !fill || !adj || !comp || !size ||
+        vec_reserve(&c->cycle_rows, ne) != WK_OK)
+        goto out;
+    /* the edges held -> wanted, grouped by source (counting sort) */
+    for (i = 0; i < ne; i++) {
+        const int64_t *e = ent + 10 * i;
+        int64_t want = lc[e[2]], h;
+        for (h = 0; h < e[8]; h++) {
+            int64_t src = lc[held[4 * (e[9] + h)]];
+            if (src != want)
+                off[src + 1]++;
+        }
+    }
+    for (i = 0; i < n; i++)
+        off[i + 1] += off[i];
+    memcpy(fill, off, (n + 1) * sizeof(int64_t));
+    for (i = 0; i < ne; i++) {
+        const int64_t *e = ent + 10 * i;
+        int64_t want = lc[e[2]], h;
+        for (h = 0; h < e[8]; h++) {
+            int64_t src = lc[held[4 * (e[9] + h)]];
+            if (src != want)
+                adj[fill[src]++] = want;
+        }
+    }
+    if (lock_sccs(n, off, adj, comp, size) != WK_OK)
+        goto out;
+    for (i = 0; i < ne; i++) {
+        const int64_t *e = ent + 10 * i;
+        int64_t k = comp[lc[e[2]]], h;
+        if (size[k] < 2)
+            continue;
+        for (h = 0; h < e[8]; h++) {
+            if (comp[lc[held[4 * (e[9] + h)]]] == k) {
+                vec_push(&c->cycle_rows, (int64_t)i);
+                break;
+            }
+        }
+    }
+    rc = WK_OK;
+out:
+    free(off);
+    free(fill);
+    free(adj);
+    free(comp);
+    free(size);
+    return rc;
+}
+
+uint64_t wk_n_cycle_rows(wk_ctx *c) { return c->cycle_rows.len; }
+const int64_t *wk_cycle_rows(wk_ctx *c) { return c->cycle_rows.data; }
 
 /* ------------------------------------------------------------------ */
 /* column re-read: group by thread, match releases                    */

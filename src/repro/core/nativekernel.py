@@ -29,6 +29,13 @@ Division of labor (see docs/architecture.md, "Native analysis kernel"):
   whole relation; ``NativeRelation.entries`` materializes it, into the
   exact objects the pure-Python engine would have built, for a caller
   that does.
+* **Only possible cycle members reach the search**: the kernel exports
+  the entries whose wanted lock and some held lock share a strongly
+  connected component of two or more locks of the held -> wanted lock
+  graph, the only entries a tuple cycle can go through (the argument is
+  in ``wolfkernel.c``), so a cycle-free trace hands the search no rows.
+  The clock-op log is replayed into vector clocks only when the Pruner
+  first reads them, that is when it has a cycle to check.
 * **Columns for the prediction index**: the index re-reads the file
   through a kernel that collects the trace as per-thread columns
   (:class:`NativeColumnReader`): dense thread and lock ids in first-
@@ -37,8 +44,9 @@ Division of labor (see docs/architecture.md, "Native analysis kernel"):
   facts; and the acquisitions in trace order.
   :meth:`~repro.core.prediction.ClosureIndex.from_events` slices its
   tables out of them with no per-event Python loop and formats a
-  thread's witness tokens only when a witness reads them.  Analysis
-  contexts collect no columns.
+  thread's witness tokens only when a witness reads them.  The re-read
+  takes the identity tables from the analysis pass's snapshot instead
+  of decoding them again.  Analysis contexts collect no columns.
 
 Build & fallback rules:
 
@@ -85,11 +93,16 @@ from repro.core.prediction import ThreadColumns
 from repro.core.streaming import StreamingDetector
 from repro.core.vclock import VectorClockState, update_clocks
 from repro.runtime.events import JoinEvent, SpawnEvent, Trace
-from repro.runtime.tracefile import ChunkDecoder, TraceFileReader, _DecodeCore
+from repro.runtime.tracefile import (
+    ChunkDecoder,
+    TraceFileReader,
+    _DecodeCore,
+    _get_uvarint,
+)
 from repro.util.ids import ExecIndex, LockId, ThreadId
 
 #: Version of the kernel ABI this wrapper speaks; must match wk_abi().
-KERNEL_ABI = 3
+KERNEL_ABI = 4
 
 #: Backends accepted by every ``backend=`` parameter in the pipeline.
 BACKENDS = ("python", "native", "auto")
@@ -117,8 +130,9 @@ uint64_t wk_n_entries(wk_ctx *);
 const int64_t *wk_entries(wk_ctx *);
 uint64_t wk_n_held(wk_ctx *);
 const int64_t *wk_held(wk_ctx *);
-uint64_t wk_n_nonempty(wk_ctx *);
-const int64_t *wk_nonempty(wk_ctx *);
+int wk_find_cycle_rows(wk_ctx *);
+uint64_t wk_n_cycle_rows(wk_ctx *);
+const int64_t *wk_cycle_rows(wk_ctx *);
 int wk_columns_finish(wk_ctx *);
 uint64_t wk_column_len(wk_ctx *, int);
 const int64_t *wk_column(wk_ctx *, int);
@@ -349,14 +363,17 @@ class _Kernel:
 
     def snapshot_arrays(self) -> Tuple[array, array, array, array, array]:
         """Copy the kernel's logs out (clock ops, acquires, entries,
-        held pool, nonempty entry indices)."""
+        held pool, and the indices of the entries that can close a
+        cycle)."""
         lib, ctx = self._lib, self._ctx
+        if lib.wk_find_cycle_rows(ctx) != 0:
+            raise MemoryError("wk_find_cycle_rows failed")
         return (
             self._pull(lib.wk_n_clock_ops(ctx), lib.wk_clock_ops(ctx), 3),
             self._pull(lib.wk_n_acquires(ctx), lib.wk_acquires(ctx), 2),
             self._pull(lib.wk_n_entries(ctx), lib.wk_entries(ctx), 10),
             self._pull(lib.wk_n_held(ctx), lib.wk_held(ctx), 4),
-            self._pull(lib.wk_n_nonempty(ctx), lib.wk_nonempty(ctx), 1),
+            self._pull(lib.wk_n_cycle_rows(ctx), lib.wk_cycle_rows(ctx), 1),
         )
 
     def columns(self) -> Tuple[array, array, array, array]:
@@ -473,18 +490,58 @@ class NativeTraceFileReader(_KernelFeed, TraceFileReader):
         super().__init__(src)
 
 
-class NativeColumnReader(NativeTraceFileReader):
+class NativeColumnReader(TraceFileReader):
     """A ``.wtrc`` re-read through a kernel that collects per-thread
     columns, for :meth:`ClosureIndex.from_events`.
 
-    The columns exist only for the length of the re-read; analysis
-    contexts never collect them.
+    ``relation`` is the native analysis of the same bytes, whose
+    snapshot holds the identity tables and their canonical row maps: the
+    kernel is sized once from them, and the re-read decodes no table
+    chunk again.  :meth:`~repro.runtime.tracefile._DecodeCore._next_chunk`
+    still frames and orders every chunk; a table chunk is only counted,
+    and the re-read refuses a file whose table rows differ from the
+    snapshot's (the file changed since its analysis).  The columns exist
+    only for the length of the re-read; analysis contexts never collect
+    them.
     """
 
-    def __init__(self, src) -> None:
-        kernel = _Kernel()
-        kernel.collect_columns()
-        super().__init__(src, kernel)
+    _events_view = True  # zero-copy payload views into the map
+
+    def __init__(self, src, relation: "NativeRelation") -> None:
+        snap = self._snap = relation._snap
+        self._nk = _Kernel()
+        self._nk.set_tables(len(snap.strings), snap.thread_canon, snap.lock_canon)
+        self._nk.collect_columns()
+        super().__init__(src)
+
+    def _init_decode_state(self) -> None:
+        super()._init_decode_state()
+        snap = self._snap
+        # The pure re-decode of a refused payload (_feed_payload) reads
+        # these; the loaders below never extend them.
+        self._strings = snap.strings
+        self._threads = snap.threads
+        self._locks = snap.locks
+        self._rows = {"strings": 0, "threads": 0, "locks": 0}
+
+    def _count_rows(self, table: str, payload) -> None:
+        n, _ = _get_uvarint(payload, 0)
+        self._rows[table] += n
+        if self._rows[table] > len(getattr(self._snap, table)):
+            raise ValueError(f"{table} table differs from the analyzed trace's")
+
+    def _load_strings(self, payload) -> None:
+        self._count_rows("strings", payload)
+
+    def _load_threads(self, payload) -> None:
+        self._count_rows("threads", payload)
+
+    def _load_locks(self, payload) -> None:
+        self._count_rows("locks", payload)
+
+    def _decode_events(self, payload) -> tuple:
+        _feed_payload(self._nk, self, payload)
+        return ()
 
     def read_columns(self) -> ThreadColumns:
         """Stream the rest of the file through the kernel; the whole
@@ -492,6 +549,9 @@ class NativeColumnReader(NativeTraceFileReader):
         index."""
         for _ in self:
             pass
+        for table, n in self._rows.items():
+            if n != len(getattr(self._snap, table)):
+                raise ValueError(f"{table} table differs from the analyzed trace's")
         threads, locks, events, acquisitions = self._nk.columns()
         return ThreadColumns(
             threads=threads,
@@ -528,7 +588,16 @@ class NativeChunkDecoder(_KernelFeed, ChunkDecoder):
 class _KernelSnapshot:
     """The kernel's flat logs plus the identity tables to resolve them
     (and the tables' canonical row maps, see :class:`_KernelFeed`, with
-    the first row of each identity)."""
+    the first row of each identity).
+
+    ``cycle_rows`` are the indices, ascending, of the entries a tuple
+    cycle can go through: those whose wanted lock and some held lock lie
+    in one strongly connected component of two or more locks of the
+    canonical held -> wanted lock graph (``wk_find_cycle_rows``).  They
+    are the only rows :meth:`cycle_columns` hands the search.  The clock
+    log is replayed by :meth:`build_vclocks`, which the detection calls
+    only when its clocks are first read (:class:`_ReplayedClocks`).
+    """
 
     strings: List[str]
     threads: List[ThreadId]
@@ -541,7 +610,7 @@ class _KernelSnapshot:
     acq: array
     ent: array
     held: array
-    nonempty: array
+    cycle_rows: array
 
     @property
     def n_entries(self) -> int:
@@ -631,10 +700,12 @@ class _KernelSnapshot:
         return out
 
     def cycle_columns(self) -> CycleColumns:
-        """The nonempty-lockset entries as :class:`CycleColumns`, read
-        straight from the entry log and held pool through the canonical
-        row maps.  Rows map back to entries by minting only those."""
-        ent, held, nonempty = self.ent, self.held, self.nonempty
+        """The cycle rows as :class:`CycleColumns`, read straight from
+        the entry log and held pool through the canonical row maps.  The
+        search finds the cycles it would find over every lock-holding
+        entry, in the same order and with the same truncation.  Rows map
+        back to entries by minting only those."""
+        ent, held, rows = self.ent, self.held, self.cycle_rows
         tcanon, lcanon = self.thread_canon, self.lock_canon
         steps: List[int] = []
         threads: List[int] = []
@@ -644,7 +715,7 @@ class _KernelSnapshot:
         # and each canonical lock in it once (see
         # LockDependencyRelation.cycle_columns).
         canon_of: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
-        for i in nonempty:
+        for i in rows:
             b = 10 * i
             hoff = 4 * ent[b + 9]
             raw = tuple(held[hoff : hoff + 4 * ent[b + 8] : 4])
@@ -660,7 +731,7 @@ class _KernelSnapshot:
             threads,
             locks,
             helds,
-            lambda rows: self.materialize_entries([nonempty[r] for r in rows]),
+            lambda found: self.materialize_entries([rows[r] for r in found]),
         )
 
     def acquisition_tables(self) -> AcquisitionTables:
@@ -693,6 +764,37 @@ class _KernelSnapshot:
             by_thread,
             index_of,
             lambda row: locks[ent[10 * row + 2]],
+        )
+
+
+class _ReplayedClocks(VectorClockState):
+    """The vector clocks of a snapshot, replayed
+    (:meth:`_KernelSnapshot.build_vclocks`) on the first read of ``tau``,
+    ``clocks`` or ``acquire_tau``.
+
+    The Pruner reads them only to check a cycle, so a cycle-free trace
+    never replays its clock log.  Equal to the pure engine's state,
+    dict insertion order included, once read.
+    """
+
+    def __init__(self, snap: _KernelSnapshot) -> None:
+        # deliberately NOT calling super().__init__: the fields are
+        # filled by __getattr__ on first read.
+        self._snap = snap
+
+    def __getattr__(self, name):
+        if name in ("tau", "clocks", "acquire_tau"):
+            self.__dict__.update(vars(self._snap.build_vclocks()))
+            return self.__dict__[name]
+        raise AttributeError(name)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, VectorClockState):
+            return NotImplemented
+        return (self.tau, self.clocks, self.acquire_tau) == (
+            other.tau,
+            other.clocks,
+            other.acquire_tau,
         )
 
 
@@ -745,9 +847,14 @@ class NativeStreamingDetector:
     (in-memory traces always use the pure-Python engine).  Enumeration
     runs at :meth:`finish`, as in the pure detector: ``find_cycles``
     searches the kernel's integer logs through
-    :meth:`NativeRelation.cycle_columns`, so the relation stays
-    unmaterialized and only cycle members become :class:`LockDepEntry`
-    objects; a cycle-free trace's ``finish`` mints none.
+    :meth:`NativeRelation.cycle_columns`, which hold only the entries
+    that can close a cycle, so the relation stays unmaterialized and
+    only cycle members become :class:`LockDepEntry` objects; a
+    cycle-free trace's ``finish`` hands the search no rows and mints
+    none.  The detection's ``vclocks`` replay the clock log on first
+    read (:class:`_ReplayedClocks`).  It holds the snapshot, not the
+    kernel context, so it pickles, and a serve session that drops its
+    detector drops the kernel.
     """
 
     def __init__(
@@ -768,7 +875,7 @@ class NativeStreamingDetector:
         self.max_cycles = max_cycles
         self.truncated = False
         self._snap: Optional[_KernelSnapshot] = None
-        self._vclocks: Optional[VectorClockState] = None
+        self._vclocks: Optional[_ReplayedClocks] = None
         self._rel: Optional[NativeRelation] = None
 
     @property
@@ -796,7 +903,7 @@ class NativeStreamingDetector:
 
     def _snapshot(self) -> _KernelSnapshot:
         if self._snap is None:
-            ops, acq, ent, held, nonempty = self._nk.snapshot_arrays()
+            ops, acq, ent, held, cycle_rows = self._nk.snapshot_arrays()
             self._snap = _KernelSnapshot(
                 strings=self._tables._strings,
                 threads=self._tables._threads,
@@ -809,14 +916,14 @@ class NativeStreamingDetector:
                 acq=acq,
                 ent=ent,
                 held=held,
-                nonempty=nonempty,
+                cycle_rows=cycle_rows,
             )
         return self._snap
 
     @property
     def vclocks(self) -> VectorClockState:
         if self._vclocks is None:
-            self._vclocks = self._snapshot().build_vclocks()
+            self._vclocks = _ReplayedClocks(self._snapshot())
         return self._vclocks
 
     @property

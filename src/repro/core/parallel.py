@@ -170,7 +170,8 @@ def closure_index_for(
     serve spool) to re-read in one sequential pass, with the backend
     that made the detection.  A detection the native kernel made is
     re-read through the kernel, which hands the index per-thread
-    columns; a pure detection is re-read in Python, the only path on a
+    columns and takes the identity tables from the detection's
+    relation; a pure detection is re-read in Python, the only path on a
     host without a C compiler.  Both backends accept the same bytes, so
     a payload the kernel refuses raises the pure decoder's error.
     """
@@ -182,12 +183,12 @@ def closure_index_for(
         return ClosureIndex()
     from repro.core.nativekernel import NativeColumnReader, NativeRelation
 
-    reader_of = (
-        NativeColumnReader
-        if isinstance(detection.relation, NativeRelation)
-        else TraceFileReader
-    )
-    with reader_of(trace_path) as reader:
+    rel = detection.relation
+    with (
+        NativeColumnReader(trace_path, rel)
+        if isinstance(rel, NativeRelation)
+        else TraceFileReader(trace_path)
+    ) as reader:
         return ClosureIndex.from_events(reader)
 
 

@@ -2,11 +2,12 @@
 
 Counters are plain ints mutated from the (single-threaded) event loop, so
 no locking; snapshots are cheap dicts the CONTROL channel serializes on
-demand.  ``healthz`` is the liveness probe (is the daemon accepting?);
-``stats`` is the observability document: stream counts, buffered bytes,
-credit withholding, evictions, quarantines by taxonomy code, and
-aggregate detector progress (events fed vs bytes buffered = detector
-lag at chunk granularity).
+demand.  ``healthz`` is the liveness probe (is the daemon accepting,
+and has it swallowed a handler error?), which ``wolf fleet status`` asks
+every worker; ``stats`` is the observability document: stream counts,
+buffered bytes, credit withholding, evictions, quarantines by taxonomy
+code, and aggregate detector progress (events fed vs bytes buffered =
+detector lag at chunk granularity).
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ class ServeStats:
             "backend": backend,
             "worker": self.worker_index,
             "workers": self.num_workers,
+            "internal_errors": self.internal_errors,
         }
 
     def stats(

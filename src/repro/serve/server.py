@@ -158,6 +158,10 @@ class WolfServer:
         )
         #: stream id -> session, for every stream this incarnation saw.
         self.sessions: Dict[str, StreamSession] = {}
+        #: The sessions a credit grant counts: every attached (ACTIVE)
+        #: one, plus any that settled since the last count, which drops
+        #: them (:meth:`_buffered_total`).
+        self._active: Dict[str, StreamSession] = {}
         self._conn_tasks: Set[asyncio.Task] = set()
         self._servers: List[asyncio.AbstractServer] = []
         self._draining = False
@@ -387,11 +391,13 @@ class WolfServer:
     # -- backpressure --------------------------------------------------------
 
     def _buffered_total(self) -> int:
-        total = sum(
-            s.buffered
-            for s in self.sessions.values()
-            if s.state is SessionState.ACTIVE
-        )
+        """Bytes the ACTIVE sessions buffer, read from ``_active`` only:
+        its cost follows the streams attached now, not every stream the
+        run has seen."""
+        live = SessionState.ACTIVE
+        for sid in [sid for sid, s in self._active.items() if s.state is not live]:
+            del self._active[sid]
+        total = sum(s.buffered for s in self._active.values())
         self.stats.buffered_bytes = total
         return total
 
@@ -581,7 +587,7 @@ class WolfServer:
                 writer, FrameKind.ERR, {"code": code, "detail": detail}
             )
             return
-        self.sessions[stream_id] = session
+        self.sessions[stream_id] = self._active[stream_id] = session
         holder[0] = session
         self.stats.streams_accepted += 1
         self.stats.streams_active += 1
@@ -745,12 +751,8 @@ class WolfServer:
         else:
             from repro.core.nativekernel import kernel_version
 
-            detectors = {
-                sid: s.detector.stats()
-                for sid, s in self.sessions.items()
-                if s.state is SessionState.ACTIVE
-            }
             self._buffered_total()
+            detectors = {sid: s.detector.stats() for sid, s in self._active.items()}
             doc = self.stats.stats(
                 accepting=self.accepting,
                 detectors=detectors,

@@ -449,7 +449,8 @@ def merge_manifests(out_dir: str, workers: int) -> dict:
 
 
 def fleet_status(out_dir: str, *, timeout: float = 5.0) -> dict:
-    """Live fleet overview: fleet.json + a healthz probe per worker."""
+    """Live fleet overview: fleet.json + a healthz probe per worker (its
+    liveness and ``internal_errors``)."""
     with open(os.path.join(out_dir, FLEET_NAME)) as fh:
         fleet = json.load(fh)
     probes = {}

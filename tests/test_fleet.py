@@ -61,6 +61,7 @@ from repro.serve.protocol import (
     recv_frame_sync,
 )
 from repro.serve.supervisor import (
+    fleet_status,
     merge_manifests,
     worker_dir,
     worker_socket_path,
@@ -695,6 +696,28 @@ class TestFleet:
             "events": events,
             "defect_keys": defect_keys,
         }
+
+    def test_fleet_status_probes_carry_internal_errors(self, tmp_path, traces):
+        """One ``fleet_status`` call shows whether any worker swallowed a
+        handler error."""
+        fleet_dir = str(tmp_path / "fleet-status")
+        cfg = FleetConfig(
+            out_dir=fleet_dir,
+            workers=2,
+            socket_path=str(tmp_path / "pub-status.sock"),
+            idle_timeout=10.0,
+        )
+        ft = FleetThread(cfg).start()
+        try:
+            path = next(iter(traces.values()))
+            assert send_trace(path, "s0", socket_path=cfg.socket_path).ok
+            probes = fleet_status(fleet_dir)["probes"]
+            ft.drain()
+        finally:
+            ft.kill()
+        assert sorted(probes) == ["w0", "w1"]
+        for k, probe in probes.items():
+            assert probe["status"] == "ok" and probe["internal_errors"] == 0, k
 
     def test_drain_with_stragglers_seals_one_manifest(self, tmp_path, traces):
         fleet_dir = str(tmp_path / "fleet-straggle")

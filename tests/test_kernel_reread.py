@@ -74,7 +74,8 @@ def pure_index(path: str) -> ClosureIndex:
 
 
 def kernel_index(path: str) -> ClosureIndex:
-    with NativeColumnReader(path) as reader:
+    relation = analyze_trace_file(path, backend="native").detection.relation
+    with NativeColumnReader(path, relation) as reader:
         return ClosureIndex.from_events(reader)
 
 

@@ -213,6 +213,7 @@ class TestHealthyStreams:
         assert send_trace(path, name, socket_path=sock).ok
         health = query_server(socket_path=sock, query="healthz")
         assert health["status"] == "ok" and health["accepting"] is True
+        assert health["internal_errors"] == 0
         stats = query_server(socket_path=sock, query="stats")
         assert stats["streams"]["analyzed"] == 1
         assert stats["detector"]["events_fed"] > 0
@@ -285,6 +286,64 @@ class TestHealthyStreams:
             "defect_keys": sum(rows[sid]["defect_keys"] for sid in shipped),
         }
         assert [r["stream"] for r in doc["rejected"]] == [first]
+
+
+class _Writer:
+    """The slice of ``asyncio.StreamWriter`` a credit grant writes to."""
+
+    def __init__(self) -> None:
+        self.frames: list = []
+
+    def write(self, data: bytes) -> None:
+        self.frames.append(data)
+
+    async def drain(self) -> None:
+        pass
+
+
+class _Probe:
+    """A session stand-in that records which sessions a grant reads."""
+
+    def __init__(self, sid: str, state, reads: list) -> None:
+        self.stream_id, self._state, self._reads = sid, state, reads
+
+    @property
+    def state(self):
+        self._reads.append(("state", self.stream_id))
+        return self._state
+
+    @property
+    def buffered(self) -> int:
+        self._reads.append(("buffered", self.stream_id))
+        return 5
+
+
+class TestCreditAccounting:
+    def test_grant_reads_only_the_active_sessions(self, tmp_path):
+        """A credit grant counts the streams attached now, not every stream
+        the run has seen; a stream that settles leaves the count at the
+        next grant without its buffer being read."""
+        from repro.serve.session import SessionState
+
+        server = WolfServer(
+            ServeConfig(out_dir=str(tmp_path / "run"), socket_path=str(tmp_path / "s"))
+        )
+        reads: list = []
+        for i in range(500):
+            sid = f"old-{i}"
+            server.sessions[sid] = _Probe(sid, SessionState.COMPLETE, reads)
+        live = _Probe("live", SessionState.ACTIVE, reads)
+        server.sessions["live"] = server._active["live"] = live
+        writer = _Writer()
+        assert asyncio.run(server._grant_credit(live, writer, 64)) == 64
+        assert len(writer.frames) == 1
+        assert reads == [("state", "live"), ("buffered", "live")]
+        assert server.stats.buffered_bytes == 5
+
+        live._state = SessionState.COMPLETE
+        reads.clear()
+        assert server._buffered_total() == 0
+        assert reads == [("state", "live")] and server._active == {}
 
 
 # ---------------------------------------------------------------------------
