@@ -15,7 +15,15 @@ ways (batch engine + JSON file vs streaming engine + binary file), with
 wall times, peak memory (tracemalloc) and file sizes, asserting both
 engines find identical cycles.
 
-Schema ``bench-core/11`` (migration note): the ``prediction`` section
+Schema ``bench-core/12`` (migration note): a ``generator`` section
+times ``Generator.run`` over every cycle of the 8 dense ``.wtrc`` files
+the closure index ratio reads, on the pure relation (the Python builder
+builds and decides each ``Gs``) over the native one (the kernel decides
+them all in one call, what a native report runs), timed like the other
+gated ratios: ``native_speedup``, with both sides' medians (``pure_s``,
+``native_s``), ``traces``, ``cycles`` and ``false``; all null where the
+kernel is unavailable.  Every other field is unchanged.
+Schema ``bench-core/11``: the ``prediction`` section
 adds ``index_speedup``, ``closure_index_for`` over the Generator
 survivors of seeded dense nested-lock ``.wtrc`` files re-read in pure
 Python over the same call re-read through the kernel's thread columns
@@ -695,7 +703,7 @@ def write_dense_traces(tmp_dir: str, n: int) -> List[str]:
     return paths
 
 
-def run_index(tmp_dir: str, n_traces: int = 8, pairs: int = 6) -> dict:
+def run_index(paths: List[str], pairs: int = 6) -> dict:
     """The prediction index of dense ``.wtrc`` files, built by the pure
     re-read against the kernel's column re-read.
 
@@ -707,16 +715,16 @@ def run_index(tmp_dir: str, n_traces: int = 8, pairs: int = 6) -> dict:
     pairs on one CPU, is ``index_speedup``.
     """
     from repro.core.generator import Generator
-    from repro.core.nativekernel import analyze_trace_file, kernel_available
+    from repro.core.nativekernel import analyze_trace_file
     from repro.core.parallel import closure_index_for
     from repro.core.pruner import Pruner
 
-    if not kernel_available():
+    if not paths:
         return dict.fromkeys(
             ("index_traces", "index_pure_s", "index_native_s", "index_speedup")
         )
     cases = []
-    for path in write_dense_traces(tmp_dir, n_traces):
+    for path in paths:
         pair = []
         for backend in ("python", "native"):
             detection = analyze_trace_file(path, backend=backend).detection
@@ -744,7 +752,59 @@ def run_index(tmp_dir: str, n_traces: int = 8, pairs: int = 6) -> dict:
     }
 
 
-def run_prediction(tmp_dir: str) -> dict:
+def run_generator(paths: List[str], pairs: int = 6) -> dict:
+    """``Generator.run`` over every cycle of dense ``.wtrc`` files: the
+    pure relation, whose builder builds and decides each ``Gs`` in
+    Python, against the native relation, whose kernel decides them all in
+    one call and builds no graph (what a native report runs).  The first
+    side over the second, in alternating pairs on one CPU, is
+    ``native_speedup``; both sides reach the same verdicts.  Every call
+    starts from a fresh Generator and a snapshot without its lookup
+    caches, as a report's one call per trace does.
+    """
+    from repro.core.generator import Generator
+    from repro.core.nativekernel import analyze_trace_file
+
+    keys = ("traces", "cycles", "false", "pure_s", "native_s", "native_speedup")
+    if not paths:
+        return dict.fromkeys(keys)
+    cases = [
+        tuple(analyze_trace_file(path, backend=b).detection for b in ("python", "native"))
+        for path in paths
+    ]
+    verdicts = {}
+
+    def decide(side: int):
+        def run():
+            verdicts[side] = [
+                [d.verdict for d in Generator(det.relation).run(det.cycles).decisions]
+                for det in (case[side] for case in cases)
+            ]
+
+        return run
+
+    def fresh_snapshots():
+        for _, native in cases:
+            for cache in ("_member_rows", "string_canon"):
+                native.relation._snap.__dict__.pop(cache, None)
+
+    pure_s, native_s, speedup, cpu = _interleaved_medians(
+        decide(0), decide(1), pairs, setup=fresh_snapshots
+    )
+    assert verdicts[0] == verdicts[1], "the kernel and the builder disagree on Gs"
+    return {
+        "traces": len(cases),
+        "cycles": sum(len(v) for v in verdicts[0]),
+        "false": sum(v.value == "false" for vs in verdicts[0] for v in vs),
+        "pure_s": round(pure_s, 6),
+        "native_s": round(native_s, 6),
+        "native_speedup": round(speedup, 2),
+        "pairs": pairs,
+        "cpu": cpu,
+    }
+
+
+def run_prediction(dense_paths: List[str]) -> dict:
     """Sync-preserving prediction over every registry benchmark.
 
     Measures what the prediction tentpole claims: how many Generator
@@ -758,7 +818,8 @@ def run_prediction(tmp_dir: str) -> dict:
     pairs on one CPU.  ``settled_early`` counts the survivors whose defect
     key already certified at an earlier instance of the same trace: the
     ones the early path decides without a schedule search or a witness.
-    The ``index_*`` fields come from :func:`run_index`.
+    The ``index_*`` fields come from :func:`run_index` over
+    ``dense_paths``.
     """
     from repro.core.generator import Generator, GeneratorVerdict
     from repro.core.parallel import predict_decisions
@@ -828,7 +889,7 @@ def run_prediction(tmp_dir: str) -> dict:
         "early_speedup": round(early_speedup, 2),
         "pairs": pairs,
         "cpu": cpu,
-        **run_index(tmp_dir, pairs=pairs),
+        **run_index(dense_paths, pairs=pairs),
     }
 
 
@@ -874,21 +935,28 @@ def main(argv=None) -> int:
     # Ctrl-C between stages flushes whatever completed as a partial
     # document (interrupted=true) and exits EX_TEMPFAIL instead of
     # losing minutes of timings to a traceback.
-    macro = dedup = micro = prediction = None
+    from repro.core.nativekernel import kernel_available
+
+    macro = dedup = micro = prediction = generator = None
     with GracefulInterrupt() as interrupt, tempfile.TemporaryDirectory() as tmp:
         macro = run_macro(args.events, tmp)
         if not interrupt.triggered:
             dedup = run_dedup(args.events)
         if not interrupt.triggered:
             micro = run_micro()
+        # The kernel's ratios read dense .wtrc files; none without it.
+        dense = write_dense_traces(tmp, 8) if kernel_available() else []
         if not interrupt.triggered:
-            prediction = run_prediction(tmp)
+            prediction = run_prediction(dense)
+        if not interrupt.triggered:
+            generator = run_generator(dense)
     doc = {
-        "schema": "bench-core/11",
+        "schema": "bench-core/12",
         "macro": macro,
         "dedup": dedup,
         "micro": micro,
         "prediction": prediction,
+        "generator": generator,
     }
     if interrupt.triggered:
         doc["interrupted"] = True
@@ -945,6 +1013,14 @@ def main(argv=None) -> int:
             f"pure re-read {prediction['index_pure_s'] * 1e3:.1f} ms vs kernel "
             f"columns {prediction['index_native_s'] * 1e3:.1f} ms "
             f"({prediction['index_speedup']}x)"
+        )
+    if generator["native_speedup"] is not None:
+        print(
+            f"Generator over {generator['cycles']} cycle(s) of "
+            f"{generator['traces']} dense trace(s): Python builder "
+            f"{generator['pure_s'] * 1e3:.1f} ms vs kernel "
+            f"{generator['native_s'] * 1e3:.1f} ms "
+            f"({generator['native_speedup']}x)"
         )
     ok = True
     if speedup <= 1.0:

@@ -25,6 +25,10 @@ same box, in the same process.  This gate therefore compares ratios:
 * ``prediction.index_speedup`` — ``closure_index_for`` on dense ``.wtrc``
   files, the pure re-read vs the kernel's column re-read, in alternating
   pairs on one CPU (bench-core/11; null, so skipped, without a kernel);
+* ``generator.native_speedup`` — ``Generator.run`` over every cycle of
+  the same dense files, the pure relation (the Python builder) vs the
+  native one (the kernel decides each ``Gs``), in alternating pairs on
+  one CPU (bench-core/12; null, so skipped, without a kernel);
 * ``macro.analyze_speedup.native`` — compiled analysis kernel vs the
   pure-Python streaming analyze on the same ``.wtrc`` macro (bench-core/4),
   in alternating pairs on one CPU (bench-core/6);
@@ -67,6 +71,7 @@ GATED_RATIOS = [
     ("prediction decided ratio", ("prediction", "decided_ratio")),
     ("early promotion speedup", ("prediction", "early_speedup")),
     ("closure index speedup", ("prediction", "index_speedup")),
+    ("Generator native decision speedup", ("generator", "native_speedup")),
     ("native analyze speedup", ("macro", "analyze_speedup", "native")),
     ("decode ratio", ("macro", "decode_ratio", "ratio")),
     # bench-serve/1 (BENCH_serve.json baselines, `--baseline BENCH_serve.json`).

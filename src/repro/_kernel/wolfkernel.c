@@ -39,8 +39,10 @@
  * column ids in the order the trace first mentions each canonical
  * identity, and each keeps the raw row of that first mention; each
  * event gets its step, closure kind, aux (lock or join target id) and
- * witness token key, and wk_columns_finish groups the events by thread
- * and matches each acquisition with its release.  The columns give
+ * witness token key, and wk_columns_finish groups the events by thread,
+ * matches each acquisition with its release and lists per thread the
+ * positions a closure rule can fire on (joins, condition-variable events
+ * and acquisitions, grouped by lock).  The columns give
  * ClosureIndex exactly the tables its object path builds from the same
  * trace (tests/test_kernel_reread.py).  Analysis contexts leave them
  * off, so their memory stays proportional to the acquisitions.
@@ -68,8 +70,8 @@
 #include <stdlib.h>
 #include <string.h>
 
-#define WK_KERNEL_VERSION "1.3.0"
-#define WK_ABI 4
+#define WK_KERNEL_VERSION "1.4.0"
+#define WK_ABI 5
 
 /* Error codes (negative).  The Python wrapper maps any failure to a
  * pure-Python re-decode of the same payload, which raises the error a
@@ -125,8 +127,26 @@ enum {
 #define WK_TOKEN_REENTRANT 16
 #define WK_TOKEN_SHIFT 5
 
+/* Rule spots (wk_columns_finish): per thread in column id order, the
+ * positions a closure rule can fire on, in groups ascending within
+ * themselves: first all of them (joins, condition-variable events and
+ * non-reentrant acquisitions), then the joins and condition-variable
+ * events, then the acquisitions of each lock.  Runs cut them into
+ * (lock id, or SPOTS_ALL / SPOTS_RULES for the two leading groups every
+ * thread has, end offset in the spots). */
+#define WK_RUN_WIDTH 2
+#define SPOTS_ALL (-2)
+#define SPOTS_RULES (-1)
+
 /* Column numbers for wk_column / wk_column_len. */
-enum { COL_THREADS = 0, COL_LOCKS = 1, COL_EVENTS = 2, COL_ACQS = 3 };
+enum {
+    COL_THREADS = 0,
+    COL_LOCKS = 1,
+    COL_EVENTS = 2,
+    COL_ACQS = 3,
+    COL_SPOTS = 4,
+    COL_RUNS = 5,
+};
 
 /* Clock-op log opcodes (replayed through the real update_clocks). */
 enum {
@@ -210,6 +230,8 @@ typedef struct wk_ctx {
                          * kind, aux, token key                         */
     i64vec col_events;  /* WK_EVENT_WIDTH per event, grouped by thread  */
     i64vec col_acqs;    /* WK_ACQ_WIDTH per non-reentrant acquire       */
+    i64vec col_spots;   /* rule spots, per thread (wk_columns_finish)   */
+    i64vec col_runs;    /* WK_RUN_WIDTH per run of the spots            */
 } wk_ctx;
 
 /* ------------------------------------------------------------------ */
@@ -277,6 +299,8 @@ void wk_free(wk_ctx *c) {
     vec_free(&c->col_trace);
     vec_free(&c->col_events);
     vec_free(&c->col_acqs);
+    vec_free(&c->col_spots);
+    vec_free(&c->col_runs);
     free(c);
 }
 
@@ -913,24 +937,445 @@ uint64_t wk_n_cycle_rows(wk_ctx *c) { return c->cycle_rows.len; }
 const int64_t *wk_cycle_rows(wk_ctx *c) { return c->cycle_rows.data; }
 
 /* ------------------------------------------------------------------ */
+/* Gs decisions: whether each cycle's Gs is cyclic (paper Algorithm 3) */
+
+/* An open-addressing table of Gs vertices by value: (canonical thread of
+ * the execution index, canonical site string, occurrence, canonical
+ * lock) -> dense vertex id, in order of first insertion. */
+typedef struct {
+    int64_t *keys; /* 4 per slot */
+    int64_t *ids;  /* -1 for an empty slot */
+    uint64_t mask;
+    int64_t n;
+} vtab;
+
+static uint64_t vkey_hash(const int64_t *k) {
+    uint64_t h = 0x9E3779B97F4A7C15ull;
+    int i;
+    for (i = 0; i < 4; i++) {
+        h ^= (uint64_t)k[i] + 0x9E3779B97F4A7C15ull + (h << 6) + (h >> 2);
+        h *= 0xBF58476D1CE4E5B9ull;
+    }
+    return h ^ (h >> 31);
+}
+
+static int64_t vtab_intern(vtab *t, int64_t th, int64_t site, int64_t occ,
+                           int64_t lock) {
+    int64_t k[4];
+    uint64_t i;
+    k[0] = th;
+    k[1] = site;
+    k[2] = occ;
+    k[3] = lock;
+    for (i = vkey_hash(k) & t->mask;; i = (i + 1) & t->mask) {
+        int64_t *s = t->keys + 4 * i;
+        if (t->ids[i] < 0) {
+            memcpy(s, k, sizeof k);
+            return t->ids[i] = t->n++;
+        }
+        if (s[0] == th && s[1] == site && s[2] == occ && s[3] == lock)
+            return t->ids[i];
+    }
+}
+
+/* One cycle member: its entry row, canonical thread and lock, step and
+ * pos, and its held slots in the pool. */
+typedef struct {
+    int64_t row, thread, lock, step, pos, hoff, nheld;
+} gs_member;
+
+/* One cycle's Gs in the making: the vertices met (by global vertex id,
+ * stamped with the cycle's number) and the edge list. */
+typedef struct {
+    int64_t *stamp, *local; /* per global vertex id */
+    int64_t cycle, n;
+    i64vec edges; /* pairs u, v of local ids */
+} gs_plan;
+
+static int64_t plan_vertex(gs_plan *p, int64_t vid) {
+    if (p->stamp[vid] != p->cycle) {
+        p->stamp[vid] = p->cycle;
+        p->local[vid] = p->n++;
+    }
+    return p->local[vid];
+}
+
+static int plan_edge(gs_plan *p, int64_t u, int64_t v) {
+    if (u == v) /* no self-loops */
+        return WK_OK;
+    if (vec_reserve(&p->edges, 2) != WK_OK)
+        return WK_ENOMEM;
+    vec_push(&p->edges, u);
+    vec_push(&p->edges, v);
+    return WK_OK;
+}
+
+/* mu of member m for canonical lock l: its own vertex when l is its
+ * lock, else the vertex of its first held slot with lock l, else -1. */
+static int64_t member_mu(const gs_member *m, int64_t l, const int64_t *rvid,
+                         const int64_t *hvid, const int64_t *hlock) {
+    int64_t h;
+    if (m->lock == l)
+        return rvid[m->row];
+    for (h = 0; h < m->nheld; h++)
+        if (hlock[m->hoff + h] == l)
+            return hvid[m->hoff + h];
+    return -1;
+}
+
+/* Kahn's algorithm over n vertices and the plan's edges; 1 when cyclic.
+ * scratch holds 3n + 1 + |edges|/2 slots. */
+static int kahn_cyclic(const gs_plan *p, int64_t *scratch) {
+    int64_t n = p->n, ne = (int64_t)(p->edges.len / 2), i, head = 0, tail = 0;
+    int64_t *off = scratch, *indeg = off + n + 1, *queue = indeg + n;
+    int64_t *adj = queue + n;
+    const int64_t *e = p->edges.data;
+    memset(off, 0, (size_t)(2 * n + 1) * sizeof(int64_t));
+    for (i = 0; i < ne; i++) {
+        off[e[2 * i] + 1]++;
+        indeg[e[2 * i + 1]]++;
+    }
+    for (i = 0; i < n; i++)
+        off[i + 1] += off[i];
+    for (i = 0; i < n; i++) /* queue doubles as the fill cursor */
+        queue[i] = off[i];
+    for (i = 0; i < ne; i++)
+        adj[queue[e[2 * i]]++] = e[2 * i + 1];
+    for (i = 0; i < n; i++)
+        if (indeg[i] == 0)
+            queue[tail++] = i;
+    while (head < tail) {
+        int64_t u = queue[head++], j;
+        for (j = off[u]; j < off[u + 1]; j++)
+            if (--indeg[adj[j]] == 0)
+                queue[tail++] = adj[j];
+    }
+    return tail < n;
+}
+
+/* Decide Gs for each cycle, exactly as SyncGraphBuilder.build(cycle)
+ * .is_cyclic() decides it over the same entries (repro.core.syncgraph):
+ *
+ *   - a vertex is an acquisition by value: the canonical thread of its
+ *     execution index, its canonical site string, its occurrence and its
+ *     canonical lock, so a held acquisition with no entry of its own is
+ *     still a vertex, and two rows with equal values are one vertex;
+ *   - type-D: for members i != j with lock(i) held by j, mu_j(lock(i))
+ *     -> mu_i(lock(i));
+ *   - type-C: for each lock l member i holds or wants, every acquisition
+ *     of l (entry order, stopping at the first step >= the largest
+ *     cutoff) by another cycle thread tx strictly before tx's cutoff
+ *     -> mu_i(l); a thread's cutoff is the step of its last member;
+ *   - type-P: along each member's thread, its first min(pos, n) entries
+ *     (Python slice semantics) and then its own vertex;
+ *   - no self-loops, and Kahn's algorithm over the whole table.
+ *
+ * ent / held are the snapshot's entry log (10 ints per entry) and held
+ * pool (4 per slot); the canonical maps give each thread, lock and
+ * string row the first row equal to it.  cycles holds, per cycle, its
+ * member count k and then k entry rows; out gets 1 for a cyclic Gs and
+ * 0 for an acyclic one, per cycle. */
+int wk_decide_gs(const int64_t *ent, uint64_t n_ent, const int64_t *held,
+                 uint64_t n_held, const int64_t *tcanon, uint64_t n_threads,
+                 const int64_t *lcanon, uint64_t n_locks,
+                 const int64_t *scanon, uint64_t n_strings,
+                 const int64_t *cycles, uint64_t cycles_len,
+                 uint64_t n_cycles, uint8_t *out) {
+    uint64_t cap = 16, i, at, c;
+    int64_t *rvid = NULL, *hvid = NULL, *hlock = NULL, *toff = NULL;
+    int64_t *trows = NULL, *loff = NULL, *lrows = NULL, *scratch = NULL;
+    gs_member *mem = NULL;
+    uint64_t scratch_cap = 0, max_k = 0;
+    vtab vt = {NULL, NULL, 0, 0};
+    gs_plan plan;
+    int rc = WK_EINDEX;
+
+    memset(&plan, 0, sizeof plan);
+    /* Validate every row index before reading through it. */
+    for (i = 0; i < n_threads; i++)
+        if (tcanon[i] < 0 || (uint64_t)tcanon[i] >= n_threads)
+            return WK_EINDEX;
+    for (i = 0; i < n_locks; i++)
+        if (lcanon[i] < 0 || (uint64_t)lcanon[i] >= n_locks)
+            return WK_EINDEX;
+    for (i = 0; i < n_strings; i++)
+        if (scanon[i] < 0 || (uint64_t)scanon[i] >= n_strings)
+            return WK_EINDEX;
+    for (i = 0; i < n_ent; i++) {
+        const int64_t *e = ent + 10 * i;
+        if ((uint64_t)e[1] >= n_threads || (uint64_t)e[2] >= n_locks ||
+            (uint64_t)e[3] >= n_threads || (uint64_t)e[4] >= n_strings ||
+            e[8] < 0 || e[9] < 0 || (uint64_t)e[8] > n_held ||
+            (uint64_t)e[9] > n_held - (uint64_t)e[8])
+            return WK_EINDEX;
+    }
+    for (i = 0; i < n_held; i++) {
+        const int64_t *q = held + 4 * i;
+        if ((uint64_t)q[0] >= n_locks || (uint64_t)q[1] >= n_threads ||
+            (uint64_t)q[2] >= n_strings)
+            return WK_EINDEX;
+    }
+    for (at = 0, c = 0; c < n_cycles; c++) {
+        uint64_t k, j;
+        if (at >= cycles_len || cycles[at] < 1)
+            return WK_EINDEX;
+        k = (uint64_t)cycles[at++];
+        if (k > cycles_len - at)
+            return WK_EINDEX;
+        for (j = 0; j < k; j++)
+            if (cycles[at + j] < 0 || (uint64_t)cycles[at + j] >= n_ent)
+                return WK_EINDEX;
+        at += k;
+        if (k > max_k)
+            max_k = k;
+    }
+
+    rc = WK_ENOMEM;
+    while (cap < 2 * (n_ent + n_held) + 16)
+        cap *= 2;
+    vt.keys = (int64_t *)malloc(4 * cap * sizeof(int64_t));
+    vt.ids = (int64_t *)malloc(cap * sizeof(int64_t));
+    vt.mask = cap - 1;
+    rvid = (int64_t *)malloc((n_ent + 1) * sizeof(int64_t));
+    hvid = (int64_t *)malloc((n_held + 1) * sizeof(int64_t));
+    hlock = (int64_t *)malloc((n_held + 1) * sizeof(int64_t));
+    toff = (int64_t *)calloc(n_threads + 1, sizeof(int64_t));
+    trows = (int64_t *)malloc((n_ent + 1) * sizeof(int64_t));
+    loff = (int64_t *)calloc(n_locks + 1, sizeof(int64_t));
+    lrows = (int64_t *)malloc((n_ent + 1) * sizeof(int64_t));
+    mem = (gs_member *)malloc((max_k + 1) * sizeof(gs_member));
+    if (!vt.keys || !vt.ids || !rvid || !hvid || !hlock || !toff || !trows ||
+        !loff || !lrows || !mem)
+        goto out;
+    memset(vt.ids, 0xff, cap * sizeof(int64_t));
+
+    /* Every entry's vertex, then every held slot's. */
+    for (i = 0; i < n_ent; i++) {
+        const int64_t *e = ent + 10 * i;
+        rvid[i] = vtab_intern(&vt, tcanon[e[3]], scanon[e[4]], e[5], lcanon[e[2]]);
+    }
+    for (i = 0; i < n_held; i++) {
+        const int64_t *q = held + 4 * i;
+        hlock[i] = lcanon[q[0]];
+        hvid[i] = vtab_intern(&vt, tcanon[q[1]], scanon[q[2]], q[3], hlock[i]);
+    }
+    /* Entry rows by canonical thread and by canonical lock, in entry
+     * order (counting sort). */
+    for (i = 0; i < n_ent; i++) {
+        toff[tcanon[ent[10 * i + 1]] + 1]++;
+        loff[lcanon[ent[10 * i + 2]] + 1]++;
+    }
+    for (i = 0; i < n_threads; i++)
+        toff[i + 1] += toff[i];
+    for (i = 0; i < n_locks; i++)
+        loff[i + 1] += loff[i];
+    for (i = 0; i < n_ent; i++) {
+        trows[toff[tcanon[ent[10 * i + 1]]]++] = (int64_t)i;
+        lrows[loff[lcanon[ent[10 * i + 2]]]++] = (int64_t)i;
+    }
+    for (i = n_threads; i > 0; i--) /* the fill moved each start along */
+        toff[i] = toff[i - 1];
+    toff[0] = 0;
+    for (i = n_locks; i > 0; i--)
+        loff[i] = loff[i - 1];
+    loff[0] = 0;
+
+    plan.stamp = (int64_t *)malloc(((uint64_t)vt.n + 1) * sizeof(int64_t));
+    plan.local = (int64_t *)malloc(((uint64_t)vt.n + 1) * sizeof(int64_t));
+    if (!plan.stamp || !plan.local)
+        goto out;
+    for (i = 0; i < (uint64_t)vt.n; i++)
+        plan.stamp[i] = -1;
+
+    for (at = 0, c = 0; c < n_cycles; c++) {
+        int64_t k = cycles[at++], a, b, max_cutoff = 0, have_cutoff = 0;
+        uint64_t need;
+        for (a = 0; a < k; a++) {
+            const int64_t *e = ent + 10 * cycles[at + a];
+            gs_member *m = mem + a;
+            m->row = cycles[at + a];
+            m->thread = tcanon[e[1]];
+            m->lock = lcanon[e[2]];
+            m->step = e[0];
+            m->pos = e[7];
+            m->nheld = e[8];
+            m->hoff = e[9];
+        }
+        at += (uint64_t)k;
+        plan.cycle = (int64_t)c;
+        plan.n = 0;
+        plan.edges.len = 0;
+        /* A thread's cutoff is its last member's step (a dict keyed by
+         * thread in the builder). */
+        for (a = 0; a < k; a++) {
+            for (b = a + 1; b < k && mem[b].thread != mem[a].thread; b++)
+                ;
+            if (b == k && (!have_cutoff || mem[a].step > max_cutoff)) {
+                max_cutoff = mem[a].step;
+                have_cutoff = 1;
+            }
+        }
+        /* type-D */
+        for (a = 0; a < k; a++) {
+            int64_t li = mem[a].lock;
+            for (b = 0; b < k; b++) {
+                int64_t h;
+                if (a == b)
+                    continue;
+                for (h = 0; h < mem[b].nheld; h++)
+                    if (hlock[mem[b].hoff + h] == li)
+                        break;
+                if (h == mem[b].nheld)
+                    continue;
+                {
+                    int64_t u = plan_vertex(&plan, member_mu(mem + b, li, rvid, hvid, hlock));
+                    int64_t v = plan_vertex(&plan, member_mu(mem + a, li, rvid, hvid, hlock));
+                    if (plan_edge(&plan, u, v) != WK_OK)
+                        goto out;
+                }
+            }
+        }
+        /* type-C */
+        for (a = 0; a < k; a++) {
+            int64_t s;
+            for (s = 0; s <= mem[a].nheld; s++) {
+                int64_t lk = s < mem[a].nheld ? hlock[mem[a].hoff + s] : mem[a].lock;
+                int64_t v = plan_vertex(&plan, member_mu(mem + a, lk, rvid, hvid, hlock));
+                int64_t r;
+                for (r = loff[lk]; r < loff[lk + 1]; r++) {
+                    const int64_t *e = ent + 10 * lrows[r];
+                    int64_t tx = tcanon[e[1]], cut = 0, found = 0;
+                    if (e[0] >= max_cutoff)
+                        break; /* entry-ordered: nothing later qualifies */
+                    for (b = k - 1; b >= 0; b--)
+                        if (mem[b].thread == tx) {
+                            cut = mem[b].step;
+                            found = 1;
+                            break;
+                        }
+                    if (!found || e[0] >= cut || tx == mem[a].thread)
+                        continue;
+                    if (plan_edge(&plan, plan_vertex(&plan, rvid[lrows[r]]), v) != WK_OK)
+                        goto out;
+                }
+            }
+        }
+        /* type-P */
+        for (a = 0; a < k; a++) {
+            int64_t t = mem[a].thread, len = toff[t + 1] - toff[t];
+            int64_t n = mem[a].pos < 0 ? len + mem[a].pos : mem[a].pos, q, prev;
+            if (n > len)
+                n = len;
+            prev = -1;
+            for (q = 0; q < n; q++) {
+                int64_t v = plan_vertex(&plan, rvid[trows[toff[t] + q]]);
+                if (prev >= 0 && plan_edge(&plan, prev, v) != WK_OK)
+                    goto out;
+                prev = v;
+            }
+            {
+                int64_t end = plan_vertex(&plan, rvid[mem[a].row]);
+                if (prev >= 0 && plan_edge(&plan, prev, end) != WK_OK)
+                    goto out;
+            }
+        }
+        need = 3 * (uint64_t)plan.n + 1 + plan.edges.len / 2;
+        if (need > scratch_cap) {
+            int64_t *p = (int64_t *)realloc(scratch, need * sizeof(int64_t));
+            if (!p)
+                goto out;
+            scratch = p;
+            scratch_cap = need;
+        }
+        out[c] = (uint8_t)kahn_cyclic(&plan, scratch);
+    }
+    rc = WK_OK;
+out:
+    free(vt.keys);
+    free(vt.ids);
+    free(rvid);
+    free(hvid);
+    free(hlock);
+    free(toff);
+    free(trows);
+    free(loff);
+    free(lrows);
+    free(mem);
+    free(scratch);
+    free(plan.stamp);
+    free(plan.local);
+    vec_free(&plan.edges);
+    return rc;
+}
+
+/* ------------------------------------------------------------------ */
 /* column re-read: group by thread, match releases                    */
 
+static int cmp_lock_pos(const void *a, const void *b) {
+    const int64_t *x = (const int64_t *)a, *y = (const int64_t *)b;
+    if (x[0] != y[0])
+        return x[0] < y[0] ? -1 : 1;
+    return x[1] < y[1] ? -1 : x[1] > y[1];
+}
+
+static void push_run(wk_ctx *c, int64_t lock) {
+    vec_push(&c->col_runs, lock);
+    vec_push(&c->col_runs, (int64_t)c->col_spots.len);
+}
+
+/* The rule spots and runs of one thread, whose events are ev[lo .. hi);
+ * pairs has room for 2 (hi - lo) ints. */
+static void thread_spots(wk_ctx *c, const int64_t *ev, int64_t lo, int64_t hi,
+                         int64_t *pairs) {
+    int64_t j, np = 0;
+    for (j = lo; j < hi; j++) {
+        int64_t kind = ev[WK_EVENT_WIDTH * j + 1];
+        if (kind == KIND_JOIN || kind == KIND_CONDVAR || kind == KIND_ACQ)
+            vec_push(&c->col_spots, j - lo);
+    }
+    push_run(c, SPOTS_ALL);
+    for (j = lo; j < hi; j++) {
+        const int64_t *e = ev + WK_EVENT_WIDTH * j;
+        if (e[1] == KIND_JOIN || e[1] == KIND_CONDVAR)
+            vec_push(&c->col_spots, j - lo);
+        else if (e[1] == KIND_ACQ) {
+            pairs[2 * np] = e[2];
+            pairs[2 * np + 1] = j - lo;
+            np++;
+        }
+    }
+    push_run(c, SPOTS_RULES);
+    qsort(pairs, (size_t)np, 2 * sizeof(int64_t), cmp_lock_pos);
+    for (j = 0; j < np; j++) {
+        if (j > 0 && pairs[2 * j] != pairs[2 * j - 2])
+            push_run(c, pairs[2 * j - 2]);
+        vec_push(&c->col_spots, pairs[2 * j + 1]);
+    }
+    if (np > 0)
+        push_run(c, pairs[2 * np - 2]);
+}
+
 /* Group the collected events by column thread id (trace order within a
- * thread) and give each non-reentrant acquire its matching release's
- * position: the thread's next release of that lock, unless the thread
- * acquires the lock again first.  Call once, after the last payload. */
+ * thread), give each non-reentrant acquire its matching release's
+ * position (the thread's next release of that lock, unless the thread
+ * acquires the lock again first), and list each thread's rule spots.
+ * Call once, after the last payload. */
 int wk_columns_finish(wk_ctx *c) {
     uint64_t n = c->col_trace.len / 5, nt = c->col_threads.len / WK_THREAD_WIDTH;
     uint64_t nl = c->col_locks.len, i, t;
-    int64_t *end, *open, *ev;
+    int64_t *end, *open, *ev, *pairs;
     if (n == 0)
         return WK_OK;
     end = (int64_t *)malloc((nt + 1) * sizeof(int64_t));
     open = (int64_t *)malloc((nl + 1) * sizeof(int64_t));
-    if (!end || !open ||
-        vec_reserve(&c->col_events, WK_EVENT_WIDTH * n) != WK_OK) {
+    pairs = (int64_t *)malloc((2 * n + 1) * sizeof(int64_t));
+    if (!end || !open || !pairs ||
+        vec_reserve(&c->col_events, WK_EVENT_WIDTH * n) != WK_OK ||
+        vec_reserve(&c->col_spots, 2 * n) != WK_OK ||
+        vec_reserve(&c->col_runs, WK_RUN_WIDTH * (n + 2 * nt)) != WK_OK) {
         free(end);
         free(open);
+        free(pairs);
         return WK_ENOMEM;
     }
     /* end[t] starts at thread t's first slot and ends past its last. */
@@ -969,9 +1414,11 @@ int wk_columns_finish(wk_ctx *c) {
             if (e[1] == KIND_ACQ || e[1] == KIND_REL)
                 open[e[2]] = -1;
         }
+        thread_spots(c, ev, lo, hi, pairs);
     }
     free(end);
     free(open);
+    free(pairs);
     return WK_OK;
 }
 
@@ -985,6 +1432,10 @@ static i64vec *column(wk_ctx *c, int which) {
         return &c->col_events;
     case COL_ACQS:
         return &c->col_acqs;
+    case COL_SPOTS:
+        return &c->col_spots;
+    case COL_RUNS:
+        return &c->col_runs;
     }
     return NULL;
 }

@@ -1,5 +1,12 @@
-"""The Generator (paper §3.4): build ``Gs`` per cycle, classify cyclic
-ones as false positives, hand acyclic ones to the Replayer."""
+"""The Generator (paper §3.4): decide ``Gs`` per cycle, classify cyclic
+ones as false positives, hand acyclic ones to the Replayer.
+
+On a kernel-backed relation the kernel decides every cycle's ``Gs`` in
+one call per trace (:meth:`~repro.core.lockdep.LockDependencyRelation.
+gs_cyclic`), and a decision's ``gs`` is built by the Python builder only
+when something reads it (the Replayer, the sanitizer, :attr:`gs_cycle`,
+the dot export, ``num_vertices``, pickling).  Elsewhere the builder
+builds and decides each ``Gs`` as the reference."""
 
 from __future__ import annotations
 
@@ -27,6 +34,30 @@ class GeneratorDecision:
     verdict: GeneratorVerdict
     gs: SyncGraph
 
+    @classmethod
+    def _decided(
+        cls, cycle: PotentialDeadlock, verdict: GeneratorVerdict, generator: "Generator"
+    ) -> "GeneratorDecision":
+        """A decision made without its graph: ``generator`` builds ``gs``
+        on first read."""
+        dec = cls.__new__(cls)
+        dec.cycle = cycle
+        dec.verdict = verdict
+        dec._generator = generator
+        return dec
+
+    def __getattr__(self, name: str):
+        # Reached only for the gs of a decision made without its graph.
+        generator = self.__dict__.get("_generator")
+        if name == "gs" and generator is not None:
+            self.gs = generator.build(self.cycle)
+            del self._generator
+            return self.gs
+        raise AttributeError(name)
+
+    def __getstate__(self) -> dict:
+        return {"cycle": self.cycle, "verdict": self.verdict, "gs": self.gs}
+
     @cached_property
     def gs_cycle(self) -> Optional[List[GsVertex]]:
         """A witness ordering cycle in Gs when verdict is FALSE, named on
@@ -50,24 +81,42 @@ class GeneratorResult:
 class Generator:
     """Algorithm 3 driver over the Pruner's survivors.
 
-    The relation's :class:`~repro.core.lockdep.AcquisitionTables` are
-    built on the first cycle examined and shared by the rest: the kernel
-    snapshot's for a native relation (which never materializes), an
-    interning view of the entries otherwise.  Each ``Gs`` is decided on
-    ints as it is built; no :class:`GsVertex` exists until a view of it
-    is read.
+    :meth:`run` asks the relation to decide every cycle's ``Gs`` at once
+    (:meth:`~repro.core.lockdep.LockDependencyRelation.gs_cyclic`): a
+    kernel-backed relation does, in the kernel, and its decisions build
+    their graphs only when read.  Otherwise each ``Gs`` is built and
+    decided by :class:`SyncGraphBuilder` on the relation's
+    :class:`~repro.core.lockdep.AcquisitionTables`, made on the first
+    build and shared by the rest.  No :class:`GsVertex` exists until a
+    view of a graph is read.
     """
 
     def __init__(self, relation: LockDependencyRelation) -> None:
         self.relation = relation
         self._builder: Optional[SyncGraphBuilder] = None
 
-    def examine(self, cycle: PotentialDeadlock) -> GeneratorDecision:
+    def build(self, cycle: PotentialDeadlock) -> SyncGraph:
+        """``Gs`` for ``cycle``, built and decided in Python."""
         if self._builder is None:
             self._builder = SyncGraphBuilder(self.relation.acquisition_tables())
-        gs = self._builder.build(cycle)
+        return self._builder.build(cycle)
+
+    def examine(self, cycle: PotentialDeadlock) -> GeneratorDecision:
+        gs = self.build(cycle)
         verdict = GeneratorVerdict.FALSE if gs.is_cyclic() else GeneratorVerdict.UNKNOWN
         return GeneratorDecision(cycle=cycle, verdict=verdict, gs=gs)
 
     def run(self, cycles: List[PotentialDeadlock]) -> GeneratorResult:
-        return GeneratorResult([self.examine(c) for c in cycles])
+        cyclic = self.relation.gs_cyclic(cycles)
+        if cyclic is None:
+            return GeneratorResult([self.examine(c) for c in cycles])
+        return GeneratorResult(
+            [
+                GeneratorDecision._decided(
+                    c,
+                    GeneratorVerdict.FALSE if x else GeneratorVerdict.UNKNOWN,
+                    self,
+                )
+                for c, x in zip(cycles, cyclic, strict=True)
+            ]
+        )

@@ -12,10 +12,13 @@ defined on ``lockset(eta) ∪ {lock(eta)}``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.runtime.events import AcquireEvent, Trace
 from repro.util.ids import ExecIndex, LockId, ThreadId
+
+if TYPE_CHECKING:
+    from repro.core.detector import PotentialDeadlock
 
 
 @dataclass(frozen=True)
@@ -116,7 +119,8 @@ class LockDependencyRelation:
 
     The cycle search and the Generator read integer views instead
     (:meth:`cycle_columns`, :meth:`acquisition_tables`), which a
-    kernel-backed relation serves from its logs.
+    kernel-backed relation serves from its logs; it also decides each
+    cycle's ``Gs`` natively (:meth:`gs_cyclic`).
     """
 
     def __init__(self, entries: Optional[List[LockDepEntry]] = None) -> None:
@@ -156,6 +160,13 @@ class LockDependencyRelation:
                 )
             cols.held.append(h)
         return cols
+
+    def gs_cyclic(self, cycles: Sequence["PotentialDeadlock"]) -> Optional[List[bool]]:
+        """Whether each cycle's ``Gs`` is cyclic, when the relation can
+        decide that without building the graphs; ``None`` here, so the
+        Generator builds each ``Gs`` (the kernel-backed relation decides
+        natively)."""
+        return None
 
     def acquisition_tables(self) -> AcquisitionTables:
         """Every entry as :class:`AcquisitionTables`, with ids interned

@@ -14,34 +14,39 @@ Division of labor (see docs/architecture.md, "Native analysis kernel"):
 * **Python keeps**: all chunk framing (:class:`TraceFileReader` /
   :class:`ChunkDecoder` subclasses below), identity-table decoding and
   each table's canonical row map, error reporting, vector-clock
-  *semantics* (the kernel only logs touch/spawn/join ops which are
-  replayed through the real :func:`update_clocks`), cycle enumeration,
-  and everything downstream (Pruner, Generator, prediction, reports).
+  *semantics* (the kernel only logs touch/spawn/join ops, which are
+  replayed through Algorithm 1's own updates on canonical thread rows),
+  cycle enumeration, and everything downstream (Pruner, prediction,
+  reports; the Generator's graphs when one is read).
 * **C keeps**: the per-event byte crunching, emitting flat int64 logs —
   clock ops, acquire taus, lockdep entries, held-lock pool — keyed by
-  the canonical thread rows Python hands it.
+  the canonical thread rows Python hands it; and the Generator's
+  decision, whether each cycle's ``Gs`` is cyclic (:func:`decide_gs`).
 * **Integers until an object is needed**: the cycle search reads the
   entry log as integer columns (:meth:`NativeRelation.cycle_columns`)
-  and mints only cycle members; the Generator builds ``Gs`` on integer
-  tables read from the same log
-  (:meth:`NativeRelation.acquisition_tables`) and mints a ``GsVertex``
-  only when a view of its graph is read.  No analysis path reads the
-  whole relation; ``NativeRelation.entries`` materializes it, into the
-  exact objects the pure-Python engine would have built, for a caller
-  that does.
+  and mints only cycle members; the Generator has the kernel decide
+  every cycle's ``Gs`` on the same log in one call per trace
+  (:meth:`NativeRelation.gs_cyclic`), and builds a graph, on integer
+  tables read from the log (:meth:`NativeRelation.acquisition_tables`),
+  only when one is read, minting a ``GsVertex`` only when a view of it
+  is.  No analysis path reads the whole relation;
+  ``NativeRelation.entries`` materializes it, into the exact objects
+  the pure-Python engine would have built, for a caller that does.
 * **Only possible cycle members reach the search**: the kernel exports
   the entries whose wanted lock and some held lock share a strongly
   connected component of two or more locks of the held -> wanted lock
   graph, the only entries a tuple cycle can go through (the argument is
   in ``wolfkernel.c``), so a cycle-free trace hands the search no rows.
   The clock-op log is replayed into vector clocks only when the Pruner
-  first reads them, that is when it has a cycle to check.
+  first reads them, that is when it has a cycle to check, and the
+  clocks keyed by ``ThreadId`` only when someone reads them.
 * **Columns for the prediction index**: the index re-reads the file
   through a kernel that collects the trace as per-thread columns
   (:class:`NativeColumnReader`): dense thread and lock ids in first-
   mention order; per thread the steps, closure kinds, aux ids, matched
   release positions and token keys of its events; its spawn and end
-  facts; and the acquisitions in trace order.
+  facts; the acquisitions in trace order; and, per thread, the
+  positions a closure rule can fire on.
   :meth:`~repro.core.prediction.ClosureIndex.from_events` slices its
   tables out of them with no per-event Python loop and formats a
   thread's witness tokens only when a witness reads them.  The re-read
@@ -79,9 +84,11 @@ import tempfile
 import threading
 from array import array
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.detector import DetectionResult, find_cycles
+from repro.core.detector import DetectionResult, PotentialDeadlock, find_cycles
 from repro.core.lockdep import (
     AcquisitionTables,
     CycleColumns,
@@ -91,8 +98,8 @@ from repro.core.lockdep import (
 )
 from repro.core.prediction import ThreadColumns
 from repro.core.streaming import StreamingDetector
-from repro.core.vclock import VectorClockState, update_clocks
-from repro.runtime.events import JoinEvent, SpawnEvent, Trace
+from repro.core.vclock import SJ, VectorClockState
+from repro.runtime.events import Trace
 from repro.runtime.tracefile import (
     ChunkDecoder,
     TraceFileReader,
@@ -102,7 +109,7 @@ from repro.runtime.tracefile import (
 from repro.util.ids import ExecIndex, LockId, ThreadId
 
 #: Version of the kernel ABI this wrapper speaks; must match wk_abi().
-KERNEL_ABI = 4
+KERNEL_ABI = 5
 
 #: Backends accepted by every ``backend=`` parameter in the pipeline.
 BACKENDS = ("python", "native", "auto")
@@ -136,6 +143,10 @@ const int64_t *wk_cycle_rows(wk_ctx *);
 int wk_columns_finish(wk_ctx *);
 uint64_t wk_column_len(wk_ctx *, int);
 const int64_t *wk_column(wk_ctx *, int);
+int wk_decide_gs(const int64_t *, uint64_t, const int64_t *, uint64_t,
+                 const int64_t *, uint64_t, const int64_t *, uint64_t,
+                 const int64_t *, uint64_t, const int64_t *, uint64_t,
+                 uint64_t, uint8_t *);
 """
 
 
@@ -388,6 +399,15 @@ class _Kernel:
             for k in range(4)
         )
 
+    def rule_spots(self) -> Tuple[array, array]:
+        """The spots and runs :meth:`columns` lists beside the columns
+        (see :class:`ThreadColumns`); call it after :meth:`columns`."""
+        lib, ctx = self._lib, self._ctx
+        return tuple(
+            self._pull(lib.wk_column_len(ctx, k), lib.wk_column(ctx, k), 1)
+            for k in (4, 5)
+        )
+
     @property
     def n_entries(self) -> int:
         return self._lib.wk_n_entries(self._ctx)
@@ -419,6 +439,51 @@ def _feed_payload(kernel: _Kernel, core: _DecodeCore, payload) -> None:
         )
     core.events_read = kernel.events_read
     core._last_step = kernel.last_step
+
+
+def decide_gs(
+    ent: array,
+    held: array,
+    thread_canon: array,
+    lock_canon: array,
+    string_canon: array,
+    cycles: Sequence[Sequence[int]],
+) -> List[bool]:
+    """Whether each cycle's ``Gs`` is cyclic, decided in the kernel
+    (``wk_decide_gs``) exactly as
+    :meth:`~repro.core.syncgraph.SyncGraphBuilder.build` decides it.
+
+    ``ent`` and ``held`` are an entry log and held pool in the snapshot's
+    layout, the canonical maps give each thread, lock and string row the
+    first row equal to it, and each cycle lists its members' entry rows.
+    """
+    if not cycles:
+        return []
+    ffi, lib = _load()
+    flat = array("q", chain.from_iterable([len(rows), *rows] for rows in cycles))
+    out = bytearray(len(cycles))
+    buf = ffi.from_buffer
+    rc = lib.wk_decide_gs(
+        buf("int64_t[]", ent),
+        len(ent) // 10,
+        buf("int64_t[]", held),
+        len(held) // 4,
+        buf("int64_t[]", thread_canon),
+        len(thread_canon),
+        buf("int64_t[]", lock_canon),
+        len(lock_canon),
+        buf("int64_t[]", string_canon),
+        len(string_canon),
+        buf("int64_t[]", flat),
+        len(flat),
+        len(cycles),
+        buf("uint8_t[]", out),
+    )
+    if rc != 0:
+        if rc == -5:
+            raise MemoryError("wk_decide_gs failed")
+        raise ValueError(f"wk_decide_gs refused its tables (code {rc})")
+    return list(map(bool, out))
 
 
 # ---------------------------------------------------------------------------
@@ -553,11 +618,14 @@ class NativeColumnReader(TraceFileReader):
             if n != len(getattr(self._snap, table)):
                 raise ValueError(f"{table} table differs from the analyzed trace's")
         threads, locks, events, acquisitions = self._nk.columns()
+        spots, runs = self._nk.rule_spots()
         return ThreadColumns(
             threads=threads,
             locks=locks,
             events=events,
             acquisitions=acquisitions,
+            spots=spots,
+            runs=runs,
             strings=self._strings,
             thread_rows=self._threads,
             lock_rows=self._locks,
@@ -617,45 +685,27 @@ class _KernelSnapshot:
         return len(self.ent) // 10
 
     def build_vclocks(self) -> VectorClockState:
-        """Replay the clock-op log through the *real* ``update_clocks``.
+        """Replay the clock-op log through Algorithm 1's own updates
+        (:meth:`VectorClockState.touch`, ``spawn`` and ``join``, what
+        :func:`update_clocks` applies per event), keyed by canonical
+        thread row.
 
-        Touch/spawn/join are the only operations that mutate tau/clocks
-        (Algorithm 1), and the kernel logs them in stream order, so the
-        replay reconstructs dict contents *and insertion order* exactly
-        as the pure engine built them; ``acquire_tau`` is bulk-loaded
-        from the kernel's (step, tau) pairs, again in stream order.
+        Touch/spawn/join are the only operations that mutate tau/clocks,
+        and the kernel logs them in stream order, so the replay builds
+        the pure engine's dict contents *and insertion order* with rows
+        for threads; :class:`_ReplayedClocks` answers the Pruner from it
+        and mints the :class:`ThreadId`-keyed state when that is read.
         """
         st = VectorClockState()
-        threads = self.threads
+        tcanon = self.thread_canon
         ops = self.clock_ops
         for i in range(0, len(ops), 3):
-            op = ops[i]
-            if op == 0:  # touch
-                t = threads[ops[i + 1]]
-                if st.tau.get(t) is None:
-                    st.tau[t] = 1
-                    st._clock(t)
-            elif op == 1:  # spawn
-                update_clocks(
-                    st,
-                    SpawnEvent(
-                        0,
-                        threads[ops[i + 1]],
-                        child=threads[ops[i + 2]],
-                    ),
-                )
-            else:  # join
-                update_clocks(
-                    st,
-                    JoinEvent(
-                        0,
-                        threads[ops[i + 1]],
-                        target=threads[ops[i + 2]],
-                    ),
-                )
-        acq = self.acq
-        it = iter(acq)
-        st.acquire_tau.update(zip(it, it))
+            op, t = ops[i], tcanon[ops[i + 1]]
+            st.touch(t)
+            if op == 1:
+                st.spawn(t, tcanon[ops[i + 2]])
+            elif op == 2:
+                st.join(t, tcanon[ops[i + 2]])
         return st
 
     def materialize_entries(self, indices=None) -> List[LockDepEntry]:
@@ -734,6 +784,43 @@ class _KernelSnapshot:
             lambda found: self.materialize_entries([rows[r] for r in found]),
         )
 
+    @cached_property
+    def string_canon(self) -> array:
+        """Each string row -> the first row holding an equal string."""
+        first: Dict[str, int] = {}
+        return array("q", map(first.setdefault, self.strings, range(len(self.strings))))
+
+    @cached_property
+    def _member_rows(self) -> Dict[Tuple[int, int], int]:
+        """(canonical thread row, pos) -> entry row, for each cycle row:
+        every member of a tuple cycle is one (``wk_find_cycle_rows``), and
+        each row has its own key, since the kernel counts positions per
+        canonical thread."""
+        ent, tcanon = self.ent, self.thread_canon
+        return {(tcanon[ent[10 * r + 1]], ent[10 * r + 7]): r for r in self.cycle_rows}
+
+    def gs_cyclic(self, cycles: Sequence[PotentialDeadlock]) -> List[bool]:
+        """Whether each cycle's ``Gs`` is cyclic, decided by the kernel
+        (:func:`decide_gs`) on the entry log: no table, plan or vertex is
+        built in Python.  Members are found by thread, position and step,
+        so the cycles of an unpickled detection, or of the pure analysis
+        of the same trace, qualify too."""
+        if not cycles:
+            return []
+        at, first, ent = self._member_rows, self.first_thread, self.ent
+        rows = []
+        for cycle in cycles:
+            members = []
+            for e in cycle.entries:
+                row = at.get((first.get(e.thread), e.pos))
+                if row is None or ent[10 * row] != e.step:
+                    raise ValueError(f"{e.pretty()} is in no cycle of this relation")
+                members.append(row)
+            rows.append(members)
+        return decide_gs(
+            ent, self.held, self.thread_canon, self.lock_canon, self.string_canon, rows
+        )
+
     def acquisition_tables(self) -> AcquisitionTables:
         """Every entry as :class:`AcquisitionTables`, read straight from
         the entry log through the canonical row maps.  A row becomes an
@@ -768,23 +855,41 @@ class _KernelSnapshot:
 
 
 class _ReplayedClocks(VectorClockState):
-    """The vector clocks of a snapshot, replayed
-    (:meth:`_KernelSnapshot.build_vclocks`) on the first read of ``tau``,
-    ``clocks`` or ``acquire_tau``.
+    """The vector clocks of a snapshot, replayed on canonical thread rows
+    (:meth:`_KernelSnapshot.build_vclocks`) on the first read.
 
-    The Pruner reads them only to check a cycle, so a cycle-free trace
-    never replays its clock log.  Equal to the pure engine's state,
-    dict insertion order included, once read.
+    The Pruner reads only :meth:`V`, answered from the replay through the
+    snapshot's thread map, so a cycle-free trace never replays its clock
+    log and a report never mints a clock.  ``tau``, ``clocks`` and
+    ``acquire_tau`` are minted, keyed by :class:`ThreadId` and step, when
+    one is first read: equal to the pure engine's state, dict insertion
+    order included.
     """
 
     def __init__(self, snap: _KernelSnapshot) -> None:
         # deliberately NOT calling super().__init__: the fields are
-        # filled by __getattr__ on first read.
+        # minted by __getattr__ on first read.
         self._snap = snap
+
+    @cached_property
+    def _replay(self) -> VectorClockState:
+        return self._snap.build_vclocks()
+
+    def V(self, t: ThreadId, other: ThreadId) -> SJ:
+        first = self._snap.first_thread
+        return self._replay.V(first.get(t), first.get(other))
 
     def __getattr__(self, name):
         if name in ("tau", "clocks", "acquire_tau"):
-            self.__dict__.update(vars(self._snap.build_vclocks()))
+            snap, replay = self._snap, self._replay
+            thread = snap.threads.__getitem__
+            it = iter(snap.acq)
+            self.tau = dict(zip(map(thread, replay.tau), replay.tau.values()))
+            self.clocks = {
+                thread(t): dict(zip(map(thread, view), view.values()))
+                for t, view in replay.clocks.items()
+            }
+            self.acquire_tau = dict(zip(it, it))
             return self.__dict__[name]
         raise AttributeError(name)
 
@@ -830,6 +935,9 @@ class NativeRelation(LockDependencyRelation):
 
     def acquisition_tables(self) -> AcquisitionTables:
         return self._snap.acquisition_tables()
+
+    def gs_cyclic(self, cycles: Sequence[PotentialDeadlock]) -> List[bool]:
+        return self._snap.gs_cyclic(cycles)
 
 
 # ---------------------------------------------------------------------------

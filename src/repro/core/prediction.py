@@ -76,8 +76,9 @@ the certified sibling's witness
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, compress, count
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.detector import PotentialDeadlock
@@ -242,10 +243,13 @@ class CyclePrediction:
     )
 )
 
-#: Ints per thread, event and acquisition of :class:`ThreadColumns`
-#: (``WK_THREAD_WIDTH``, ``WK_EVENT_WIDTH`` and ``WK_ACQ_WIDTH`` in the
-#: kernel).
-THREAD_WIDTH, EVENT_WIDTH, ACQ_WIDTH = 5, 5, 6
+#: Ints per thread, event, acquisition and spot run of
+#: :class:`ThreadColumns` (``WK_THREAD_WIDTH``, ``WK_EVENT_WIDTH``,
+#: ``WK_ACQ_WIDTH`` and ``WK_RUN_WIDTH`` in the kernel).
+THREAD_WIDTH, EVENT_WIDTH, ACQ_WIDTH, RUN_WIDTH = 5, 5, 6, 2
+#: The lock ids of a thread's two leading spot runs (all its spots, and
+#: its joins and condition-variable events).
+SPOTS_ALL, SPOTS_RULES = -2, -1
 #: A token key is ``arg << TOKEN_SHIFT | tag``, plus ``TOKEN_REENTRANT``
 #: for a reentrant acquire or release.
 TOKEN_SHIFT, TOKEN_REENTRANT = 5, 16
@@ -268,15 +272,24 @@ class ThreadColumns:
     key's ``arg`` is the row of the event's site, or of the spawned child
     or join target).  ``acquisitions`` holds :data:`ACQ_WIDTH` ints per
     non-reentrant acquisition, in trace order: step, thread id, position,
-    and its execution index's thread id, site row and occurrence.  Rows
-    index the trace's own tables ``strings``, ``thread_rows`` and
-    ``lock_rows``.
+    and its execution index's thread id, site row and occurrence.
+    ``spots`` lists, thread by thread in id order, the positions a
+    closure rule can fire on, in groups ascending within themselves: all
+    of them (joins, condition-variable events and non-reentrant
+    acquisitions), then the joins and condition-variable events, then
+    the acquisitions of each lock.  ``runs`` cuts it into
+    :data:`RUN_WIDTH` ints per group: the lock id (:data:`SPOTS_ALL` and
+    :data:`SPOTS_RULES` for the two groups every thread leads with) and
+    the group's end in ``spots``.  Rows index the trace's own tables
+    ``strings``, ``thread_rows`` and ``lock_rows``.
     """
 
     threads: Sequence[int]
     locks: Sequence[int]
     events: Sequence[int]
     acquisitions: Sequence[int]
+    spots: Sequence[int]
+    runs: Sequence[int]
     strings: List[str]
     thread_rows: List[ThreadId]
     lock_rows: List[LockId]
@@ -340,7 +353,12 @@ class ClosureIndex:
     ``kinds``, ``aux`` (the lock id of an acquire or release, the thread
     id of a join target, else -1) and ``rel_pos`` (for a non-reentrant
     acquisition, its matching release's position; -1 while open and for
-    every other event).  ``acq_by_step`` locates each non-reentrant
+    every other event).  Three more per-thread tables list the positions
+    a closure rule can fire on, ascending: ``rule_pos``, the thread's join
+    and condition-variable events; ``acq_pos``, a dict from lock id to the
+    thread's non-reentrant acquisitions of that lock; and ``spot_pos``,
+    both kinds together.
+    ``acq_by_step`` locates each non-reentrant
     acquisition by step as ``(thread id, position)``, and
     :meth:`acquisition` by execution index.  Witness tokens are read per
     thread through :meth:`thread_tokens`.  Event objects are not
@@ -362,6 +380,13 @@ class ClosureIndex:
         #: per thread: its tokens, or ``None`` until first formatted.
         self.tokens: List[Optional[List[str]]] = []
         self.rel_pos: List[List[int]] = []
+        #: per thread: positions of its join and condition-variable events.
+        self.rule_pos: List[List[int]] = []
+        #: per thread: lock id -> positions of its acquisitions of the lock.
+        self.acq_pos: List[Dict[int, List[int]]] = []
+        #: per thread: positions of its joins, condition-variable events
+        #: and acquisitions.
+        self.spot_pos: List[List[int]] = []
         #: per thread: lock id -> position of its open acquisition.
         self._open: List[Dict[int, int]] = []
         #: per thread: (parent id, position) of the spawn that started it.
@@ -412,6 +437,16 @@ class ClosureIndex:
         keys = [flat[lo + 4 : hi : w] for lo, hi in spans]
         index._format_tokens = cols.tokens_of(keys)
         index._open = [{} for _ in spans]
+        spots = cols.spots.tolist()
+        locks, ends = cols.runs[0::RUN_WIDTH].tolist(), cols.runs[1::RUN_WIDTH].tolist()
+        runs = [spots[lo:hi] for lo, hi in zip([0, *ends], ends)]
+        heads = [*compress(count(), map(SPOTS_ALL.__eq__, locks)), len(runs)]
+        index.spot_pos = [runs[lo] for lo in heads[:-1]]
+        index.rule_pos = [runs[lo + 1] for lo in heads[:-1]]
+        index.acq_pos = [
+            dict(zip(locks[lo + 2 : hi], runs[lo + 2 : hi]))
+            for lo, hi in zip(heads, heads[1:])
+        ]
         index.spawn_of = [
             None if parent < 0 else (parent, pos)
             for parent, pos in zip(threads[1::THREAD_WIDTH], threads[2::THREAD_WIDTH])
@@ -431,8 +466,17 @@ class ClosureIndex:
         if tid is None:
             tid = self.thread_ids[thread] = len(self.threads)
             self.threads.append(thread)
-            for table in (self.steps, self.kinds, self.aux, self.tokens, self.rel_pos):
+            for table in (
+                self.steps,
+                self.kinds,
+                self.aux,
+                self.tokens,
+                self.rel_pos,
+                self.rule_pos,
+                self.spot_pos,
+            ):
                 table.append([])
+            self.acq_pos.append({})
             self._open.append({})
             self.spawn_of.append(None)
             self.has_end.append(False)
@@ -475,6 +519,8 @@ class ClosureIndex:
                 ix = ev.index
                 key = (self.thread_id(ix.thread), ix.site, ix.occ)
                 self.acq_by_step[ev.step] = self.acq_by_index[key] = (t, pos)
+                self.acq_pos[t].setdefault(aux, []).append(pos)
+                self.spot_pos[t].append(pos)
                 self._open[t][aux] = pos
         elif tag == _TAG_RELEASE:
             if not ev.reentrant:
@@ -485,12 +531,16 @@ class ClosureIndex:
                     self.rel_pos[t][acq] = pos
         elif tag == _TAG_JOIN:
             kind, aux = _JOIN, self.thread_id(ev.target)
+            self.rule_pos[t].append(pos)
+            self.spot_pos[t].append(pos)
         elif tag == _TAG_SPAWN:
             child = self.thread_id(ev.child)
             if self.spawn_of[child] is None:
                 self.spawn_of[child] = (t, pos)
         elif tag == _TAG_WAIT or tag == _TAG_NOTIFY:
             kind = _CONDVAR
+            self.rule_pos[t].append(pos)
+            self.spot_pos[t].append(pos)
         elif tag == _TAG_BLOCK:
             kind = _BLOCK
         elif tag == _TAG_END:
@@ -522,7 +572,14 @@ class _Incomplete(Exception):
 class _Closure:
     """One least-fixpoint computation over per-thread cuts.
 
-    Threads and locks are :class:`ClosureIndex` ids throughout."""
+    A rule fires only at a join, a condition-variable event or an
+    acquisition: with sync-preservation at any acquisition, without it
+    only at an acquisition of a designated lock.  So each closure visits
+    just those positions of a required prefix, ascending
+    (:meth:`_visits`), and every ``require``, exception and reason comes
+    in the order the walk over every event gives; releases, blocked
+    attempts and the rest are never read.  Threads and locks are
+    :class:`ClosureIndex` ids throughout."""
 
     def __init__(
         self,
@@ -606,6 +663,23 @@ class _Closure:
         else:
             self._require_release(thread, pos, lock)
 
+    def _visits(self, thread: int, done: int, goal: int) -> Iterable[int]:
+        """The positions in ``[done, goal)`` of ``thread`` where a rule can
+        fire, ascending."""
+        index = self.index
+        if self.sync_preserving:
+            spots = index.spot_pos[thread]
+            return spots[bisect_left(spots, done) : bisect_left(spots, goal)]
+        rules = index.rule_pos[thread]
+        picked = rules[bisect_left(rules, done) : bisect_left(rules, goal)]
+        acquired = index.acq_pos[thread]
+        for lock in self.designated:
+            at = acquired.get(lock)
+            if at:
+                picked += at[bisect_left(at, done) : bisect_left(at, goal)]
+        picked.sort()
+        return picked
+
     def run(self) -> None:
         index = self.index
         while self._dirty:
@@ -615,7 +689,7 @@ class _Closure:
                 continue
             kinds, aux = index.kinds[thread], index.aux[thread]
             self._done[thread] = goal
-            for pos in range(done, goal):
+            for pos in self._visits(thread, done, goal):
                 kind = kinds[pos]
                 if kind == _ACQ:
                     self._visit_acquire(thread, pos, aux[pos])

@@ -41,6 +41,11 @@ entry of its own still gets one.  ``Gs`` is decided on ints as it is
 built; its type-P edges are added when its edge table is first read, and
 its :class:`GsVertex` objects are minted when a view is (the Replayer's
 reads; a defect report reads none).
+
+The builder is the reference for the Generator's decision.  On a
+kernel-backed relation the kernel decides every cycle's ``Gs`` by the
+same rules (``wk_decide_gs``, see :mod:`repro.core.nativekernel`), and
+the builder builds a graph only when a decision's ``gs`` is read.
 """
 
 from __future__ import annotations

@@ -22,11 +22,10 @@ the trace in their real global order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Final, Optional, Set
+from typing import Dict, Final, Hashable, Optional, Set
 
 from repro.runtime.events import (
     AcquireEvent,
-    BeginEvent,
     JoinEvent,
     SpawnEvent,
     Trace,
@@ -51,30 +50,86 @@ class SJ:
         return f"({s},{j})"
 
 
+#: ``V_t(t')`` for a peer ``t`` has no opinion about (shared: SJ is frozen).
+_UNKNOWN: Final = SJ()
+
+
 @dataclass
 class VectorClockState:
     """Final timestamps and vector clocks of one execution, plus the
-    timestamp each lock acquisition was made at (keyed by trace step)."""
+    timestamp each lock acquisition was made at (keyed by trace step).
 
-    tau: Dict[ThreadId, Optional[int]] = field(default_factory=dict)
-    clocks: Dict[ThreadId, Dict[ThreadId, SJ]] = field(default_factory=dict)
+    Threads key the state by identity: :class:`ThreadId` objects when
+    events are replayed, canonical thread rows when the native kernel's
+    clock log is (:mod:`repro.core.nativekernel`).  :meth:`touch`,
+    :meth:`spawn` and :meth:`join` are Algorithm 1's updates for either
+    key, and :func:`update_clocks` applies them per event."""
+
+    tau: Dict[Hashable, Optional[int]] = field(default_factory=dict)
+    clocks: Dict[Hashable, Dict[Hashable, SJ]] = field(default_factory=dict)
     #: trace step of an AcquireEvent -> acquiring thread's tau at that time
     acquire_tau: Dict[int, int] = field(default_factory=dict)
 
     def V(self, t: ThreadId, other: ThreadId) -> SJ:
         """``V_t(other)`` — thread ``t``'s view of ``other``."""
-        return self.clocks.get(t, {}).get(other, SJ())
+        return self.clocks.get(t, {}).get(other, _UNKNOWN)
 
-    def _clock(self, t: ThreadId) -> Dict[ThreadId, SJ]:
+    def _clock(self, t: Hashable) -> Dict[Hashable, SJ]:
         return self.clocks.setdefault(t, {})
 
-    def _bump(self, t: ThreadId) -> int:
+    def _bump(self, t: Hashable) -> int:
         """Increment ``tau_t`` (set on the thread's first event, so never
         ⊥ here) and return the new value."""
         current = self.tau[t]
         assert current is not BOT
         self.tau[t] = current + 1
         return current + 1
+
+    def touch(self, t: Hashable) -> None:
+        """Algorithm 1 line 11: a thread's timestamp becomes 1 when it
+        first executes anything."""
+        if self.tau.get(t) is BOT:
+            self.tau[t] = 1
+            self._clock(t)
+
+    def spawn(self, t: Hashable, c: Hashable) -> None:
+        """Algorithm 1's update when ``t`` starts ``c``."""
+        tau_t = self._bump(t)
+        self.tau[c] = 1
+        vc = self._clock(c)
+        vp = self._clock(t)
+        # Peers are every thread either side has an opinion about.
+        peers: Set[Hashable] = set(vp) | {t}
+        for i in peers:
+            prior = vc.get(i, _UNKNOWN)
+            s, j = prior.S, prior.J
+            # line 17: if t_i already joined (from the parent's view),
+            # then *everything* the child does is after t_i.
+            if vp.get(i, _UNKNOWN).J is not BOT:
+                j = self.tau[c]
+            # lines 19-20: operations of the parent before this start,
+            # and whatever the parent knows finished before it began,
+            # precede the child's entire execution.
+            if i == t:
+                s = tau_t
+            else:
+                s = vp.get(i, _UNKNOWN).S
+            vc[i] = SJ(s, j)
+
+    def join(self, t: Hashable, c: Hashable) -> None:
+        """Algorithm 1's update when ``t`` joins ``c``."""
+        tau_t = self._bump(t)
+        vp = self._clock(t)
+        vt_child = self._clock(c)
+        join_peers: Set[Hashable] = set(vt_child) | {c}
+        for i in join_peers:
+            # line 25: the joined thread itself, and transitively any
+            # thread it saw joined, are now wholly in t's past.
+            already = vp.get(i, _UNKNOWN)
+            if i == c or (
+                vt_child.get(i, _UNKNOWN).J is not BOT and already.J is BOT
+            ):
+                vp[i] = SJ(already.S, tau_t)
 
 
 def update_clocks(st: VectorClockState, ev: TraceEvent) -> None:
@@ -87,54 +142,11 @@ def update_clocks(st: VectorClockState, ev: TraceEvent) -> None:
     appear in the trace in their real global order.
     """
     t = ev.thread
-    # Algorithm 1 line 11: a thread's timestamp becomes 1 when it
-    # first executes anything.
-    if st.tau.get(t) is BOT:
-        st.tau[t] = 1
-        st._clock(t)
-
-    if isinstance(ev, BeginEvent):
-        return
-
+    st.touch(t)
     if isinstance(ev, SpawnEvent):
-        c = ev.child
-        tau_t = st._bump(t)
-        st.tau[c] = 1
-        vc = st._clock(c)
-        vp = st._clock(t)
-        # Peers are every thread either side has an opinion about.
-        peers: Set[ThreadId] = set(vp) | {t}
-        for i in peers:
-            prior = vc.get(i, SJ())
-            s, j = prior.S, prior.J
-            # line 17: if t_i already joined (from the parent's view),
-            # then *everything* the child does is after t_i.
-            if vp.get(i, SJ()).J is not BOT:
-                j = st.tau[c]
-            # lines 19-20: operations of the parent before this start,
-            # and whatever the parent knows finished before it began,
-            # precede the child's entire execution.
-            if i == t:
-                s = tau_t
-            else:
-                s = vp.get(i, SJ()).S
-            vc[i] = SJ(s, j)
-
+        st.spawn(t, ev.child)
     elif isinstance(ev, JoinEvent):
-        c = ev.target
-        tau_t = st._bump(t)
-        vp = st._clock(t)
-        vt_child = st._clock(c)
-        join_peers: Set[ThreadId] = set(vt_child) | {c}
-        for i in join_peers:
-            # line 25: the joined thread itself, and transitively any
-            # thread it saw joined, are now wholly in t's past.
-            already = vp.get(i, SJ())
-            if i == c or (
-                vt_child.get(i, SJ()).J is not BOT and already.J is BOT
-            ):
-                vp[i] = SJ(already.S, tau_t)
-
+        st.join(t, ev.target)
     elif isinstance(ev, AcquireEvent):
         tau_now = st.tau[t]
         assert tau_now is not BOT  # set on the thread's first event

@@ -6,8 +6,10 @@
   aside), so every analysis must treat such rows as one identity.  WOLF's
   own writer interns by value and never emits them.
 * :func:`thread_alias_trace` and :func:`lock_alias_trace` are the two
-  crafted files built with it; :func:`repeated_lock_trace` records a
-  lockset that lists one lock twice.
+  crafted files built with it; :func:`site_alias_trace` also writes one
+  site string under two rows (:class:`SiteAliasWriter`), and
+  :func:`repeated_lock_trace` records a lockset that lists one lock
+  twice.
 * :func:`nested_lock_trace` records seeded nested-lock programs shaped
   like the benchmark's analyze-trace inputs: ``long`` ones take their
   locks in one global order (a large relation, no cycle), ``dense`` ones
@@ -64,6 +66,26 @@ class AliasingWriter(TraceFileWriter):
         return idx
 
 
+class SiteAliasWriter(AliasingWriter):
+    """Also writes each string of ``aliased`` under a second row from its
+    second use on, so an acquisition's site and the same site in a later
+    held context name different rows of one string."""
+
+    def __init__(self, *args, aliased=(), **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._aliased = frozenset(aliased)
+
+    def _string(self, s: str) -> int:
+        if s not in self._aliased:
+            return super()._string(s)
+        key = (s, (s, 0) in self._strings)
+        idx = self._strings.get(key)
+        if idx is None:
+            idx = self._strings[key] = len(self._strings)
+            self._pending_strings.append(s)
+        return idx
+
+
 class _Script:
     """Events in step order, with per-(thread, site) occurrence counts."""
 
@@ -113,8 +135,8 @@ class _Script:
         held.pop(max(i for i, (l, _) in enumerate(held) if l is lock))
         self.events.append(ReleaseEvent(self._next(), t, lock=lock, site=site))
 
-    def write(self, path: str, program: str) -> str:
-        with AliasingWriter(path, program=program) as w:
+    def write(self, path: str, program: str, writer=AliasingWriter, **kwargs) -> str:
+        with writer(path, program=program, **kwargs) as w:
             for ev in self.events:
                 w.write_event(ev)
         return path
@@ -194,6 +216,41 @@ def lock_alias_trace(path: str) -> str:
         s.join(main, t)
     s.end(main)
     return s.write(path, "lock-alias")
+
+
+def site_alias_trace(path: str) -> str:
+    """A Generator-FALSE cycle whose ``Gs`` cycle runs through two site
+    strings written under two rows each.  T1 takes A at ``T1.h`` and,
+    holding it, B at ``T1.r``; T2 takes B at ``T2.q`` and, holding it, A
+    at ``T2.p``; then T1, holding A, wants B and T2, holding B, wants A.
+    ``Gs`` orders h -> r (program order), r -> q and p -> h (each thread's
+    earlier acquisitions of the other's locks) and q -> p: a cycle.  The
+    trace breaks mutual exclusion, which no rule of ``Gs`` reads.  Each
+    outer site names one row at its acquisition and the other in every
+    held context, so only value equality of the strings closes it."""
+    main = ThreadId.root()
+    t1, t2 = (ThreadId(main, "craft:spawn", i, name=f"T{i + 1}") for i in range(2))
+    a = LockId(main, "craft:lock", 1, name="A")
+    b = LockId(main, "craft:lock", 2, name="B")
+    s = _Script()
+    s.begin(main)
+    for t in (t1, t2):
+        s.spawn(main, t)
+    for t in (t1, t2):
+        s.begin(t)
+    for t, outer, inner, site in ((t1, a, b, "T1.r"), (t2, b, a, "T2.p")):
+        s.acquire(t, outer, f"{t.name}.{'h' if t is t1 else 'q'}")
+        s.acquire(t, inner, site)
+        s.release(t, inner, site)
+    for t, inner in ((t1, b), (t2, a)):
+        s.acquire(t, inner, f"{t.name}.wants")
+    for t, outer, inner in ((t1, a, b), (t2, b, a)):
+        s.release(t, inner, f"{t.name}.wants")
+        s.release(t, outer, f"{t.name}.{'h' if t is t1 else 'q'}")
+        s.end(t)
+        s.join(main, t)
+    s.end(main)
+    return s.write(path, "site-alias", SiteAliasWriter, aliased=("T1.h", "T2.q"))
 
 
 def repeated_lock_trace(path: str) -> str:

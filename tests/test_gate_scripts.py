@@ -41,7 +41,13 @@ def health():
 
 
 def bench_doc(
-    end_to_end=4.0, dedup=3.5, file_ratio=2.0, decode=1.7, early=1.4, index=3.0
+    end_to_end=4.0,
+    dedup=3.5,
+    file_ratio=2.0,
+    decode=1.7,
+    early=1.4,
+    index=3.0,
+    generator=8.0,
 ) -> dict:
     return {
         "macro": {
@@ -51,6 +57,7 @@ def bench_doc(
         },
         "dedup": {"speedup": dedup},
         "prediction": {"early_speedup": early, "index_speedup": index},
+        "generator": {"native_speedup": generator},
     }
 
 
@@ -77,6 +84,7 @@ class TestPerfCheck:
             {"decode": 0.1},
             {"early": 0.1},
             {"index": 0.1},
+            {"generator": 0.1},
         ):
             assert perf.check(bench_doc(**kwargs), baseline, tolerance=0.25) == 1
 
@@ -100,6 +108,14 @@ class TestPerfCheck:
         baseline["prediction"]["index_speedup"] = None
         assert perf.check(bench_doc(index=0.1), baseline, tolerance=0.25) == 0
         assert "SKIP  closure index speedup" in capsys.readouterr().out
+
+    def test_generator_speedup_without_a_kernel_skips(self, perf, capsys):
+        # Without the kernel the Generator ratio is null in the baseline
+        # (bench-core/12): skipped, not failed.
+        baseline = bench_doc()
+        baseline["generator"]["native_speedup"] = None
+        assert perf.check(bench_doc(generator=0.1), baseline, tolerance=0.25) == 0
+        assert "SKIP  Generator native decision speedup" in capsys.readouterr().out
 
     def test_baseline_schema_mismatch_skips_not_crashes(self, perf):
         # A baseline whose node shape diverged entirely (dict where a

@@ -14,6 +14,17 @@ the registry traces, the committed corpus, the crafted alias files,
 seeded dense nested-lock traces and hypothesis relations.  Decisions built
 from the kernel's tables cross process boundaries like any other.
 
+On a kernel-backed relation the kernel decides every cycle's ``Gs``
+(``wk_decide_gs``) and the Generator builds a graph only when it is
+read.  The kernel's verdict must be the builder's ``is_cyclic()`` on
+the same relation for every cycle of the corpus, the registry at
+detection seeds 0-1, the crafted alias files (one repeats a site string
+in its string table), dense and long nested-lock traces, a loop-heavy
+trace and hypothesis relations, which reach the kernel encoded as a
+snapshot's logs; known answers cover a Generator-FALSE cycle, a held
+acquisition with no entry of its own and two entries sharing a vertex.
+A native report builds no tables and no graph at all.
+
 The relation-adapter tests run everywhere; the kernel-adapter tests skip
 where the kernel cannot load (the pure-Python CI leg).
 """
@@ -26,20 +37,35 @@ import os
 import pickle
 import subprocess
 import sys
+from array import array
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import repro
-from repro.core.detector import ExtendedDetector, find_cycles
+from benchmarks.bench_core_micro import synthetic_events
+from repro.core.detector import ExtendedDetector, PotentialDeadlock, find_cycles
 from repro.core.generator import Generator, GeneratorVerdict
-from repro.core.lockdep import LockDependencyRelation
-from repro.core.nativekernel import NativeRelation, analyze_trace_file, kernel_available
+from repro.core.lockdep import LockDepEntry, LockDependencyRelation
+from repro.core.nativekernel import (
+    NativeRelation,
+    _KernelSnapshot,
+    analyze_trace_file,
+    decide_gs,
+    kernel_available,
+)
+from repro.core.syncgraph import SyncGraphBuilder
+from repro.runtime.events import Trace
 from repro.runtime.tracefile import write_trace
-from repro.serve.report import defect_report_doc
-from repro.util.ids import ExecIndex
-from tests.crafted import lock_alias_trace, nested_lock_trace, thread_alias_trace
+from repro.serve.report import defect_report_doc, render_report, report_doc_for_file
+from repro.util.ids import ExecIndex, LockId, ThreadId
+from tests.crafted import (
+    lock_alias_trace,
+    nested_lock_trace,
+    site_alias_trace,
+    thread_alias_trace,
+)
 from tests.gsreference import reference_sync_graph
 from tests.test_cycle_search import relations
 from tests.test_syncgraph_differential import assert_matches_reference, views
@@ -79,6 +105,63 @@ def check_decisions(relation, cycles, label=""):
     return false
 
 
+def check_kernel(relation, cycles, label=""):
+    """The kernel's verdict for each cycle is the Python builder's
+    ``is_cyclic()`` on the same relation; returns how many are cyclic.
+    A kernel-backed relation decides in the Generator; any other relation
+    is first encoded as a snapshot's logs (:func:`encode`)."""
+    cycles = list(cycles)
+    if isinstance(relation, NativeRelation):
+        got = [
+            d.verdict is GeneratorVerdict.FALSE
+            for d in Generator(relation).run(cycles).decisions
+        ]
+    else:
+        got = decide_gs(*encode(relation, cycles))
+    builder = Generator(relation)
+    want = [builder.build(c).is_cyclic() for c in cycles]
+    assert got == want, label
+    return sum(got)
+
+
+class _Rows:
+    """Table rows by ``(value, name)``, so values repeated under other
+    names get rows of their own, with each row's canonical row (the first
+    row of an equal value)."""
+
+    def __init__(self) -> None:
+        self.rows: dict = {}
+        self.first: dict = {}
+        self.canon = array("q")
+
+    def __call__(self, value) -> int:
+        key = (value, getattr(value, "name", None))
+        row = self.rows.get(key)
+        if row is None:
+            row = self.rows[key] = len(self.canon)
+            self.canon.append(self.first.setdefault(value, row))
+        return row
+
+
+def encode(relation, cycles):
+    """:func:`decide_gs`'s arguments for ``relation``: its entries as an
+    entry log and held pool in the snapshot's layout, the canonical maps
+    of its threads, locks and strings, and each cycle's member rows."""
+    threads, locks, strings = _Rows(), _Rows(), _Rows()
+    ent, held = array("q"), array("q")
+    for e in relation.entries:
+        ix = e.index
+        ent.extend(
+            (e.step, threads(e.thread), locks(e.lock), threads(ix.thread))
+            + (strings(ix.site), ix.occ, e.tau, e.pos, len(e.lockset), len(held) // 4)
+        )
+        for lock, h in zip(e.lockset, e.context, strict=True):
+            held.extend((locks(lock), threads(h.thread), strings(h.site), h.occ))
+    row_of = {id(e): row for row, e in enumerate(relation.entries)}
+    rows = [[row_of[id(e)] for e in c.entries] for c in cycles]
+    return ent, held, threads.canon, locks.canon, strings.canon, rows
+
+
 def native_detection(path: str):
     detection = analyze_trace_file(path, backend="native").detection
     assert isinstance(detection.relation, NativeRelation)
@@ -116,7 +199,47 @@ def crafted_paths(tmp_path_factory):
         thread_alias_trace(str(tmp / "thread-alias.wtrc")),
         thread_alias_trace(str(tmp / "thread-alias-pos.wtrc"), own_row_locks=3),
         lock_alias_trace(str(tmp / "lock-alias.wtrc")),
+        site_alias_trace(str(tmp / "site-alias.wtrc")),
     ]
+
+
+@pytest.fixture(scope="module")
+def registry_seed_paths(tmp_path_factory):
+    """Every registry program recorded at detection seeds 0 and 1."""
+    from repro.core.pipeline import run_detection
+    from repro.workloads.registry import all_benchmarks
+
+    tmp = tmp_path_factory.mktemp("gs-registry-seeds")
+    out = []
+    for b in all_benchmarks():
+        for seed in (0, 1):
+            run = run_detection(b.program, seed, name=b.name)
+            path = str(tmp / f"{b.name}-{seed}.wtrc")
+            write_trace(run.trace, path)
+            out.append(path)
+    return out
+
+
+@pytest.fixture(scope="module")
+def long_paths(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("gs-long")
+    out = []
+    for seed in DENSE_SEEDS:
+        path = str(tmp / f"long-{seed}.wtrc")
+        write_trace(nested_lock_trace("long", seed), path)
+        out.append(path)
+    return out
+
+
+@pytest.fixture(scope="module")
+def loop_heavy_path(tmp_path_factory):
+    """A 20k-event trace whose every iteration takes a nested pair."""
+    trace = Trace(program="loop-heavy", seed=0)
+    for ev in synthetic_events(20_000, nested_every=1):
+        trace.append(ev)
+    path = str(tmp_path_factory.mktemp("gs-loop") / "loop-heavy.wtrc")
+    write_trace(trace, path)
+    return path
 
 
 @pytest.fixture(scope="module")
@@ -236,6 +359,128 @@ class TestKernelAdapter:
                     found += sum(ix not in indices for ix in e.context)
         assert found
 
+    def test_kernel_decides_as_the_builder(
+        self, registry_seed_paths, crafted_paths, dense_paths, long_paths, loop_heavy_path
+    ):
+        """The kernel's verdict is the builder's on every cycle of the
+        corpus, the registry at detection seeds 0-1, the crafted alias
+        files, dense and long nested-lock traces and a loop-heavy trace."""
+        false = 0
+        paths = CORPUS_TRACES + registry_seed_paths + crafted_paths + dense_paths
+        for path in paths + long_paths + [loop_heavy_path]:
+            detection = native_detection(path)
+            false += check_kernel(detection.relation, detection.cycles, path)
+        assert false  # the cyclic branch is exercised
+        assert native_detection(loop_heavy_path).cycles
+
+    def test_site_string_under_two_rows(self, crafted_paths):
+        """The crafted site-alias file has a Generator-FALSE cycle only
+        because its two rows of a site string name one string: mapping
+        each string row to itself splits the vertex and loses the cycle."""
+        detection = native_detection(crafted_paths[-1])
+        snap = detection.relation._snap
+        verdicts = detection.relation.gs_cyclic(detection.cycles)
+        assert verdicts == [False, False, False, True]
+        rows = [[snap._member_rows[snap.first_thread[e.thread], e.pos] for e in c.entries]
+                for c in detection.cycles]
+        split = array("q", range(len(snap.strings)))
+        args = (snap.ent, snap.held, snap.thread_canon, snap.lock_canon)
+        assert decide_gs(*args, snap.string_canon, rows) == verdicts
+        assert decide_gs(*args, split, rows) == [False] * 4
+
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @given(rel=relations())
+    def test_hypothesis_relations(self, rel):
+        check_kernel(rel, find_cycles(rel, max_length=4)[0])
+
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @given(rel=colliding_relations())
+    def test_hypothesis_shared_vertices(self, rel):
+        check_kernel(rel, find_cycles(rel, max_length=4)[0])
+
+    def test_registry_has_a_generator_false_cycle(self, registry_seed_paths):
+        found = 0
+        for path in registry_seed_paths:
+            detection = native_detection(path)
+            for dec in Generator(detection.relation).run(detection.cycles).decisions:
+                if dec.verdict is GeneratorVerdict.FALSE:
+                    found += 1
+                    assert dec.gs.is_cyclic() and dec.gs_cycle, path
+        assert found
+
+    def test_known_answers(self):
+        """Hand-built relations whose ``Gs`` is worked out by hand:
+        ``h -> r`` (program order), ``r -> q`` and ``p -> h`` (earlier
+        acquisitions by the other thread) and ``q -> p`` close a cycle.
+        Without an entry for ``h`` (a held acquisition with no entry of
+        its own) the chain edge ``h -> r`` is gone, and with it the
+        cycle; with ``q`` recorded twice under one execution index (two
+        entries, one vertex, where the builder's contraction gives up)
+        the cycle stays."""
+        false = known_relation()
+        no_entry = known_relation(drop=("h",))
+        shared = known_relation(repeat_q=True)
+        assert SyncGraphBuilder(shared.acquisition_tables())._chain_at is None
+        for relation, cyclic in ((false, True), (no_entry, False), (shared, True)):
+            e1, e2 = relation.entries[-2:]
+            cycle = PotentialDeadlock((e1, e2))
+            assert decide_gs(*encode(relation, [cycle])) == [cyclic]
+            assert Generator(relation).build(cycle).is_cyclic() is cyclic
+            held = {ix for e in relation.entries for ix in e.context}
+            own = {e.index for e in relation.entries}
+            assert (held <= own) is (relation is not no_entry)
+
+    def test_native_report_builds_no_graph(self, dense_paths, monkeypatch):
+        """A native report decides every cycle in the kernel: no
+        acquisition table, no ``SyncGraphBuilder.build`` call, and the
+        bytes of the pure report."""
+        calls = []
+        for owner, name in (
+            (_KernelSnapshot, "acquisition_tables"),
+            (LockDependencyRelation, "acquisition_tables"),
+            (SyncGraphBuilder, "build"),
+        ):
+            real = getattr(owner, name)
+            monkeypatch.setattr(
+                owner,
+                name,
+                lambda *a, _real=real, _name=name, **k: calls.append(_name) or _real(*a, **k),
+            )
+        pure_builds = 0
+        for path in dense_paths + CORPUS_TRACES:
+            native = render_report(report_doc_for_file(path, backend="native"))
+            assert calls == [], path
+            assert native == render_report(report_doc_for_file(path, backend="python"))
+            pure_builds += calls.count("build")
+            calls.clear()
+        assert pure_builds  # the pure report still builds each graph
+
+    def test_kernel_decided_graph_is_the_builders(self, dense_paths):
+        """A decision's graph, built when read, is the graph the builder
+        makes for its cycle, through every view and across pickling."""
+        path = _false_bearing_corpus_trace()
+        for p in (path, dense_paths[0]):
+            detection = native_detection(p)
+            decisions = Generator(detection.relation).run(detection.cycles).decisions
+            builder = Generator(detection.relation)
+            for dec in decisions:
+                assert "gs" not in vars(dec)
+                want = builder.build(dec.cycle)
+                for got in (pickle.loads(pickle.dumps(dec)).gs, dec.gs):
+                    assert views(got) == views(want)
+                    assert names(got.vertices) == names(want.vertices)
+                    assert got.num_vertices() == want.num_vertices()
+                    assert got.is_cyclic() is (dec.verdict is GeneratorVerdict.FALSE)
+                assert dec.gs_cycle == want.find_cycle()
+
     def test_report_leaves_relation_unmaterialized(self, dense_paths):
         """The report's tail (Pruner, Generator, prediction) reads the
         kernel's tables: the relation and every Gs vertex stay unminted."""
@@ -263,6 +508,45 @@ class TestKernelAdapter:
             assert "entries" not in detection.relation.__dict__, path
         assert decisions
         assert all("vertices" not in vars(d.gs) for d in decisions)
+
+
+def known_relation(*, drop=(), repeat_q=False) -> LockDependencyRelation:
+    """T1 takes A at h and, holding it, B at r; T2 takes B at q and,
+    holding it, A at p; then T1 (holding A from h) wants B at e1 and T2
+    (holding B from q) wants A at e2.  ``drop`` leaves out entries by
+    site; ``repeat_q`` records T2's acquisition at q twice."""
+    main = ThreadId.root()
+    t1, t2 = (ThreadId(main, "known:spawn", i, name=f"T{i + 1}") for i in range(2))
+    a, b = (LockId(main, "known:lock", i, name=n) for i, n in enumerate("AB"))
+    h, q = ExecIndex(t1, "h", 1), ExecIndex(t2, "q", 1)
+    rows = [
+        (t1, "h", a, ()),
+        (t1, "r", b, ((a, h),)),
+        (t2, "q", b, ()),
+        *([(t2, "q", b, ())] if repeat_q else []),
+        (t2, "p", a, ((b, q),)),
+        (t1, "e1", b, ((a, h),)),
+        (t2, "e2", a, ((b, q),)),
+    ]
+    relation = LockDependencyRelation()
+    pos: dict = {}
+    for step, (t, site, lock, held) in enumerate(rows):
+        if site in drop:
+            continue
+        relation.add(
+            LockDepEntry(
+                thread=t,
+                lockset=tuple(l for l, _ in held),
+                lock=lock,
+                context=tuple(ix for _, ix in held),
+                index=ExecIndex(t, site, 1),
+                tau=1,
+                step=step,
+                pos=pos.setdefault(t, 0),
+            )
+        )
+        pos[t] += 1
+    return relation
 
 
 # ---------------------------------------------------------------------------
