@@ -754,9 +754,10 @@ def run_index(paths: List[str], pairs: int = 6) -> dict:
 
 def run_generator(paths: List[str], pairs: int = 6) -> dict:
     """``Generator.run`` over every cycle of dense ``.wtrc`` files: the
-    pure relation, whose builder builds and decides each ``Gs`` in
-    Python, against the native relation, whose kernel decides them all in
-    one call and builds no graph (what a native report runs).  The first
+    pure relation, which decides each ``Gs`` on its tables in Python
+    (``SyncGraphBuilder.decide``), against the native relation, whose
+    kernel decides them all in one call; neither side builds a graph,
+    as in a report.  The first
     side over the second, in alternating pairs on one CPU, is
     ``native_speedup``; both sides reach the same verdicts.  Every call
     starts from a fresh Generator and a snapshot without its lookup

@@ -26,9 +26,10 @@ same box, in the same process.  This gate therefore compares ratios:
   files, the pure re-read vs the kernel's column re-read, in alternating
   pairs on one CPU (bench-core/11; null, so skipped, without a kernel);
 * ``generator.native_speedup`` — ``Generator.run`` over every cycle of
-  the same dense files, the pure relation (the Python builder) vs the
-  native one (the kernel decides each ``Gs``), in alternating pairs on
-  one CPU (bench-core/12; null, so skipped, without a kernel);
+  the same dense files, the pure relation (``SyncGraphBuilder.decide``
+  on its tables) vs the native one (the kernel decides each ``Gs``),
+  in alternating pairs on one CPU (bench-core/12; null, so skipped,
+  without a kernel);
 * ``macro.analyze_speedup.native`` — compiled analysis kernel vs the
   pure-Python streaming analyze on the same ``.wtrc`` macro (bench-core/4),
   in alternating pairs on one CPU (bench-core/6);

@@ -4,18 +4,20 @@
  *
  *   varint/zigzag decode  ->  interned-table bounds checks  ->  tau
  *   maintenance (Algorithm 1's scalar timestamps)  ->  D_sigma lockdep
- *   entry extraction  ->  clock-op / acquire-tau logs
+ *   entry extraction  ->  clock-op log
  *
  * so the Python hot loop (one TraceEvent object + one update_clocks call
  * + one entry_from_acquire call per event) disappears.  The kernel never
  * sees whole files: Python keeps all chunk framing, table-chunk decoding
  * and error reporting, and hands this kernel only raw EVENTS payload
  * bytes (zero-copy straight out of an mmap'd file).  The kernel's output
- * is flat int64 logs — clock ops, acquire taus, lockdep entries and
- * their held-lock pool — which Python reads as integers: the cycle
- * search runs on them directly, and only cycle members (or a consumer
- * that needs the whole relation) become the exact objects the
- * pure-Python engine would have built.
+ * is three flat int64 logs — clock ops, lockdep entries and their
+ * held-lock pool — which Python reads as integers: the cycle search
+ * runs on them directly, the Generator's Gs decisions too
+ * (wk_decide_gs), the clock ops are replayed only to answer the
+ * Pruner's V, and only cycle members (or a consumer that needs the
+ * whole relation) become the exact objects the pure-Python engine would
+ * have built.
  *
  * Identity is by value, not by table row: Python hands over canonical
  * row maps (each thread or lock row -> the first row equal to it) with
@@ -70,8 +72,8 @@
 #include <stdlib.h>
 #include <string.h>
 
-#define WK_KERNEL_VERSION "1.4.0"
-#define WK_ABI 5
+#define WK_KERNEL_VERSION "1.4.1"
+#define WK_ABI 6
 
 /* Error codes (negative).  The Python wrapper maps any failure to a
  * pure-Python re-decode of the same payload, which raises the error a
@@ -213,8 +215,6 @@ typedef struct wk_ctx {
     uint64_t events_read; /* total events decoded                 */
 
     i64vec clock_ops; /* triples: op, a, b                             */
-    i64vec acq;       /* pairs: step, tau  (every acquire, reentrant   *
-                       * included — mirrors update_clocks)             */
     i64vec entries;   /* 10 per non-reentrant acquire: step, thread,   *
                        * lock, ix_thread, ix_site, ix_occ, tau, pos,   *
                        * nheld, held_off                               */
@@ -290,7 +290,6 @@ void wk_free(wk_ctx *c) {
     free(c->lcanon);
     free(c->lid_of);
     vec_free(&c->clock_ops);
-    vec_free(&c->acq);
     vec_free(&c->entries);
     vec_free(&c->held);
     vec_free(&c->cycle_rows);
@@ -661,9 +660,6 @@ static void apply_events(wk_ctx *c, const uint8_t *p, uint64_t len,
             reentrant = p[pos] == 1;
             pos++;
             (void)get_uvarint(p, len, &pos, &u); /* stack depth */
-            /* update_clocks records acquire_tau for *every* acquire. */
-            vec_push(&c->acq, step);
-            vec_push(&c->acq, c->tau[k]);
             if (!reentrant) {
                 vec_push(&c->entries, step);
                 vec_push(&c->entries, (int64_t)t);
@@ -759,11 +755,10 @@ int wk_feed_events(wk_ctx *c, const uint8_t *payload, uint64_t len) {
         return rc;
     /* Reserve worst-case capacity so pass 2 cannot fail midway: per
      * event at most one touch op plus one spawn/join op (3 i64 each),
-     * one acquire pair, one 10-slot entry and, when collecting columns,
+     * one 10-slot entry and, when collecting columns,
      * one event record and one acquisition; held quads counted exactly,
      * and a column id at most for every thread and lock row. */
     if (vec_reserve(&c->clock_ops, 6 * n) != WK_OK ||
-        vec_reserve(&c->acq, 2 * n) != WK_OK ||
         vec_reserve(&c->entries, 10 * n) != WK_OK ||
         vec_reserve(&c->held, 4 * held_total) != WK_OK ||
         (c->columns &&
@@ -784,9 +779,6 @@ uint64_t wk_events_read(wk_ctx *c) { return c->events_read; }
 
 uint64_t wk_n_clock_ops(wk_ctx *c) { return c->clock_ops.len / 3; }
 const int64_t *wk_clock_ops(wk_ctx *c) { return c->clock_ops.data; }
-
-uint64_t wk_n_acquires(wk_ctx *c) { return c->acq.len / 2; }
-const int64_t *wk_acquires(wk_ctx *c) { return c->acq.data; }
 
 uint64_t wk_n_entries(wk_ctx *c) { return c->entries.len / 10; }
 const int64_t *wk_entries(wk_ctx *c) { return c->entries.data; }
@@ -1053,8 +1045,9 @@ static int kahn_cyclic(const gs_plan *p, int64_t *scratch) {
     return tail < n;
 }
 
-/* Decide Gs for each cycle, exactly as SyncGraphBuilder.build(cycle)
- * .is_cyclic() decides it over the same entries (repro.core.syncgraph):
+/* Decide Gs for each cycle, exactly as SyncGraphBuilder.decide(cycle)
+ * and build(cycle).is_cyclic() decide it over the same entries
+ * (repro.core.syncgraph):
  *
  *   - a vertex is an acquisition by value: the canonical thread of its
  *     execution index, its canonical site string, its occurrence and its

@@ -19,6 +19,7 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice, product
 from operator import lt
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
@@ -37,9 +38,13 @@ from repro.util.ids import ExecIndex, LockId, Site, ThreadId
 @dataclass(frozen=True)
 class PotentialDeadlock:
     """One detected cycle ``theta`` (rotation-canonical: the entry with
-    the smallest trace step comes first)."""
+    the smallest trace step comes first).  ``sites`` is computed once, and
+    stays out of pickled and copied state."""
 
     entries: Tuple[LockDepEntry, ...]
+
+    def __getstate__(self) -> dict:
+        return {"entries": self.entries}
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -58,7 +63,7 @@ class PotentialDeadlock:
         """Execution indices of the deadlocking acquisitions."""
         return tuple(e.index for e in self.entries)
 
-    @property
+    @cached_property
     def sites(self) -> FrozenSet[Site]:
         return frozenset(e.index.site for e in self.entries)
 

@@ -100,9 +100,9 @@ class AcquisitionTables:
     its :data:`VertexKey`, the identity of a ``Gs`` vertex.
     ``acquiring`` lists ``(step, thread, vertex, row)`` per acquired lock
     and ``by_thread`` ``(vertex, row)`` per thread, both in trace order,
-    so a thread's ``D'_sigma`` is a prefix of its list.  ``index_of`` and
-    ``lock_of`` give a row's :class:`ExecIndex` and :class:`LockId`
-    objects, for the views that mint ``GsVertex`` objects.
+    so a thread's ``D'_sigma`` is a prefix of its list.  ``entries``
+    holds each row's entry, whose objects a built graph's vertices are
+    minted from.
     """
 
     thread_ids: Dict[ThreadId, int]
@@ -110,16 +110,15 @@ class AcquisitionTables:
     vertex_ids: Dict[VertexKey, int]
     acquiring: Dict[int, List[Tuple[int, int, int, int]]]
     by_thread: Dict[int, List[Tuple[int, int]]]
-    index_of: Callable[[int], ExecIndex]
-    lock_of: Callable[[int], LockId]
+    entries: List[LockDepEntry]
 
 
 class LockDependencyRelation:
     """``D_sigma``: its entries in trace order.
 
     The cycle search and the Generator read integer views instead
-    (:meth:`cycle_columns`, :meth:`acquisition_tables`), which a
-    kernel-backed relation serves from its logs; it also decides each
+    (:meth:`cycle_columns`, :meth:`acquisition_tables`).  A kernel-backed
+    relation serves the cycle search from its logs and decides each
     cycle's ``Gs`` natively (:meth:`gs_cyclic`).
     """
 
@@ -163,9 +162,9 @@ class LockDependencyRelation:
 
     def gs_cyclic(self, cycles: Sequence["PotentialDeadlock"]) -> Optional[List[bool]]:
         """Whether each cycle's ``Gs`` is cyclic, when the relation can
-        decide that without building the graphs; ``None`` here, so the
-        Generator builds each ``Gs`` (the kernel-backed relation decides
-        natively)."""
+        decide that natively; ``None`` here, so the Generator decides each
+        ``Gs`` on :meth:`acquisition_tables` (the kernel-backed relation
+        decides in the kernel)."""
         return None
 
     def acquisition_tables(self) -> AcquisitionTables:
@@ -186,13 +185,7 @@ class LockDependencyRelation:
             acquiring.setdefault(l, []).append((e.step, t, v, row))
             by_thread.setdefault(t, []).append((v, row))
         return AcquisitionTables(
-            thread_ids,
-            lock_ids,
-            vertex_ids,
-            acquiring,
-            by_thread,
-            lambda row: entries[row].index,
-            lambda row: entries[row].lock,
+            thread_ids, lock_ids, vertex_ids, acquiring, by_thread, entries
         )
 
 

@@ -19,27 +19,26 @@ Division of labor (see docs/architecture.md, "Native analysis kernel"):
   cycle enumeration, and everything downstream (Pruner, prediction,
   reports; the Generator's graphs when one is read).
 * **C keeps**: the per-event byte crunching, emitting flat int64 logs —
-  clock ops, acquire taus, lockdep entries, held-lock pool — keyed by
-  the canonical thread rows Python hands it; and the Generator's
-  decision, whether each cycle's ``Gs`` is cyclic (:func:`decide_gs`).
+  clock ops, lockdep entries, held-lock pool — keyed by the canonical
+  thread rows Python hands it; and the Generator's decision, whether
+  each cycle's ``Gs`` is cyclic (:func:`decide_gs`).
 * **Integers until an object is needed**: the cycle search reads the
   entry log as integer columns (:meth:`NativeRelation.cycle_columns`)
   and mints only cycle members; the Generator has the kernel decide
   every cycle's ``Gs`` on the same log in one call per trace
-  (:meth:`NativeRelation.gs_cyclic`), and builds a graph, on integer
-  tables read from the log (:meth:`NativeRelation.acquisition_tables`),
-  only when one is read, minting a ``GsVertex`` only when a view of it
-  is.  No analysis path reads the whole relation;
-  ``NativeRelation.entries`` materializes it, into the exact objects
-  the pure-Python engine would have built, for a caller that does.
+  (:meth:`NativeRelation.gs_cyclic`).  No analysis path reads the whole
+  relation or a graph; ``NativeRelation.entries`` materializes the
+  relation, into the exact objects the pure-Python engine would have
+  built, for a caller that does, and a decision's graph is built from
+  it when read.
 * **Only possible cycle members reach the search**: the kernel exports
   the entries whose wanted lock and some held lock share a strongly
   connected component of two or more locks of the held -> wanted lock
   graph, the only entries a tuple cycle can go through (the argument is
   in ``wolfkernel.c``), so a cycle-free trace hands the search no rows.
   The clock-op log is replayed into vector clocks only when the Pruner
-  first reads them, that is when it has a cycle to check, and the
-  clocks keyed by ``ThreadId`` only when someone reads them.
+  first reads ``V``, that is when it has a cycle to check; ``V`` is all
+  a native detection's clocks answer.
 * **Columns for the prediction index**: the index re-reads the file
   through a kernel that collects the trace as per-thread columns
   (:class:`NativeColumnReader`): dense thread and lock ids in first-
@@ -89,13 +88,7 @@ from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.detector import DetectionResult, PotentialDeadlock, find_cycles
-from repro.core.lockdep import (
-    AcquisitionTables,
-    CycleColumns,
-    LockDepEntry,
-    LockDependencyRelation,
-    VertexKey,
-)
+from repro.core.lockdep import CycleColumns, LockDepEntry, LockDependencyRelation
 from repro.core.prediction import ThreadColumns
 from repro.core.streaming import StreamingDetector
 from repro.core.vclock import SJ, VectorClockState
@@ -109,7 +102,7 @@ from repro.runtime.tracefile import (
 from repro.util.ids import ExecIndex, LockId, ThreadId
 
 #: Version of the kernel ABI this wrapper speaks; must match wk_abi().
-KERNEL_ABI = 5
+KERNEL_ABI = 6
 
 #: Backends accepted by every ``backend=`` parameter in the pipeline.
 BACKENDS = ("python", "native", "auto")
@@ -131,8 +124,6 @@ int64_t wk_last_step(wk_ctx *);
 uint64_t wk_events_read(wk_ctx *);
 uint64_t wk_n_clock_ops(wk_ctx *);
 const int64_t *wk_clock_ops(wk_ctx *);
-uint64_t wk_n_acquires(wk_ctx *);
-const int64_t *wk_acquires(wk_ctx *);
 uint64_t wk_n_entries(wk_ctx *);
 const int64_t *wk_entries(wk_ctx *);
 uint64_t wk_n_held(wk_ctx *);
@@ -372,16 +363,14 @@ class _Kernel:
             out.frombytes(self._ffi.buffer(ptr, n_items * width * 8)[:])
         return out
 
-    def snapshot_arrays(self) -> Tuple[array, array, array, array, array]:
-        """Copy the kernel's logs out (clock ops, acquires, entries,
-        held pool, and the indices of the entries that can close a
-        cycle)."""
+    def snapshot_arrays(self) -> Tuple[array, array, array, array]:
+        """Copy the kernel's logs out (clock ops, entries, held pool, and
+        the indices of the entries that can close a cycle)."""
         lib, ctx = self._lib, self._ctx
         if lib.wk_find_cycle_rows(ctx) != 0:
             raise MemoryError("wk_find_cycle_rows failed")
         return (
             self._pull(lib.wk_n_clock_ops(ctx), lib.wk_clock_ops(ctx), 3),
-            self._pull(lib.wk_n_acquires(ctx), lib.wk_acquires(ctx), 2),
             self._pull(lib.wk_n_entries(ctx), lib.wk_entries(ctx), 10),
             self._pull(lib.wk_n_held(ctx), lib.wk_held(ctx), 4),
             self._pull(lib.wk_n_cycle_rows(ctx), lib.wk_cycle_rows(ctx), 1),
@@ -451,7 +440,7 @@ def decide_gs(
 ) -> List[bool]:
     """Whether each cycle's ``Gs`` is cyclic, decided in the kernel
     (``wk_decide_gs``) exactly as
-    :meth:`~repro.core.syncgraph.SyncGraphBuilder.build` decides it.
+    :meth:`~repro.core.syncgraph.SyncGraphBuilder.decide` decides it.
 
     ``ent`` and ``held`` are an entry log and held pool in the snapshot's
     layout, the canonical maps give each thread, lock and string row the
@@ -664,7 +653,7 @@ class _KernelSnapshot:
     canonical held -> wanted lock graph (``wk_find_cycle_rows``).  They
     are the only rows :meth:`cycle_columns` hands the search.  The clock
     log is replayed by :meth:`build_vclocks`, which the detection calls
-    only when its clocks are first read (:class:`_ReplayedClocks`).
+    only when ``V`` is first read (:class:`_ReplayedClocks`).
     """
 
     strings: List[str]
@@ -673,9 +662,7 @@ class _KernelSnapshot:
     thread_canon: Sequence[int]
     lock_canon: Sequence[int]
     first_thread: Dict[ThreadId, int]
-    first_lock: Dict[LockId, int]
     clock_ops: array
-    acq: array
     ent: array
     held: array
     cycle_rows: array
@@ -692,9 +679,8 @@ class _KernelSnapshot:
 
         Touch/spawn/join are the only operations that mutate tau/clocks,
         and the kernel logs them in stream order, so the replay builds
-        the pure engine's dict contents *and insertion order* with rows
-        for threads; :class:`_ReplayedClocks` answers the Pruner from it
-        and mints the :class:`ThreadId`-keyed state when that is read.
+        the pure engine's clocks with rows for threads;
+        :class:`_ReplayedClocks` answers the Pruner's ``V`` from it.
         """
         st = VectorClockState()
         tcanon = self.thread_canon
@@ -821,54 +807,15 @@ class _KernelSnapshot:
             ent, self.held, self.thread_canon, self.lock_canon, self.string_canon, rows
         )
 
-    def acquisition_tables(self) -> AcquisitionTables:
-        """Every entry as :class:`AcquisitionTables`, read straight from
-        the entry log through the canonical row maps.  A row becomes an
-        :class:`ExecIndex` only when a ``Gs`` view mints its vertex."""
-        ent, strings = self.ent, self.strings
-        threads, locks = self.threads, self.locks
-        tcanon, lcanon = self.thread_canon, self.lock_canon
-        vertex_ids: Dict[VertexKey, int] = {}
-        acquiring: Dict[int, List[Tuple[int, int, int, int]]] = {}
-        by_thread: Dict[int, List[Tuple[int, int]]] = {}
-        columns = (ent[k::10] for k in range(6))
-        for row, (step, t, l, it, site, occ) in enumerate(zip(*columns, strict=True)):
-            t, l = tcanon[t], lcanon[l]
-            key = (tcanon[it], strings[site], occ, l)
-            v = vertex_ids.setdefault(key, len(vertex_ids))
-            acquiring.setdefault(l, []).append((step, t, v, row))
-            by_thread.setdefault(t, []).append((v, row))
 
-        def index_of(row: int) -> ExecIndex:
-            b = 10 * row
-            return ExecIndex(threads[ent[b + 3]], strings[ent[b + 4]], ent[b + 5])
-
-        return AcquisitionTables(
-            dict(self.first_thread),
-            dict(self.first_lock),
-            vertex_ids,
-            acquiring,
-            by_thread,
-            index_of,
-            lambda row: locks[ent[10 * row + 2]],
-        )
-
-
-class _ReplayedClocks(VectorClockState):
+class _ReplayedClocks:
     """The vector clocks of a snapshot, replayed on canonical thread rows
-    (:meth:`_KernelSnapshot.build_vclocks`) on the first read.
-
-    The Pruner reads only :meth:`V`, answered from the replay through the
-    snapshot's thread map, so a cycle-free trace never replays its clock
-    log and a report never mints a clock.  ``tau``, ``clocks`` and
-    ``acquire_tau`` are minted, keyed by :class:`ThreadId` and step, when
-    one is first read: equal to the pure engine's state, dict insertion
-    order included.
+    (:meth:`_KernelSnapshot.build_vclocks`) on the first read of
+    :meth:`V`, the one thing the Pruner reads.  A cycle-free trace never
+    replays its clock log, and no clock is keyed by :class:`ThreadId`.
     """
 
     def __init__(self, snap: _KernelSnapshot) -> None:
-        # deliberately NOT calling super().__init__: the fields are
-        # minted by __getattr__ on first read.
         self._snap = snap
 
     @cached_property
@@ -876,42 +823,21 @@ class _ReplayedClocks(VectorClockState):
         return self._snap.build_vclocks()
 
     def V(self, t: ThreadId, other: ThreadId) -> SJ:
+        """``V_t(other)``, as :meth:`VectorClockState.V` answers it."""
         first = self._snap.first_thread
         return self._replay.V(first.get(t), first.get(other))
-
-    def __getattr__(self, name):
-        if name in ("tau", "clocks", "acquire_tau"):
-            snap, replay = self._snap, self._replay
-            thread = snap.threads.__getitem__
-            it = iter(snap.acq)
-            self.tau = dict(zip(map(thread, replay.tau), replay.tau.values()))
-            self.clocks = {
-                thread(t): dict(zip(map(thread, view), view.values()))
-                for t, view in replay.clocks.items()
-            }
-            self.acquire_tau = dict(zip(it, it))
-            return self.__dict__[name]
-        raise AttributeError(name)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, VectorClockState):
-            return NotImplemented
-        return (self.tau, self.clocks, self.acquire_tau) == (
-            other.tau,
-            other.clocks,
-            other.acquire_tau,
-        )
 
 
 class NativeRelation(LockDependencyRelation):
     """``D_sigma`` backed by the kernel's flat entry log.
 
     The cycle search reads :meth:`cycle_columns` and the Generator
-    :meth:`acquisition_tables`, both straight from the logs, so the
-    analyze and serve paths mint only the members of the cycles they
-    find and never materialize the relation.  ``entries`` materializes
-    it into real :class:`LockDepEntry` objects on first access, for any
-    consumer of the whole relation.
+    :meth:`gs_cyclic`, both straight from the logs, so the analyze and
+    serve paths mint only the members of the cycles they find and never
+    materialize the relation.  ``entries`` materializes it into real
+    :class:`LockDepEntry` objects on first access, for any consumer of
+    the whole relation (a graph that is read is built on its
+    :meth:`acquisition_tables`).
     """
 
     def __init__(self, snap: _KernelSnapshot) -> None:
@@ -932,9 +858,6 @@ class NativeRelation(LockDependencyRelation):
 
     def cycle_columns(self) -> CycleColumns:
         return self._snap.cycle_columns()
-
-    def acquisition_tables(self) -> AcquisitionTables:
-        return self._snap.acquisition_tables()
 
     def gs_cyclic(self, cycles: Sequence[PotentialDeadlock]) -> List[bool]:
         return self._snap.gs_cyclic(cycles)
@@ -959,8 +882,10 @@ class NativeStreamingDetector:
     that can close a cycle, so the relation stays unmaterialized and
     only cycle members become :class:`LockDepEntry` objects; a
     cycle-free trace's ``finish`` hands the search no rows and mints
-    none.  The detection's ``vclocks`` replay the clock log on first
-    read (:class:`_ReplayedClocks`).  It holds the snapshot, not the
+    none.  The detection's ``vclocks`` answer only ``V``, replaying the
+    clock log on its first read (:class:`_ReplayedClocks`), and its
+    relation decides every ``Gs`` in the kernel
+    (:meth:`NativeRelation.gs_cyclic`).  It holds the snapshot, not the
     kernel context, so it pickles, and a serve session that drops its
     detector drops the kernel.
     """
@@ -1011,7 +936,7 @@ class NativeStreamingDetector:
 
     def _snapshot(self) -> _KernelSnapshot:
         if self._snap is None:
-            ops, acq, ent, held, cycle_rows = self._nk.snapshot_arrays()
+            ops, ent, held, cycle_rows = self._nk.snapshot_arrays()
             self._snap = _KernelSnapshot(
                 strings=self._tables._strings,
                 threads=self._tables._threads,
@@ -1019,9 +944,7 @@ class NativeStreamingDetector:
                 thread_canon=self._tables._thread_canon,
                 lock_canon=self._tables._lock_canon,
                 first_thread=self._tables._first_thread,
-                first_lock=self._tables._first_lock,
                 clock_ops=ops,
-                acq=acq,
                 ent=ent,
                 held=held,
                 cycle_rows=cycle_rows,
@@ -1029,7 +952,7 @@ class NativeStreamingDetector:
         return self._snap
 
     @property
-    def vclocks(self) -> VectorClockState:
+    def vclocks(self) -> _ReplayedClocks:
         if self._vclocks is None:
             self._vclocks = _ReplayedClocks(self._snapshot())
         return self._vclocks

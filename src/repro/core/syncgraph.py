@@ -33,19 +33,18 @@ test suite):
 The one builder runs on integers: :class:`SyncGraphBuilder` reads a
 trace's :class:`~repro.core.lockdep.AcquisitionTables` (the per-lock
 acquisition lists and per-thread entry lists, with one vertex id per
-acquisition), which the kernel snapshot and the pure relation each
-provide and the Generator builds once per trace.  A vertex is identified
-by value, ``(ExecIndex, LockId)``, as a canonical
-:data:`~repro.core.lockdep.VertexKey`, so a held acquisition with no
-entry of its own still gets one.  ``Gs`` is decided on ints as it is
-built; its type-P edges are added when its edge table is first read, and
-its :class:`GsVertex` objects are minted when a view is (the Replayer's
-reads; a defect report reads none).
+acquisition), which the Generator builds once per trace from its
+relation.  A vertex is identified by value, ``(ExecIndex, LockId)``, as a
+canonical :data:`~repro.core.lockdep.VertexKey`, so a held acquisition
+with no entry of its own still gets one.  The builder decides a cycle's
+``Gs`` on ints (:meth:`SyncGraphBuilder.decide`) and builds it whole
+(:meth:`SyncGraphBuilder.build`), the second only for a reader of the
+graph: the Replayer, the sanitizer, a dot export.
 
 The builder is the reference for the Generator's decision.  On a
 kernel-backed relation the kernel decides every cycle's ``Gs`` by the
-same rules (``wk_decide_gs``, see :mod:`repro.core.nativekernel`), and
-the builder builds a graph only when a decision's ``gs`` is read.
+same rules (``wk_decide_gs``, see :mod:`repro.core.nativekernel`), and a
+graph that is read is built from the materialized relation.
 """
 
 from __future__ import annotations
@@ -86,12 +85,6 @@ class GsVertex:
         return f"({self.thread.pretty()}, {self.index.site}x{self.index.occ})"
 
 
-#: Where a vertex's objects come from, at its first appearance: an
-#: ``(ExecIndex, LockId)`` pair, a table row and the lock the builder met
-#: it under, or a row alone (its own index and lock).
-_Source = Tuple[object, Optional[LockId]]
-
-
 def _has_cycle(n: int, edges) -> bool:
     """Kahn's algorithm over ``n`` vertices and ``(u, v)`` int pairs."""
     succ: List[List[int]] = [[] for _ in range(n)]
@@ -117,14 +110,8 @@ class SyncGraph:
     kept), and acyclicity is decided on ints.  ``vertices`` lists each
     :class:`GsVertex` once, in insertion order.  ``graph``, ``edge_kinds``
     and ``by_index`` are object views built on first read, with nodes and
-    edges in insertion order.
-
-    A graph from :class:`SyncGraphBuilder` arrives decided, with its
-    vertex count, before most of it exists: its type-P edges are added
-    when ``edges`` is first read, and its vertices are minted, from the
-    objects each first appeared with, when ``vertices`` or a view is.
-    Pickling keeps ``cycle``, ``vertices`` and ``edges`` only; the
-    vertex-interning dict is rebuilt on unpickle.
+    edges in insertion order.  Pickling keeps ``cycle``, ``vertices`` and
+    ``edges`` only; the vertex-interning dict is rebuilt on unpickle.
     """
 
     cycle: PotentialDeadlock
@@ -139,54 +126,9 @@ class SyncGraph:
         edges: Optional[Dict[Tuple[int, int], EdgeKind]] = None,
     ) -> None:
         self.cycle = cycle
+        self.vertices = [] if vertices is None else vertices
         self.edges = {} if edges is None else edges
-        self._set_vertices([] if vertices is None else vertices)
-
-    @classmethod
-    def _built(
-        cls,
-        cycle: PotentialDeadlock,
-        builder: "SyncGraphBuilder",
-        plan: "_Plan",
-        n: int,
-        cyclic: bool,
-    ) -> "SyncGraph":
-        """A built graph: decided, its type-P edges and vertices later."""
-        gs = cls.__new__(cls)
-        gs.cycle = cycle
-        gs._plan = (builder, plan)
-        gs._n = n
-        gs._cyclic = cyclic
-        return gs
-
-    def __getattr__(self, name: str):
-        # Reached only for the parts of a built graph not made yet.
-        state = self.__dict__
-        if name in ("edges", "vertices", "_ids") and "_plan" in state:
-            builder, plan = state.pop("_plan")
-            self.edges = builder.complete(plan)
-            self._sources = (plan.sources, builder.tables)
-            return getattr(self, name)
-        if name in ("vertices", "_ids") and "_sources" in state:
-            self._mint()
-            return state[name]
-        raise AttributeError(name)
-
-    def _mint(self) -> None:
-        sources, tables = self.__dict__.pop("_sources")
-        index_of, lock_of = tables.index_of, tables.lock_of
-        vertices = []
-        for index, lock in sources:
-            if type(index) is int:
-                if lock is None:
-                    lock = lock_of(index)
-                index = index_of(index)
-            vertices.append(GsVertex(index=index, lock=lock))
-        self._set_vertices(vertices)
-
-    def _set_vertices(self, vertices: List[GsVertex]) -> None:
-        self.vertices = vertices
-        self._ids = {(v.index, v.lock): i for i, v in enumerate(vertices)}
+        self._ids = {(v.index, v.lock): i for i, v in enumerate(self.vertices)}
 
     def __getstate__(self) -> dict:
         return {"cycle": self.cycle, "vertices": self.vertices, "edges": self.edges}
@@ -209,7 +151,7 @@ class SyncGraph:
             return
         key = (self._intern(u.index, u.lock), self._intern(v.index, v.lock))
         self.edges.setdefault(key, kind)
-        for view in ("graph", "edge_kinds", "by_index", "_n", "_cyclic"):
+        for view in ("graph", "edge_kinds", "by_index"):
             self.__dict__.pop(view, None)  # rebuilt on next read
 
     # -- views -------------------------------------------------------------
@@ -240,19 +182,14 @@ class SyncGraph:
         return set(self.cycle.threads)
 
     def num_vertices(self) -> int:
-        n = self.__dict__.get("_n")
-        return len(self.vertices) if n is None else n
+        return len(self.vertices)
 
     def num_edges(self) -> int:
         return len(self.edges)
 
     def is_cyclic(self) -> bool:
-        """Kahn's algorithm over the int edge table (a built graph was
-        decided by its builder)."""
-        cyclic = self.__dict__.get("_cyclic")
-        if cyclic is None:
-            cyclic = _has_cycle(self.num_vertices(), self.edges)
-        return cyclic
+        """Kahn's algorithm over the int edge table."""
+        return _has_cycle(len(self.vertices), self.edges)
 
     def find_cycle(self) -> Optional[List[GsVertex]]:
         """One ordering cycle of ``Gs`` (:meth:`DiGraph.find_cycle` on
@@ -304,17 +241,18 @@ def _canon(ids: Dict, value) -> int:
 
 class _Plan:
     """One cycle's ``Gs`` in the making: its members, the vertex ids met
-    so far (table vertex id -> position), their first-appearance sources
-    and the edge table, with or without its type-P edges (``done``)."""
+    so far (table vertex id -> position), the objects each first
+    appeared with (an ``(ExecIndex, LockId)`` pair, or a table row and
+    the lock it was met under, ``None`` for the row's own) and the edge
+    table."""
 
-    __slots__ = ("theta", "local", "sources", "edges", "done")
+    __slots__ = ("theta", "local", "sources", "edges")
 
     def __init__(self, theta: List[_Member]) -> None:
         self.theta = theta
         self.local: Dict[int, int] = {}
-        self.sources: List[_Source] = []
+        self.sources: List[Tuple[object, Optional[LockId]]] = []
         self.edges: Dict[Tuple[int, int], EdgeKind] = {}
-        self.done = False
 
     def intern(self, vid: int, index: object, lock: Optional[LockId]) -> int:
         got = self.local.get(vid)
@@ -326,18 +264,18 @@ class _Plan:
 
 class SyncGraphBuilder:
     """Algorithm 3 over one trace's :class:`AcquisitionTables`, shared by
-    every cycle it builds ``Gs`` for.
+    every cycle it decides or builds ``Gs`` for.
 
-    :meth:`build` adds the type-D and type-C edges and decides the graph;
-    the type-P edges, which walk each cycle thread's whole ``D'_sigma``
-    and outnumber the rest, are added by :meth:`complete` when the
-    graph's edges are first read.  The decision contracts each program-
-    order chain to the vertices the other passes met: a chain vertex
-    with no other edge has one edge in and one out, so dropping it keeps
-    every cycle.  That holds while no vertex occurs twice on the chains;
-    where one may (two entries with one vertex, a cycle thread twice, an
-    entry position past its thread's list), the type-P pass runs at once
-    and Kahn's algorithm decides on the whole table.
+    :meth:`decide` says whether ``Gs`` is cyclic and :meth:`build` makes
+    the whole graph; both start from the type-D and type-C edges.  The
+    type-P edges walk each cycle thread's whole ``D'_sigma`` and
+    outnumber the rest, so :meth:`decide` contracts each program-order
+    chain to the vertices the other passes met: a chain vertex with no
+    other edge has one edge in and one out, so dropping it keeps every
+    cycle.  That holds while no vertex occurs twice on the chains; where
+    one may (two entries with one vertex, a cycle thread twice, a chain
+    that passes its own end), the type-P pass runs in full and Kahn's
+    algorithm decides on the whole table.
     """
 
     def __init__(self, tables: AcquisitionTables) -> None:
@@ -365,8 +303,33 @@ class SyncGraphBuilder:
                 at[vid] = (t, i)
         return at if len(at) == rows else None
 
+    def decide(self, cycle: PotentialDeadlock) -> bool:
+        """Whether ``Gs`` for ``cycle`` is cyclic, decided on ints: what
+        ``build(cycle).is_cyclic()`` says, with no graph built."""
+        plan = self._plan(cycle)
+        cyclic = self._decide(plan)
+        if cyclic is None:
+            self._program_order(plan)
+            cyclic = _has_cycle(len(plan.sources), plan.edges)
+        return cyclic
+
     def build(self, cycle: PotentialDeadlock) -> SyncGraph:
-        """Construct and decide ``Gs`` for ``cycle`` from the trace's
+        """``Gs`` for ``cycle``, whole: its type-D, type-C and type-P
+        edges, and each vertex minted from the objects it first appeared
+        with, in order of first appearance."""
+        plan = self._plan(cycle)
+        self._program_order(plan)
+        entries = self.tables.entries
+        vertices = []
+        for index, lock in plan.sources:
+            if type(index) is int:  # a table row
+                e = entries[index]
+                index, lock = e.index, e.lock if lock is None else lock
+            vertices.append(GsVertex(index=index, lock=lock))
+        return SyncGraph(cycle, vertices, plan.edges)
+
+    def _plan(self, cycle: PotentialDeadlock) -> _Plan:
+        """``cycle``'s type-D and type-C edges, from the trace's
         ``D_sigma``.
 
         Vertices are interned by vertex id as they first appear, source
@@ -425,17 +388,12 @@ class SyncGraphBuilder:
                         sources.append((row, lk_obj))
                     if u != v:
                         edges.setdefault((u, v), EdgeKind.C)
+        return plan
 
-        decided = self._decide(plan)
-        if decided is None:
-            self.complete(plan)
-            decided = len(sources), _has_cycle(len(sources), edges)
-        return SyncGraph._built(cycle, self, plan, *decided)
-
-    def _decide(self, plan: _Plan) -> Optional[Tuple[int, bool]]:
-        """The vertex count and acyclicity of ``plan`` once its type-P
-        edges are in, from the chains contracted to the vertices already
-        met; ``None`` where a chain may meet a vertex twice."""
+    def _decide(self, plan: _Plan) -> Optional[bool]:
+        """Whether ``plan`` is cyclic once its type-P edges are in, from
+        the chains contracted to the vertices already met; ``None`` where
+        a chain may meet a vertex twice."""
         chain_at = self._chain_at
         theta, local = plan.theta, plan.local
         if chain_at is None or len({m.thread for m in theta}) < len(theta):
@@ -450,30 +408,22 @@ class SyncGraphBuilder:
             at = chain_at.get(vid)
             if at is not None and at[1] < length.get(at[0], 0):
                 met[at[0]].append((at[1], u))
-        n = len(local)
         edges = list(plan.edges)
         for m in theta:
             end = local[m.mu[m.lock][0]]
-            on = sorted(met[m.thread])
-            walk = [u for _, u in on]
+            walk = [u for _, u in sorted(met[m.thread])]
             if end in walk:
                 return None  # the chain passes its own end
             walk.append(end)
             edges.extend(zip(walk, walk[1:], strict=False))
-            n += length[m.thread] - len(on)
-        return n, _has_cycle(len(local), edges)
+        return _has_cycle(len(local), edges)
 
-    def complete(self, plan: _Plan) -> Dict[Tuple[int, int], EdgeKind]:
-        """Add ``plan``'s type-P edges; its finished edge table.
-
-        Program order along each cycle thread's acquisitions, ending at
-        its deadlocking attempt (a vertex since the type-C pass, so a
-        thread with no earlier entry adds nothing here).
-        """
+    def _program_order(self, plan: _Plan) -> None:
+        """Add ``plan``'s type-P edges: program order along each cycle
+        thread's acquisitions, ending at its deadlocking attempt (a vertex
+        since the type-C pass, so a thread with no earlier entry adds
+        nothing here)."""
         local, sources, edges = plan.local, plan.sources, plan.edges
-        if plan.done:
-            return edges
-        plan.done = True
         by_thread = self.tables.by_thread
         for m in plan.theta:
             e = m.entry
@@ -489,7 +439,6 @@ class SyncGraphBuilder:
             for u, v in zip(chain, chain[1:], strict=False):
                 if u != v:
                     edges.setdefault((u, v), EdgeKind.P)
-        return edges
 
 
 def build_sync_graph(

@@ -184,3 +184,22 @@ class TestPotentialDeadlockApi:
         assert len(cycle.indices) == 2
         assert cycle.defect_key == cycle.sites
         assert "wants" in cycle.pretty()
+
+    def test_sites_computed_once(self):
+        """Repeated reads of ``sites`` and ``defect_key`` return one
+        object; equality, hash and pickling do not see the cached set."""
+        import copy
+        import pickle
+
+        detection = detect(fig4_program)
+        for cycle in detection.cycles:
+            before = pickle.dumps(cycle)
+            sites = cycle.sites
+            assert cycle.sites is sites and cycle.defect_key is sites
+            assert sites == frozenset(e.index.site for e in cycle.entries)
+            assert pickle.dumps(cycle) == before
+            for dup in (pickle.loads(before), pickle.loads(pickle.dumps(cycle)),
+                        copy.deepcopy(cycle)):
+                assert "sites" not in vars(dup)
+                assert dup == cycle and hash(dup) == hash(cycle)
+                assert dup.sites == sites

@@ -3,8 +3,9 @@
 The native backend's correctness contract is *byte identity*: on any
 trace the pure-Python decoder accepts, the kernel-backed pipeline must
 produce the same canonical defect report, the same cycles, the same
-vector clocks, the same ``D_sigma`` — and on any trace the pure decoder
-rejects, the same exception type with the same message.  This file
+``V`` between any two threads, the same ``D_sigma`` — and on any trace
+the pure decoder rejects, the same exception type with the same
+message.  This file
 proves that contract three ways:
 
 * **registry benchmarks** — every benchmark's detection trace is written
@@ -132,6 +133,18 @@ def with_declared_chunk(prefix: bytes, kind: int, declared: int) -> bytes:
 
 def _steps(detection):
     return [tuple(e.step for e in c.entries) for c in detection.cycles]
+
+
+def assert_same_v(native, pure, label=""):
+    """``V(t, u)`` of a native detection's clocks is the pure engine's for
+    every ordered pair of the threads the pure clocks know: ``V`` is all
+    native clocks answer, and all the Pruner reads."""
+    seen = [u for view in pure.clocks.values() for u in view]
+    threads = list(dict.fromkeys([*pure.tau, *pure.clocks, *seen]))
+    assert threads, label
+    for t in threads:
+        for u in threads:
+            assert native.V(t, u) == pure.V(t, u), (label, t, u)
 
 
 def read_outcome(path: str, backend: str):
@@ -376,7 +389,7 @@ class TestDifferentialRegistry:
                 assert nat == py, f"capped report bytes diverge on {name} at {cap}"
 
     def test_internal_state_identical(self, registry_traces):
-        """Beyond the report: capped and uncapped cycle lists, clocks and
+        """Beyond the report: capped and uncapped cycle lists, ``V`` and
         the full relation."""
         for name, path, max_length in registry_traces:
             for cap in (1, 2, 3):
@@ -398,11 +411,9 @@ class TestDifferentialRegistry:
             assert _steps(dn) == _steps(dp)
             assert dn.defect_keys() == dp.defect_keys()
             assert dn.truncated == dp.truncated
-            # Vector clocks: contents AND insertion order.
-            for attr in ("tau", "clocks", "acquire_tau"):
-                a, b = getattr(dn.vclocks, attr), getattr(dp.vclocks, attr)
-                assert a == b and list(a) == list(b), f"{name}: vclocks.{attr}"
-            # D_sigma: lazy native relation materializes identically.
+            assert_same_v(dn.vclocks, dp.vclocks, name)
+            # D_sigma: lazy native relation materializes identically (the
+            # entries carry each acquisition's tau).
             assert len(dn.relation) == len(dp.relation)
             assert dn.relation.entries == dp.relation.entries
 
@@ -472,9 +483,7 @@ class TestAliasedIdentityRows:
             assert [(e, e.thread.name, e.tau, e.pos) for e in dn.relation] == [
                 (e, e.thread.name, e.tau, e.pos) for e in dp.relation
             ], name
-            for attr in ("tau", "clocks", "acquire_tau"):
-                a, b = getattr(dn.vclocks, attr), getattr(dp.vclocks, attr)
-                assert a == b and list(a) == list(b), f"{name}: vclocks.{attr}"
+            assert_same_v(dn.vclocks, dp.vclocks, name)
         alias = analyze_trace_file(crafted["thread-alias-pos"], backend="native")
         positions = [
             e.pos for e in alias.detection.relation.entries

@@ -1,29 +1,29 @@
-"""The integer ``Gs`` builder, fed by both adapters, against the reference.
+"""The integer ``Gs`` builder, on both backends, against the reference.
 
-The Generator builds ``Gs`` with :class:`~repro.core.syncgraph.
-SyncGraphBuilder` over a trace's
-:class:`~repro.core.lockdep.AcquisitionTables`, which come from two
-adapters: an interning view of a :class:`~repro.core.lockdep.
-LockDependencyRelation` (in-memory traces and the pure backend) and the
-native kernel's entry log, which never materializes
-the relation.  Both must reproduce the object-level builder in
+The Generator decides every cycle's ``Gs`` on integers: the kernel does
+on a kernel-backed relation (``wk_decide_gs``), and
+:meth:`~repro.core.syncgraph.SyncGraphBuilder.decide` does on any other,
+over the relation's :class:`~repro.core.lockdep.AcquisitionTables`.  A
+decision builds its graph whole (:meth:`SyncGraphBuilder.build`) only
+when it is read; a native relation is materialized for that.  Every
+graph must reproduce the object-level builder in
 ``tests/gsreference.py``: node, successor and predecessor order, edge
 kinds, ``by_index``, the ordering cycle of a Generator-FALSE decision,
 and the names of the objects each vertex first appeared with.  Inputs:
 the registry traces, the committed corpus, the crafted alias files,
-seeded dense nested-lock traces and hypothesis relations.  Decisions built
-from the kernel's tables cross process boundaries like any other.
+seeded dense nested-lock traces and hypothesis relations.  Decisions of
+a native detection cross process boundaries like any other.
 
-On a kernel-backed relation the kernel decides every cycle's ``Gs``
-(``wk_decide_gs``) and the Generator builds a graph only when it is
-read.  The kernel's verdict must be the builder's ``is_cyclic()`` on
-the same relation for every cycle of the corpus, the registry at
-detection seeds 0-1, the crafted alias files (one repeats a site string
-in its string table), dense and long nested-lock traces, a loop-heavy
-trace and hypothesis relations, which reach the kernel encoded as a
+The three ways to decide agree: the kernel's verdict,
+:meth:`SyncGraphBuilder.decide` and ``build(cycle).is_cyclic()`` on the
+same relation, for every cycle of the corpus, the registry at detection
+seeds 0-1, the crafted alias files (one repeats a site string in its
+string table), dense and long nested-lock traces, a loop-heavy trace
+and hypothesis relations, which reach the kernel encoded as a
 snapshot's logs; known answers cover a Generator-FALSE cycle, a held
-acquisition with no entry of its own and two entries sharing a vertex.
-A native report builds no tables and no graph at all.
+acquisition with no entry of its own and two entries sharing a vertex
+(where ``decide`` gives up its contraction).  No report builds a graph:
+a native report builds no tables either.
 
 The relation-adapter tests run everywhere; the kernel-adapter tests skip
 where the kernel cannot load (the pure-Python CI leg).
@@ -50,7 +50,6 @@ from repro.core.generator import Generator, GeneratorVerdict
 from repro.core.lockdep import LockDepEntry, LockDependencyRelation
 from repro.core.nativekernel import (
     NativeRelation,
-    _KernelSnapshot,
     analyze_trace_file,
     decide_gs,
     kernel_available,
@@ -91,14 +90,12 @@ def check_decisions(relation, cycles, label=""):
     The reference reads the relation's object indexes, so it runs after
     the Generator (a native relation materializes there)."""
     decisions = Generator(relation).run(list(cycles)).decisions
-    assert all("vertices" not in vars(d.gs) for d in decisions), label
-    n_vertices = [d.gs.num_vertices() for d in decisions]
+    assert all("gs" not in vars(d) for d in decisions), label
     false = 0
-    for dec, n in zip(decisions, n_vertices, strict=True):
+    for dec in decisions:
         ref = reference_sync_graph(dec.cycle, relation)
         assert_matches_reference(dec.gs, ref)
         assert names(dec.gs.vertices) == names(ref.graph.nodes()), label
-        assert n == len(dec.gs.vertices), label
         assert dec.gs_cycle == ref.graph.find_cycle(), label
         assert (dec.verdict is GeneratorVerdict.FALSE) == ref.graph.has_cycle(), label
         false += dec.verdict is GeneratorVerdict.FALSE
@@ -106,10 +103,11 @@ def check_decisions(relation, cycles, label=""):
 
 
 def check_kernel(relation, cycles, label=""):
-    """The kernel's verdict for each cycle is the Python builder's
-    ``is_cyclic()`` on the same relation; returns how many are cyclic.
-    A kernel-backed relation decides in the Generator; any other relation
-    is first encoded as a snapshot's logs (:func:`encode`)."""
+    """The kernel's verdict for each cycle, the builder's :meth:`decide`
+    and its built graph's ``is_cyclic()`` agree on the same relation;
+    returns how many are cyclic.  A kernel-backed relation decides in the
+    Generator; any other relation is first encoded as a snapshot's logs
+    (:func:`encode`)."""
     cycles = list(cycles)
     if isinstance(relation, NativeRelation):
         got = [
@@ -118,9 +116,10 @@ def check_kernel(relation, cycles, label=""):
         ]
     else:
         got = decide_gs(*encode(relation, cycles))
-    builder = Generator(relation)
-    want = [builder.build(c).is_cyclic() for c in cycles]
-    assert got == want, label
+    builder = SyncGraphBuilder(relation.acquisition_tables())
+    decided = [builder.decide(c) for c in cycles]
+    built = [builder.build(c).is_cyclic() for c in cycles]
+    assert got == decided == built, label
     return sum(got)
 
 
@@ -433,7 +432,9 @@ class TestKernelAdapter:
             e1, e2 = relation.entries[-2:]
             cycle = PotentialDeadlock((e1, e2))
             assert decide_gs(*encode(relation, [cycle])) == [cyclic]
-            assert Generator(relation).build(cycle).is_cyclic() is cyclic
+            builder = SyncGraphBuilder(relation.acquisition_tables())
+            assert builder.decide(cycle) is cyclic
+            assert builder.build(cycle).is_cyclic() is cyclic
             held = {ix for e in relation.entries for ix in e.context}
             own = {e.index for e in relation.entries}
             assert (held <= own) is (relation is not no_entry)
@@ -441,10 +442,10 @@ class TestKernelAdapter:
     def test_native_report_builds_no_graph(self, dense_paths, monkeypatch):
         """A native report decides every cycle in the kernel: no
         acquisition table, no ``SyncGraphBuilder.build`` call, and the
-        bytes of the pure report."""
+        bytes of the pure report, which builds its tables to decide but
+        no graph either."""
         calls = []
         for owner, name in (
-            (_KernelSnapshot, "acquisition_tables"),
             (LockDependencyRelation, "acquisition_tables"),
             (SyncGraphBuilder, "build"),
         ):
@@ -454,14 +455,15 @@ class TestKernelAdapter:
                 name,
                 lambda *a, _real=real, _name=name, **k: calls.append(_name) or _real(*a, **k),
             )
-        pure_builds = 0
+        pure_tables = 0
         for path in dense_paths + CORPUS_TRACES:
             native = render_report(report_doc_for_file(path, backend="native"))
             assert calls == [], path
             assert native == render_report(report_doc_for_file(path, backend="python"))
-            pure_builds += calls.count("build")
+            assert "build" not in calls, path
+            pure_tables += calls.count("acquisition_tables")
             calls.clear()
-        assert pure_builds  # the pure report still builds each graph
+        assert pure_tables  # the pure report decides on its tables
 
     def test_kernel_decided_graph_is_the_builders(self, dense_paths):
         """A decision's graph, built when read, is the graph the builder
@@ -483,7 +485,8 @@ class TestKernelAdapter:
 
     def test_report_leaves_relation_unmaterialized(self, dense_paths):
         """The report's tail (Pruner, Generator, prediction) reads the
-        kernel's tables: the relation and every Gs vertex stay unminted."""
+        kernel's tables: the relation stays unminted and no decision
+        holds a graph."""
         decisions = []
         real_run = Generator.run
 
@@ -507,7 +510,7 @@ class TestKernelAdapter:
             assert doc["replay_candidates"] > 0, path
             assert "entries" not in detection.relation.__dict__, path
         assert decisions
-        assert all("vertices" not in vars(d.gs) for d in decisions)
+        assert all("gs" not in vars(d) for d in decisions)
 
 
 def known_relation(*, drop=(), repeat_q=False) -> LockDependencyRelation:
@@ -555,8 +558,8 @@ def known_relation(*, drop=(), repeat_q=False) -> LockDependencyRelation:
 
 
 def native_decisions(path: str):
-    """Every cycle of ``path`` through the Generator on the kernel's
-    tables."""
+    """Every cycle of ``path`` through the Generator on a native
+    detection."""
     detection = native_detection(path)
     return Generator(detection.relation).run(list(detection.cycles)).decisions
 
@@ -586,10 +589,10 @@ class TestProcessBoundary:
 
     def test_unpickled_in_another_hash_seed(self):
         """A child interpreter with another ``PYTHONHASHSEED`` unpickles
-        unminted decisions and finds the views of its own fresh build."""
+        unbuilt decisions and finds the views of its own fresh build."""
         path = _false_bearing_corpus_trace()
         decisions = native_decisions(path)
-        payload = pickle.dumps(decisions)  # mints each graph's vertices
+        payload = pickle.dumps(decisions)  # builds each graph
         seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
         env = dict(os.environ, PYTHONHASHSEED=seed)
         src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
