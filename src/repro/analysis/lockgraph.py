@@ -21,7 +21,7 @@ and emitted in sorted order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.analysis.locksets import (
     CorpusSummary,

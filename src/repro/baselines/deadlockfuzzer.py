@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.core.detector import BaseDetector, PotentialDeadlock
 from repro.core.pipeline import run_detection
@@ -140,18 +140,15 @@ def df_is_hit(result: RunResult, cycle: PotentialDeadlock) -> bool:
 
 @dataclass
 class DfConfig:
+    """Baseline knobs: one detection run at ``seed``, scheduled exactly as
+    WOLF's (:func:`~repro.core.pipeline.run_detection`)."""
+
     seed: int = 0
-    detect_seeds: Optional[Sequence[int]] = None
     replay_attempts: int = 5
     max_cycle_length: int = 4
     max_cycles: int = 10_000
     max_steps: int = 200_000
     step_timeout: float = 30.0
-    detect_stickiness: float = 0.9
-    detect_tries: int = 10
-
-    def seeds(self) -> List[int]:
-        return list(self.detect_seeds) if self.detect_seeds else [self.seed]
 
 
 class DeadlockFuzzer:
@@ -182,48 +179,44 @@ class DeadlockFuzzer:
 
     def analyze(self, program: Program, *, name: str = "") -> WolfReport:
         cfg = self.config
+        seed = cfg.seed
         report = WolfReport(
             program=name or getattr(program, "__name__", "program"),
-            seeds=cfg.seeds(),
+            seeds=[seed],
         )
-        timings = {"detect": 0.0, "replay": 0.0}
-        for seed in cfg.seeds():
-            t0 = time.perf_counter()
-            run = run_detection(
-                program,
-                seed,
-                name=report.program,
-                stickiness=cfg.detect_stickiness,
-                tries=cfg.detect_tries,
-                max_steps=cfg.max_steps,
-                step_timeout=cfg.step_timeout,
-            )
-            detector = BaseDetector(
-                max_length=cfg.max_cycle_length, max_cycles=cfg.max_cycles
-            )
-            detection = detector.analyze(run.trace)
-            report.detections.append(detection)
-            timings["detect"] += time.perf_counter() - t0
+        t0 = time.perf_counter()
+        run = run_detection(
+            program,
+            seed,
+            name=report.program,
+            max_steps=cfg.max_steps,
+            step_timeout=cfg.step_timeout,
+        )
+        detector = BaseDetector(
+            max_length=cfg.max_cycle_length, max_cycles=cfg.max_cycles
+        )
+        detection = detector.analyze(run.trace)
+        report.detections.append(detection)
+        detect_s = time.perf_counter() - t0
 
-            t0 = time.perf_counter()
-            for cycle in detection.cycles:
-                hit = False
-                for k in range(cfg.replay_attempts):
-                    rng = DeterministicRNG(seed).fork(f"df:{sorted(cycle.sites)}:{k}")
-                    result = self.replay_once(
-                        program, cycle, rng.seed, name=report.program
-                    )
-                    if df_is_hit(result, cycle):
-                        hit = True
-                        break
-                report.cycle_reports.append(
-                    CycleReport(
-                        cycle=cycle,
-                        classification=(
-                            Classification.CONFIRMED if hit else Classification.UNKNOWN
-                        ),
-                    )
+        t0 = time.perf_counter()
+        for cycle in detection.cycles:
+            hit = False
+            for k in range(cfg.replay_attempts):
+                rng = DeterministicRNG(seed).fork(f"df:{sorted(cycle.sites)}:{k}")
+                result = self.replay_once(
+                    program, cycle, rng.seed, name=report.program
                 )
-            timings["replay"] += time.perf_counter() - t0
-        report.timings = timings
+                if df_is_hit(result, cycle):
+                    hit = True
+                    break
+            report.cycle_reports.append(
+                CycleReport(
+                    cycle=cycle,
+                    classification=(
+                        Classification.CONFIRMED if hit else Classification.UNKNOWN
+                    ),
+                )
+            )
+        report.timings = {"detect": detect_s, "replay": time.perf_counter() - t0}
         return report

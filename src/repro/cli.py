@@ -620,7 +620,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         journal_max_bytes=journal_max,
         worker_index=args.fleet_index if in_fleet else 0,
         num_workers=args.fleet_size if in_fleet else 1,
-        fleet_dir=args.fleet_dir,
+        fleet_worker=in_fleet,
         backend=getattr(args, "backend", "auto"),
     )
     server = WolfServer(cfg)
@@ -1242,7 +1242,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(0 disables; default: 32 MiB)",
     )
     # Internal flags the supervisor passes to the workers it spawns.
-    p.add_argument("--fleet-dir", default=None, help=argparse.SUPPRESS)
     p.add_argument("--fleet-index", type=int, default=None, help=argparse.SUPPRESS)
     p.add_argument("--fleet-size", type=int, default=1, help=argparse.SUPPRESS)
     p.add_argument(

@@ -9,14 +9,13 @@ while keeping the pipeline's output *deterministic*:
 * tasks are built in the serial pipeline's order and results are merged
   back **positionally**, so cycle reports come back in the same order and
   with identical classifications regardless of completion order;
-* ``skip_confirmed_defects`` deduplication is resolved at merge time in
-  :mod:`repro.core.pipeline` (never inside workers), so there is no race
-  on the confirmed-key set;
+* every replay candidate goes to the engine in one supervised map, in
+  report order, under either engine;
 * replay seeds derive from ``(detection seed, cycle sites, attempt)``
   alone (:class:`~repro.core.replayer.Replayer`), so a replay outcome does
   not depend on which other replays ran, or where.
 
-Worker processes are started with the ``spawn`` method by default: the
+Worker processes are always started with the ``spawn`` method: the
 simulated runtime parks real OS threads, and forking a threaded parent is
 a portability hazard.  ``spawn`` requires the program object to be
 picklable; :func:`make_engine` probes that and falls back to the
@@ -107,8 +106,6 @@ class DetectTask:
     program: Program
     seed: int
     name: str
-    stickiness: float
-    tries: int
     max_cycle_length: int
     max_cycles: int
     max_steps: int
@@ -146,8 +143,6 @@ def _detect_from_task(task: DetectTask) -> DetectionResult:
         task.program,
         task.seed,
         name=task.name,
-        stickiness=task.stickiness,
-        tries=task.tries,
         max_steps=task.max_steps,
         step_timeout=task.step_timeout,
     )
@@ -472,9 +467,6 @@ class SerialEngine:
     historical serial one.
     """
 
-    #: Parallel engines replay every candidate eagerly; the pipeline keys
-    #: its lazy skip-confirmed path off this flag.
-    parallel = False
     workers = 1
 
     def __init__(self, fallback_reason: str = "") -> None:
@@ -543,14 +535,11 @@ class ProcessEngine:
     parent process down with them.
     """
 
-    parallel = True
-
-    def __init__(self, workers: int, mp_context: str = "spawn") -> None:
+    def __init__(self, workers: int) -> None:
         self.workers = workers
         self.fallback_reason = ""
         #: Total pool breakages observed (worker deaths, wedged workers).
         self.breakages = 0
-        self._ctx = multiprocessing.get_context(mp_context)
         self._pool: Optional[ProcessPoolExecutor] = None
         #: After any breakage: submit one task at a time so further
         #: breakages are attributable.
@@ -563,7 +552,7 @@ class ProcessEngine:
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
             self._pool = ProcessPoolExecutor(
-                max_workers=self.workers, mp_context=self._ctx
+                self.workers, multiprocessing.get_context("spawn")
             )
         return self._pool
 
@@ -740,9 +729,7 @@ def is_picklable(obj) -> bool:
     return True
 
 
-def make_engine(
-    workers: int, program: Program, *, mp_context: str = "spawn"
-) -> ExecutionEngine:
+def make_engine(workers: int, program: Program) -> ExecutionEngine:
     """Choose the execution engine for one pipeline run.
 
     Returns a :class:`ProcessEngine` when ``workers > 1`` and ``program``
@@ -758,9 +745,4 @@ def make_engine(
                 "callable); running in-process"
             )
         )
-    try:
-        return ProcessEngine(workers, mp_context=mp_context)
-    except ValueError:
-        return SerialEngine(
-            fallback_reason=f"multiprocessing context {mp_context!r} unavailable"
-        )
+    return ProcessEngine(workers)

@@ -11,18 +11,21 @@
 5. **Replayer** — re-execute per survivor following ``Gs``; a hit confirms
    the defect, exhaustion of attempts leaves it unknown.
 
-With ``workers > 1`` the per-seed detection chains and the per-cycle
-replay attempts fan out across a process pool
-(:mod:`repro.core.parallel`); results are merged back in the serial
-pipeline's order, so classifications and report ordering are identical to
-a ``workers=1`` run regardless of completion order.
+Every detection run schedules at :data:`DETECT_STICKINESS`, and every
+Generator survivor that prediction neither refutes nor (in ``certify``
+mode) confirms is replayed: the candidates go to the engine in one
+supervised map, in report order.  With ``workers > 1`` the per-seed
+detection chains and the per-cycle replay attempts fan out across a
+process pool (:mod:`repro.core.parallel`); results are merged back in the
+serial pipeline's order, so classifications and report ordering are
+identical to a ``workers=1`` run regardless of completion order.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import FrozenSet, List, Optional, Sequence, Set, Union
+from typing import List, Optional, Sequence, Union
 
 from repro.core.generator import GeneratorVerdict
 from repro.core.parallel import (
@@ -45,8 +48,13 @@ from repro.core.report import Classification, CycleReport, FaultRecord, WolfRepo
 from repro.runtime.sim.result import RunResult, RunStatus
 from repro.runtime.sim.runtime import Program, run_program
 from repro.runtime.sim.strategy import RandomStrategy
-from repro.util.ids import Site
 from repro.util.rng import DeterministicRNG
+
+
+#: Burst bias of every detection run's scheduler (see
+#: :func:`repro.runtime.sim.strategy.sticky_pick`): the evaluation's
+#: methodology fixes it at 0.9.
+DETECT_STICKINESS = 0.9
 
 
 def run_detection(
@@ -54,7 +62,6 @@ def run_detection(
     seed: int,
     *,
     name: str = "",
-    stickiness: float = 0.9,
     tries: int = 10,
     max_steps: int = 200_000,
     step_timeout: float = 30.0,
@@ -79,7 +86,7 @@ def run_detection(
         )
         last = run_program(
             program,
-            RandomStrategy(run_seed, stickiness=stickiness),
+            RandomStrategy(run_seed, stickiness=DETECT_STICKINESS),
             seed=run_seed,
             name=name,
             max_steps=max_steps,
@@ -104,24 +111,11 @@ class WolfConfig:
     max_cycles: int = 10_000
     max_steps: int = 200_000
     step_timeout: float = 30.0
-    #: Burst bias of the detection scheduler (see
-    #: :func:`repro.runtime.sim.strategy.sticky_pick`).
-    detect_stickiness: float = 0.9
-    #: Detection re-runs (derived seeds) allowed when a run deadlocks
-    #: before completing.
-    detect_tries: int = 10
-    #: When True, skip replaying cycles whose source-location defect is
-    #: already confirmed (§4.3: one reproduction per location suffices).
-    skip_confirmed_defects: bool = False
     #: Process-pool fan-out across detection seeds and replay candidates.
     #: ``1`` runs everything in-process, bit-identical to the historical
     #: serial pipeline; ``>1`` requires a picklable program (the pipeline
     #: falls back to serial otherwise — see :mod:`repro.core.parallel`).
     workers: int = 1
-    #: Multiprocessing start method for the worker pool.  ``spawn`` is the
-    #: portable default: the simulated runtime parks real OS threads, and
-    #: forking a threaded parent is unsafe on some platforms.
-    mp_context: str = "spawn"
     #: Per-task wall-clock deadline in seconds for detection/replay tasks
     #: (``None`` = unbounded).  A task that blows the deadline is recorded
     #: as a ``timeout`` fault instead of stalling the campaign.
@@ -129,11 +123,6 @@ class WolfConfig:
     #: Retries (with deterministic exponential backoff) before a failing
     #: task is quarantined as a ``WolfReport.faults`` entry.
     task_retries: int = 2
-    #: First backoff sleep between retries; doubles per retry.
-    retry_backoff_s: float = 0.05
-    #: Worker-pool breakages tolerated before the engine degrades to
-    #: in-process execution (see :mod:`repro.core.parallel`).
-    max_pool_breakages: int = 2
     #: Run the trace sanitizer over every detection trace and the ``Gs``
     #: typing check over every generated graph; violations land in
     #: ``WolfReport.sanitizer`` (see :mod:`repro.analysis.sanitizer`).
@@ -179,18 +168,19 @@ class WolfConfig:
             raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
         if self.step_timeout <= 0:
             raise ValueError(f"step_timeout must be > 0, got {self.step_timeout}")
-        if self.detect_tries < 1:
-            raise ValueError(f"detect_tries must be >= 1, got {self.detect_tries}")
+        if self.max_cycle_length < 2:
+            raise ValueError(
+                f"max_cycle_length must be >= 2, got {self.max_cycle_length}"
+            )
+        if self.max_cycles < 1:
+            raise ValueError(f"max_cycles must be >= 1, got {self.max_cycles}")
         # SupervisionPolicy re-validates, but fail at construction with the
         # offending value rather than deep inside analyze().
         self.supervision()
 
     def supervision(self) -> SupervisionPolicy:
         return SupervisionPolicy(
-            task_timeout=self.task_timeout,
-            retries=self.task_retries,
-            backoff_base_s=self.retry_backoff_s,
-            max_pool_breakages=self.max_pool_breakages,
+            task_timeout=self.task_timeout, retries=self.task_retries
         )
 
     def seeds(self) -> List[int]:
@@ -220,7 +210,7 @@ class Wolf:
         )
         timings = {"detect": 0.0, "prune": 0.0, "generate": 0.0, "replay": 0.0}
         policy = cfg.supervision()
-        engine = make_engine(cfg.workers, program, mp_context=cfg.mp_context)
+        engine = make_engine(cfg.workers, program)
         report.workers = engine.workers
 
         # The with-statement guarantees teardown (cancelling queued futures
@@ -232,8 +222,6 @@ class Wolf:
                     program=program,
                     seed=seed,
                     name=report.program,
-                    stickiness=cfg.detect_stickiness,
-                    tries=cfg.detect_tries,
                     max_cycle_length=cfg.max_cycle_length,
                     max_cycles=cfg.max_cycles,
                     max_steps=cfg.max_steps,
@@ -290,8 +278,8 @@ class Wolf:
             preds_by_seed = self._merge_predictions(seed_results)
 
             # Pruned/false/decided reports become CycleReports immediately;
-            # the cycles still headed to replay become positional slots to
-            # be filled once their replays resolve.
+            # the cycles still headed to replay become positional slots,
+            # filled from one supervised map over every candidate.
             slots: List[Union[CycleReport, int]] = []
             candidates: List[ReplayTask] = []
             cand_preds: List[Optional[CyclePrediction]] = []
@@ -369,18 +357,7 @@ class Wolf:
                         )
                     )
 
-            # In certify mode a predicted confirmation settles its defect
-            # key exactly like a reproduced one (§4.3: one proof per
-            # location), so skip_confirmed_defects skips its siblings.
-            pre_confirmed: Set[FrozenSet[Site]] = {
-                slot.cycle.defect_key
-                for slot in slots
-                if isinstance(slot, CycleReport)
-                and slot.classification is Classification.CONFIRMED_PREDICTED
-            }
-            outcomes = self._resolve_replays(
-                engine, candidates, policy, confirmed_keys=pre_confirmed
-            )
+            outcomes = engine.map_supervised(run_replay_task, candidates, policy)
 
         report.fallback_reason = engine.fallback_reason
         for slot in slots:
@@ -389,18 +366,6 @@ class Wolf:
                 continue
             task, out = candidates[slot], outcomes[slot]
             pred = cand_preds[slot]
-            if out is None:
-                # Skipped: an earlier-in-order cycle already confirmed this
-                # defect (skip_confirmed_defects), exactly as in serial mode.
-                report.cycle_reports.append(
-                    CycleReport(
-                        cycle=task.decision.cycle,
-                        classification=Classification.CONFIRMED,
-                        generator=task.decision,
-                        prediction=pred,
-                    )
-                )
-                continue
             if not out.ok:
                 # The replay task itself failed (not "replay didn't hit"):
                 # record the fault and leave the cycle for manual review.
@@ -502,44 +467,3 @@ class Wolf:
             retries=out.retries,
             elapsed_s=out.elapsed_s,
         )
-
-    def _resolve_replays(
-        self,
-        engine,
-        candidates: List[ReplayTask],
-        policy: SupervisionPolicy,
-        confirmed_keys: Optional[Set[FrozenSet[Site]]] = None,
-    ) -> List[Optional[TaskOutcome]]:
-        """Run replays and apply ``skip_confirmed_defects`` deterministically.
-
-        Candidates are walked in the serial pipeline's order; a candidate
-        whose defect key an earlier candidate already confirmed resolves to
-        ``None`` (skipped).  Replay outcomes depend only on the candidate's
-        own seeds, so the parallel engine can compute them all eagerly and
-        let this walk discard the skipped ones — same classifications, no
-        race on the confirmed-key set.  The serial engine replays lazily,
-        doing no work for skipped candidates (the historical behavior).
-        A *failed* replay task never confirms its defect key, identically
-        under both engines.
-        """
-        cfg = self.config
-        eager = None
-        if engine.parallel and candidates:
-            eager = engine.map_supervised(run_replay_task, candidates, policy)
-
-        confirmed_keys = set(confirmed_keys or ())
-        outcomes: List[Optional[TaskOutcome]] = []
-        for i, task in enumerate(candidates):
-            key = task.decision.cycle.defect_key
-            if cfg.skip_confirmed_defects and key in confirmed_keys:
-                outcomes.append(None)
-                continue
-            out = (
-                eager[i]
-                if eager is not None
-                else engine.map_supervised(run_replay_task, [task], policy)[0]
-            )
-            if out.ok and out.value.reproduced:
-                confirmed_keys.add(key)
-            outcomes.append(out)
-        return outcomes

@@ -1097,7 +1097,7 @@ def promote_by_defect(
     same-``defect_key`` sibling certified.
 
     Replay confirmation is site-level (``is_hit`` compares deadlock sites,
-    and ``skip_confirmed_defects`` collapses by ``defect_key``), so the
+    and ``WolfReport.defects`` groups cycles by ``defect_key``), so the
     sibling's witness — which deadlocks at exactly the shared sites — is a
     witness for this instance too.  The common case is a lock pair inside
     a loop: one iteration's window linearizes, later iterations' windows

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.nativekernel import analyze_trace_file
+from repro.core.pipeline import DETECT_STICKINESS
 from repro.corpus.manifest import (
     DETECTOR_PARAMS,
     MANIFEST_NAME,
@@ -78,7 +79,6 @@ class CampaignConfig:
     max_steps: int = 50_000
     #: admission cap (None = admit every new-coverage trace)
     max_traces: Optional[int] = None
-    detect_stickiness: float = 0.9
 
 
 @dataclass
@@ -145,7 +145,7 @@ def record_source(source: CampaignSource, dest: str, cfg: CampaignConfig) -> boo
     with TraceFileWriter(dest, program=source.name, seed=source.seed) as writer:
         result = run_program(
             source.program,
-            RandomStrategy(source.seed, stickiness=cfg.detect_stickiness),
+            RandomStrategy(source.seed, stickiness=DETECT_STICKINESS),
             seed=source.seed,
             name=source.name,
             max_steps=cfg.max_steps,

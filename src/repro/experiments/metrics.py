@@ -13,6 +13,7 @@ import time
 from typing import Optional
 
 from repro.core.detector import ExtendedDetector
+from repro.core.pipeline import DETECT_STICKINESS
 from repro.core.report import WolfReport
 from repro.runtime.sim.runtime import Program, run_program
 from repro.runtime.sim.strategy import RandomStrategy
@@ -22,22 +23,22 @@ def detection_slowdown(
     program: Program,
     *,
     seed: int = 0,
-    stickiness: float = 0.9,
     runs: int = 3,
     max_steps: int = 200_000,
 ) -> float:
     """Mean wall-clock ratio of (instrumented run + analysis) to an
     event-free run of the same schedule.
 
-    Uses the same seeds for both sides so the schedules — and therefore
-    the executed work — are identical, leaving only the instrumentation
-    cost in the ratio.
+    Uses the same seeds, under the detection scheduler's
+    :data:`~repro.core.pipeline.DETECT_STICKINESS`, for both sides so the
+    schedules — and therefore the executed work — are identical, leaving
+    only the instrumentation cost in the ratio.
     """
     instrumented = 0.0
     baseline = 0.0
     detector = ExtendedDetector()
     for k in range(runs):
-        strategy = RandomStrategy(seed + k, stickiness=stickiness)
+        strategy = RandomStrategy(seed + k, stickiness=DETECT_STICKINESS)
         t0 = time.perf_counter()
         result = run_program(
             program, strategy, seed=seed + k, max_steps=max_steps
@@ -45,7 +46,7 @@ def detection_slowdown(
         detector.analyze(result.trace)
         instrumented += time.perf_counter() - t0
 
-        strategy = RandomStrategy(seed + k, stickiness=stickiness)
+        strategy = RandomStrategy(seed + k, stickiness=DETECT_STICKINESS)
         t0 = time.perf_counter()
         run_program(
             program,

@@ -83,13 +83,17 @@ _STREAM_ID_RE = re.compile(r"^[A-Za-z0-9_.-]{1,64}$")
 
 @dataclass
 class ServeConfig:
-    """Daemon knobs (each limit names the failure mode it bounds)."""
+    """Daemon knobs (each limit names the failure mode it bounds).
+
+    Detection always runs with the corpus-wide
+    :data:`~repro.corpus.manifest.DETECTOR_PARAMS`, the knobs ``wolf
+    analyze-trace --json`` uses, so a daemon report stays byte-identical
+    to the batch one; no field here can move them.
+    """
 
     out_dir: str
     socket_path: Optional[str] = None
     tcp: Optional[Tuple[str, int]] = None
-    max_length: int = DETECTOR_PARAMS["max_length"]
-    max_cycles: int = DETECTOR_PARAMS["max_cycles"]
     #: Seconds of producer silence before eviction (slow-loris defense).
     idle_timeout: float = 30.0
     #: Per-stream credit window: bytes in flight before the producer must
@@ -115,10 +119,9 @@ class ServeConfig:
     #: to.  A HELLO for a stream id hashing to a different worker is
     #: refused with ``wrong-worker`` instead of opening a session.
     num_workers: int = 1
-    #: The fleet's top-level run directory (where ``fleet.json`` and the
-    #: sibling workers' run dirs live); set for every fleet worker, which
-    #: then advertises its ``endpoint.json`` for the supervisor.
-    fleet_dir: Optional[str] = None
+    #: Set for every worker the fleet supervisor spawns: write
+    #: ``endpoint.json`` for the supervisor.
+    fleet_worker: bool = False
     #: Analysis backend for per-stream sessions: ``"python"``,
     #: ``"native"`` (compiled kernel; startup fails if it cannot load) or
     #: ``"auto"`` — resolved once at :meth:`WolfServer.start`, so every
@@ -144,8 +147,8 @@ class ServeConfig:
                 f"worker_index {self.worker_index} outside fleet of "
                 f"{self.num_workers}"
             )
-        if self.num_workers > 1 and self.fleet_dir is None:
-            raise ValueError("a multi-worker ServeConfig needs fleet_dir")
+        if self.num_workers > 1 and not self.fleet_worker:
+            raise ValueError("a multi-worker ServeConfig needs fleet_worker")
 
 
 class WolfServer:
@@ -210,7 +213,7 @@ class WolfServer:
             if srv.sockets:
                 addr = srv.sockets[0].getsockname()
                 self.tcp_address = (addr[0], addr[1])
-        if cfg.fleet_dir is not None:
+        if cfg.fleet_worker:
             # The supervisor's readiness probe is "endpoint.json names my
             # pid", so even a one-worker fleet writes it, after the
             # listener is bound so the file always names a live socket.
@@ -317,8 +320,7 @@ class WolfServer:
             "schema": RUN_SCHEMA,
             "drained": True,
             "detector": {
-                "max_length": self.config.max_length,
-                "max_cycles": self.config.max_cycles,
+                **DETECTOR_PARAMS,
                 "backend": self.backend,
                 "kernel": kernel_version() if self.backend == "native" else None,
             },
@@ -381,8 +383,6 @@ class WolfServer:
             stream_id,
             self.config.out_dir,
             self._journal,
-            max_length=self.config.max_length,
-            max_cycles=self.config.max_cycles,
             max_chunk_bytes=self.config.max_chunk_bytes,
             max_stream_bytes=self.config.max_stream_bytes,
             backend=self.backend,

@@ -62,8 +62,6 @@ class StreamSession:
         run_dir: str,
         journal: RunJournal,
         *,
-        max_length: int = DETECTOR_PARAMS["max_length"],
-        max_cycles: int = DETECTOR_PARAMS["max_cycles"],
         max_chunk_bytes: Optional[int] = None,
         max_stream_bytes: Optional[int] = None,
         backend: str = "python",
@@ -71,8 +69,6 @@ class StreamSession:
         self.stream_id = stream_id
         self.run_dir = run_dir
         self.journal = journal
-        self.max_length = max_length
-        self.max_cycles = max_cycles
         self.max_stream_bytes = max_stream_bytes
         self.backend = backend
         self.state = SessionState.ACTIVE
@@ -92,13 +88,11 @@ class StreamSession:
                 kernel, max_chunk_bytes=max_chunk_bytes
             )
             self.detector = NativeStreamingDetector(
-                kernel, self.decoder, max_length=max_length, max_cycles=max_cycles
+                kernel, self.decoder, **DETECTOR_PARAMS
             )
         else:
             self.decoder = ChunkDecoder(max_chunk_bytes=max_chunk_bytes)
-            self.detector = StreamingDetector(
-                max_length=max_length, max_cycles=max_cycles
-            )
+            self.detector = StreamingDetector(**DETECTOR_PARAMS)
         self.spool_path = os.path.join(run_dir, "spool", f"{stream_id}.wtrc")
         self._spool: Optional[BinaryIO] = None
         #: Whether the spool changed since its last fsync.
@@ -220,8 +214,6 @@ class StreamSession:
             program=self.decoder.program,
             seed=self.decoder.seed,
             events=self.detector.events_seen,
-            max_length=self.max_length,
-            max_cycles=self.max_cycles,
             trace_path=self.spool_path,
         )
         self.state = SessionState.COMPLETE

@@ -2,7 +2,10 @@
 
 ``wolf serve --workers N`` runs this instead of a single daemon.  The
 supervisor forks N worker *processes*, each an ordinary single-process
-:class:`~repro.serve.server.WolfServer` with its own run directory::
+:class:`~repro.serve.server.WolfServer` with its own run directory.  A
+worker learns its place from the hidden ``--fleet-index``/``--fleet-size``
+flags alone; they make it a fleet worker (``ServeConfig.fleet_worker``),
+which writes ``endpoint.json`` once its listener is bound::
 
     out/
       fleet.json                 fleet topology + live status (supervisor-owned)
@@ -215,8 +218,6 @@ class FleetSupervisor:
             cfg.backend,
             "--journal-max-bytes",
             str(cfg.journal_max_bytes or 0),
-            "--fleet-dir",
-            cfg.out_dir,
             "--fleet-index",
             str(index),
             "--fleet-size",

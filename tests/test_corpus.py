@@ -257,6 +257,10 @@ class TestCampaign:
         manifest = CorpusManifest.load(str(corpus / MANIFEST_NAME))
         assert manifest.detector == DETECTOR_PARAMS
 
+    def test_records_under_the_detection_scheduler(self):
+        with pytest.raises(TypeError):
+            CampaignConfig(detect_stickiness=0.5)
+
 
 class TestValidationRejections:
     def test_bit_flip_breaks_sha(self, tiny_corpus, tmp_path):

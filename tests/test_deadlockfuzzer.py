@@ -4,6 +4,7 @@ reliably; DeadlockFuzzer's abstractions pause the wrong thread."""
 
 from __future__ import annotations
 
+import pytest
 
 from repro.baselines.deadlockfuzzer import (
     DeadlockFuzzer,
@@ -106,6 +107,14 @@ class TestDfPipeline:
     def test_timings(self):
         report = DeadlockFuzzer(seed=0).analyze(two_lock_program, name="abba")
         assert set(report.timings) == {"detect", "replay"}
+
+    def test_detects_at_its_one_seed_with_wolfs_scheduler(self):
+        report = DeadlockFuzzer(seed=3).analyze(two_lock_program, name="abba")
+        assert report.seeds == [3]
+        assert len(report.detections) == 1
+        for retired in ("detect_seeds", "detect_stickiness", "detect_tries"):
+            with pytest.raises(TypeError):
+                DfConfig(**{retired: 1})
 
 
 class TestDfStrategyMechanics:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import pytest
 
 from repro.experiments.fig8 import render_fig8, run_fig8
 from repro.experiments.fig10 import render_fig10, run_fig10
@@ -40,6 +41,10 @@ class TestMetrics:
         # single pair must not decide the ratio.
         s = detection_slowdown(get_benchmark("HashMap").program)
         assert 0.3 < s < 10.0
+
+    def test_slowdown_runs_under_the_detection_scheduler(self):
+        with pytest.raises(TypeError):
+            detection_slowdown(get_benchmark("HashMap").program, stickiness=0.5)
 
     def test_average_stack_length(self):
         wolf, _ = run_both(get_benchmark("HashMap"), FAST)

@@ -44,7 +44,6 @@ from repro.serve import (
     FleetSupervisor,
     RunJournal,
     ServeConfig,
-    WolfServer,
     render_report,
     render_rollup,
     report_doc_for_file,
@@ -248,7 +247,7 @@ class TestShardRouting:
                 idle_timeout=5.0,
                 worker_index=me,
                 num_workers=4,
-                fleet_dir=fleet_dir,
+                fleet_worker=True,
             )
         ).start()
         try:

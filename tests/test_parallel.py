@@ -1,8 +1,7 @@
 """The parallel execution layer (`repro.core.parallel`).
 
 The load-bearing guarantee: a `workers=N` pipeline run produces the same
-cycle classifications, in the same order, as the serial pipeline — with
-`skip_confirmed_defects` resolved at merge time, not racily in workers.
+cycle classifications, in the same order, as the serial pipeline.
 """
 
 from __future__ import annotations
@@ -11,10 +10,10 @@ import json
 
 import pytest
 
-from repro.core import parallel
+from repro.core import parallel, pipeline
 from repro.core.pipeline import Wolf, WolfConfig, run_detection
-from repro.core.report import Classification
 from repro.experiments.scaling import ScaledWorkload, make_scaled_workload
+from repro.workloads.registry import get_benchmark
 
 #: Small but cycle-rich: every seed detects the inverted-pair deadlock
 #: family, so multi-seed runs exercise cross-seed defect deduplication.
@@ -77,45 +76,33 @@ class TestSerialParallelEquivalence:
         assert report.speedup is not None
 
 
-class TestSkipConfirmedMerge:
-    """`skip_confirmed_defects` must resolve at merge time: the first
-    candidate (in serial order) to reproduce a defect confirms it; later
-    same-defect candidates are marked CONFIRMED without a replay outcome,
-    identically under any worker count."""
+class TestReplayMap:
+    def test_serial_engine_replays_every_candidate_in_one_map(self, monkeypatch):
+        """Every replay candidate goes to the engine in one supervised
+        map, in report order, never one map per candidate."""
+        maps = []
+        real = parallel.SerialEngine.map_supervised
 
-    def test_skip_semantics_identical_under_parallelism(self):
-        serial = Wolf(config=_config(skip_confirmed_defects=True)).analyze(
-            PROGRAM, name="p"
+        def spy(engine, fn, tasks, policy):
+            maps.append((fn, list(tasks)))
+            return real(engine, fn, tasks, policy)
+
+        monkeypatch.setattr(parallel.SerialEngine, "map_supervised", spy)
+        b = get_benchmark("HashMap")
+        cfg = WolfConfig(
+            seed=b.detect_seed,
+            replay_attempts=b.replay_attempts,
+            max_cycle_length=b.max_cycle_length,
         )
-        fanned = Wolf(
-            config=_config(skip_confirmed_defects=True, workers=4)
-        ).analyze(PROGRAM, name="p")
-        assert _cycle_rows(serial) == _cycle_rows(fanned)
-        skipped_serial = [
-            i
-            for i, c in enumerate(serial.cycle_reports)
-            if c.classification is Classification.CONFIRMED and c.replay is None
-        ]
-        skipped_fanned = [
-            i
-            for i, c in enumerate(fanned.cycle_reports)
-            if c.classification is Classification.CONFIRMED and c.replay is None
-        ]
-        assert skipped_serial == skipped_fanned
-        # The workload reproduces the same defect from several seeds, so
-        # the dedup path must actually have engaged.
-        assert skipped_serial, "expected at least one merge-time skip"
-
-    def test_skip_only_drops_replays_never_changes_verdicts(self):
-        plain = Wolf(config=_config(workers=2)).analyze(PROGRAM, name="p")
-        skipping = Wolf(
-            config=_config(skip_confirmed_defects=True, workers=2)
-        ).analyze(PROGRAM, name="p")
-        plain_defects = json.loads(plain.to_json())["defects"]
-        skip_defects = json.loads(skipping.to_json())["defects"]
-        assert [d["classification"] for d in plain_defects] == [
-            d["classification"] for d in skip_defects
-        ]
+        report = Wolf(config=cfg).analyze(b.program, name=b.name)
+        assert report.workers == 1
+        replay_maps = [tasks for fn, tasks in maps if fn is pipeline.run_replay_task]
+        assert len(replay_maps) == 1
+        (tasks,) = replay_maps
+        replayed = [cr for cr in report.cycle_reports if cr.replay is not None]
+        assert len(replayed) > 1
+        for task, cr in zip(tasks, replayed, strict=True):
+            assert task.decision is cr.generator
 
 
 class TestEngines:
@@ -137,8 +124,6 @@ class TestEngines:
                 program=PROGRAM,
                 seed=seed,
                 name="order",
-                stickiness=0.9,
-                tries=5,
                 max_cycle_length=3,
                 max_cycles=100,
                 max_steps=50_000,

@@ -115,11 +115,6 @@ class TestWolfPipeline:
         # Same program: same defects found per seed, aggregated.
         assert report.n_defects == 2
 
-    def test_skip_confirmed_defects(self):
-        cfg = WolfConfig(seed=0, skip_confirmed_defects=True, detect_seeds=[0, 1])
-        report = Wolf(config=cfg).analyze(fig4_program, name="fig4")
-        assert report.count_defects(C.CONFIRMED) == 1
-
     def test_summary_text(self):
         report = Wolf(seed=0).analyze(fig4_program, name="fig4")
         text = report.summary()

@@ -21,7 +21,7 @@ from repro.core.prediction import ClosureIndex
 from repro.core.generator import Generator
 from repro.core.pipeline import Wolf, WolfConfig, run_detection
 from repro.core.pruner import Pruner
-from repro.core.syncgraph import EdgeKind, GsVertex, SyncGraph
+from repro.core.syncgraph import EdgeKind, SyncGraph
 from repro.runtime.events import (
     AcquireEvent,
     BeginEvent,

@@ -318,6 +318,32 @@ class _Probe:
         return 5
 
 
+class TestServeConfig:
+    def test_detector_limits_are_the_corpus_params(self, tmp_path):
+        """Detection limits are DETECTOR_PARAMS, never a daemon knob: a
+        daemon report must stay byte-identical to analyze-trace --json."""
+        from repro.serve.session import StreamSession
+
+        base = dict(out_dir=str(tmp_path / "run"), socket_path=str(tmp_path / "s"))
+        for retired in ("max_length", "max_cycles", "fleet_dir"):
+            with pytest.raises(TypeError):
+                ServeConfig(**base, **{retired: 4})
+        for retired in ("max_length", "max_cycles"):
+            with pytest.raises(TypeError):
+                StreamSession("s", base["out_dir"], None, **{retired: 4})
+
+    def test_multi_worker_config_needs_fleet_worker(self, tmp_path):
+        base = dict(
+            out_dir=str(tmp_path / "run"),
+            socket_path=str(tmp_path / "s"),
+            worker_index=1,
+            num_workers=2,
+        )
+        with pytest.raises(ValueError, match="fleet_worker"):
+            ServeConfig(**base)
+        assert ServeConfig(**base, fleet_worker=True).fleet_worker
+
+
 class TestCreditAccounting:
     def test_grant_reads_only_the_active_sessions(self, tmp_path):
         """A credit grant counts the streams attached now, not every stream

@@ -138,6 +138,15 @@ class TestPipelineWiring:
         WolfConfig(engine="batch")
         with pytest.raises(ValueError):
             WolfConfig(engine="turbo")
-        for retired in ("shard_cycles", "reduce"):
+        for retired in (
+            "shard_cycles",
+            "reduce",
+            "detect_stickiness",
+            "detect_tries",
+            "skip_confirmed_defects",
+            "mp_context",
+            "retry_backoff_s",
+            "max_pool_breakages",
+        ):
             with pytest.raises(TypeError):
                 WolfConfig(**{retired: True})

@@ -78,6 +78,9 @@ class TestValidation:
             run_detection(ab_ba_program, 0, max_steps=0)
         with pytest.raises(ValueError, match="step_timeout"):
             run_detection(ab_ba_program, 0, step_timeout=0)
+        # Every detection run schedules at DETECT_STICKINESS.
+        with pytest.raises(TypeError):
+            run_detection(ab_ba_program, 0, stickiness=0.5)
 
     @pytest.mark.parametrize(
         "kw",
@@ -85,11 +88,10 @@ class TestValidation:
             {"replay_attempts": 0},
             {"max_steps": 0},
             {"step_timeout": 0},
-            {"detect_tries": 0},
+            {"max_cycle_length": 1},
             {"task_timeout": 0},
             {"task_retries": -1},
-            {"retry_backoff_s": -1},
-            {"max_pool_breakages": -1},
+            {"max_cycles": 0},
         ],
     )
     def test_wolf_config_rejects_bad_knobs(self, kw):
@@ -247,7 +249,6 @@ def _chaos_config(**kw) -> WolfConfig:
         replay_attempts=3,
         task_timeout=2.0,
         task_retries=1,
-        retry_backoff_s=0.01,
         step_timeout=5.0,
     )
     base.update(kw)
@@ -305,9 +306,7 @@ class TestChaosPipeline:
         """Step-budget exhaustion is a normal detection outcome (the run
         records STEP_LIMIT), not a supervised-task failure."""
         program = ChaosProgram(mode="spin")
-        cfg = _chaos_config(
-            detect_seeds=[0], detect_tries=2, max_steps=1_500, replay_attempts=1
-        )
+        cfg = _chaos_config(detect_seeds=[0], max_steps=1_500, replay_attempts=1)
         report = Wolf(config=cfg).analyze(program, name="spin")
         assert report.n_faults == 0
         assert report.n_cycles == 0
@@ -321,7 +320,7 @@ class TestChaosPipeline:
             raise ChaosError("replay task exploded")
 
         monkeypatch.setattr(pipeline_mod, "run_replay_task", boom)
-        cfg = _chaos_config(task_retries=0, retry_backoff_s=0.0)
+        cfg = _chaos_config(task_retries=0)
         report = Wolf(config=cfg).analyze(ChaosTarget(), name="chaos")
 
         assert report.count_faults("error") == len(report.faults) > 0
