@@ -816,9 +816,12 @@ def run_prediction(dense_paths: List[str]) -> dict:
 
     ``early_speedup`` times ``predict_decisions`` over the same survivors
     without and with ``promote_early`` (what reports run), in alternating
-    pairs on one CPU.  ``settled_early`` counts the survivors whose defect
-    key already certified at an earlier instance of the same trace: the
-    ones the early path decides without a schedule search or a witness.
+    pairs on one CPU.  The default side reads each certified witness, as
+    ``Wolf.analyze`` and crossval do (a witness is built when first read);
+    the early side reads verdicts only, as a report does.  ``settled_early``
+    counts the survivors whose defect key already certified at an earlier
+    instance of the same trace: the ones the early path decides without a
+    schedule search or a witness.
     The ``index_*`` fields come from :func:`run_index` over
     ``dense_paths``.
     """
@@ -864,9 +867,12 @@ def run_prediction(dense_paths: List[str]) -> dict:
             if p.verdict is PredictionVerdict.CERTIFIED and not p.promoted:
                 certified_keys.add(key)
 
+    certified = PredictionVerdict.CERTIFIED
+
     def default():
         for index, decisions in cases:
-            predict_decisions(index, decisions)
+            preds = predict_decisions(index, decisions)
+            _ = [p.witness for p in preds if p is not None and p.verdict is certified]
 
     def early():
         for index, decisions in cases:

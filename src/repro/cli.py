@@ -332,6 +332,7 @@ def cmd_analyze_trace(args: argparse.Namespace) -> int:
     from repro.core.generator import Generator, GeneratorVerdict
     from repro.core.nativekernel import analyze_trace_file, kernel_version
     from repro.core.pruner import Pruner
+    from repro.corpus.manifest import DETECTOR_PARAMS
     from repro.corpus.validate import DECODE_ERRORS
     from repro.runtime.tracefile import is_tracefile
 
@@ -344,7 +345,9 @@ def cmd_analyze_trace(args: argparse.Namespace) -> int:
         return 1
     try:
         analysis = analyze_trace_file(
-            args.trace_file, backend=getattr(args, "backend", "auto")
+            args.trace_file,
+            backend=getattr(args, "backend", "auto"),
+            **DETECTOR_PARAMS,
         )
     except DECODE_ERRORS as exc:
         return _malformed_trace(args.trace_file, exc)

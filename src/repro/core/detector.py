@@ -90,6 +90,9 @@ class DetectionResult:
     trace: Trace
     relation: LockDependencyRelation
     cycles: List[PotentialDeadlock]
+    #: The limits the cycle search ran with, which a report states.
+    max_length: int
+    max_cycles: int
     vclocks: Optional[VectorClockState] = None
     truncated: bool = False
 
@@ -366,7 +369,12 @@ class BaseDetector:
             rel, max_length=self.max_length, max_cycles=self.max_cycles
         )
         return DetectionResult(
-            trace=trace, relation=rel, cycles=cycles, truncated=truncated
+            trace=trace,
+            relation=rel,
+            cycles=cycles,
+            max_length=self.max_length,
+            max_cycles=self.max_cycles,
+            truncated=truncated,
         )
 
 
@@ -389,6 +397,8 @@ class ExtendedDetector(BaseDetector):
             trace=trace,
             relation=rel,
             cycles=cycles,
+            max_length=self.max_length,
+            max_cycles=self.max_cycles,
             vclocks=vclocks,
             truncated=truncated,
         )

@@ -5,8 +5,9 @@ Every verdict is decided on integers: by the kernel on a kernel-backed
 relation (:meth:`~repro.core.lockdep.LockDependencyRelation.gs_cyclic`,
 one call per trace), else by :meth:`SyncGraphBuilder.decide`.  A
 decision's ``gs`` is built whole when something reads it (the Replayer,
-the sanitizer, :attr:`gs_cycle`, the dot export, ``num_vertices``,
-pickling); a defect report reads none."""
+the sanitizer, :attr:`gs_cycle`, the dot export, pickling); a defect
+report reads none, and :attr:`GeneratorDecision.gs_vertices` counts an
+unbuilt graph's vertices without building it."""
 
 from __future__ import annotations
 
@@ -43,6 +44,15 @@ class GeneratorDecision:
 
     def __getstate__(self) -> dict:
         return {"cycle": self.cycle, "verdict": self.verdict, "gs": self.gs}
+
+    @property
+    def gs_vertices(self) -> int:
+        """``gs``'s vertex count: read off ``gs`` once built, else counted
+        by the generator with no graph built."""
+        gs = self.__dict__.get("gs")
+        if gs is None:
+            return self._generator.count_vertices(self.cycle)
+        return gs.num_vertices()
 
     @cached_property
     def gs_cycle(self) -> Optional[List[GsVertex]]:
@@ -84,6 +94,10 @@ class Generator:
     def build(self, cycle: PotentialDeadlock) -> SyncGraph:
         """``Gs`` for ``cycle``, built whole in Python."""
         return self._builder.build(cycle)
+
+    def count_vertices(self, cycle: PotentialDeadlock) -> int:
+        """``len(build(cycle).vertices)``, with no graph built."""
+        return self._builder.count_vertices(cycle)
 
     def run(self, cycles: List[PotentialDeadlock]) -> GeneratorResult:
         cyclic = self.relation.gs_cyclic(cycles)

@@ -972,6 +972,8 @@ class NativeStreamingDetector:
             trace=trace if trace is not None else Trace(),
             relation=rel,
             cycles=cycles,
+            max_length=self.max_length,
+            max_cycles=self.max_cycles,
             vclocks=self.vclocks,
             truncated=self.truncated,
         )

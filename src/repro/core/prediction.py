@@ -71,6 +71,14 @@ key once: after an instance certifies, :meth:`Predictor.refutation`
 decides whether a later instance is REFUTED, and otherwise it inherits
 the certified sibling's witness
 (:func:`repro.core.parallel.predict_decisions`, ``promote_early``).
+
+Each step is done once per trace, and only what a caller reads is built.
+The cycles of a trace share their members, so a :class:`Predictor`
+resolves each member (its cap and the designated owner of each lock it
+holds) once.  A certified verdict is decided by a lock-semantics replay
+of the included acquisitions and releases; its witness schedule is built
+only when first read (replay, crossval, ``witness_dir``), so a report
+builds none.
 """
 
 from __future__ import annotations
@@ -79,9 +87,10 @@ import enum
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate, compress, count
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.detector import PotentialDeadlock
+from repro.core.lockdep import LockDepEntry
 from repro.runtime.events import (
     AcquireEvent,
     BeginEvent,
@@ -201,20 +210,80 @@ class WitnessSchedule:
         )
 
 
-@dataclass(frozen=True)
-class CyclePrediction:
-    """One cycle's verdict plus the evidence behind it."""
+class _Deferred:
+    """A witness built by ``build(*args)`` on first read and kept; the
+    arguments are dropped once it is built.  Promoted instances share
+    their sibling's cell."""
 
-    verdict: PredictionVerdict
-    reason: str = ""
-    witness: Optional[WitnessSchedule] = None
-    #: True when the verdict was lifted from a same-``defect_key`` sibling
-    #: cycle rather than this instance's own closure.
-    promoted: bool = False
+    __slots__ = ("_args", "_value")
+
+    def __init__(self, build: Callable[..., WitnessSchedule], *args) -> None:
+        self._args: Optional[tuple] = (build, *args)
+        self._value: Optional[WitnessSchedule] = None
+
+    def get(self) -> WitnessSchedule:
+        if self._args is not None:
+            build, *args = self._args
+            self._value = build(*args)
+            self._args = None
+        return self._value
+
+
+class CyclePrediction:
+    """One cycle's verdict plus the evidence behind it.
+
+    A CERTIFIED prediction's ``witness`` is built the first time it is
+    read, and kept: reports read verdicts only, so they build none.
+    Equality, hashing, ``repr``, copying and pickling read it, so an
+    unread prediction compares, prints and travels as one built eagerly
+    would.  A promoted instance shares its sibling's witness, unbuilt
+    until either reads it.
+    """
+
+    __slots__ = ("verdict", "reason", "_witness", "promoted")
+
+    def __init__(
+        self,
+        verdict: PredictionVerdict,
+        reason: str = "",
+        witness: Union[None, WitnessSchedule, _Deferred] = None,
+        promoted: bool = False,
+    ) -> None:
+        self.verdict = verdict
+        self.reason = reason
+        self._witness = witness
+        #: True when the verdict was lifted from a same-``defect_key``
+        #: sibling cycle rather than this instance's own closure.
+        self.promoted = promoted
+
+    @property
+    def witness(self) -> Optional[WitnessSchedule]:
+        w = self._witness
+        return w.get() if type(w) is _Deferred else w
 
     @property
     def decided(self) -> bool:
         return self.verdict is not PredictionVerdict.UNDECIDED
+
+    def _fields(self) -> tuple:
+        return (self.verdict, self.reason, self.witness, self.promoted)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not CyclePrediction:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (
+            f"CyclePrediction(verdict={self.verdict!r}, reason={self.reason!r}, "
+            f"witness={self.witness!r}, promoted={self.promoted!r})"
+        )
+
+    def __reduce__(self) -> tuple:
+        return CyclePrediction, self._fields()
 
 
 # Wire tags of the event kinds.
@@ -881,34 +950,107 @@ class _ScheduleSearch:
         return order
 
 
+#: One resolved cycle member: its thread id, its cap (the position of
+#: its deadlocking acquisition) and ``(lock id, designated owner)`` per
+#: held lock; or the reason it cannot be resolved.
+_Resolved = Union[Tuple[int, int, Tuple[Tuple[int, Tuple[int, int]], ...]], str]
+
+
+def _witness(
+    index: ClosureIndex, cycle: PotentialDeadlock, need: Dict[int, int]
+) -> WitnessSchedule:
+    """The witness of a sync-preserving closure that requires ``need``:
+    its included events in trace order."""
+    included: List[Tuple[int, str, str]] = []
+    prefix_lens: List[Tuple[str, int]] = []
+    for thread, n in need.items():
+        name = index.threads[thread].pretty()
+        prefix_lens.append((name, n))
+        steps = index.steps[thread]
+        kinds = index.kinds[thread]
+        tokens = index.thread_tokens(thread)
+        included.extend(
+            (steps[pos], name, tokens[pos])
+            for pos in range(n)
+            # Blocked attempts are schedule artifacts of the recorded
+            # run; the witness linearization never blocks mid-prefix.
+            if kinds[pos] != _BLOCK
+        )
+    included.sort()
+    return WitnessSchedule(
+        sites=tuple(sorted(cycle.sites)),
+        threads=tuple(t.pretty() for t in cycle.threads),
+        order=tuple((name, token) for _, name, token in included),
+        prefix_lens=tuple(sorted(prefix_lens)),
+    )
+
+
+def _search_witness(
+    index: ClosureIndex,
+    cycle: PotentialDeadlock,
+    need: Dict[int, int],
+    order: List[Tuple[int, int]],
+) -> WitnessSchedule:
+    """A witness from a discovered schedule: already in execution order,
+    so no linearization — just tokens, minus blocked attempts."""
+    kinds = index.kinds
+    tokens = {t: index.thread_tokens(t) for t in need}
+    names = {t: index.threads[t].pretty() for t in need}
+    return WitnessSchedule(
+        sites=tuple(sorted(cycle.sites)),
+        threads=tuple(t.pretty() for t in cycle.threads),
+        order=tuple(
+            (names[thread], tokens[thread][pos])
+            for thread, pos in order
+            if kinds[thread][pos] != _BLOCK
+        ),
+        prefix_lens=tuple(sorted((names[t], n) for t, n in need.items())),
+    )
+
+
 class Predictor:
     """Three-valued feasibility verdicts over one trace's candidate cycles."""
 
     def __init__(self, index: ClosureIndex) -> None:
         self.index = index
+        # Cycles share their members: each entry is resolved on the index
+        # once.  Keyed by identity, which stays unique while the memo
+        # holds the entry.
+        self._members: Dict[int, Tuple[LockDepEntry, _Resolved]] = {}
+
+    def _member(self, entry: LockDepEntry) -> _Resolved:
+        got = self._members.get(id(entry))
+        if got is None:
+            got = self._members[id(entry)] = (entry, self._resolve(entry))
+        return got[1]
+
+    def _resolve(self, entry: LockDepEntry) -> _Resolved:
+        index = self.index
+        found = index.acq_by_step.get(entry.step)
+        if found is None or found[0] != index.thread_ids.get(entry.thread):
+            return f"cycle acquisition at step {entry.step} is not in the trace"
+        held = []
+        for lock in entry.lockset:
+            des = index.acquisition(entry.mu(lock))
+            if des is None:
+                return f"held acquisition of {lock.pretty()} is not in the trace"
+            held.append((index.lock_id(lock), des))
+        return found[0], found[1], tuple(held)
 
     def _base(
         self, cycle: PotentialDeadlock
     ) -> Tuple[Dict[int, int], Dict[int, Tuple[int, int]]]:
         """Caps (deadlocking-acquisition positions) and designated owners,
         keyed by thread and lock id."""
-        index = self.index
         caps: Dict[int, int] = {}
         designated: Dict[int, Tuple[int, int]] = {}
         for entry in cycle.entries:
-            found = index.acq_by_step.get(entry.step)
-            if found is None or found[0] != index.thread_ids.get(entry.thread):
-                raise _Incomplete(
-                    f"cycle acquisition at step {entry.step} is not in the trace"
-                )
-            caps[found[0]] = found[1]
-            for lock in entry.lockset:
-                des = index.acquisition(entry.mu(lock))
-                if des is None:
-                    raise _Incomplete(
-                        f"held acquisition of {lock.pretty()} is not in the trace"
-                    )
-                designated[index.lock_id(lock)] = des
+            member = self._member(entry)
+            if type(member) is str:
+                raise _Incomplete(member)
+            thread, cap, held = member
+            caps[thread] = cap
+            designated.update(held)
         return caps, designated
 
     def _close(
@@ -926,56 +1068,6 @@ class Predictor:
         closure.run()
         return closure
 
-    def _witness(
-        self, cycle: PotentialDeadlock, closure: _Closure
-    ) -> WitnessSchedule:
-        index = self.index
-        included: List[Tuple[int, str, str]] = []
-        prefix_lens: List[Tuple[str, int]] = []
-        for thread, n in closure.need.items():
-            name = index.threads[thread].pretty()
-            prefix_lens.append((name, n))
-            steps = index.steps[thread]
-            kinds = index.kinds[thread]
-            tokens = index.thread_tokens(thread)
-            included.extend(
-                (steps[pos], name, tokens[pos])
-                for pos in range(n)
-                # Blocked attempts are schedule artifacts of the recorded
-                # run; the witness linearization never blocks mid-prefix.
-                if kinds[pos] != _BLOCK
-            )
-        included.sort()
-        return WitnessSchedule(
-            sites=tuple(sorted(cycle.sites)),
-            threads=tuple(t.pretty() for t in cycle.threads),
-            order=tuple((name, token) for _, name, token in included),
-            prefix_lens=tuple(sorted(prefix_lens)),
-        )
-
-    def _search_witness(
-        self,
-        cycle: PotentialDeadlock,
-        search: _ScheduleSearch,
-        order: List[Tuple[int, int]],
-    ) -> WitnessSchedule:
-        """A witness from a discovered schedule: already in execution
-        order, so no linearization — just tokens, minus blocked attempts."""
-        index = self.index
-        kinds = index.kinds
-        tokens = {t: index.thread_tokens(t) for t in search.need}
-        names = {t: index.threads[t].pretty() for t in search.need}
-        return WitnessSchedule(
-            sites=tuple(sorted(cycle.sites)),
-            threads=tuple(t.pretty() for t in cycle.threads),
-            order=tuple(
-                (names[thread], tokens[thread][pos])
-                for thread, pos in order
-                if kinds[thread][pos] != _BLOCK
-            ),
-            prefix_lens=tuple(sorted((names[t], n) for t, n in search.need.items())),
-        )
-
     def _witness_valid(self, cycle: PotentialDeadlock, closure: _Closure) -> bool:
         """Defensive self-check: simulate the witness linearization under
         pure lock semantics and confirm it really ends in the deadlock
@@ -983,27 +1075,31 @@ class Predictor:
         held by its owner, every pending acquisition blocked on a held
         lock).  The closure rules guarantee this by construction; the
         check keeps a bug here from ever producing an unsound
-        certificate."""
+        certificate.  Only acquisitions and releases change what is
+        held, so only they are replayed."""
         index = self.index
-        included: List[Tuple[int, int, int]] = []
+        ops: List[Tuple[int, int, int, int, int]] = []
         for thread, n in closure.need.items():
-            steps = index.steps[thread]
-            included.extend((steps[pos], thread, pos) for pos in range(n))
-        included.sort()
+            steps = index.steps[thread][:n]
+            events = zip(count(), steps, index.kinds[thread], index.aux[thread])
+            ops.extend(
+                (step, thread, pos, kind, lock)
+                for pos, step, kind, lock in events
+                if kind == _ACQ or kind == _REL
+            )
+        ops.sort()
         held: Dict[int, int] = {}
-        for _, thread, pos in included:
-            kind = index.kinds[thread][pos]
+        for _, thread, _, kind, lock in ops:
             if kind == _ACQ:
-                lock = index.aux[thread][pos]
-                if held.get(lock) is not None:
+                if lock in held:
                     return False
                 held[lock] = thread
-            elif kind == _REL:
-                held.pop(index.aux[thread][pos], None)
+            else:
+                held.pop(lock, None)
         for entry in cycle.entries:
-            thread = index.thread_ids[entry.thread]
-            for lock in entry.lockset:
-                if held.get(index.lock_id(lock)) != thread:
+            thread, _, locks = self._member(entry)
+            for lock, _ in locks:
+                if held.get(lock) != thread:
                     return False
             if held.get(index.lock_id(entry.lock)) is None:
                 return False
@@ -1034,7 +1130,7 @@ class Predictor:
             return CyclePrediction(
                 PredictionVerdict.CERTIFIED,
                 reason="sync-preserving witness reordering constructed",
-                witness=self._witness(cycle, closure),
+                witness=_Deferred(_witness, self.index, cycle, closure.need),
             )
         try:
             universal = self._close(caps, designated, sync_preserving=False)
@@ -1058,7 +1154,7 @@ class Predictor:
         return CyclePrediction(
             PredictionVerdict.CERTIFIED,
             reason="feasible reordering constructed by schedule search",
-            witness=self._search_witness(cycle, search, order),
+            witness=_Deferred(_search_witness, self.index, cycle, search.need, order),
         )
 
     def refutation(self, cycle: PotentialDeadlock) -> Optional[CyclePrediction]:
@@ -1134,6 +1230,6 @@ def promoted_from(sibling: CyclePrediction) -> CyclePrediction:
     return CyclePrediction(
         PredictionVerdict.CERTIFIED,
         reason="promoted: sibling cycle at the same sites certified",
-        witness=sibling.witness,
+        witness=sibling._witness,
         promoted=True,
     )

@@ -62,7 +62,7 @@ class CycleReport:
 
     @property
     def gs_vertices(self) -> Optional[int]:
-        return self.generator.gs.num_vertices() if self.generator else None
+        return self.generator.gs_vertices if self.generator else None
 
     @property
     def certificate_demoted(self) -> bool:

@@ -125,6 +125,8 @@ class StreamingDetector:
             trace=trace if trace is not None else Trace(),
             relation=self._rel,
             cycles=cycles,
+            max_length=self.max_length,
+            max_cycles=self.max_cycles,
             vclocks=self._vclocks,
             truncated=self.truncated,
         )

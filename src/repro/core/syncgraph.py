@@ -317,8 +317,7 @@ class SyncGraphBuilder:
         """``Gs`` for ``cycle``, whole: its type-D, type-C and type-P
         edges, and each vertex minted from the objects it first appeared
         with, in order of first appearance."""
-        plan = self._plan(cycle)
-        self._program_order(plan)
+        plan = self._whole(cycle)
         entries = self.tables.entries
         vertices = []
         for index, lock in plan.sources:
@@ -327,6 +326,16 @@ class SyncGraphBuilder:
                 index, lock = e.index, e.lock if lock is None else lock
             vertices.append(GsVertex(index=index, lock=lock))
         return SyncGraph(cycle, vertices, plan.edges)
+
+    def count_vertices(self, cycle: PotentialDeadlock) -> int:
+        """``len(build(cycle).vertices)``, with no vertex minted."""
+        return len(self._whole(cycle).sources)
+
+    def _whole(self, cycle: PotentialDeadlock) -> _Plan:
+        """``cycle``'s plan with every edge kind in."""
+        plan = self._plan(cycle)
+        self._program_order(plan)
+        return plan
 
     def _plan(self, cycle: PotentialDeadlock) -> _Plan:
         """``cycle``'s type-D and type-C edges, from the trace's

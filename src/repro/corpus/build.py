@@ -31,7 +31,6 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 from repro.core.nativekernel import analyze_trace_file
 from repro.core.pipeline import DETECT_STICKINESS
 from repro.corpus.manifest import (
-    DETECTOR_PARAMS,
     MANIFEST_NAME,
     CorpusManifest,
     TraceRecord,
@@ -114,9 +113,9 @@ def iter_campaign_sources(cfg: CampaignConfig) -> Iterator[CampaignSource]:
                 if i == 0
                 else DeterministicRNG(b.detect_seed).fork(f"corpus:{i}").seed
             )
-            # Detection runs with the corpus-wide DETECTOR_PARAMS (not the
+            # Detection runs with the manifest's recorded knobs (not the
             # benchmark's own max_cycle_length): the gate re-detects with
-            # the manifest's recorded knobs, so admission must use them too.
+            # them, so admission and minimization use them too.
             yield CampaignSource(
                 kind="registry", name=b.name, program=b.program, seed=seed
             )
@@ -243,7 +242,7 @@ def _admit(
     yet is minimized into ``filename`` beside the scratch file and
     appended to the manifest; ``report`` counts the outcome.
     ``program`` names a trace whose META carries none."""
-    analysis = analyze_trace_file(scratch, **DETECTOR_PARAMS)
+    analysis = analyze_trace_file(scratch, **manifest.detector)
     report.events_recorded += analysis.events
     keys = canonical_keys(analysis.detection.defect_keys())
     if not keys:
@@ -255,10 +254,10 @@ def _admit(
         return
 
     final = os.path.join(os.path.dirname(scratch), filename)
-    minimized = minimize_trace_file(scratch, final)
+    minimized = minimize_trace_file(scratch, final, detector=manifest.detector)
     # Keys are re-derived from the *minimized* file: the manifest must
     # describe the committed artifact, not its ancestor.
-    final_detection = analyze_trace_file(final, **DETECTOR_PARAMS).detection
+    final_detection = analyze_trace_file(final, **manifest.detector).detection
     final_keys = canonical_keys(final_detection.defect_keys())
     manifest.traces.append(
         TraceRecord(

@@ -31,11 +31,12 @@ from __future__ import annotations
 import io
 import os
 from dataclasses import dataclass
-from typing import FrozenSet, List, Sequence
+from typing import FrozenSet, List, Mapping, Sequence
 
 from repro.core.detector import BaseDetector
 from repro.core.lockdep import build_lockdep
 from repro.core.reduction import reduce_relation
+from repro.corpus.manifest import DETECTOR_PARAMS
 from repro.runtime.events import Trace, TraceEvent
 from repro.runtime.tracefile import read_trace, write_trace
 from repro.util.ids import Site
@@ -65,8 +66,8 @@ class MinimizeResult:
 def detect_defect_keys(
     events: Sequence[TraceEvent] | Trace,
     *,
-    max_length: int = 4,
-    max_cycles: int = 10_000,
+    max_length: int = DETECTOR_PARAMS["max_length"],
+    max_cycles: int = DETECTOR_PARAMS["max_cycles"],
 ) -> FrozenSet[FrozenSet[Site]]:
     """Defect keys witnessed by an event sequence.
 
@@ -87,7 +88,9 @@ def _as_trace(events: Sequence[TraceEvent], program: str = "", seed: int = 0) ->
     return trace
 
 
-def _thread_cut(trace: Trace, target: FrozenSet[FrozenSet[Site]]) -> Trace:
+def _thread_cut(
+    trace: Trace, target: FrozenSet[FrozenSet[Site]], detector: Mapping[str, int]
+) -> Trace:
     """Drop every event of threads with no cycle-capable ``D_sigma``
     tuple; fall back to the full trace if (unexpectedly) keys change."""
     reduced, removed = reduce_relation(build_lockdep(trace))
@@ -98,7 +101,7 @@ def _thread_cut(trace: Trace, target: FrozenSet[FrozenSet[Site]]) -> Trace:
     if len(events) == len(trace):
         return trace
     cut = _as_trace(events, program=trace.program, seed=trace.seed)
-    if detect_defect_keys(cut) != target:
+    if detect_defect_keys(cut, **detector) != target:
         return trace
     return cut
 
@@ -110,6 +113,7 @@ def _joined(chunks: Sequence[List[TraceEvent]]) -> List[TraceEvent]:
 def _ddmin_chunks(
     chunks: List[List[TraceEvent]],
     target: FrozenSet[FrozenSet[Site]],
+    detector: Mapping[str, int],
 ) -> tuple[List[List[TraceEvent]], int]:
     """Classic ddmin over the chunk list; returns (kept chunks, probes)."""
     probes = 0
@@ -122,7 +126,7 @@ def _ddmin_chunks(
             complement = chunks[:start] + chunks[start + size :]
             if complement:
                 probes += 1
-                if detect_defect_keys(_joined(complement)) == target:
+                if detect_defect_keys(_joined(complement), **detector) == target:
                     chunks = complement
                     n = max(n - 1, 2)
                     reduced = True
@@ -140,12 +144,14 @@ def minimize_trace(
     dest: str,
     *,
     events_per_chunk: int = MINIMIZE_EVENTS_PER_CHUNK,
+    detector: Mapping[str, int] = DETECTOR_PARAMS,
 ) -> MinimizeResult:
-    """Minimize an in-memory trace into the ``.wtrc`` file ``dest``."""
-    target = detect_defect_keys(trace)
+    """Minimize an in-memory trace into the ``.wtrc`` file ``dest``,
+    detecting under ``detector``, the limits a manifest records."""
+    target = detect_defect_keys(trace, **detector)
     events_before = len(trace)
 
-    cut = _thread_cut(trace, target)
+    cut = _thread_cut(trace, target, detector)
     thread_cut = events_before - len(cut)
 
     # Re-pack the survivors at fine chunk granularity and read them back:
@@ -159,7 +165,7 @@ def minimize_trace(
         decoded[i : i + events_per_chunk]
         for i in range(0, len(decoded), events_per_chunk)
     ]
-    kept, probes = _ddmin_chunks(chunks, target)
+    kept, probes = _ddmin_chunks(chunks, target, detector)
     events = _joined(kept)
     bytes_after = write_trace(
         _as_trace(events, program=trace.program, seed=trace.seed),
@@ -167,7 +173,7 @@ def minimize_trace(
         events_per_chunk=events_per_chunk,
     )
 
-    final_keys = detect_defect_keys(events)
+    final_keys = detect_defect_keys(events, **detector)
     if final_keys != target:  # pragma: no cover - every cut was validated
         raise AssertionError("minimization changed the defect-key set")
     return MinimizeResult(
@@ -185,10 +191,13 @@ def minimize_trace_file(
     dest: str,
     *,
     events_per_chunk: int = MINIMIZE_EVENTS_PER_CHUNK,
+    detector: Mapping[str, int] = DETECTOR_PARAMS,
 ) -> MinimizeResult:
     """Minimize the ``.wtrc`` file ``src`` into ``dest``."""
     trace = read_trace(src)
-    result = minimize_trace(trace, dest, events_per_chunk=events_per_chunk)
+    result = minimize_trace(
+        trace, dest, events_per_chunk=events_per_chunk, detector=detector
+    )
     # Report the true on-disk starting size, not the re-pack's.
     result.bytes_before = os.path.getsize(src)
     return result

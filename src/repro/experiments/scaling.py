@@ -109,7 +109,7 @@ def measure_point(
     gen = Generator(detection.relation).run(prune.survivors)
     gs_s = time.perf_counter() - t0
 
-    sizes = [d.gs.num_vertices() for d in gen.decisions]
+    sizes = [d.gs_vertices for d in gen.decisions]
     return ScalingRow(
         n_threads=n_threads,
         iters=iters,

@@ -31,8 +31,6 @@ def defect_report_doc(
     program: str,
     seed: int,
     events: int,
-    max_length: int = DETECTOR_PARAMS["max_length"],
-    max_cycles: int = DETECTOR_PARAMS["max_cycles"],
     trace_path: Optional[str] = None,
 ) -> dict:
     """Build the canonical report document from a finished detection.
@@ -43,6 +41,7 @@ def defect_report_doc(
     sync-preserving prediction pass is what decides feasibility here —
     it certifies or refutes replay candidates from the trace alone, so
     fleet streams whose producers cannot be re-run still get verdicts.
+    The ``detector`` section states the limits ``detection`` ran with.
     ``trace_path`` supplies the event stream for the closure index when
     the detection never materialized one (the streaming engine).
     """
@@ -75,7 +74,10 @@ def defect_report_doc(
         "seed": seed,
         "events": events,
         "engine": "streaming",
-        "detector": {"max_length": max_length, "max_cycles": max_cycles},
+        "detector": {
+            "max_length": detection.max_length,
+            "max_cycles": detection.max_cycles,
+        },
         "cycles": len(detection.cycles),
         "truncated": detection.truncated,
         "defect_keys": [list(k) for k in canonical_keys(detection.defect_keys())],
@@ -119,8 +121,6 @@ def report_doc_for_file(
         program=analysis.program,
         seed=analysis.seed,
         events=analysis.events,
-        max_length=max_length,
-        max_cycles=max_cycles,
         trace_path=path,
     )
 

@@ -182,6 +182,23 @@ class TestMinimizer:
         assert detect_defect_keys(read_trace(str(second))) == target
         assert res.events_after <= res.events_before
 
+    def test_detects_under_the_manifest_limits(self, tmp_path):
+        """The minimizer keeps the keys its ``detector`` limits see: under
+        ``max_length`` 2 a ring of three philosophers has none to keep."""
+        from repro.core.pipeline import run_detection
+        from repro.workloads.registry import all_benchmarks
+
+        b = next(b for b in all_benchmarks() if b.name == "philosophers")
+        trace = run_detection(b.program, b.detect_seed, name=b.name).trace
+        short = {"max_length": 2, "max_cycles": 10_000}
+        assert detect_defect_keys(trace) and not detect_defect_keys(trace, **short)
+        kept, cut = tmp_path / "kept.wtrc", tmp_path / "cut.wtrc"
+        minimize_trace(trace, str(kept))
+        res = minimize_trace(trace, str(cut), detector=short)
+        assert detect_defect_keys(read_trace(str(kept)))
+        assert not detect_defect_keys(read_trace(str(cut)))
+        assert res.events_after < len(read_trace(str(kept)))
+
 
 # ---------------------------------------------------------------------------
 # campaign + validation + gate over a tiny throwaway corpus

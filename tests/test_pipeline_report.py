@@ -121,6 +121,38 @@ class TestWolfPipeline:
         assert "cycles detected : 2" in text
         assert "defect at" in text
 
+    def test_json_counts_gs_vertices_without_building(self, monkeypatch):
+        """``to_json`` states each decision's ``Gs`` size without building
+        a graph nobody read, and the count is the built graph's."""
+        from repro.core.syncgraph import SyncGraphBuilder
+        from repro.workloads.registry import all_benchmarks
+
+        builds = []
+        real = SyncGraphBuilder.build
+
+        def spy(self, cycle):
+            builds.append(cycle)
+            return real(self, cycle)
+
+        unread = 0
+        for b in all_benchmarks():
+            cfg = WolfConfig(
+                seed=b.detect_seed,
+                max_cycle_length=b.max_cycle_length,
+                replay_attempts=b.replay_attempts,
+            )
+            report = Wolf(config=cfg).analyze(b.program, name=b.name)
+            decisions = [cr.generator for cr in report.cycle_reports if cr.generator]
+            unread += sum("gs" not in vars(d) for d in decisions)
+            with monkeypatch.context() as mp:
+                mp.setattr(SyncGraphBuilder, "build", spy)
+                report.to_json()
+            assert builds == [], b.name
+            for cr in report.cycle_reports:
+                if cr.generator is not None:
+                    assert cr.gs_vertices == len(cr.generator.gs.vertices), b.name
+        assert unread, "every graph was read before to_json: the check is vacuous"
+
 
 class TestReportAggregation:
     def _cycle_report(self, classification):

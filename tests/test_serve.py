@@ -332,6 +332,43 @@ class TestServeConfig:
             with pytest.raises(TypeError):
                 StreamSession("s", base["out_dir"], None, **{retired: 4})
 
+    @pytest.mark.parametrize("backend", ["python", "native"])
+    def test_reports_state_the_limits_detection_ran_with(
+        self, tmp_path, monkeypatch, capsysbinary, backend
+    ):
+        """``wolf analyze-trace --json`` and a daemon session both detect
+        with DETECTOR_PARAMS as it reads when they run, and each report
+        states the limits its detection used."""
+        from repro.cli import main
+        from repro.core.nativekernel import analyze_trace_file, kernel_available
+        from repro.corpus.manifest import DETECTOR_PARAMS
+        from repro.serve.session import StreamSession
+
+        if backend == "native" and not kernel_available():
+            pytest.skip("native kernel unavailable on this host")
+        path = os.path.join(REPO, "corpus", "Jigsaw-s11578652118208600430.wtrc")
+        monkeypatch.setitem(DETECTOR_PARAMS, "max_length", 2)
+        assert main(["analyze-trace", path, "--json", "--backend", backend]) == 0
+        cli_bytes = capsysbinary.readouterr().out
+
+        out = tmp_path / "run"
+        out.mkdir()
+        journal = RunJournal(str(out / "journal.jsonl"))
+        try:
+            session = StreamSession("s", str(out), journal, backend=backend)
+            session.open_fresh()
+            with open(path, "rb") as fh:
+                session.ingest(fh.read())
+            served = render_report(session.finalize())
+        finally:
+            journal.close()
+        assert served == cli_bytes
+        doc = json.loads(cli_bytes)
+        assert doc["detector"] == {"max_length": 2, "max_cycles": 10_000}
+        short = analyze_trace_file(path, max_length=2, backend=backend).detection
+        full = analyze_trace_file(path, backend=backend).detection
+        assert doc["cycles"] == len(short.cycles) < len(full.cycles)
+
     def test_multi_worker_config_needs_fleet_worker(self, tmp_path):
         base = dict(
             out_dir=str(tmp_path / "run"),
